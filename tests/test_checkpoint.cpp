@@ -31,9 +31,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/campaign_executor.hpp"
@@ -335,6 +337,308 @@ TEST(CheckpointRoundTrip, CumulativeStateSurvivesSerializeParseExactly)
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof a[0]), 0);
     EXPECT_TRUE(resumed.verify_conservation());
     EXPECT_LE(resumed.max_cumulative_error(), 0.5);
+}
+
+// ---------------------------------------------------------------------------
+// Wire layout pin (format v1).
+//
+// Round-trips, resume and the corruption battery all run one build against
+// itself, so a field reorder applied consistently to writer and reader
+// would pass them — and silently misread every older snapshot. These
+// images were produced by the v1 writer and must never change: a snapshot
+// built from literal values serializes to exactly these bytes, and parsing
+// them yields exactly those values.
+// ---------------------------------------------------------------------------
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+checkpoint_scheme_state pinned_scheme()
+{
+    checkpoint_scheme_state scheme;
+    scheme.kind = 1;
+    scheme.beta = 1.75;
+    scheme.lambda = 0.96875;
+    scheme.rounds_in_scheme = 27;
+    scheme.omega = 1.3125;
+    return scheme;
+}
+
+continuous_engine_state pinned_continuous()
+{
+    continuous_engine_state state;
+    state.load = {10.5, -0.25, 3.0};
+    state.previous_flows = {0.5, -0.5, 1.25, -1.25};
+    state.round = 48;
+    state.scheme = pinned_scheme();
+    state.initial_total = 13.25;
+    state.external_total = -2.5;
+    state.negative = {kInf, -0.75, 0, 3};
+    return state;
+}
+
+engine_checkpoint pinned_snapshot(checkpoint_engine engine)
+{
+    engine_checkpoint c;
+    c.spec_hash = 0x0123456789abcdefULL;
+    c.scenario_index = 6;
+    c.rng_version = engine == checkpoint_engine::continuous ? 2 : 1;
+    c.seed = 0x5eedULL;
+    c.engine = engine;
+    c.rounding = 3;
+    c.policy = 1;
+    c.round = 48;
+    c.record_every = 4;
+    c.rng_check = checkpoint_rng_check(c.rng_version, c.seed, c.round);
+
+    switch (engine) {
+    case checkpoint_engine::discrete:
+        c.discrete.load = {7, -2, 11};
+        c.discrete.previous_flows = {1, -1, 2, -3};
+        c.discrete.round = 48;
+        c.discrete.scheme = pinned_scheme();
+        c.discrete.initial_total = 16;
+        c.discrete.external_total = 5;
+        c.discrete.clipped_tokens = 9;
+        c.discrete.negative = {kInf, kInf, 0, 0};
+        break;
+    case checkpoint_engine::continuous:
+        c.continuous = pinned_continuous();
+        break;
+    case checkpoint_engine::cumulative:
+        c.cumulative.twin = pinned_continuous();
+        c.cumulative.load = {4, 5, 6};
+        c.cumulative.cumulative_continuous = {0.5, -0.5, 2.25, -2.25};
+        c.cumulative.cumulative_discrete = {1, -1, 2, -2};
+        c.cumulative.round = 48;
+        c.cumulative.initial_total = 15;
+        c.cumulative.external_total = 0;
+        c.cumulative.negative = {kInf, -1.0, 0, 2};
+        break;
+    }
+
+    runner_checkpoint_state& r = c.runner;
+    r.rounds = {36, 40, 44};
+    r.max_minus_average = {3.5, 2.25, 1.125};
+    r.max_local_difference = {2.0, 1.5, 1.0};
+    r.potential_over_n = {12.5, 6.25, 3.125};
+    r.min_load = {-1.0, 0.0, 1.0};
+    r.min_transient_load = {kInf, -2.0, -0.5};
+    r.total_load_error = {0.0, 0.25, 0.0};
+    r.switch_round = 20;
+    r.total_injected = 33;
+    r.total_drained = 7;
+    r.hybrid_switched = true;
+    r.hybrid_switch_round = 21;
+    r.tracker.count = 49;
+    r.tracker.last_improvement = 41;
+    r.tracker.best = 1.0625;
+    r.tracker.converged = false;
+    r.tracker.trailing = {2.25, 1.125};
+    r.baseline_total = 3625.0;
+    r.ideal_basis = 3600.0;
+    r.ideal_stale = true;
+    return c;
+}
+
+std::string hex_of(std::string_view bytes)
+{
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string hex;
+    for (const char c : bytes) {
+        const auto byte = static_cast<unsigned char>(c);
+        hex.push_back(kDigits[byte >> 4]);
+        hex.push_back(kDigits[byte & 0xf]);
+    }
+    return hex;
+}
+
+void expect_same_negative(const negative_load_stats& a,
+                          const negative_load_stats& b)
+{
+    EXPECT_EQ(a.min_end_of_round_load, b.min_end_of_round_load);
+    EXPECT_EQ(a.min_transient_load, b.min_transient_load);
+    EXPECT_EQ(a.rounds_with_negative_end_load, b.rounds_with_negative_end_load);
+    EXPECT_EQ(a.rounds_with_negative_transient,
+              b.rounds_with_negative_transient);
+}
+
+void expect_same_scheme(const checkpoint_scheme_state& a,
+                        const checkpoint_scheme_state& b)
+{
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.beta, b.beta);
+    EXPECT_EQ(a.lambda, b.lambda);
+    EXPECT_EQ(a.rounds_in_scheme, b.rounds_in_scheme);
+    EXPECT_EQ(a.omega, b.omega);
+}
+
+void expect_same_continuous(const continuous_engine_state& a,
+                            const continuous_engine_state& b)
+{
+    EXPECT_EQ(a.load, b.load);
+    EXPECT_EQ(a.previous_flows, b.previous_flows);
+    EXPECT_EQ(a.round, b.round);
+    expect_same_scheme(a.scheme, b.scheme);
+    EXPECT_EQ(a.initial_total, b.initial_total);
+    EXPECT_EQ(a.external_total, b.external_total);
+    expect_same_negative(a.negative, b.negative);
+}
+
+/// Every field of the header, the active engine section and the runner.
+void expect_same_snapshot(const engine_checkpoint& a, const engine_checkpoint& b)
+{
+    EXPECT_EQ(a.spec_hash, b.spec_hash);
+    EXPECT_EQ(a.scenario_index, b.scenario_index);
+    EXPECT_EQ(a.rng_version, b.rng_version);
+    EXPECT_EQ(a.seed, b.seed);
+    EXPECT_EQ(a.rng_check, b.rng_check);
+    EXPECT_EQ(a.engine, b.engine);
+    EXPECT_EQ(a.rounding, b.rounding);
+    EXPECT_EQ(a.policy, b.policy);
+    EXPECT_EQ(a.round, b.round);
+    EXPECT_EQ(a.record_every, b.record_every);
+    switch (b.engine) {
+    case checkpoint_engine::discrete:
+        EXPECT_EQ(a.discrete.load, b.discrete.load);
+        EXPECT_EQ(a.discrete.previous_flows, b.discrete.previous_flows);
+        EXPECT_EQ(a.discrete.round, b.discrete.round);
+        expect_same_scheme(a.discrete.scheme, b.discrete.scheme);
+        EXPECT_EQ(a.discrete.initial_total, b.discrete.initial_total);
+        EXPECT_EQ(a.discrete.external_total, b.discrete.external_total);
+        EXPECT_EQ(a.discrete.clipped_tokens, b.discrete.clipped_tokens);
+        expect_same_negative(a.discrete.negative, b.discrete.negative);
+        break;
+    case checkpoint_engine::continuous:
+        expect_same_continuous(a.continuous, b.continuous);
+        break;
+    case checkpoint_engine::cumulative:
+        expect_same_continuous(a.cumulative.twin, b.cumulative.twin);
+        EXPECT_EQ(a.cumulative.load, b.cumulative.load);
+        EXPECT_EQ(a.cumulative.cumulative_continuous,
+                  b.cumulative.cumulative_continuous);
+        EXPECT_EQ(a.cumulative.cumulative_discrete,
+                  b.cumulative.cumulative_discrete);
+        EXPECT_EQ(a.cumulative.round, b.cumulative.round);
+        EXPECT_EQ(a.cumulative.initial_total, b.cumulative.initial_total);
+        EXPECT_EQ(a.cumulative.external_total, b.cumulative.external_total);
+        expect_same_negative(a.cumulative.negative, b.cumulative.negative);
+        break;
+    }
+    const runner_checkpoint_state& ra = a.runner;
+    const runner_checkpoint_state& rb = b.runner;
+    EXPECT_EQ(ra.rounds, rb.rounds);
+    EXPECT_EQ(ra.max_minus_average, rb.max_minus_average);
+    EXPECT_EQ(ra.max_local_difference, rb.max_local_difference);
+    EXPECT_EQ(ra.potential_over_n, rb.potential_over_n);
+    EXPECT_EQ(ra.min_load, rb.min_load);
+    EXPECT_EQ(ra.min_transient_load, rb.min_transient_load);
+    EXPECT_EQ(ra.total_load_error, rb.total_load_error);
+    EXPECT_EQ(ra.switch_round, rb.switch_round);
+    EXPECT_EQ(ra.total_injected, rb.total_injected);
+    EXPECT_EQ(ra.total_drained, rb.total_drained);
+    EXPECT_EQ(ra.hybrid_switched, rb.hybrid_switched);
+    EXPECT_EQ(ra.hybrid_switch_round, rb.hybrid_switch_round);
+    EXPECT_EQ(ra.tracker.count, rb.tracker.count);
+    EXPECT_EQ(ra.tracker.last_improvement, rb.tracker.last_improvement);
+    EXPECT_EQ(ra.tracker.best, rb.tracker.best);
+    EXPECT_EQ(ra.tracker.converged, rb.tracker.converged);
+    EXPECT_EQ(ra.tracker.trailing, rb.tracker.trailing);
+    EXPECT_EQ(ra.baseline_total, rb.baseline_total);
+    EXPECT_EQ(ra.ideal_basis, rb.ideal_basis);
+    EXPECT_EQ(ra.ideal_stale, rb.ideal_stale);
+}
+
+struct pinned_image {
+    checkpoint_engine engine;
+    const char* hex;
+};
+
+TEST(CheckpointWireLayout, V1BytesArePinnedPerEngine)
+{
+    const pinned_image images[] = {
+        {checkpoint_engine::discrete,
+         "2320646c6220636865636b706f696e742076310aefcdab896745230106000000"
+         "0000000001000000ed5e0000000000008bf133775651c7110000000003000000"
+         "0100000030000000000000000400000000000000030000000000000007000000"
+         "00000000feffffffffffffff0b00000000000000040000000000000001000000"
+         "00000000ffffffffffffffff0200000000000000fdffffffffffffff30000000"
+         "0000000001000000000000000000fc3f000000000000ef3f1b00000000000000"
+         "000000000000f53f100000000000000005000000000000000900000000000000"
+         "000000000000f07f000000000000f07f00000000000000000000000000000000"
+         "0300000000000000240000000000000028000000000000002c00000000000000"
+         "03000000000000000000000000000c400000000000000240000000000000f23f"
+         "03000000000000000000000000000040000000000000f83f000000000000f03f"
+         "0300000000000000000000000000294000000000000019400000000000000940"
+         "0300000000000000000000000000f0bf0000000000000000000000000000f03f"
+         "0300000000000000000000000000f07f00000000000000c0000000000000e0bf"
+         "03000000000000000000000000000000000000000000d03f0000000000000000"
+         "1400000000000000210000000000000007000000000000000115000000000000"
+         "0031000000000000002900000000000000000000000000f13f00020000000000"
+         "00000000000000000240000000000000f23f000000000052ac40000000000020"
+         "ac40011e89058ba17c9daa"},
+        {checkpoint_engine::continuous,
+         "2320646c6220636865636b706f696e742076310aefcdab896745230106000000"
+         "0000000002000000ed5e0000000000009e3b69d20fdfe24b0100000003000000"
+         "0100000030000000000000000400000000000000030000000000000000000000"
+         "00002540000000000000d0bf0000000000000840040000000000000000000000"
+         "0000e03f000000000000e0bf000000000000f43f000000000000f4bf30000000"
+         "0000000001000000000000000000fc3f000000000000ef3f1b00000000000000"
+         "000000000000f53f0000000000802a4000000000000004c0000000000000f07f"
+         "000000000000e8bf000000000000000003000000000000000300000000000000"
+         "240000000000000028000000000000002c000000000000000300000000000000"
+         "0000000000000c400000000000000240000000000000f23f0300000000000000"
+         "0000000000000040000000000000f83f000000000000f03f0300000000000000"
+         "0000000000002940000000000000194000000000000009400300000000000000"
+         "000000000000f0bf0000000000000000000000000000f03f0300000000000000"
+         "000000000000f07f00000000000000c0000000000000e0bf0300000000000000"
+         "0000000000000000000000000000d03f00000000000000001400000000000000"
+         "2100000000000000070000000000000001150000000000000031000000000000"
+         "002900000000000000000000000000f13f000200000000000000000000000000"
+         "0240000000000000f23f000000000052ac40000000000020ac4001f9562ff6bc"
+         "91ae70"},
+        {checkpoint_engine::cumulative,
+         "2320646c6220636865636b706f696e742076310aefcdab896745230106000000"
+         "0000000001000000ed5e0000000000008bf133775651c7110200000003000000"
+         "0100000030000000000000000400000000000000030000000000000000000000"
+         "00002540000000000000d0bf0000000000000840040000000000000000000000"
+         "0000e03f000000000000e0bf000000000000f43f000000000000f4bf30000000"
+         "0000000001000000000000000000fc3f000000000000ef3f1b00000000000000"
+         "000000000000f53f0000000000802a4000000000000004c0000000000000f07f"
+         "000000000000e8bf000000000000000003000000000000000300000000000000"
+         "0400000000000000050000000000000006000000000000000400000000000000"
+         "000000000000e03f000000000000e0bf000000000000024000000000000002c0"
+         "04000000000000000100000000000000ffffffffffffffff0200000000000000"
+         "feffffffffffffff30000000000000000f000000000000000000000000000000"
+         "000000000000f07f000000000000f0bf00000000000000000200000000000000"
+         "0300000000000000240000000000000028000000000000002c00000000000000"
+         "03000000000000000000000000000c400000000000000240000000000000f23f"
+         "03000000000000000000000000000040000000000000f83f000000000000f03f"
+         "0300000000000000000000000000294000000000000019400000000000000940"
+         "0300000000000000000000000000f0bf0000000000000000000000000000f03f"
+         "0300000000000000000000000000f07f00000000000000c0000000000000e0bf"
+         "03000000000000000000000000000000000000000000d03f0000000000000000"
+         "1400000000000000210000000000000007000000000000000115000000000000"
+         "0031000000000000002900000000000000000000000000f13f00020000000000"
+         "00000000000000000240000000000000f23f000000000052ac40000000000020"
+         "ac40012ac1d839f36e3865"},
+    };
+    for (const pinned_image& pinned : images) {
+        SCOPED_TRACE(std::string(to_string(pinned.engine)));
+        const engine_checkpoint snapshot = pinned_snapshot(pinned.engine);
+        const std::string hex = hex_of(serialize_checkpoint(snapshot));
+        const std::string expected = pinned.hex;
+        const auto differs = std::mismatch(hex.begin(), hex.end(),
+                                           expected.begin(), expected.end());
+        EXPECT_EQ(hex, expected)
+            << "serialized image leaves the pinned v1 bytes at byte "
+            << (differs.first - hex.begin()) / 2;
+
+        std::string image;
+        for (std::size_t i = 0; i + 1 < expected.size(); i += 2)
+            image.push_back(static_cast<char>(
+                std::stoi(expected.substr(i, 2), nullptr, 16)));
+        expect_same_snapshot(parse_checkpoint(image), snapshot);
+    }
 }
 
 // ---------------------------------------------------------------------------
