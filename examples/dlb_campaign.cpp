@@ -24,7 +24,6 @@
 // Reports are byte-identical for any --threads value, with or without
 // --shard + --merge, and with or without graph caching / scratch pooling;
 // add --timing to include (nondeterministic) wall-clock fields.
-#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iomanip>
@@ -633,25 +632,7 @@ int main(int argc, char** argv)
                 if (atomic_reports) {
                     std::ostringstream bytes;
                     emit(bytes);
-                    const std::string temp = temp_path_for(path);
-                    {
-                        std::ofstream out(temp, std::ios::binary);
-                        if (!out)
-                            throw std::runtime_error("cannot open " + temp);
-                        out << bytes.str();
-                        if (!out.flush())
-                            throw std::runtime_error("write failed for " +
-                                                     temp);
-                    }
-                    std::error_code ec;
-                    std::filesystem::rename(temp, path, ec);
-                    if (ec) {
-                        std::error_code cleanup_ec;
-                        std::filesystem::remove(temp, cleanup_ec);
-                        throw std::runtime_error("cannot rename " + temp +
-                                                 " to " + path + ": " +
-                                                 ec.message());
-                    }
+                    write_text_atomic(path, bytes.str(), "queue report");
                     return;
                 }
                 std::ofstream out(path);

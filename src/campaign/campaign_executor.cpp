@@ -161,6 +161,65 @@ switch_policy resolve_switching(const scenario_spec& spec)
     throw std::invalid_argument("unknown switch mode '" + spec.switch_mode + "'");
 }
 
+/// A scenario's resolved instance. run_scenario and measure_windows both
+/// resolve through resolve_instance, so windowed sampling replays exactly
+/// the campaign's graph, alpha, speeds and scheme.
+struct scenario_instance {
+    std::shared_ptr<const graph> network; // shared by the cache, or owned
+    diffusion_config diffusion;           // on *network
+    double lambda = -1.0;                 // -1: the scheme needed none
+    double beta = 0.0;                    // effective relaxation parameter
+};
+
+scenario_instance resolve_instance(const scenario_spec& spec,
+                                   graph_cache* cache)
+{
+    // The topology is shared from the cache when one is given (identical
+    // build inputs, so bit-identical graphs) and cold-built otherwise.
+    scenario_instance out;
+    out.network =
+        cache != nullptr
+            ? cache->get(spec.topology, spec.nodes, spec.topology_param,
+                         spec.seed)
+            : std::make_shared<const graph>(
+                  build_topology(spec.topology, spec.nodes, spec.topology_param,
+                                 topology_seed(spec.seed)));
+    const graph& g = *out.network;
+    diffusion_config& diffusion = out.diffusion;
+    diffusion.network = &g;
+    diffusion.alpha = make_alpha(g, resolve_alpha(spec), spec.alpha_gamma);
+    diffusion.speeds = resolve_speeds(spec, g.num_nodes());
+    const auto lambda_of = [&] {
+        const auto solve = [&] {
+            return compute_lambda(g, diffusion.alpha, diffusion.speeds);
+        };
+        return cache != nullptr ? cache->lambda(lambda_cache_key(spec), solve)
+                                : solve();
+    };
+
+    // Relaxation parameter: explicit beta wins; otherwise SOS and
+    // Chebyshev derive it from the computed lambda (Table I pipeline).
+    if (spec.scheme == "fos") {
+        diffusion.scheme = fos_scheme();
+        out.beta = 1.0;
+    } else if (spec.scheme == "sos") {
+        double beta = spec.beta;
+        if (beta <= 0.0) {
+            out.lambda = lambda_of();
+            beta = beta_opt(out.lambda);
+        }
+        diffusion.scheme = sos_scheme(beta);
+        out.beta = beta;
+    } else if (spec.scheme == "chebyshev") {
+        out.lambda = lambda_of();
+        diffusion.scheme = chebyshev_scheme(out.lambda);
+        out.beta = beta_opt(out.lambda);
+    } else {
+        throw std::invalid_argument("unknown scheme '" + spec.scheme + "'");
+    }
+    return out;
+}
+
 } // namespace
 
 scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
@@ -188,54 +247,12 @@ scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
             throw std::invalid_argument(
                 "scenario: topology_param must be finite");
 
-        // Resolve the topology: shared from the cache when one is given
-        // (identical build inputs, so bit-identical graphs), cold-built
-        // otherwise. The shared_ptr keeps a cached graph alive for the run.
-        std::shared_ptr<const graph> shared;
-        std::optional<graph> owned;
-        if (cache != nullptr) {
-            shared = cache->get(spec.topology, spec.nodes, spec.topology_param,
-                                spec.seed);
-        } else {
-            owned.emplace(build_topology(spec.topology, spec.nodes,
-                                         spec.topology_param,
-                                         topology_seed(spec.seed)));
-        }
-        const graph& g = cache != nullptr ? *shared : *owned;
+        scenario_instance instance = resolve_instance(spec, cache);
+        const graph& g = *instance.network;
         result.nodes = g.num_nodes();
         result.edges = g.num_edges();
-
-        const auto alpha = make_alpha(g, resolve_alpha(spec), spec.alpha_gamma);
-        const auto speeds = resolve_speeds(spec, g.num_nodes());
-        const auto lambda_of = [&] {
-            return cache != nullptr
-                       ? cache->lambda(lambda_cache_key(spec),
-                                       [&] { return compute_lambda(g, alpha,
-                                                                   speeds); })
-                       : compute_lambda(g, alpha, speeds);
-        };
-
-        // Relaxation parameter: explicit beta wins; otherwise SOS and
-        // Chebyshev derive it from the computed lambda (Table I pipeline).
-        scheme_params scheme;
-        if (spec.scheme == "fos") {
-            scheme = fos_scheme();
-            result.beta = 1.0;
-        } else if (spec.scheme == "sos") {
-            double beta = spec.beta;
-            if (beta <= 0.0) {
-                result.lambda = lambda_of();
-                beta = beta_opt(result.lambda);
-            }
-            scheme = sos_scheme(beta);
-            result.beta = beta;
-        } else if (spec.scheme == "chebyshev") {
-            result.lambda = lambda_of();
-            scheme = chebyshev_scheme(result.lambda);
-            result.beta = beta_opt(result.lambda);
-        } else {
-            throw std::invalid_argument("unknown scheme '" + spec.scheme + "'");
-        }
+        result.lambda = instance.lambda;
+        result.beta = instance.beta;
 
         // The versioned stream format reaches every randomized consumer:
         // the load pattern, the workload model, and the engine's rounding.
@@ -257,7 +274,7 @@ scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
             g.num_nodes(), mix64(spec.seed, kWorkloadStream), rng);
 
         experiment_config config;
-        config.diffusion = {&g, alpha, speeds, scheme};
+        config.diffusion = std::move(instance.diffusion);
         config.process = resolve_process(spec);
         config.rounding = resolve_rounding(spec);
         config.seed = spec.seed;
@@ -606,7 +623,7 @@ measure_windows_result measure_windows(const campaign_spec& spec,
             "measure_windows: windowed sampling runs the discrete engine, "
             "but the checkpointed scenario's process is '" +
             target.process + "'");
-    if (snapshot.engine != checkpoint_engine::discrete)
+    if (snapshot.engine != process_kind::discrete)
         throw std::invalid_argument(
             "measure_windows: checkpoint holds " +
             std::string(to_string(snapshot.engine)) +
@@ -617,32 +634,16 @@ measure_windows_result measure_windows(const campaign_spec& spec,
             std::to_string(snapshot.rng_version) + " but the scenario uses " +
             std::to_string(target.rng_version));
 
-    // Resolve the scenario instance exactly as run_scenario does; the spec
-    // hash already guarantees these inputs equal the checkpointing run's.
-    const graph g =
-        build_topology(target.topology, target.nodes, target.topology_param,
-                       topology_seed(target.seed));
-    const auto alpha = make_alpha(g, resolve_alpha(target), target.alpha_gamma);
-    const auto speeds = resolve_speeds(target, g.num_nodes());
-
-    scheme_params scheme;
-    if (target.scheme == "fos") {
-        scheme = fos_scheme();
-    } else if (target.scheme == "sos") {
-        double beta = target.beta;
-        if (beta <= 0.0) beta = beta_opt(compute_lambda(g, alpha, speeds));
-        scheme = sos_scheme(beta);
-    } else if (target.scheme == "chebyshev") {
-        scheme = chebyshev_scheme(compute_lambda(g, alpha, speeds));
-    } else {
-        throw std::invalid_argument("unknown scheme '" + target.scheme + "'");
-    }
+    // The spec hash already guarantees these inputs equal the
+    // checkpointing run's.
+    const scenario_instance instance = resolve_instance(target, nullptr);
+    const graph& g = *instance.network;
+    const diffusion_config& diffusion = instance.diffusion;
 
     const rounding_kind rounding = resolve_rounding(target);
     const negative_load_policy policy = resolve_policy(target);
     const rng_version rng = resolve_rng_version(target);
     const switch_policy switching = resolve_switching(target);
-    const diffusion_config diffusion{&g, alpha, speeds, scheme};
     const std::vector<std::int64_t> zeros(
         static_cast<std::size_t>(g.num_nodes()), 0);
 

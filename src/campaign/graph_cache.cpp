@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <system_error>
 
@@ -206,39 +207,16 @@ std::size_t graph_cache::save_lambda_sidecar(const std::string& path) const
                 entries[key] = slot->value;
     }
 
-    // Temp + rename (util/tempfile.hpp naming): the destination path always
-    // holds either the old or the new complete file, never a partial write.
-    // The pid suffix keeps concurrently-saving shard processes off each
-    // other's temp files, and the process-wide serial keeps concurrent
-    // saves within one process (two run_campaign calls sharing a path) off
-    // each other's too. Every failure throws naming the path — a silently
-    // skipped save would quietly degrade the warm cache back to recompute.
-    // Cleanup uses the non-throwing remove overload so a failing cleanup
-    // (the same unwritable directory, usually) can never mask the original
-    // error with a secondary filesystem_error.
-    const std::string temp = temp_path_for(path);
-    std::error_code cleanup_ec;
-    {
-        std::ofstream out(temp, std::ios::trunc);
-        if (!out)
-            throw std::runtime_error("lambda sidecar: cannot write " + temp);
-        out << kSidecarHeader << "\n";
-        for (const auto& [key, value] : entries)
-            out << key << "\t" << format_double(value) << "\n";
-        out.flush();
-        if (!out) {
-            out.close();
-            std::filesystem::remove(temp, cleanup_ec);
-            throw std::runtime_error("lambda sidecar: write failed for " + temp);
-        }
-    }
-    std::error_code ec;
-    std::filesystem::rename(temp, path, ec);
-    if (ec) {
-        std::filesystem::remove(temp, cleanup_ec);
-        throw std::runtime_error("lambda sidecar: cannot rename " + temp +
-                                 " to " + path + ": " + ec.message());
-    }
+    // Atomic save (util/tempfile.hpp): the destination path always holds
+    // either the old or the new complete file, never a partial write, and
+    // concurrently saving shard processes never share a temp file. Every
+    // failure throws naming the path — a silently skipped save would
+    // quietly degrade the warm cache back to recompute.
+    std::ostringstream out;
+    out << kSidecarHeader << "\n";
+    for (const auto& [key, value] : entries)
+        out << key << "\t" << format_double(value) << "\n";
+    write_text_atomic(path, out.str(), "lambda sidecar");
     return entries.size();
 }
 

@@ -210,34 +210,6 @@ struct lease_entry {
     std::string current_holder = kNoHolder;
 };
 
-void write_text_atomic(const std::string& path, const std::string& bytes,
-                       const char* what)
-{
-    const std::string temp = temp_path_for(path);
-    std::error_code cleanup_ec;
-    {
-        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            throw std::runtime_error(std::string(what) + ": cannot write " +
-                                     temp);
-        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-        out.flush();
-        if (!out) {
-            out.close();
-            std::filesystem::remove(temp, cleanup_ec);
-            throw std::runtime_error(std::string(what) +
-                                     ": write failed for " + temp);
-        }
-    }
-    std::error_code ec;
-    std::filesystem::rename(temp, path, ec);
-    if (ec) {
-        std::filesystem::remove(temp, cleanup_ec);
-        throw std::runtime_error(std::string(what) + ": cannot rename " +
-                                 temp + " to " + path + ": " + ec.message());
-    }
-}
-
 void write_leases(const std::string& path,
                   const std::vector<lease_entry>& entries)
 {

@@ -1,9 +1,9 @@
 #include "core/checkpoint.hpp"
 
-#include <cstring>
-#include <filesystem>
+#include <bit>
 #include <fstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "core/cumulative_baseline.hpp"
 #include "util/rng.hpp"
@@ -13,127 +13,158 @@ namespace dlb {
 
 namespace {
 
-// ---- byte-level serialization ----------------------------------------------
+// ---- wire archives ----------------------------------------------------------
 //
-// Fields are written little-endian byte by byte, so the format is identical
-// on any host. Doubles travel as their IEEE-754 bit patterns (exact
-// round-trip; NaN/inf payloads preserved — the negative-load minima start
-// at +inf).
+// Each snapshot struct has one visit(archive&, T&) below that names its
+// fields once, in wire order: run with a wire_writer it serializes, run with
+// a wire_reader it parses. Fields travel little-endian byte by byte, so the
+// format is identical on any host. Doubles travel as their IEEE-754 bit
+// patterns (exact round-trip; NaN/inf payloads preserved — the
+// negative-load minima start at +inf).
+//
+// Besides field(), visit uses three checked forms — bounded (enum wire
+// values), at_least (counts) and column (a series column, as long as the
+// rounds column) — which the writer treats as plain fields and the reader
+// enforces. Checks spanning structs (round and rng_check consistency) run
+// in parse_checkpoint once the whole payload is read.
 
-class byte_writer {
+class wire_writer {
 public:
-    void u8(std::uint8_t value) { out_.push_back(static_cast<char>(value)); }
-
-    void u64(std::uint64_t value)
+    void field(std::uint64_t value, const char*) { put(value, 8); }
+    void field(std::int64_t value, const char*)
     {
-        for (int shift = 0; shift < 64; shift += 8)
-            out_.push_back(static_cast<char>((value >> shift) & 0xff));
+        put(static_cast<std::uint64_t>(value), 8);
+    }
+    void field(std::int32_t value, const char*)
+    {
+        put(static_cast<std::uint32_t>(value), 4);
+    }
+    void field(double value, const char*)
+    {
+        put(std::bit_cast<std::uint64_t>(value), 8);
+    }
+    void field(bool value, const char*) { put(value ? 1 : 0, 1); }
+
+    template <class T>
+    void field(const std::vector<T>& values, const char* name)
+    {
+        field(static_cast<std::uint64_t>(values.size()), name);
+        for (const T value : values) field(value, name);
     }
 
-    void i64(std::int64_t value) { u64(static_cast<std::uint64_t>(value)); }
-
-    void i32(std::int32_t value)
+    template <class T>
+    void bounded(T value, std::int64_t, std::int64_t, const char* name)
     {
-        const auto bits = static_cast<std::uint32_t>(value);
-        for (int shift = 0; shift < 32; shift += 8)
-            out_.push_back(static_cast<char>((bits >> shift) & 0xff));
+        if constexpr (std::is_enum_v<T>)
+            field(static_cast<std::underlying_type_t<T>>(value), name);
+        else
+            field(value, name);
     }
 
-    void f64(double value)
+    void at_least(std::int64_t value, std::int64_t, const char* name)
     {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &value, sizeof(bits));
-        u64(bits);
+        field(value, name);
     }
 
-    void flag(bool value) { u8(value ? 1 : 0); }
-
-    void vec_i64(const std::vector<std::int64_t>& values)
+    void column(const std::vector<double>& values, std::size_t,
+                const char* name)
     {
-        u64(values.size());
-        for (const std::int64_t value : values) i64(value);
+        field(values, name);
     }
 
-    void vec_f64(const std::vector<double>& values)
-    {
-        u64(values.size());
-        for (const double value : values) f64(value);
-    }
-
-    const std::string& bytes() const noexcept { return out_; }
+    std::string& bytes() noexcept { return out_; }
 
 private:
+    void put(std::uint64_t bits, std::size_t size)
+    {
+        for (std::size_t byte = 0; byte < size; ++byte)
+            out_.push_back(static_cast<char>((bits >> (8 * byte)) & 0xff));
+    }
+
     std::string out_;
 };
 
-class byte_reader {
+// Strict: every error names the field it was reading.
+class wire_reader {
 public:
-    explicit byte_reader(std::string_view data) : data_(data) {}
+    explicit wire_reader(std::string_view data) : data_(data) {}
 
-    std::uint8_t u8(const char* field)
+    void field(std::uint64_t& value, const char* name)
     {
-        need(1, field);
-        return static_cast<std::uint8_t>(data_[pos_++]);
+        value = take(8, name);
     }
-
-    std::uint64_t u64(const char* field)
+    void field(std::int64_t& value, const char* name)
     {
-        need(8, field);
-        std::uint64_t value = 0;
-        for (int shift = 0; shift < 64; shift += 8)
-            value |= static_cast<std::uint64_t>(
-                         static_cast<std::uint8_t>(data_[pos_++]))
-                     << shift;
-        return value;
+        value = static_cast<std::int64_t>(take(8, name));
     }
-
-    std::int64_t i64(const char* field)
+    void field(std::int32_t& value, const char* name)
     {
-        return static_cast<std::int64_t>(u64(field));
+        value = static_cast<std::int32_t>(
+            static_cast<std::uint32_t>(take(4, name)));
     }
-
-    std::int32_t i32(const char* field)
+    void field(double& value, const char* name)
     {
-        need(4, field);
-        std::uint32_t bits = 0;
-        for (int shift = 0; shift < 32; shift += 8)
-            bits |= static_cast<std::uint32_t>(
-                        static_cast<std::uint8_t>(data_[pos_++]))
-                    << shift;
-        return static_cast<std::int32_t>(bits);
+        value = std::bit_cast<double>(take(8, name));
     }
-
-    double f64(const char* field)
+    void field(bool& value, const char* name)
     {
-        const std::uint64_t bits = u64(field);
-        double value = 0.0;
-        std::memcpy(&value, &bits, sizeof(value));
-        return value;
-    }
-
-    bool flag(const char* field)
-    {
-        const std::uint8_t value = u8(field);
-        if (value > 1)
-            throw std::runtime_error(std::string("checkpoint: field ") + field +
+        const std::uint64_t byte = take(1, name);
+        if (byte > 1)
+            throw std::runtime_error(std::string("checkpoint: field ") + name +
                                      " is not a boolean");
-        return value == 1;
+        value = byte == 1;
     }
 
-    std::vector<std::int64_t> vec_i64(const char* field)
+    template <class T>
+    void field(std::vector<T>& values, const char* name)
     {
-        const std::uint64_t count = length(8, field);
-        std::vector<std::int64_t> values(count);
-        for (auto& value : values) value = i64(field);
-        return values;
+        std::uint64_t count = 0;
+        field(count, name);
+        // The length must fit in the remaining payload before anything is
+        // allocated, so a corrupt length fails fast instead of bad_alloc-ing.
+        if (count > (data_.size() - pos_) / sizeof(T)) truncated(name);
+        values.resize(count);
+        for (T& value : values) field(value, name);
     }
 
-    std::vector<double> vec_f64(const char* field)
+    /// An integer (or an enum, as its underlying wire integer) that must
+    /// lie in [lo, hi].
+    template <class T>
+    void bounded(T& value, std::int64_t lo, std::int64_t hi, const char* name)
     {
-        const std::uint64_t count = length(8, field);
-        std::vector<double> values(count);
-        for (auto& value : values) value = f64(field);
-        return values;
+        if constexpr (std::is_enum_v<T>) {
+            std::underlying_type_t<T> wire = 0;
+            bounded(wire, lo, hi, name);
+            value = static_cast<T>(wire);
+        } else {
+            field(value, name);
+            if (value < lo || value > hi)
+                throw std::runtime_error(
+                    std::string("checkpoint: ") + name + " " +
+                    std::to_string(value) + " outside the known range " +
+                    std::to_string(lo) + ".." + std::to_string(hi));
+        }
+    }
+
+    void at_least(std::int64_t& value, std::int64_t min, const char* name)
+    {
+        field(value, name);
+        if (value < min)
+            throw std::runtime_error(std::string("checkpoint: ") + name +
+                                     " must be >= " + std::to_string(min) +
+                                     ", got " + std::to_string(value));
+    }
+
+    /// A recorded-series column, which must have one entry per row.
+    void column(std::vector<double>& values, std::size_t rows, const char* name)
+    {
+        field(values, name);
+        if (values.size() != rows)
+            throw std::runtime_error(
+                std::string("checkpoint: recorded series columns have "
+                            "mismatched lengths: ") +
+                name + " has " + std::to_string(values.size()) +
+                " entries for " + std::to_string(rows) + " rounds");
     }
 
     void expect_done() const
@@ -144,22 +175,20 @@ public:
     }
 
 private:
-    // A vector length must fit in the remaining payload before anything is
-    // allocated, so a corrupt length fails fast instead of bad_alloc-ing.
-    std::uint64_t length(std::uint64_t element_size, const char* field)
+    std::uint64_t take(std::size_t size, const char* name)
     {
-        const std::uint64_t count = u64(field);
-        if (count > (data_.size() - pos_) / element_size)
-            throw std::runtime_error(
-                std::string("checkpoint: truncated while reading ") + field);
-        return count;
+        if (data_.size() - pos_ < size) truncated(name);
+        std::uint64_t bits = 0;
+        for (std::size_t byte = 0; byte < size; ++byte)
+            bits |= std::uint64_t{static_cast<std::uint8_t>(data_[pos_++])}
+                    << (8 * byte);
+        return bits;
     }
 
-    void need(std::size_t count, const char* field) const
+    [[noreturn]] static void truncated(const char* name)
     {
-        if (pos_ + count > data_.size())
-            throw std::runtime_error(
-                std::string("checkpoint: truncated while reading ") + field);
+        throw std::runtime_error(
+            std::string("checkpoint: truncated while reading ") + name);
     }
 
     std::string_view data_;
@@ -176,200 +205,149 @@ std::uint64_t fnv1a(std::string_view bytes)
     return hash;
 }
 
-// ---- section serializers ----------------------------------------------------
-
-void write_negative(byte_writer& out, const negative_load_stats& stats)
-{
-    out.f64(stats.min_end_of_round_load);
-    out.f64(stats.min_transient_load);
-    out.i64(stats.rounds_with_negative_end_load);
-    out.i64(stats.rounds_with_negative_transient);
-}
-
-negative_load_stats read_negative(byte_reader& in)
-{
-    negative_load_stats stats;
-    stats.min_end_of_round_load = in.f64("negative.min_end_of_round_load");
-    stats.min_transient_load = in.f64("negative.min_transient_load");
-    stats.rounds_with_negative_end_load =
-        in.i64("negative.rounds_with_negative_end_load");
-    stats.rounds_with_negative_transient =
-        in.i64("negative.rounds_with_negative_transient");
-    return stats;
-}
-
-void write_scheme(byte_writer& out, const checkpoint_scheme_state& scheme)
-{
-    out.i32(scheme.kind);
-    out.f64(scheme.beta);
-    out.f64(scheme.lambda);
-    out.i64(scheme.rounds_in_scheme);
-    out.f64(scheme.omega);
-}
-
-checkpoint_scheme_state read_scheme(byte_reader& in)
-{
-    checkpoint_scheme_state scheme;
-    scheme.kind = in.i32("scheme.kind");
-    if (scheme.kind < 0 || scheme.kind > 2)
-        throw std::runtime_error("checkpoint: scheme kind " +
-                                 std::to_string(scheme.kind) +
-                                 " outside the known range 0..2");
-    scheme.beta = in.f64("scheme.beta");
-    scheme.lambda = in.f64("scheme.lambda");
-    scheme.rounds_in_scheme = in.i64("scheme.rounds_in_scheme");
-    if (scheme.rounds_in_scheme < 0)
-        throw std::runtime_error("checkpoint: negative rounds_in_scheme");
-    scheme.omega = in.f64("scheme.omega");
-    return scheme;
-}
-
-void write_continuous(byte_writer& out, const continuous_engine_state& state)
-{
-    out.vec_f64(state.load);
-    out.vec_f64(state.previous_flows);
-    out.i64(state.round);
-    write_scheme(out, state.scheme);
-    out.f64(state.initial_total);
-    out.f64(state.external_total);
-    write_negative(out, state.negative);
-}
-
-continuous_engine_state read_continuous(byte_reader& in)
-{
-    continuous_engine_state state;
-    state.load = in.vec_f64("continuous load vector");
-    state.previous_flows = in.vec_f64("continuous previous-flows vector");
-    state.round = in.i64("continuous round");
-    state.scheme = read_scheme(in);
-    state.initial_total = in.f64("continuous initial_total");
-    state.external_total = in.f64("continuous external_total");
-    state.negative = read_negative(in);
-    return state;
-}
-
-void write_discrete(byte_writer& out, const discrete_engine_state& state)
-{
-    out.vec_i64(state.load);
-    out.vec_i64(state.previous_flows);
-    out.i64(state.round);
-    write_scheme(out, state.scheme);
-    out.i64(state.initial_total);
-    out.i64(state.external_total);
-    out.i64(state.clipped_tokens);
-    write_negative(out, state.negative);
-}
-
-discrete_engine_state read_discrete(byte_reader& in)
-{
-    discrete_engine_state state;
-    state.load = in.vec_i64("discrete load vector");
-    state.previous_flows = in.vec_i64("discrete previous-flows vector");
-    state.round = in.i64("discrete round");
-    state.scheme = read_scheme(in);
-    state.initial_total = in.i64("discrete initial_total");
-    state.external_total = in.i64("discrete external_total");
-    state.clipped_tokens = in.i64("discrete clipped_tokens");
-    state.negative = read_negative(in);
-    return state;
-}
-
-void write_cumulative(byte_writer& out, const cumulative_engine_state& state)
-{
-    write_continuous(out, state.twin);
-    out.vec_i64(state.load);
-    out.vec_f64(state.cumulative_continuous);
-    out.vec_i64(state.cumulative_discrete);
-    out.i64(state.round);
-    out.i64(state.initial_total);
-    out.i64(state.external_total);
-    write_negative(out, state.negative);
-}
-
-cumulative_engine_state read_cumulative(byte_reader& in)
-{
-    cumulative_engine_state state;
-    state.twin = read_continuous(in);
-    state.load = in.vec_i64("cumulative load vector");
-    state.cumulative_continuous = in.vec_f64("cumulative continuous counters");
-    state.cumulative_discrete = in.vec_i64("cumulative discrete counters");
-    state.round = in.i64("cumulative round");
-    state.initial_total = in.i64("cumulative initial_total");
-    state.external_total = in.i64("cumulative external_total");
-    state.negative = read_negative(in);
-    return state;
-}
-
-void write_runner(byte_writer& out, const runner_checkpoint_state& state)
-{
-    out.vec_i64(state.rounds);
-    out.vec_f64(state.max_minus_average);
-    out.vec_f64(state.max_local_difference);
-    out.vec_f64(state.potential_over_n);
-    out.vec_f64(state.min_load);
-    out.vec_f64(state.min_transient_load);
-    out.vec_f64(state.total_load_error);
-    out.i64(state.switch_round);
-    out.i64(state.total_injected);
-    out.i64(state.total_drained);
-    out.flag(state.hybrid_switched);
-    out.i64(state.hybrid_switch_round);
-    out.i64(state.tracker.count);
-    out.i64(state.tracker.last_improvement);
-    out.f64(state.tracker.best);
-    out.flag(state.tracker.converged);
-    out.vec_f64(state.tracker.trailing);
-    out.f64(state.baseline_total);
-    out.f64(state.ideal_basis);
-    out.flag(state.ideal_stale);
-}
-
-runner_checkpoint_state read_runner(byte_reader& in)
-{
-    runner_checkpoint_state state;
-    state.rounds = in.vec_i64("series rounds");
-    state.max_minus_average = in.vec_f64("series max_minus_average");
-    state.max_local_difference = in.vec_f64("series max_local_difference");
-    state.potential_over_n = in.vec_f64("series potential_over_n");
-    state.min_load = in.vec_f64("series min_load");
-    state.min_transient_load = in.vec_f64("series min_transient_load");
-    state.total_load_error = in.vec_f64("series total_load_error");
-    const std::size_t rows = state.rounds.size();
-    if (state.max_minus_average.size() != rows ||
-        state.max_local_difference.size() != rows ||
-        state.potential_over_n.size() != rows ||
-        state.min_load.size() != rows ||
-        state.min_transient_load.size() != rows ||
-        state.total_load_error.size() != rows)
-        throw std::runtime_error(
-            "checkpoint: recorded series columns have mismatched lengths");
-    state.switch_round = in.i64("series switch_round");
-    state.total_injected = in.i64("series total_injected");
-    state.total_drained = in.i64("series total_drained");
-    state.hybrid_switched = in.flag("hybrid switched");
-    state.hybrid_switch_round = in.i64("hybrid switch_round");
-    state.tracker.count = in.i64("tracker count");
-    state.tracker.last_improvement = in.i64("tracker last_improvement");
-    state.tracker.best = in.f64("tracker best");
-    state.tracker.converged = in.flag("tracker converged");
-    state.tracker.trailing = in.vec_f64("tracker trailing window");
-    state.baseline_total = in.f64("runner baseline_total");
-    state.ideal_basis = in.f64("runner ideal_basis");
-    state.ideal_stale = in.flag("runner ideal_stale");
-    return state;
-}
-
-std::int64_t engine_section_round(const engine_checkpoint& checkpoint)
+/// Calls `fn` on the engine section that `checkpoint.engine` names.
+template <class Fn>
+decltype(auto) with_section(engine_checkpoint& checkpoint, Fn&& fn)
 {
     switch (checkpoint.engine) {
-    case checkpoint_engine::discrete:
-        return checkpoint.discrete.round;
-    case checkpoint_engine::continuous:
-        return checkpoint.continuous.round;
-    case checkpoint_engine::cumulative:
-        return checkpoint.cumulative.round;
+    case process_kind::discrete:
+        return fn(checkpoint.discrete);
+    case process_kind::continuous:
+        return fn(checkpoint.continuous);
+    case process_kind::cumulative:
+        return fn(checkpoint.cumulative);
     }
-    return -1;
+    throw std::invalid_argument(
+        "checkpoint: unknown engine kind " +
+        std::to_string(static_cast<std::int32_t>(checkpoint.engine)));
+}
+
+// ---- the v1 field order -----------------------------------------------------
+//
+// One visit per struct, in the order the fields travel. Changing an order
+// changes the format: tests/test_checkpoint.cpp pins the v1 bytes.
+
+template <class Archive>
+void visit(Archive& ar, negative_load_stats& stats)
+{
+    ar.field(stats.min_end_of_round_load, "negative.min_end_of_round_load");
+    ar.field(stats.min_transient_load, "negative.min_transient_load");
+    ar.field(stats.rounds_with_negative_end_load,
+             "negative.rounds_with_negative_end_load");
+    ar.field(stats.rounds_with_negative_transient,
+             "negative.rounds_with_negative_transient");
+}
+
+template <class Archive>
+void visit(Archive& ar, checkpoint_scheme_state& scheme)
+{
+    ar.bounded(scheme.kind, 0, 2, "scheme.kind");
+    ar.field(scheme.beta, "scheme.beta");
+    ar.field(scheme.lambda, "scheme.lambda");
+    ar.at_least(scheme.rounds_in_scheme, 0, "scheme.rounds_in_scheme");
+    ar.field(scheme.omega, "scheme.omega");
+}
+
+template <class Archive>
+void visit(Archive& ar, continuous_engine_state& state)
+{
+    ar.field(state.load, "continuous load vector");
+    ar.field(state.previous_flows, "continuous previous-flows vector");
+    ar.field(state.round, "continuous round");
+    visit(ar, state.scheme);
+    ar.field(state.initial_total, "continuous initial_total");
+    ar.field(state.external_total, "continuous external_total");
+    visit(ar, state.negative);
+}
+
+template <class Archive>
+void visit(Archive& ar, discrete_engine_state& state)
+{
+    ar.field(state.load, "discrete load vector");
+    ar.field(state.previous_flows, "discrete previous-flows vector");
+    ar.field(state.round, "discrete round");
+    visit(ar, state.scheme);
+    ar.field(state.initial_total, "discrete initial_total");
+    ar.field(state.external_total, "discrete external_total");
+    ar.field(state.clipped_tokens, "discrete clipped_tokens");
+    visit(ar, state.negative);
+}
+
+template <class Archive>
+void visit(Archive& ar, cumulative_engine_state& state)
+{
+    visit(ar, state.twin);
+    ar.field(state.load, "cumulative load vector");
+    ar.field(state.cumulative_continuous, "cumulative continuous counters");
+    ar.field(state.cumulative_discrete, "cumulative discrete counters");
+    ar.field(state.round, "cumulative round");
+    ar.field(state.initial_total, "cumulative initial_total");
+    ar.field(state.external_total, "cumulative external_total");
+    visit(ar, state.negative);
+}
+
+template <class Archive>
+void visit(Archive& ar, recorded_series& series)
+{
+    ar.field(series.rounds, "series rounds");
+    const std::size_t rows = series.rounds.size();
+    ar.column(series.max_minus_average, rows, "series max_minus_average");
+    ar.column(series.max_local_difference, rows,
+              "series max_local_difference");
+    ar.column(series.potential_over_n, rows, "series potential_over_n");
+    ar.column(series.min_load, rows, "series min_load");
+    ar.column(series.min_transient_load, rows, "series min_transient_load");
+    ar.column(series.total_load_error, rows, "series total_load_error");
+    ar.field(series.switch_round, "series switch_round");
+    ar.field(series.total_injected, "series total_injected");
+    ar.field(series.total_drained, "series total_drained");
+}
+
+template <class Archive>
+void visit(Archive& ar, imbalance_tracker_state& tracker)
+{
+    ar.field(tracker.count, "tracker count");
+    ar.field(tracker.last_improvement, "tracker last_improvement");
+    ar.field(tracker.best, "tracker best");
+    ar.field(tracker.converged, "tracker converged");
+    ar.field(tracker.trailing, "tracker trailing window");
+}
+
+template <class Archive>
+void visit(Archive& ar, runner_checkpoint_state& state)
+{
+    visit(ar, state.series);
+    ar.field(state.hybrid_switched, "hybrid switched");
+    ar.field(state.hybrid_switch_round, "hybrid switch_round");
+    visit(ar, state.tracker);
+    ar.field(state.baseline_total, "runner baseline_total");
+    ar.field(state.ideal_basis, "runner ideal_basis");
+    ar.field(state.ideal_stale, "runner ideal_stale");
+}
+
+template <class Archive>
+void visit(Archive& ar, engine_checkpoint& checkpoint)
+{
+    ar.field(checkpoint.spec_hash, "spec_hash");
+    ar.field(checkpoint.scenario_index, "scenario_index");
+    ar.bounded(checkpoint.rng_version, 1, 2, "rng_version");
+    ar.field(checkpoint.seed, "seed");
+    ar.field(checkpoint.rng_check, "rng_check");
+    ar.bounded(checkpoint.engine, 0, 2, "engine kind");
+    ar.bounded(checkpoint.rounding, 0, 3, "rounding");
+    ar.bounded(checkpoint.policy, 0, 1, "policy");
+    ar.at_least(checkpoint.round, 0, "round");
+    ar.at_least(checkpoint.record_every, 1, "record_every");
+    with_section(checkpoint, [&](auto& section) { visit(ar, section); });
+    visit(ar, checkpoint.runner);
+}
+
+checkpoint_scheme_state scheme_state(const scheme_params& scheme,
+                                     std::int64_t rounds_in_scheme,
+                                     const scheme_beta_state& beta_state)
+{
+    return {static_cast<std::int32_t>(scheme.kind), scheme.beta, scheme.lambda,
+            rounds_in_scheme, beta_state.omega()};
 }
 
 // Shared by the engines' restore_checkpoint: turns the serialized scheme
@@ -399,19 +377,6 @@ void check_size(std::size_t have, std::size_t want, const char* what)
 
 } // namespace
 
-std::string_view to_string(checkpoint_engine kind) noexcept
-{
-    switch (kind) {
-    case checkpoint_engine::discrete:
-        return "discrete";
-    case checkpoint_engine::continuous:
-        return "continuous";
-    case checkpoint_engine::cumulative:
-        return "cumulative";
-    }
-    return "unknown";
-}
-
 std::uint64_t checkpoint_rng_check(std::int32_t rng_version_wire,
                                    std::uint64_t seed, std::int64_t round)
 {
@@ -424,43 +389,15 @@ std::uint64_t checkpoint_rng_check(std::int32_t rng_version_wire,
 
 std::string serialize_checkpoint(const engine_checkpoint& checkpoint)
 {
-    byte_writer payload;
-    payload.u64(checkpoint.spec_hash);
-    payload.i64(checkpoint.scenario_index);
-    payload.i32(checkpoint.rng_version);
-    payload.u64(checkpoint.seed);
-    payload.u64(checkpoint.rng_check);
-    payload.i32(static_cast<std::int32_t>(checkpoint.engine));
-    payload.i32(checkpoint.rounding);
-    payload.i32(checkpoint.policy);
-    payload.i64(checkpoint.round);
-    payload.i64(checkpoint.record_every);
-    switch (checkpoint.engine) {
-    case checkpoint_engine::discrete:
-        write_discrete(payload, checkpoint.discrete);
-        break;
-    case checkpoint_engine::continuous:
-        write_continuous(payload, checkpoint.continuous);
-        break;
-    case checkpoint_engine::cumulative:
-        write_cumulative(payload, checkpoint.cumulative);
-        break;
-    default:
-        throw std::invalid_argument("checkpoint: unknown engine kind " +
-                                    std::to_string(static_cast<std::int32_t>(
-                                        checkpoint.engine)));
-    }
-    write_runner(payload, checkpoint.runner);
-
-    std::string out;
-    out.reserve(kCheckpointHeader.size() + 1 + payload.bytes().size() + 8);
-    out.append(kCheckpointHeader);
-    out.push_back('\n');
-    out.append(payload.bytes());
-    byte_writer checksum;
-    checksum.u64(fnv1a(payload.bytes()));
-    out.append(checksum.bytes());
-    return out;
+    wire_writer out;
+    out.bytes().append(kCheckpointHeader).push_back('\n');
+    const std::size_t payload_begin = out.bytes().size();
+    // visit takes a mutable reference because the reader shares it; the
+    // writer only reads the fields.
+    visit(out, const_cast<engine_checkpoint&>(checkpoint));
+    out.field(fnv1a(std::string_view(out.bytes()).substr(payload_begin)),
+              "checksum");
+    return std::move(out.bytes());
 }
 
 engine_checkpoint parse_checkpoint(std::string_view bytes)
@@ -478,57 +415,17 @@ engine_checkpoint parse_checkpoint(std::string_view bytes)
 
     const std::string_view payload =
         bytes.substr(header_size, bytes.size() - header_size - 8);
-    byte_reader trailer(bytes.substr(bytes.size() - 8));
-    if (trailer.u64("checksum") != fnv1a(payload))
+    wire_reader trailer(bytes.substr(bytes.size() - 8));
+    std::uint64_t checksum = 0;
+    trailer.field(checksum, "checksum");
+    if (checksum != fnv1a(payload))
         throw std::runtime_error(
             "checkpoint: payload checksum mismatch (corrupt or truncated "
             "snapshot); refusing to resume");
 
-    byte_reader in(payload);
+    wire_reader in(payload);
     engine_checkpoint checkpoint;
-    checkpoint.spec_hash = in.u64("spec_hash");
-    checkpoint.scenario_index = in.i64("scenario_index");
-    checkpoint.rng_version = in.i32("rng_version");
-    if (checkpoint.rng_version != 1 && checkpoint.rng_version != 2)
-        throw std::runtime_error("checkpoint: rng_version must be 1 or 2, got " +
-                                 std::to_string(checkpoint.rng_version));
-    checkpoint.seed = in.u64("seed");
-    checkpoint.rng_check = in.u64("rng_check");
-    const std::int32_t engine_wire = in.i32("engine kind");
-    if (engine_wire < 0 || engine_wire > 2)
-        throw std::runtime_error("checkpoint: engine kind " +
-                                 std::to_string(engine_wire) +
-                                 " outside the known range 0..2");
-    checkpoint.engine = static_cast<checkpoint_engine>(engine_wire);
-    checkpoint.rounding = in.i32("rounding");
-    if (checkpoint.rounding < 0 || checkpoint.rounding > 3)
-        throw std::runtime_error("checkpoint: rounding " +
-                                 std::to_string(checkpoint.rounding) +
-                                 " outside the known range 0..3");
-    checkpoint.policy = in.i32("policy");
-    if (checkpoint.policy < 0 || checkpoint.policy > 1)
-        throw std::runtime_error("checkpoint: policy " +
-                                 std::to_string(checkpoint.policy) +
-                                 " outside the known range 0..1");
-    checkpoint.round = in.i64("round");
-    if (checkpoint.round < 0)
-        throw std::runtime_error("checkpoint: negative round index");
-    checkpoint.record_every = in.i64("record_every");
-    if (checkpoint.record_every < 1)
-        throw std::runtime_error("checkpoint: record_every must be >= 1");
-
-    switch (checkpoint.engine) {
-    case checkpoint_engine::discrete:
-        checkpoint.discrete = read_discrete(in);
-        break;
-    case checkpoint_engine::continuous:
-        checkpoint.continuous = read_continuous(in);
-        break;
-    case checkpoint_engine::cumulative:
-        checkpoint.cumulative = read_cumulative(in);
-        break;
-    }
-    checkpoint.runner = read_runner(in);
+    visit(in, checkpoint);
     in.expect_done();
 
     if (checkpoint.rng_check !=
@@ -539,12 +436,14 @@ engine_checkpoint parse_checkpoint(std::string_view bytes)
             "match this build's rng_version " +
             std::to_string(checkpoint.rng_version) +
             " stream for (seed, round); refusing to resume");
-    if (engine_section_round(checkpoint) != checkpoint.round)
+    const std::int64_t section_round = with_section(
+        checkpoint, [](const auto& section) { return section.round; });
+    if (section_round != checkpoint.round)
         throw std::runtime_error(
             "checkpoint: header round " + std::to_string(checkpoint.round) +
             " does not match the engine state round " +
-            std::to_string(engine_section_round(checkpoint)));
-    if (checkpoint.engine == checkpoint_engine::cumulative &&
+            std::to_string(section_round));
+    if (checkpoint.engine == process_kind::cumulative &&
         checkpoint.cumulative.twin.round != checkpoint.round)
         throw std::runtime_error(
             "checkpoint: cumulative twin round " +
@@ -557,34 +456,10 @@ engine_checkpoint parse_checkpoint(std::string_view bytes)
 void write_checkpoint_file(const std::string& path,
                            const engine_checkpoint& checkpoint)
 {
-    const std::string image = serialize_checkpoint(checkpoint);
-
-    // Temp + rename (util/tempfile.hpp naming): the destination path always
-    // holds a complete old or new snapshot, never a partial write — which
-    // is the whole point of checkpointing against crashes. Cleanup uses the
-    // non-throwing remove overload so a failing cleanup can never mask the
-    // original error with a secondary filesystem_error.
-    const std::string temp = temp_path_for(path);
-    std::error_code cleanup_ec;
-    {
-        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            throw std::runtime_error("checkpoint: cannot write " + temp);
-        out.write(image.data(), static_cast<std::streamsize>(image.size()));
-        out.flush();
-        if (!out) {
-            out.close();
-            std::filesystem::remove(temp, cleanup_ec);
-            throw std::runtime_error("checkpoint: write failed for " + temp);
-        }
-    }
-    std::error_code ec;
-    std::filesystem::rename(temp, path, ec);
-    if (ec) {
-        std::filesystem::remove(temp, cleanup_ec);
-        throw std::runtime_error("checkpoint: cannot rename " + temp + " to " +
-                                 path + ": " + ec.message());
-    }
+    // Temp + rename: the destination path always holds a complete old or
+    // new snapshot, never a partial write — which is the whole point of
+    // checkpointing against crashes.
+    write_text_atomic(path, serialize_checkpoint(checkpoint), "checkpoint");
 }
 
 engine_checkpoint read_checkpoint_file(const std::string& path)
@@ -618,11 +493,7 @@ void continuous_process::save_checkpoint(continuous_engine_state& out) const
     out.load.assign(load_.begin(), load_.end());
     out.previous_flows.assign(previous_flows_.begin(), previous_flows_.end());
     out.round = round_;
-    out.scheme.kind = static_cast<std::int32_t>(config_.scheme.kind);
-    out.scheme.beta = config_.scheme.beta;
-    out.scheme.lambda = config_.scheme.lambda;
-    out.scheme.rounds_in_scheme = rounds_in_scheme_;
-    out.scheme.omega = beta_state_.omega();
+    out.scheme = scheme_state(config_.scheme, rounds_in_scheme_, beta_state_);
     out.initial_total = initial_total_;
     out.external_total = external_total_;
     out.negative = negative_;
@@ -656,11 +527,7 @@ void discrete_process::save_checkpoint(discrete_engine_state& out) const
     out.previous_flows.assign(previous_flows_int_.begin(),
                               previous_flows_int_.end());
     out.round = round_;
-    out.scheme.kind = static_cast<std::int32_t>(config_.scheme.kind);
-    out.scheme.beta = config_.scheme.beta;
-    out.scheme.lambda = config_.scheme.lambda;
-    out.scheme.rounds_in_scheme = rounds_in_scheme_;
-    out.scheme.omega = beta_state_.omega();
+    out.scheme = scheme_state(config_.scheme, rounds_in_scheme_, beta_state_);
     out.initial_total = initial_total_;
     out.external_total = external_total_;
     out.clipped_tokens = clipped_tokens_;

@@ -19,6 +19,10 @@
 //   <payload>                    little-endian binary fields, fixed order
 //   <u64 checksum>               FNV-1a over the payload bytes
 //
+// The payload's field order is stated once, by the visit() function of
+// each struct below (checkpoint.cpp); the same visit drives serialization
+// and parsing, and tests/test_checkpoint.cpp pins the resulting bytes.
+//
 // Readers are strict: wrong magic, truncation, flipped bytes (checksum),
 // out-of-range enums, or internally inconsistent state all throw with a
 // message naming what failed — a corrupt snapshot never resumes silently.
@@ -39,15 +43,6 @@
 #include "core/process.hpp"
 
 namespace dlb {
-
-/// Which engine's state a checkpoint holds. Values are the wire encoding.
-enum class checkpoint_engine : std::int32_t {
-    discrete = 0,
-    continuous = 1,
-    cumulative = 2,
-};
-
-std::string_view to_string(checkpoint_engine kind) noexcept;
 
 /// Scheme state shared by the engines: the active scheme_params plus the
 /// scheme_beta_state recurrence position (rounds_in_scheme next() calls,
@@ -97,16 +92,7 @@ struct cumulative_engine_state {
 /// Required for byte-identical resumed reports — engine state alone would
 /// replay the physics but lose the already-recorded series.
 struct runner_checkpoint_state {
-    std::vector<std::int64_t> rounds;
-    std::vector<double> max_minus_average;
-    std::vector<double> max_local_difference;
-    std::vector<double> potential_over_n;
-    std::vector<double> min_load;
-    std::vector<double> min_transient_load;
-    std::vector<double> total_load_error;
-    std::int64_t switch_round = -1;
-    std::int64_t total_injected = 0;
-    std::int64_t total_drained = 0;
+    recorded_series series; // the runner's time_series carries the same
     bool hybrid_switched = false;
     std::int64_t hybrid_switch_round = -1;
     imbalance_tracker_state tracker;
@@ -127,7 +113,7 @@ struct engine_checkpoint {
     /// First draw of the (seed, node 0, round) stream under `rng_version`,
     /// recomputed and compared on read: pins the RNG implementation.
     std::uint64_t rng_check = 0;
-    checkpoint_engine engine = checkpoint_engine::discrete;
+    process_kind engine = process_kind::discrete;
     std::int32_t rounding = 0; // rounding_kind wire value
     std::int32_t policy = 0;   // negative_load_policy wire value
     /// The round the snapshot was taken before: the resumed run re-executes

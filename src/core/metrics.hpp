@@ -136,6 +136,26 @@ double delta_infinity(std::span<const Load> load, std::span<const double> ideal)
     return best;
 }
 
+/// The rows a run has recorded so far (one entry per recorded round in
+/// every column), its hybrid switch round and its workload token totals:
+/// the part of a run's output that a checkpoint carries. sim/recorder.hpp's
+/// time_series extends it with the end-of-run results.
+struct recorded_series {
+    std::vector<std::int64_t> rounds;
+    std::vector<double> max_minus_average;    // phi_global = Delta(t)
+    std::vector<double> max_local_difference; // phi_local
+    std::vector<double> potential_over_n;     // phi_t / n
+    std::vector<double> min_load;
+    std::vector<double> min_transient_load;
+    std::vector<double> total_load_error;     // |total(t) - total(0)|, FP drift
+
+    std::int64_t switch_round = -1;           // -1: never switched
+    std::int64_t total_injected = 0;          // workload tokens added (dynamic runs)
+    std::int64_t total_drained = 0;           // workload tokens removed, >= 0
+
+    std::size_t size() const noexcept { return rounds.size(); }
+};
+
 /// Snapshot of an imbalance_tracker's evolving state (the construction
 /// parameters window/min_improvement are not part of it — they come from
 /// the experiment configuration). Used by core/checkpoint.hpp to resume a

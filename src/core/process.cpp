@@ -8,6 +8,16 @@
 
 namespace dlb {
 
+std::string_view to_string(process_kind kind) noexcept
+{
+    switch (kind) {
+    case process_kind::discrete: return "discrete";
+    case process_kind::continuous: return "continuous";
+    case process_kind::cumulative: return "cumulative";
+    }
+    return "unknown";
+}
+
 namespace {
 
 // Per-phase observability (obs/obs.hpp): spans and duration histograms for

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/executor.hpp"
@@ -29,6 +30,15 @@ namespace dlb {
 
 struct continuous_engine_state; // core/checkpoint.hpp
 struct discrete_engine_state;   // core/checkpoint.hpp
+
+/// Which engine executes a run. Values are the checkpoint wire encoding.
+enum class process_kind : std::int32_t {
+    discrete = 0,   // discrete_process with the configured rounding
+    continuous = 1, // idealized double-precision process (paper "idealized")
+    cumulative = 2, // the [2]-style cumulative baseline
+};
+
+std::string_view to_string(process_kind kind) noexcept;
 
 /// Everything that defines the continuous process C on a network.
 /// The graph must outlive any engine constructed from this config.

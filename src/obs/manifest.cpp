@@ -1,10 +1,9 @@
 #include "obs/manifest.hpp"
 
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
-#include <system_error>
 
 #include "util/tempfile.hpp"
 
@@ -71,30 +70,10 @@ void write_manifest(std::ostream& out, const run_manifest& manifest)
 void write_manifest_file(const std::string& path, const run_manifest& manifest)
 {
     // Atomic save: a reader (resume, tooling) must never observe a
-    // half-written manifest, so write a temp next to the destination and
-    // rename over it, like every other persistence writer in the tree.
-    const std::string temp = temp_path_for(path);
-    std::error_code cleanup_ec;
-    {
-        std::ofstream out(temp, std::ios::trunc);
-        if (!out)
-            throw std::runtime_error("manifest: cannot open " + temp +
-                                     " for writing");
-        write_manifest(out, manifest);
-        out.flush();
-        if (!out) {
-            out.close();
-            std::filesystem::remove(temp, cleanup_ec);
-            throw std::runtime_error("manifest: write to " + temp + " failed");
-        }
-    }
-    std::error_code ec;
-    std::filesystem::rename(temp, path, ec);
-    if (ec) {
-        std::filesystem::remove(temp, cleanup_ec);
-        throw std::runtime_error("manifest: cannot rename " + temp + " to " +
-                                 path + ": " + ec.message());
-    }
+    // half-written manifest.
+    std::ostringstream out;
+    write_manifest(out, manifest);
+    write_text_atomic(path, out.str(), "manifest");
 }
 
 run_manifest parse_manifest(std::istream& in, const std::string& context)

@@ -7,30 +7,19 @@
 #include <string>
 #include <vector>
 
+#include "core/metrics.hpp"
 #include "core/process.hpp"
 
 namespace dlb {
 
 /// Per-round metric series recorded by the runner (paper Section VI
-/// metrics 1-3 and 5, plus deviation when a continuous twin runs).
-struct time_series {
-    std::vector<std::int64_t> rounds;
-    std::vector<double> max_minus_average;    // phi_global = Delta(t)
-    std::vector<double> max_local_difference; // phi_local
-    std::vector<double> potential_over_n;     // phi_t / n
-    std::vector<double> min_load;
-    std::vector<double> min_transient_load;
+/// metrics 1-3 and 5, plus deviation when a continuous twin runs). The
+/// recorded_series base (core/metrics.hpp) is what a checkpoint carries.
+struct time_series : recorded_series {
     std::vector<double> deviation_from_twin;  // empty unless twin enabled
-    std::vector<double> total_load_error;     // |total(t) - total(0)|, FP drift
-
-    std::int64_t switch_round = -1;           // -1: never switched
-    std::int64_t total_injected = 0;          // workload tokens added (dynamic runs)
-    std::int64_t total_drained = 0;           // workload tokens removed, >= 0
     negative_load_stats negative;
     double remaining_imbalance = 0.0;         // plateau median (metric 5)
     bool imbalance_converged = false;
-
-    std::size_t size() const noexcept { return rounds.size(); }
 };
 
 /// Writes the series as CSV with a fixed column set.

@@ -14,19 +14,6 @@ namespace dlb {
 
 namespace {
 
-checkpoint_engine engine_kind_for(process_kind process)
-{
-    switch (process) {
-    case process_kind::discrete:
-        return checkpoint_engine::discrete;
-    case process_kind::continuous:
-        return checkpoint_engine::continuous;
-    case process_kind::cumulative:
-        return checkpoint_engine::cumulative;
-    }
-    return checkpoint_engine::discrete;
-}
-
 /// Rejects a snapshot that was not taken by an identically configured run.
 /// Every check names the mismatching field: a resume that would silently
 /// diverge from the uninterrupted trajectory is worse than no resume.
@@ -52,13 +39,12 @@ void validate_resume(const experiment_config& config,
             "resume: rng_version mismatch: checkpoint has " +
             std::to_string(checkpoint.rng_version) + " but this run uses " +
             std::to_string(static_cast<std::int32_t>(config.rng)));
-    const checkpoint_engine expected = engine_kind_for(config.process);
-    if (checkpoint.engine != expected)
+    if (checkpoint.engine != config.process)
         throw std::invalid_argument(
             "resume: engine mismatch: checkpoint holds " +
             std::string(to_string(checkpoint.engine)) +
-            " state but this run uses the " + std::string(to_string(expected)) +
-            " engine");
+            " state but this run uses the " +
+            std::string(to_string(config.process)) + " engine");
     if (checkpoint.rounding != static_cast<std::int32_t>(config.rounding))
         throw std::invalid_argument(
             "resume: rounding mismatch: checkpoint has " +
@@ -83,48 +69,13 @@ void validate_resume(const experiment_config& config,
             " rounds");
 }
 
-void save_engine_state(const discrete_process& engine, engine_checkpoint& out)
-{
-    out.engine = checkpoint_engine::discrete;
-    engine.save_checkpoint(out.discrete);
-}
-
-void save_engine_state(const continuous_process& engine, engine_checkpoint& out)
-{
-    out.engine = checkpoint_engine::continuous;
-    engine.save_checkpoint(out.continuous);
-}
-
-void save_engine_state(const cumulative_process& engine, engine_checkpoint& out)
-{
-    out.engine = checkpoint_engine::cumulative;
-    engine.save_checkpoint(out.cumulative);
-}
-
-void restore_engine_state(discrete_process& engine,
-                          const engine_checkpoint& checkpoint)
-{
-    engine.restore_checkpoint(checkpoint.discrete);
-}
-
-void restore_engine_state(continuous_process& engine,
-                          const engine_checkpoint& checkpoint)
-{
-    engine.restore_checkpoint(checkpoint.continuous);
-}
-
-void restore_engine_state(cumulative_process& engine,
-                          const engine_checkpoint& checkpoint)
-{
-    engine.restore_checkpoint(checkpoint.cumulative);
-}
-
 /// Shared run loop over the three engine types. `Engine` provides step(),
-/// load(), set_scheme() and negative_stats(); `twin` (optional) is stepped
-/// in lock-step for deviation measurements.
-template <class Engine>
-time_series run_loop(Engine& engine, const experiment_config& config,
-                     continuous_process* twin)
+/// load(), set_scheme(), negative_stats() and save/restore_checkpoint on
+/// the snapshot member `section`; `twin` (optional) is stepped in
+/// lock-step for deviation measurements.
+template <class Engine, class State>
+time_series run_loop(Engine& engine, State engine_checkpoint::*section,
+                     const experiment_config& config, continuous_process* twin)
 {
     const graph& g = *config.diffusion.network;
 
@@ -148,20 +99,11 @@ time_series run_loop(Engine& engine, const experiment_config& config,
 
     if (config.resume != nullptr) {
         const engine_checkpoint& checkpoint = *config.resume;
-        restore_engine_state(engine, checkpoint);
+        engine.restore_checkpoint(checkpoint.*section);
         const runner_checkpoint_state& saved = checkpoint.runner;
         hybrid.restore(saved.hybrid_switched, saved.hybrid_switch_round);
         tracker.restore(saved.tracker);
-        out.rounds = saved.rounds;
-        out.max_minus_average = saved.max_minus_average;
-        out.max_local_difference = saved.max_local_difference;
-        out.potential_over_n = saved.potential_over_n;
-        out.min_load = saved.min_load;
-        out.min_transient_load = saved.min_transient_load;
-        out.total_load_error = saved.total_load_error;
-        out.switch_round = saved.switch_round;
-        out.total_injected = saved.total_injected;
-        out.total_drained = saved.total_drained;
+        static_cast<recorded_series&>(out) = saved.series;
         baseline_total = saved.baseline_total;
         ideal_basis = saved.ideal_basis;
         ideal_stale = saved.ideal_stale;
@@ -199,24 +141,16 @@ time_series run_loop(Engine& engine, const experiment_config& config,
                                                       snapshot.seed, t);
             snapshot.rounding = static_cast<std::int32_t>(config.rounding);
             snapshot.policy = static_cast<std::int32_t>(config.policy);
+            snapshot.engine = config.process;
             snapshot.record_every = config.record_every;
-            save_engine_state(engine, snapshot);
-            snapshot.runner.rounds = out.rounds;
-            snapshot.runner.max_minus_average = out.max_minus_average;
-            snapshot.runner.max_local_difference = out.max_local_difference;
-            snapshot.runner.potential_over_n = out.potential_over_n;
-            snapshot.runner.min_load = out.min_load;
-            snapshot.runner.min_transient_load = out.min_transient_load;
-            snapshot.runner.total_load_error = out.total_load_error;
-            snapshot.runner.switch_round = out.switch_round;
-            snapshot.runner.total_injected = out.total_injected;
-            snapshot.runner.total_drained = out.total_drained;
-            snapshot.runner.hybrid_switched = hybrid.switched();
-            snapshot.runner.hybrid_switch_round = hybrid.switch_round();
-            snapshot.runner.tracker = tracker.state();
-            snapshot.runner.baseline_total = baseline_total;
-            snapshot.runner.ideal_basis = ideal_basis;
-            snapshot.runner.ideal_stale = ideal_stale;
+            engine.save_checkpoint(snapshot.*section);
+            snapshot.runner = {out,
+                               hybrid.switched(),
+                               hybrid.switch_round(),
+                               tracker.state(),
+                               baseline_total,
+                               ideal_basis,
+                               ideal_stale};
             write_checkpoint_file(config.checkpoint_path, snapshot);
             if (config.after_checkpoint) config.after_checkpoint(t);
         }
@@ -322,15 +256,16 @@ experiment_outcome run_experiment_with_final_load(
         if (config.run_continuous_twin)
             twin.emplace(config.diffusion, to_continuous(initial_load),
                          config.exec, config.scratch);
-        outcome.series =
-            run_loop(engine, config, twin ? &*twin : nullptr);
+        outcome.series = run_loop(engine, &engine_checkpoint::discrete, config,
+                                  twin ? &*twin : nullptr);
         outcome.final_load.assign(engine.load().begin(), engine.load().end());
         break;
     }
     case process_kind::continuous: {
         continuous_process engine(config.diffusion, to_continuous(initial_load),
                                   config.exec, config.scratch);
-        outcome.series = run_loop(engine, config, nullptr);
+        outcome.series =
+            run_loop(engine, &engine_checkpoint::continuous, config, nullptr);
         outcome.final_load_continuous.assign(engine.load().begin(),
                                              engine.load().end());
         break;
@@ -338,7 +273,8 @@ experiment_outcome run_experiment_with_final_load(
     case process_kind::cumulative: {
         cumulative_process engine(config.diffusion, initial_load, config.exec,
                                   config.scratch);
-        outcome.series = run_loop(engine, config, nullptr);
+        outcome.series =
+            run_loop(engine, &engine_checkpoint::cumulative, config, nullptr);
         outcome.final_load.assign(engine.load().begin(), engine.load().end());
         break;
     }

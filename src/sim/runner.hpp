@@ -20,13 +20,6 @@ namespace dlb {
 
 struct engine_checkpoint; // core/checkpoint.hpp
 
-/// Which engine executes the run.
-enum class process_kind {
-    discrete,   // discrete_process with the configured rounding
-    continuous, // idealized double-precision process (paper "idealized")
-    cumulative, // the [2]-style cumulative baseline
-};
-
 /// Per-round external load change for dynamic workloads (the model class of
 /// Berenbrink et al., "Dynamic Averaging Load Balancing on Arbitrary
 /// Graphs"). Implementations live in campaign/workload; the runner only

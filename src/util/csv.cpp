@@ -65,7 +65,7 @@ std::string csv_writer::escape(std::string_view cell)
 }
 
 csv_writer::csv_writer(const std::string& path, std::vector<std::string> header)
-    // dlb-analyzer: allow(atomic-write) streaming sink API; callers own atomicity (reports go via write_text_atomic)
+    // dlb-analyzer: allow(atomic-write) streaming sink API; callers own atomicity (queue-mode reports go via util/tempfile write_text_atomic)
     : out_(path), width_(header.size())
 {
     if (!out_) throw std::runtime_error("csv_writer: cannot open " + path);

@@ -5,6 +5,8 @@
 #include <charconv>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <stdexcept>
 #include <system_error>
 
 #include <signal.h> // kill(pid, 0) liveness probe
@@ -45,6 +47,37 @@ std::string temp_path_for(const std::string& path)
     return path + ".tmp." + std::to_string(static_cast<long>(::getpid())) +
            "." +
            std::to_string(save_serial.fetch_add(1, std::memory_order_relaxed));
+}
+
+void write_text_atomic(const std::string& path, std::string_view bytes,
+                       const char* what)
+{
+    // Cleanup uses the non-throwing remove overload so a failing cleanup
+    // (the same unwritable directory, usually) can never mask the original
+    // error with a secondary filesystem_error.
+    const std::string temp = temp_path_for(path);
+    std::error_code cleanup_ec;
+    {
+        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
+        if (!out)
+            throw std::runtime_error(std::string(what) + ": cannot write " +
+                                     temp);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        out.flush();
+        if (!out) {
+            out.close();
+            std::filesystem::remove(temp, cleanup_ec);
+            throw std::runtime_error(std::string(what) +
+                                     ": write failed for " + temp);
+        }
+    }
+    std::error_code ec;
+    std::filesystem::rename(temp, path, ec);
+    if (ec) {
+        std::filesystem::remove(temp, cleanup_ec);
+        throw std::runtime_error(std::string(what) + ": cannot rename " +
+                                 temp + " to " + path + ": " + ec.message());
+    }
 }
 
 bool is_temp_file_name(const std::string& name, long* pid_out)

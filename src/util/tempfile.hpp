@@ -1,20 +1,23 @@
-// Atomic-save temp-file naming and crash-orphan cleanup.
+// Atomic saves: temp-file naming, the write-then-rename helper, and
+// crash-orphan cleanup.
 //
-// Every atomic writer in the tree (lambda sidecar, checkpoints, the
-// orchestrator's queue files) follows the same protocol: write
-// `<path>.tmp.<pid>.<serial>` next to the destination, then rename over it,
-// so readers only ever observe a complete old or new file. A process killed
-// between the write and the rename leaves the temp behind forever — it can
-// never *shadow* a real file (reads go to `path` only), but a long campaign
-// that crashes repeatedly strews orphans through checkpoint and queue
-// directories. sweep_stale_temp_files removes exactly those: names matching
-// the temp pattern whose embedded pid is no longer a live process. Temps of
-// live pids (a co-running shard mid-save) are never touched.
+// Every atomic writer in the tree (lambda sidecar, checkpoints, manifests,
+// the orchestrator's queue files, queue-mode reports) saves through
+// write_text_atomic: write `<path>.tmp.<pid>.<serial>` next to the
+// destination, then rename over it, so readers only ever observe a
+// complete old or new file. A process killed between the write and the
+// rename leaves the temp behind forever — it can never *shadow* a real
+// file (reads go to `path` only), but a long campaign that crashes
+// repeatedly strews orphans through checkpoint and queue directories.
+// sweep_stale_temp_files removes exactly those: names matching the temp
+// pattern whose embedded pid is no longer a live process. Temps of live
+// pids (a co-running shard mid-save) are never touched.
 #ifndef DLB_UTIL_TEMPFILE_HPP
 #define DLB_UTIL_TEMPFILE_HPP
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 namespace dlb {
 
@@ -24,6 +27,13 @@ namespace dlb {
 /// process apart. The pid is embedded so a later sweep can prove the writer
 /// is gone.
 std::string temp_path_for(const std::string& path);
+
+/// Atomically replaces `path` with `bytes`: writes temp_path_for(path),
+/// then renames it over the destination. On failure the temp file is
+/// removed and std::runtime_error is thrown, prefixed with `what` (e.g.
+/// "checkpoint") and naming the file that failed.
+void write_text_atomic(const std::string& path, std::string_view bytes,
+                       const char* what);
 
 /// True when `name` (a bare filename) matches the atomic-save temp pattern
 /// `<base>.tmp.<pid>.<serial>`; `pid_out` (optional) receives the embedded

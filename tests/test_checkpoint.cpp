@@ -237,7 +237,7 @@ TEST(CheckpointRoundTrip, DiscreteStateSurvivesSerializeParseExactly)
     checkpoint.seed = 9;
     checkpoint.round = engine.round();
     checkpoint.rng_check = checkpoint_rng_check(1, 9, engine.round());
-    checkpoint.engine = checkpoint_engine::discrete;
+    checkpoint.engine = process_kind::discrete;
     checkpoint.record_every = 7;
     engine.save_checkpoint(checkpoint.discrete);
 
@@ -310,7 +310,7 @@ TEST(CheckpointRoundTrip, CumulativeStateSurvivesSerializeParseExactly)
     checkpoint.seed = 1;
     checkpoint.round = engine.round();
     checkpoint.rng_check = checkpoint_rng_check(1, 1, engine.round());
-    checkpoint.engine = checkpoint_engine::cumulative;
+    checkpoint.engine = process_kind::cumulative;
     engine.save_checkpoint(checkpoint.cumulative);
 
     const engine_checkpoint parsed =
@@ -376,12 +376,12 @@ continuous_engine_state pinned_continuous()
     return state;
 }
 
-engine_checkpoint pinned_snapshot(checkpoint_engine engine)
+engine_checkpoint pinned_snapshot(process_kind engine)
 {
     engine_checkpoint c;
     c.spec_hash = 0x0123456789abcdefULL;
     c.scenario_index = 6;
-    c.rng_version = engine == checkpoint_engine::continuous ? 2 : 1;
+    c.rng_version = engine == process_kind::continuous ? 2 : 1;
     c.seed = 0x5eedULL;
     c.engine = engine;
     c.rounding = 3;
@@ -391,7 +391,7 @@ engine_checkpoint pinned_snapshot(checkpoint_engine engine)
     c.rng_check = checkpoint_rng_check(c.rng_version, c.seed, c.round);
 
     switch (engine) {
-    case checkpoint_engine::discrete:
+    case process_kind::discrete:
         c.discrete.load = {7, -2, 11};
         c.discrete.previous_flows = {1, -1, 2, -3};
         c.discrete.round = 48;
@@ -401,10 +401,10 @@ engine_checkpoint pinned_snapshot(checkpoint_engine engine)
         c.discrete.clipped_tokens = 9;
         c.discrete.negative = {kInf, kInf, 0, 0};
         break;
-    case checkpoint_engine::continuous:
+    case process_kind::continuous:
         c.continuous = pinned_continuous();
         break;
-    case checkpoint_engine::cumulative:
+    case process_kind::cumulative:
         c.cumulative.twin = pinned_continuous();
         c.cumulative.load = {4, 5, 6};
         c.cumulative.cumulative_continuous = {0.5, -0.5, 2.25, -2.25};
@@ -417,16 +417,16 @@ engine_checkpoint pinned_snapshot(checkpoint_engine engine)
     }
 
     runner_checkpoint_state& r = c.runner;
-    r.rounds = {36, 40, 44};
-    r.max_minus_average = {3.5, 2.25, 1.125};
-    r.max_local_difference = {2.0, 1.5, 1.0};
-    r.potential_over_n = {12.5, 6.25, 3.125};
-    r.min_load = {-1.0, 0.0, 1.0};
-    r.min_transient_load = {kInf, -2.0, -0.5};
-    r.total_load_error = {0.0, 0.25, 0.0};
-    r.switch_round = 20;
-    r.total_injected = 33;
-    r.total_drained = 7;
+    r.series.rounds = {36, 40, 44};
+    r.series.max_minus_average = {3.5, 2.25, 1.125};
+    r.series.max_local_difference = {2.0, 1.5, 1.0};
+    r.series.potential_over_n = {12.5, 6.25, 3.125};
+    r.series.min_load = {-1.0, 0.0, 1.0};
+    r.series.min_transient_load = {kInf, -2.0, -0.5};
+    r.series.total_load_error = {0.0, 0.25, 0.0};
+    r.series.switch_round = 20;
+    r.series.total_injected = 33;
+    r.series.total_drained = 7;
     r.hybrid_switched = true;
     r.hybrid_switch_round = 21;
     r.tracker.count = 49;
@@ -485,7 +485,8 @@ void expect_same_continuous(const continuous_engine_state& a,
 }
 
 /// Every field of the header, the active engine section and the runner.
-void expect_same_snapshot(const engine_checkpoint& a, const engine_checkpoint& b)
+void expect_same_snapshot(const engine_checkpoint& a,
+                          const engine_checkpoint& b)
 {
     EXPECT_EQ(a.spec_hash, b.spec_hash);
     EXPECT_EQ(a.scenario_index, b.scenario_index);
@@ -498,7 +499,7 @@ void expect_same_snapshot(const engine_checkpoint& a, const engine_checkpoint& b
     EXPECT_EQ(a.round, b.round);
     EXPECT_EQ(a.record_every, b.record_every);
     switch (b.engine) {
-    case checkpoint_engine::discrete:
+    case process_kind::discrete:
         EXPECT_EQ(a.discrete.load, b.discrete.load);
         EXPECT_EQ(a.discrete.previous_flows, b.discrete.previous_flows);
         EXPECT_EQ(a.discrete.round, b.discrete.round);
@@ -508,10 +509,10 @@ void expect_same_snapshot(const engine_checkpoint& a, const engine_checkpoint& b
         EXPECT_EQ(a.discrete.clipped_tokens, b.discrete.clipped_tokens);
         expect_same_negative(a.discrete.negative, b.discrete.negative);
         break;
-    case checkpoint_engine::continuous:
+    case process_kind::continuous:
         expect_same_continuous(a.continuous, b.continuous);
         break;
-    case checkpoint_engine::cumulative:
+    case process_kind::cumulative:
         expect_same_continuous(a.cumulative.twin, b.cumulative.twin);
         EXPECT_EQ(a.cumulative.load, b.cumulative.load);
         EXPECT_EQ(a.cumulative.cumulative_continuous,
@@ -526,16 +527,16 @@ void expect_same_snapshot(const engine_checkpoint& a, const engine_checkpoint& b
     }
     const runner_checkpoint_state& ra = a.runner;
     const runner_checkpoint_state& rb = b.runner;
-    EXPECT_EQ(ra.rounds, rb.rounds);
-    EXPECT_EQ(ra.max_minus_average, rb.max_minus_average);
-    EXPECT_EQ(ra.max_local_difference, rb.max_local_difference);
-    EXPECT_EQ(ra.potential_over_n, rb.potential_over_n);
-    EXPECT_EQ(ra.min_load, rb.min_load);
-    EXPECT_EQ(ra.min_transient_load, rb.min_transient_load);
-    EXPECT_EQ(ra.total_load_error, rb.total_load_error);
-    EXPECT_EQ(ra.switch_round, rb.switch_round);
-    EXPECT_EQ(ra.total_injected, rb.total_injected);
-    EXPECT_EQ(ra.total_drained, rb.total_drained);
+    EXPECT_EQ(ra.series.rounds, rb.series.rounds);
+    EXPECT_EQ(ra.series.max_minus_average, rb.series.max_minus_average);
+    EXPECT_EQ(ra.series.max_local_difference, rb.series.max_local_difference);
+    EXPECT_EQ(ra.series.potential_over_n, rb.series.potential_over_n);
+    EXPECT_EQ(ra.series.min_load, rb.series.min_load);
+    EXPECT_EQ(ra.series.min_transient_load, rb.series.min_transient_load);
+    EXPECT_EQ(ra.series.total_load_error, rb.series.total_load_error);
+    EXPECT_EQ(ra.series.switch_round, rb.series.switch_round);
+    EXPECT_EQ(ra.series.total_injected, rb.series.total_injected);
+    EXPECT_EQ(ra.series.total_drained, rb.series.total_drained);
     EXPECT_EQ(ra.hybrid_switched, rb.hybrid_switched);
     EXPECT_EQ(ra.hybrid_switch_round, rb.hybrid_switch_round);
     EXPECT_EQ(ra.tracker.count, rb.tracker.count);
@@ -549,14 +550,14 @@ void expect_same_snapshot(const engine_checkpoint& a, const engine_checkpoint& b
 }
 
 struct pinned_image {
-    checkpoint_engine engine;
+    process_kind engine;
     const char* hex;
 };
 
 TEST(CheckpointWireLayout, V1BytesArePinnedPerEngine)
 {
     const pinned_image images[] = {
-        {checkpoint_engine::discrete,
+        {process_kind::discrete,
          "2320646c6220636865636b706f696e742076310aefcdab896745230106000000"
          "0000000001000000ed5e0000000000008bf133775651c7110000000003000000"
          "0100000030000000000000000400000000000000030000000000000007000000"
@@ -576,7 +577,7 @@ TEST(CheckpointWireLayout, V1BytesArePinnedPerEngine)
          "0031000000000000002900000000000000000000000000f13f00020000000000"
          "00000000000000000240000000000000f23f000000000052ac40000000000020"
          "ac40011e89058ba17c9daa"},
-        {checkpoint_engine::continuous,
+        {process_kind::continuous,
          "2320646c6220636865636b706f696e742076310aefcdab896745230106000000"
          "0000000002000000ed5e0000000000009e3b69d20fdfe24b0100000003000000"
          "0100000030000000000000000400000000000000030000000000000000000000"
@@ -596,7 +597,7 @@ TEST(CheckpointWireLayout, V1BytesArePinnedPerEngine)
          "002900000000000000000000000000f13f000200000000000000000000000000"
          "0240000000000000f23f000000000052ac40000000000020ac4001f9562ff6bc"
          "91ae70"},
-        {checkpoint_engine::cumulative,
+        {process_kind::cumulative,
          "2320646c6220636865636b706f696e742076310aefcdab896745230106000000"
          "0000000001000000ed5e0000000000008bf133775651c7110200000003000000"
          "0100000030000000000000000400000000000000030000000000000000000000"

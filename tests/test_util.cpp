@@ -362,5 +362,34 @@ TEST_F(TempfileTest, SweepOfMissingDirectoryRemovesNothing)
     EXPECT_EQ(sweep_stale_temp_files(dir_ + "/does-not-exist"), 0u);
 }
 
+TEST_F(TempfileTest, AtomicWriteReplacesTheDestinationAndLeavesNoTemp)
+{
+    const std::string path = touch("report.csv");
+    write_text_atomic(path, "new bytes\n", "report");
+    EXPECT_EQ(read_file(path), "new bytes\n");
+    for (const auto& entry : std::filesystem::directory_iterator(dir_))
+        EXPECT_FALSE(is_temp_file_name(entry.path().filename().string()))
+            << entry.path();
+}
+
+TEST_F(TempfileTest, FailedAtomicWriteThrowsNamingThePathAndLeavesNoTemp)
+{
+    // A directory at the destination: the temp next to it writes fine, the
+    // rename over it fails, and the temp must not outlive the error.
+    const std::string path = dir_ + "/report.csv";
+    std::filesystem::create_directory(path);
+    try {
+        write_text_atomic(path, "bytes", "queue report");
+        ADD_FAILURE() << "saving onto a directory did not throw";
+    } catch (const std::runtime_error& error) {
+        const std::string message = error.what();
+        EXPECT_EQ(message.rfind("queue report: ", 0), 0u) << message;
+        EXPECT_NE(message.find(path), std::string::npos) << message;
+    }
+    for (const auto& entry : std::filesystem::directory_iterator(dir_))
+        EXPECT_FALSE(is_temp_file_name(entry.path().filename().string()))
+            << entry.path();
+}
+
 } // namespace
 } // namespace dlb
