@@ -26,7 +26,6 @@
 // add --timing to include (nondeterministic) wall-clock fields.
 #include <fstream>
 #include <functional>
-#include <iomanip>
 #include <iostream>
 #include <optional>
 #include <set>
@@ -192,11 +191,25 @@ void print_registry(std::ostream& out)
     for (const auto& name : campaign::workload_names()) out << "  " << name << "\n";
 }
 
-std::string hex64(std::uint64_t value)
+// Writes one report file. Queue-mode reports go through temp + rename:
+// several workers often share the report paths, and a plain truncate-then-
+// write would let a reader (or a crash) observe a partial file. Otherwise a
+// plain ofstream, closed and checked, so a full disk or an unwritable device
+// fails the run (exit 2) naming the path instead of announcing the report.
+void write_report(const std::string& path, bool atomic,
+                  const std::function<void(std::ostream&)>& emit)
 {
-    std::ostringstream out;
-    out << std::hex << std::setw(16) << std::setfill('0') << value;
-    return out.str();
+    if (atomic) {
+        std::ostringstream bytes;
+        emit(bytes);
+        write_text_atomic(path, bytes.str(), "queue report");
+        return;
+    }
+    std::ofstream out(path);
+    if (!out) throw std::runtime_error("cannot open " + path);
+    emit(out);
+    out.close();
+    if (!out) throw std::runtime_error("cannot write " + path);
 }
 
 // The provenance record one invocation (shard or whole campaign) writes via
@@ -212,7 +225,7 @@ obs::run_manifest build_manifest(const campaign::campaign_spec& spec,
 {
     obs::run_manifest manifest;
     manifest.set("campaign", spec.name);
-    manifest.set("spec_hash", hex64(campaign::spec_hash(spec)));
+    manifest.set("spec_hash", campaign::hex64(campaign::spec_hash(spec)));
     manifest.set("scenario_count", std::to_string(spec.expected_count()));
     manifest.set("record_every", std::to_string(record_every));
     manifest.set("shard_count", std::to_string(shard_count));
@@ -257,7 +270,7 @@ obs::run_manifest merge_and_validate_manifests(
     obs::run_manifest merged =
         obs::merge_manifests(shards, kManifestMustMatch);
 
-    const std::string local_hash = hex64(campaign::spec_hash(spec));
+    const std::string local_hash = campaign::hex64(campaign::spec_hash(spec));
     if (merged.get("spec_hash") != local_hash)
         throw std::runtime_error(
             "manifest: shard manifests were produced by campaign spec_hash " +
@@ -459,16 +472,16 @@ int main(int argc, char** argv)
                       << windows.ci95_half_width << "\n";
             if (args.has("json")) {
                 const std::string path = args.get_string("json", "");
-                std::ofstream out(path);
-                if (!out) throw std::runtime_error("cannot open " + path);
-                campaign::write_windows_json(out, windows);
+                write_report(path, false, [&](std::ostream& out) {
+                    campaign::write_windows_json(out, windows);
+                });
                 std::cout << "json -> " << path << "\n";
             }
             if (args.has("csv")) {
                 const std::string path = args.get_string("csv", "");
-                std::ofstream out(path);
-                if (!out) throw std::runtime_error("cannot open " + path);
-                campaign::write_windows_csv(out, windows);
+                write_report(path, false, [&](std::ostream& out) {
+                    campaign::write_windows_csv(out, windows);
+                });
                 std::cout << "csv -> " << path << "\n";
             }
             return 0;
@@ -621,34 +634,17 @@ int main(int argc, char** argv)
                       << " sidecar_loaded=" << result.lambda_sidecar_loaded
                       << "\n";
 
-        // In queue mode several workers are often pointed at the same
-        // report paths; each writes identical bytes, but a plain ofstream
-        // truncate-then-write would let a reader (or a crash) observe a
-        // partial file. Queue-mode reports go through temp + rename.
         const bool atomic_reports = result.queue.queue_mode;
-        const auto write_report =
-            [&](const std::string& path,
-                const std::function<void(std::ostream&)>& emit) {
-                if (atomic_reports) {
-                    std::ostringstream bytes;
-                    emit(bytes);
-                    write_text_atomic(path, bytes.str(), "queue report");
-                    return;
-                }
-                std::ofstream out(path);
-                if (!out) throw std::runtime_error("cannot open " + path);
-                emit(out);
-            };
         if (args.has("json")) {
             const std::string path = args.get_string("json", "");
-            write_report(path, [&](std::ostream& out) {
+            write_report(path, atomic_reports, [&](std::ostream& out) {
                 campaign::write_json(out, result, timing);
             });
             std::cout << "json -> " << path << "\n";
         }
         if (args.has("csv")) {
             const std::string path = args.get_string("csv", "");
-            write_report(path, [&](std::ostream& out) {
+            write_report(path, atomic_reports, [&](std::ostream& out) {
                 campaign::write_csv(out, result, timing);
             });
             std::cout << "csv -> " << path << "\n";

@@ -43,17 +43,6 @@ constexpr std::uint64_t kWorkloadStream = 0x776b6c64;
 // under mix64(seed, kWindowStream, k), giving independent tail replicas.
 constexpr std::uint64_t kWindowStream = 0x776e6477;
 
-std::string hex64_string(std::uint64_t value)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = digits[value & 0xf];
-        value >>= 4;
-    }
-    return out;
-}
-
 alpha_policy resolve_alpha(const scenario_spec& spec)
 {
     if (spec.alpha == "max_degree_plus_one")
@@ -403,9 +392,9 @@ campaign_result detail_run(const campaign_spec& spec,
             throw std::invalid_argument(
                 "resume: spec_hash mismatch: " + options.resume_path +
                 " was saved under campaign spec_hash " +
-                hex64_string(resume_snapshot->spec_hash) +
+                hex64(resume_snapshot->spec_hash) +
                 " but this invocation's spec hashes to " +
-                hex64_string(campaign_hash) +
+                hex64(campaign_hash) +
                 "; resume with the same campaign definition");
         const std::int64_t target = resume_snapshot->scenario_index;
         if (target < 0 ||
@@ -604,9 +593,9 @@ measure_windows_result measure_windows(const campaign_spec& spec,
         throw std::invalid_argument(
             "measure_windows: spec_hash mismatch: checkpoint was saved under "
             "campaign spec_hash " +
-            hex64_string(snapshot.spec_hash) +
+            hex64(snapshot.spec_hash) +
             " but this invocation's spec hashes to " +
-            hex64_string(campaign_hash));
+            hex64(campaign_hash));
 
     const std::vector<scenario_spec> scenarios = expand(spec);
     if (snapshot.scenario_index < 0 ||

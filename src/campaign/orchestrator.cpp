@@ -39,17 +39,6 @@ constexpr const char* kMetaHeader = "# dlb queue meta v1";
 constexpr const char* kLeasesHeader = "# dlb queue leases v1";
 constexpr const char* kNoHolder = "-";
 
-std::string hex64_string(std::uint64_t value)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = digits[value & 0xf];
-        value >>= 4;
-    }
-    return out;
-}
-
 /// Exclusive advisory lock on the queue's lock file, held for the object's
 /// lifetime. flock conflicts between *open file descriptions*, and every
 /// acquisition opens its own descriptor, so the same primitive serializes
@@ -285,7 +274,7 @@ void ensure_meta(const std::string& path, std::uint64_t hash,
     if (!in) {
         std::ostringstream out;
         out << kMetaHeader << "\n"
-            << "spec_hash\t" << hex64_string(hash) << "\n"
+            << "spec_hash\t" << hex64(hash) << "\n"
             << "scenario_count\t" << scenario_count << "\n"
             << "record_every\t" << record_every << "\n";
         write_text_atomic(path, out.str(), "queue meta");
@@ -308,12 +297,12 @@ void ensure_meta(const std::string& path, std::uint64_t hash,
         else if (fields[0] == "record_every")
             got_stride = parse_queue_int(fields[1], path);
     }
-    if (got_hash != hex64_string(hash))
+    if (got_hash != hex64(hash))
         throw std::runtime_error(
             "--queue: spec_hash mismatch: the queue was created for "
             "campaign spec_hash " +
             got_hash + " but this invocation's spec hashes to " +
-            hex64_string(hash) + "; point --queue at a fresh directory or "
+            hex64(hash) + "; point --queue at a fresh directory or "
             "rerun with the original campaign definition");
     if (got_count != scenario_count)
         throw std::runtime_error(

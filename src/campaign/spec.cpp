@@ -227,6 +227,17 @@ std::uint64_t spec_hash(const campaign_spec& spec)
     return hash;
 }
 
+std::string hex64(std::uint64_t value)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string out(16, '0');
+    for (int i = 15; i >= 0; --i) {
+        out[static_cast<std::size_t>(i)] = digits[value & 0xf];
+        value >>= 4;
+    }
+    return out;
+}
+
 std::vector<std::string> split_list(const std::string& csv)
 {
     std::vector<std::string> out;

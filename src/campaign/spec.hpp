@@ -109,6 +109,10 @@ std::vector<scenario_spec> expand(const campaign_spec& spec);
 /// whitespace) do not change the hash; any field difference does.
 std::uint64_t spec_hash(const campaign_spec& spec);
 
+/// `value` as 16 zero-padded lowercase hex digits: how a spec_hash is spelled
+/// in run manifests, the queue meta file and every mismatch message.
+std::string hex64(std::uint64_t value);
+
 /// Splits a comma-separated sweep value list, trimming whitespace.
 std::vector<std::string> split_list(const std::string& csv);
 

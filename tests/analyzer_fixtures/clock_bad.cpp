@@ -1,6 +1,6 @@
 // Fixture: direct clock reads outside util/timer.hpp must be flagged.
-// lint-expect: clock
-// lint-expect: clock
+// analyze-expect: clock
+// analyze-expect: clock
 #include <chrono>
 
 long long bad_timestamp()

@@ -1,9 +1,9 @@
 // Fixture: an allow marker without a reason is itself a finding.
-// lint-expect: empty-allow-reason
+// analyze-expect: empty-allow-reason
 #include <chrono>
 
 long long unexplained()
 {
-    auto t = std::chrono::steady_clock::now(); // dlb-lint: allow(clock)
+    auto t = std::chrono::steady_clock::now(); // dlb-analyzer: allow(clock)
     return t.time_since_epoch().count();
 }

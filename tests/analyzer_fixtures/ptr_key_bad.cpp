@@ -1,6 +1,6 @@
 // Fixture: a pointer-keyed ordered container iterates in allocation order.
-// lint-expect: ptr-key
-// lint-expect: ptr-key
+// analyze-expect: ptr-key
+// analyze-expect: ptr-key
 #include <map>
 #include <set>
 

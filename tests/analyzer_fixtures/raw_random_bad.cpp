@@ -1,7 +1,7 @@
 // Fixture: ambient entropy / process state outside util/rng.hpp.
-// lint-expect: raw-random
-// lint-expect: raw-random
-// lint-expect: raw-random
+// analyze-expect: raw-random
+// analyze-expect: raw-random
+// analyze-expect: raw-random
 #include <cstdlib>
 #include <ctime>
 #include <random>

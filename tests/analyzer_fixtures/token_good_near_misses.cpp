@@ -1,6 +1,6 @@
-// Fixture: deterministic code plus near-misses the linter must NOT flag —
+// Fixture: deterministic code plus near-misses the analyzer must NOT flag —
 // banned names in comments, strings, and as identifier substrings.
-// (no lint-expect lines: this file is clean)
+// (no analyze-expect lines: this file is clean)
 #include <cstdint>
 #include <map>
 #include <string>

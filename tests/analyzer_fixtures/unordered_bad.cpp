@@ -1,7 +1,7 @@
 // Fixture: unordered containers can leak hash-iteration order into a
 // report; both the declaration and the iteration line are flagged.
-// lint-expect: unordered
-// lint-expect: unordered
+// analyze-expect: unordered
+// analyze-expect: unordered
 #include <string>
 #include <unordered_map>
 

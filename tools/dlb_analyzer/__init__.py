@@ -1,8 +1,5 @@
-"""dlb contract analyzer: AST-level enforcement of the repo's determinism,
+"""dlb contract analyzer: the one static checker for the repo's determinism,
 persistence, and concurrency contracts.
-
-The regex linter (tools/determinism_lint.py) bans single-token hazards; this
-package enforces the contracts that need types, call graphs, and scopes:
 
   atomic-write   file-creating writes must flow through util/tempfile's
                  temp+rename protocol (call-graph reachability to
@@ -15,14 +12,19 @@ package enforces the contracts that need types, call graphs, and scopes:
   nondet-reduce  no floating-point accumulation into by-reference captured
                  scalars inside lambdas handed to parallel_for/parallel_tasks
                  (use executor::parallel_reduce's ordered combine)
+  clock          steady/system/high_resolution_clock, clock_gettime,
+                 gettimeofday anywhere but util/timer.hpp
+  unordered      std::unordered_{map,set,multimap,multiset}: iteration order
+                 can silently order a report, a merge, or an aggregation
+  raw-random     rand()/srand()/time()/clock()/std::random_device anywhere
+                 but util/rng.hpp: randomness comes from the versioned streams
+  ptr-key        std::map/std::set keyed on a pointer type: iteration order
+                 is allocation order
 
-Two interchangeable frontends produce the same facts model:
-
-  frontend_clang  libclang (Python clang.cindex, pinned in CI) driven by
-                  compile_commands.json — the authoritative AST walk
-  frontend_lite   dependency-free structural parser (tokens + brace tree +
-                  function spans) so the gate also runs where libclang is
-                  not installed; ctest uses --frontend auto
+frontend_lite (tokens + brace tree + function spans, no dependencies) fills
+the facts model in model.py; rules.py checks it. A finding is suppressed
+only by `// dlb-analyzer: allow(<rule>) <reason>` on its line or the line
+above; an empty reason is itself a finding.
 
 Run `python3 tools/dlb_analyzer --help` for the CLI.
 """

@@ -3,8 +3,8 @@
     python3 tools/dlb_analyzer --root src              # analyze the tree
     python3 tools/dlb_analyzer --self-test tests/analyzer_fixtures
 
-Exit codes: 0 clean, 1 findings (or self-test mismatch), 2 usage/environment
-error. Mirrors tools/determinism_lint.py so tools/check.sh can aggregate.
+Exit codes: 0 clean, 1 findings (or self-test mismatch), 2 usage error, so
+tools/check.sh can aggregate it with the spec linter.
 """
 
 from __future__ import annotations
@@ -18,68 +18,10 @@ if __package__ in (None, ""):
     sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import frontend_lite
-import rules as rules_mod
-from model import SOURCE_SUFFIXES, FileFacts
-from rules import apply_allows, apply_baseline, run_rules
+from model import SOURCE_SUFFIXES
+from rules import apply_allows, run_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.txt"
-
-
-def _load_clang_frontend(quiet: bool):
-    try:
-        import frontend_clang
-        frontend_clang.ensure_libclang()
-        return frontend_clang
-    except Exception as exc:  # noqa: BLE001 - any failure means "unavailable"
-        if not quiet:
-            print(f"note: libclang frontend unavailable ({exc})",
-                  file=sys.stderr)
-        return None
-
-
-def collect_files(root: Path) -> list[Path]:
-    return sorted(p for p in root.rglob("*")
-                  if p.suffix in SOURCE_SUFFIXES and p.is_file())
-
-
-def parse_tree(root: Path, frontend: str, compdb: str | None,
-               base: Path) -> tuple[list[FileFacts], str]:
-    """Parses every source file under root; returns (facts, frontend used).
-
-    The clang frontend walks the TUs listed in compile_commands.json (headers
-    arrive via inclusion); the lite frontend parses each file independently.
-    Both fill the same facts model, and rules.py dedups, so 'clang' merges a
-    lite pass over headers the compdb's TUs never include.
-    """
-    files = collect_files(root)
-    lite_facts = [frontend_lite.parse_file(p, p.relative_to(base).as_posix())
-                  for p in files]
-    if frontend == "lite":
-        return lite_facts, "lite"
-
-    clang = _load_clang_frontend(quiet=(frontend == "auto"))
-    if clang is None:
-        if frontend == "clang":
-            print("error: --frontend clang requested but clang.cindex is "
-                  "not importable (apt: python3-clang-14 libclang-14-dev)",
-                  file=sys.stderr)
-            sys.exit(2)
-        return lite_facts, "lite"
-
-    import compdb as compdb_mod
-    db = compdb_mod.find_compdb(base, compdb)
-    if db is None:
-        if frontend == "clang":
-            print("error: no compile_commands.json found (configure with "
-                  "cmake -B build -S . to export one)", file=sys.stderr)
-            sys.exit(2)
-        return lite_facts, "lite"
-
-    clang_facts = clang.parse_tus(compdb_mod.tu_entries(db, root), root, base)
-    covered = {f.rel for f in clang_facts}
-    merged = clang_facts + [f for f in lite_facts if f.rel not in covered]
-    return merged, "clang"
 
 
 def analyze(args) -> int:
@@ -88,18 +30,15 @@ def analyze(args) -> int:
     if not root.is_dir():
         print(f"error: no such directory: {root}", file=sys.stderr)
         return 2
-    facts, used = parse_tree(root, args.frontend, args.compdb, base)
+    facts = [frontend_lite.parse_file(p, p.relative_to(base).as_posix())
+             for p in sorted(root.rglob("*"))
+             if p.suffix in SOURCE_SUFFIXES and p.is_file()]
     findings = apply_allows(run_rules(facts), facts)
-    try:
-        findings = apply_baseline(findings, Path(args.baseline))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     for f in findings:
         print(f)
     rule_counts = Counter(f.rule for f in findings)
     summary = ", ".join(f"{r}: {n}" for r, n in sorted(rule_counts.items()))
-    print(f"contract analyzer [{used}]: {len(findings)} finding(s)"
+    print(f"contract analyzer: {len(findings)} finding(s)"
           + (f" ({summary})" if summary else "")
           + f" across {len(facts)} file(s)", file=sys.stderr)
     return 1 if findings else 0
@@ -114,48 +53,28 @@ def self_test(args) -> int:
         print(f"error: no such fixture directory: {fixtures}",
               file=sys.stderr)
         return 2
-    use_clang = None
-    if args.frontend in ("clang", "auto"):
-        use_clang = _load_clang_frontend(quiet=(args.frontend == "auto"))
-        if use_clang is None and args.frontend == "clang":
-            print("error: --frontend clang requested but clang.cindex is "
-                  "not importable", file=sys.stderr)
-            return 2
-    frontends = {"lite": frontend_lite}
-    if use_clang is not None:
-        frontends["clang"] = use_clang
-
-    fixture_baseline = fixtures / "baseline.txt"
+    paths = sorted(fixtures.glob("*.cpp"))
+    if not paths:
+        print(f"error: no fixtures in {fixtures}", file=sys.stderr)
+        return 2
     failures = 0
-    total = 0
-    for name, fe in sorted(frontends.items()):
-        for path in sorted(fixtures.glob("*.cpp")):
-            total += 1
-            rel = path.name
-            if name == "clang":
-                facts = fe.parse_tus([(path, ["-std=c++20"])],
-                                     fixtures, fixtures)
-            else:
-                facts = [frontend_lite.parse_file(path, rel)]
-            findings = apply_allows(run_rules(facts), facts)
-            if fixture_baseline.exists():
-                findings = apply_baseline(findings, fixture_baseline,
-                                          check_stale=False)
-            expected = Counter()
-            for line in path.read_text(encoding="utf-8").splitlines():
-                if "analyze-expect:" in line:
-                    tag = line.split("analyze-expect:", 1)[1].strip()
-                    expected[tag] += 1
-            actual = Counter(f.rule for f in findings)
-            if expected != actual:
-                failures += 1
-                print(f"SELF-TEST FAIL [{name}] {rel}:")
-                print(f"  expected: {dict(sorted(expected.items())) or '{}'}")
-                print(f"  actual:   {dict(sorted(actual.items())) or '{}'}")
-                for f in findings:
-                    print(f"    {f}")
-    print(f"self-test [{'+'.join(sorted(frontends))}]: "
-          f"{total - failures}/{total} fixture runs passed",
+    for path in paths:
+        facts = [frontend_lite.parse_file(path, path.name)]
+        findings = apply_allows(run_rules(facts), facts)
+        expected = Counter()
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if "analyze-expect:" in line:
+                tag = line.split("analyze-expect:", 1)[1].strip()
+                expected[tag] += 1
+        actual = Counter(f.rule for f in findings)
+        if expected != actual:
+            failures += 1
+            print(f"SELF-TEST FAIL {path.name}:")
+            print(f"  expected: {dict(sorted(expected.items())) or '{}'}")
+            print(f"  actual:   {dict(sorted(actual.items())) or '{}'}")
+            for f in findings:
+                print(f"    {f}")
+    print(f"self-test: {len(paths) - failures}/{len(paths)} fixtures passed",
           file=sys.stderr)
     return 1 if failures else 0
 
@@ -163,23 +82,15 @@ def self_test(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="dlb_analyzer",
-        description="AST-level contract analyzer: atomic-write, "
-                    "sync-wrapper, rng-contract, nondet-reduce")
+        description="contract analyzer: atomic-write, sync-wrapper, "
+                    "rng-contract, nondet-reduce, clock, unordered, "
+                    "raw-random, ptr-key")
     ap.add_argument("--root", default="src",
                     help="directory to analyze, relative to --base "
                          "(default: src)")
     ap.add_argument("--base", default=str(REPO_ROOT),
                     help="repo root for relative paths (default: the repo "
                          "containing this tool)")
-    ap.add_argument("--frontend", choices=("auto", "clang", "lite"),
-                    default="auto",
-                    help="auto = libclang when importable, else the "
-                         "dependency-free structural parser")
-    ap.add_argument("--compdb", default=None,
-                    help="explicit compile_commands.json path")
-    ap.add_argument("--baseline", default=str(DEFAULT_BASELINE),
-                    help="baseline file of '<relpath>:<rule>: <reason>' "
-                         "entries")
     ap.add_argument("--self-test", metavar="DIR", default=None,
                     help="run the fixture corpus in DIR instead of "
                          "analyzing --root")

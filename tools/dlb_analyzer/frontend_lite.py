@@ -1,13 +1,14 @@
-"""Dependency-free structural C++ frontend.
+"""Dependency-free structural C++ frontend: the analyzer's only parser.
 
 Not a real parser — a tokenizer plus a brace tree plus a function-header
-back-scan, which is exactly enough structure for the four contract rules:
+back-scan, which is exactly enough structure for the contract rules:
 function spans (for the atomic-write call graph), class member lists (for
 the sync-wrapper completeness check), lambda bodies in parallel-submission
 argument position (for nondet-reduce), and comment/string-aware token scans
-(for the banned-construct rules). Where C++ is ambiguous the scans err
-toward *not* reporting; the fixture corpus pins the supported shapes, and
-the libclang frontend is the authoritative walk in CI.
+(for the banned-token rules: raw sync primitives, hand-rolled stream
+derivation, and the clock/unordered/raw-random/ptr-key determinism
+hazards). Where C++ is ambiguous the scans err toward *not* reporting; the
+fixture corpus pins the supported shapes.
 """
 
 from __future__ import annotations
@@ -47,6 +48,17 @@ SYNC_TYPES = {
 # splitmix64's finalizer constants: arithmetic "on (seed, node, round) words"
 # outside util/rng.hpp is exactly someone re-deriving a stream by hand.
 RNG_MAGIC = {"0x9e3779b97f4a7c15", "0xbf58476d1ce4e5b9", "0x94d049bb133111eb"}
+
+# Determinism hazards: wall/monotonic clock reads (clock), hash-order
+# containers (unordered), ambient entropy called as a free function
+# (raw-random, plus random_device anywhere), and the ordered containers whose
+# first template argument must not be a pointer (ptr-key).
+CLOCK_IDS = {"steady_clock", "system_clock", "high_resolution_clock",
+             "clock_gettime", "gettimeofday"}
+UNORDERED_IDS = {"unordered_map", "unordered_set", "unordered_multimap",
+                 "unordered_multiset"}
+AMBIENT_CALLS = {"rand", "srand", "time", "clock"}
+ORDERED_CONTAINERS = {"map", "set", "multimap", "multiset"}
 
 PARALLEL_ENTRY = {"parallel_for", "parallel_tasks"}
 
@@ -168,7 +180,6 @@ def skip_group_back(tokens: list[Tok], close_idx: int, open_ch: str,
     return -1
 
 
-BLOCK_STOP = {";", "{", "}", "#"}
 HEADER_SKIP = {"::", ",", ":", "const", "noexcept", "override", "final",
                "mutable", "->", "&", "&&", "*", "<", ">", "try", "requires"}
 
@@ -252,11 +263,10 @@ def classify_brace(tokens: list[Tok], idx: int):
 
 
 class LiteParser:
-    def __init__(self, path: Path, rel: str, text: str | None = None):
+    def __init__(self, path: Path, rel: str):
         self.path = path
         self.rel = rel
-        raw = text if text is not None else path.read_text(
-            encoding="utf-8", errors="replace")
+        raw = path.read_text(encoding="utf-8", errors="replace")
         self.facts = FileFacts(path=path, rel=rel,
                                raw_lines=raw.splitlines())
         self.tokens = tokenize(strip_comments(raw))
@@ -534,38 +544,64 @@ class LiteParser:
 
     # -- context-free token scans --------------------------------------------
 
+    def _use(self, rule: str, tok: Tok, what: str) -> None:
+        self.facts.token_uses.append(TokenUse(
+            file=self.rel, line=tok.line, rule=rule, what=what))
+
     def _scan_tokens_global(self) -> None:
         tokens = self.tokens
         for i, t in enumerate(tokens):
-            if t.kind == "id":
-                if t.text in SYNC_TYPES and self._preceded_by_std(i):
-                    self.facts.sync_uses.append(TokenUse(
-                        file=self.rel, line=t.line, what=f"std::{t.text}"))
-                elif t.text == "xoshiro256ss":
-                    prev = tokens[i - 1].text if i else ""
-                    if prev in {"struct", "class"}:
-                        continue  # the type's own definition, not a use
-                    nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-                    if nxt is not None and (
-                            nxt.text in {"{", "("} or
-                            (nxt.kind == "id" and i + 2 < len(tokens) and
-                             tokens[i + 2].text in {"{", "(", ";"})):
-                        self.facts.rng_uses.append(TokenUse(
-                            file=self.rel, line=t.line,
-                            what="xoshiro256ss construction"))
-                elif t.text == "splitmix64":
-                    if i + 1 < len(tokens) and tokens[i + 1].text == "(":
-                        self.facts.rng_uses.append(TokenUse(
-                            file=self.rel, line=t.line,
-                            what="splitmix64() call"))
-            elif t.kind == "num":
-                norm = t.text.lower().replace("'", "")
-                norm = norm.rstrip("ul")
+            if t.kind == "num":
+                norm = t.text.lower().replace("'", "").rstrip("ul")
                 if norm in RNG_MAGIC:
-                    self.facts.rng_uses.append(TokenUse(
-                        file=self.rel, line=t.line,
-                        what=f"stream-derivation constant {norm}"))
+                    self._use("rng-contract", t,
+                              f"stream-derivation constant {norm}")
+                continue
+            if t.kind != "id":
+                continue
+            prev = tokens[i - 1].text if i else ""
+            nxt = tokens[i + 1].text if i + 1 < len(tokens) else ""
+            if t.text in SYNC_TYPES and self._preceded_by_std(i):
+                self._use("sync-wrapper", t, f"std::{t.text}")
+            elif t.text == "xoshiro256ss":
+                if prev in {"struct", "class"}:
+                    continue  # the type's own definition, not a use
+                if nxt in {"{", "("} or (
+                        i + 2 < len(tokens) and tokens[i + 1].kind == "id"
+                        and tokens[i + 2].text in {"{", "(", ";"}):
+                    self._use("rng-contract", t, "xoshiro256ss construction")
+            elif t.text == "splitmix64" and nxt == "(":
+                self._use("rng-contract", t, "splitmix64() call")
+            elif t.text in CLOCK_IDS:
+                self._use("clock", t, t.text)
+            elif t.text in UNORDERED_IDS:
+                self._use("unordered", t, t.text)
+            elif t.text == "random_device" or (
+                    t.text in AMBIENT_CALLS and nxt == "(" and
+                    (prev not in {".", "->", "::"} or
+                     self._preceded_by_std(i))):
+                self._use("raw-random", t, t.text)
+            elif t.text in ORDERED_CONTAINERS and nxt == "<" and \
+                    self._preceded_by_std(i) and self._pointer_key(i + 1):
+                self._use("ptr-key", t, f"std::{t.text}")
+
+    def _pointer_key(self, angle: int) -> bool:
+        """True when the first template argument opened by tokens[angle]
+        ('<') ends in '*', across any number of lines and nested brackets."""
+        tokens = self.tokens
+        depth = 0
+        for j in range(angle + 1, len(tokens)):
+            text = tokens[j].text
+            if text in {"<", "("}:
+                depth += 1
+            elif text in {">", ")"} and depth > 0:
+                depth -= 1
+            elif text in {">", ")", ","} and depth == 0:
+                return tokens[j - 1].text == "*"
+            elif text in {";", "{", "}"}:
+                return False
+        return False
 
 
-def parse_file(path: Path, rel: str, text: str | None = None) -> FileFacts:
-    return LiteParser(path, rel, text).parse()
+def parse_file(path: Path, rel: str) -> FileFacts:
+    return LiteParser(path, rel).parse()

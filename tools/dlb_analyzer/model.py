@@ -1,9 +1,8 @@
-"""Frontend-neutral facts model shared by the libclang and lite frontends.
+"""Facts model between the frontend and the rules.
 
-A frontend reduces one source file (or translation unit) to `FileFacts`;
-the rules in rules.py consume the merged facts of the whole tree, so both
-frontends are interchangeable: whatever parses the C++ must only know how
-to fill in these records.
+frontend_lite reduces one source file to `FileFacts`; the rules in rules.py
+consume the merged facts of the whole tree, so they never touch C++ text
+beyond the raw lines kept for snippets and allow comments.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ from pathlib import Path
 
 SOURCE_SUFFIXES = {".cpp", ".hpp", ".h", ".cc", ".cxx", ".hxx"}
 
-# Marker grammar shared with tools/determinism_lint.py (same shape, distinct
-# tool tag so an allowance is always explicit about which gate it addresses).
+# The one suppression grammar: `// dlb-analyzer: allow(<rule>) <reason>`.
 ALLOW_TAG = "dlb-analyzer"
 
 
@@ -42,11 +40,13 @@ class WriteSite:
 
 @dataclass
 class TokenUse:
-    """A banned-token occurrence (sync primitive, rng construction, ...)."""
+    """A banned-token occurrence (sync primitive, rng construction, clock
+    read, ...), tagged with the rule that bans it."""
 
     file: str
     line: int
-    what: str            # e.g. 'std::mutex', 'xoshiro256ss{...}'
+    rule: str            # e.g. 'sync-wrapper', 'clock'
+    what: str            # e.g. 'std::mutex', 'steady_clock'
 
 
 @dataclass
@@ -84,8 +84,7 @@ class FileFacts:
     raw_lines: list[str] = field(default_factory=list)  # for allow comments
     functions: list[FunctionInfo] = field(default_factory=list)
     write_sites: list[WriteSite] = field(default_factory=list)
-    sync_uses: list[TokenUse] = field(default_factory=list)
-    rng_uses: list[TokenUse] = field(default_factory=list)
+    token_uses: list[TokenUse] = field(default_factory=list)
     mutex_members: list[MutexMember] = field(default_factory=list)
     guard_assocs: list[GuardAssoc] = field(default_factory=list)
     float_accums: list[FloatAccum] = field(default_factory=list)

@@ -1,18 +1,15 @@
-"""The four contract rules, applied to the merged facts of the whole tree.
+"""The contract rules, applied to the merged facts of the whole tree.
 
-Rules see only the frontend-neutral facts model, so the libclang and lite
-frontends are interchangeable; everything here is pure Python over those
-records plus the raw source lines (for allow comments).
+Rules see only the facts model (model.py) plus the raw source lines (for
+snippets and allow comments); everything here is pure Python over those
+records.
 """
 
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
 from model import ALLOW_TAG, FileFacts, Finding
-
-RULES = ("atomic-write", "sync-wrapper", "rng-contract", "nondet-reduce")
 
 # util/tempfile's protocol surface: a write site whose enclosing function can
 # reach one of these is writing to a temp path that gets renamed into place.
@@ -22,6 +19,35 @@ TEMPFILE_ENTRY = {"temp_path_for"}
 TEMPFILE_IMPL = ("src/util/tempfile",)
 SYNC_IMPL = ("src/util/sync.hpp",)
 RNG_IMPL = ("src/util/rng.hpp",)
+TIMER_IMPL = ("src/util/timer.hpp",)
+
+# Banned-token rules: rule -> (the files where the token is the sanctioned
+# implementation, message; `{what}` names the token the frontend saw).
+TOKEN_RULES = {
+    "sync-wrapper": (
+        SYNC_IMPL,
+        "direct {what} outside util/sync.hpp; use the annotated dlb:: "
+        "wrappers"),
+    "rng-contract": (
+        RNG_IMPL,
+        "{what} outside util/rng.hpp's dispatch surface; derive streams via "
+        "stream_for/draw_u64/tagged_rng so rng_version bumps stay one-file"),
+    "clock": (
+        TIMER_IMPL,
+        "direct clock use; take timestamps from util/timer.hpp (now_ns)"),
+    "unordered": (
+        (),
+        "unordered container: iteration order can leak into reports/merges; "
+        "use std::map/std::set or sort before iterating"),
+    "raw-random": (
+        RNG_IMPL,
+        "ambient entropy/process state; derive randomness from the "
+        "versioned RNG streams in util/rng.hpp"),
+    "ptr-key": (
+        (),
+        "pointer-keyed ordered container: iteration order is allocation "
+        "order; key on a stable id instead"),
+}
 
 ALLOW_RE = re.compile(
     rf"//\s*{ALLOW_TAG}:\s*allow\(([\w, -]+)\)\s*(.*)")
@@ -111,19 +137,23 @@ def run_rules(all_facts: list[FileFacts]) -> list[Finding]:
                          "temp_path_for(path) and rename into place"),
                 snippet=_snippet(facts_by_rel, facts.rel, site.line)))
 
-    # ---- sync-wrapper ------------------------------------------------------
+    # ---- banned tokens (sync-wrapper, rng-contract, determinism) ----------
+    for facts in all_facts:
+        for use in facts.token_uses:
+            home, message = TOKEN_RULES[use.rule]
+            if facts.rel.startswith(home):
+                continue
+            findings.append(Finding(
+                file=facts.rel, line=use.line, rule=use.rule,
+                message=message.format(what=use.what),
+                snippet=_snippet(facts_by_rel, facts.rel, use.line)))
+
+    # ---- sync-wrapper: every dlb::mutex member guards something -----------
     guards_by_cls: dict[str, set[str]] = {}
     for facts in all_facts:
         for assoc in facts.guard_assocs:
             guards_by_cls.setdefault(assoc.cls, set()).add(assoc.mutex)
     for facts in all_facts:
-        if not facts.rel.startswith(SYNC_IMPL):
-            for use in facts.sync_uses:
-                findings.append(Finding(
-                    file=facts.rel, line=use.line, rule="sync-wrapper",
-                    message=(f"direct {use.what} outside util/sync.hpp; use "
-                             "the annotated dlb:: wrappers"),
-                    snippet=_snippet(facts_by_rel, facts.rel, use.line)))
         for member in facts.mutex_members:
             if member.member not in guards_by_cls.get(member.cls, set()):
                 findings.append(Finding(
@@ -133,18 +163,6 @@ def run_rules(all_facts: list[FileFacts]) -> list[Finding]:
                              f"{member.member}) field association; annotate "
                              "the data it protects"),
                     snippet=_snippet(facts_by_rel, facts.rel, member.line)))
-
-    # ---- rng-contract ------------------------------------------------------
-    for facts in all_facts:
-        if facts.rel.startswith(RNG_IMPL):
-            continue
-        for use in facts.rng_uses:
-            findings.append(Finding(
-                file=facts.rel, line=use.line, rule="rng-contract",
-                message=(f"{use.what} outside util/rng.hpp's dispatch "
-                         "surface; derive streams via stream_for/draw_u64/"
-                         "tagged_rng so rng_version bumps stay one-file"),
-                snippet=_snippet(facts_by_rel, facts.rel, use.line)))
 
     # ---- nondet-reduce -----------------------------------------------------
     for facts in all_facts:
@@ -157,20 +175,21 @@ def run_rules(all_facts: list[FileFacts]) -> list[Finding]:
                          "count — use executor::parallel_reduce"),
                 snippet=_snippet(facts_by_rel, facts.rel, accum.line)))
 
-    # Dedup (both frontends may be merged, or a header parsed twice).
+    # One finding per (file, line, rule): a line naming two clocks, or
+    # srand(time(...)), is one hazard to fix.
     unique: dict[tuple[str, int, str], Finding] = {}
     for f in findings:
         unique.setdefault((f.file, f.line, f.rule), f)
     return sorted(unique.values(), key=lambda f: (f.file, f.line, f.rule))
 
 
-# ---- allow comments and baseline -------------------------------------------
+# ---- allow comments -------------------------------------------------------
 
 def apply_allows(findings: list[Finding],
                  all_facts: list[FileFacts]) -> list[Finding]:
     """Filters findings carrying a reason-bearing allow comment on the same
     line or the line above; allow comments with an empty reason become
-    findings themselves (mirroring tools/determinism_lint.py)."""
+    findings themselves."""
     facts_by_rel = {f.rel: f for f in all_facts}
     out: list[Finding] = []
     used_empty: set[tuple[str, int]] = set()
@@ -205,44 +224,3 @@ def apply_allows(findings: list[Finding],
             out.append(finding)
     return out
 
-
-def load_baseline(path: Path) -> dict[tuple[str, str], str]:
-    """Baseline entries `<relpath>:<rule>: <reason>`; '#' comments and blank
-    lines skipped. Raises ValueError on a reasonless entry — a baseline
-    without justification is just a muted gate."""
-    entries: dict[tuple[str, str], str] = {}
-    if not path.exists():
-        return entries
-    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                             start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = re.match(r"([^:]+):([\w-]+):\s*(.*)", line)
-        if not m or not m.group(3).strip():
-            raise ValueError(
-                f"{path}:{i}: malformed or reasonless baseline entry "
-                f"(expected '<relpath>:<rule>: <reason>'): {line}")
-        entries[(m.group(1).strip(), m.group(2).strip())] = m.group(3).strip()
-    return entries
-
-
-def apply_baseline(findings: list[Finding], baseline_path: Path,
-                   check_stale: bool = True) -> list[Finding]:
-    entries = load_baseline(baseline_path)
-    matched: set[tuple[str, str]] = set()
-    out: list[Finding] = []
-    for finding in findings:
-        key = (finding.file, finding.rule)
-        if key in entries:
-            matched.add(key)
-            continue
-        out.append(finding)
-    if check_stale:
-        for (rel, rule), _reason in sorted(entries.items()):
-            if (rel, rule) not in matched:
-                out.append(Finding(
-                    file=str(baseline_path), line=0, rule="stale-baseline",
-                    message=(f"baseline entry '{rel}:{rule}' matched no "
-                             "finding; delete it")))
-    return out

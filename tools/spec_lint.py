@@ -75,7 +75,7 @@ INT_MIN = {"nodes": 1, "rounds": 0, "tokens_per_node": 0,
 FLOAT_MIN = {"workload_rate": 0.0}
 
 EXPANSION_CAP = 1_000_000
-EXPECT_TAG = "spec-lint-expect:"
+EXPECT_TAG = "spec-expect:"
 
 
 class Finding:
