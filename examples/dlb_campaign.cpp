@@ -14,10 +14,10 @@
 //
 //   # the same campaign split across two processes/machines (cost-balanced,
 //   # sharing one lambda sidecar), then merged
-//   dlb_campaign --spec big.spec --shard 0/2 --shard-balance cost
-//     --lambda-cache lam.cache --csv s0.csv
-//   dlb_campaign --spec big.spec --shard 1/2 --shard-balance cost
-//     --lambda-cache lam.cache --csv s1.csv
+//   dlb_campaign --spec big.spec --shard 0/2 --lambda-cache lam.cache
+//     --csv s0.csv
+//   dlb_campaign --spec big.spec --shard 1/2 --lambda-cache lam.cache
+//     --csv s1.csv
 //   dlb_campaign --spec big.spec --merge s0.csv,s1.csv
 //     --csv full.csv --json full.json
 //
@@ -42,7 +42,9 @@ namespace {
 void print_usage(std::ostream& out)
 {
     out << "usage: dlb_campaign [options]\n"
-           "  --spec FILE            load a key=value campaign file\n"
+           "  --spec FILE            load a key=value campaign file (the\n"
+           "                         only way to pass one; positional\n"
+           "                         arguments are rejected)\n"
            "  --name NAME            campaign name for the reports\n"
            "  --<field> VALUE        set a base scenario field\n"
            "  --sweep.<field> A,B,C  sweep a field over a value list\n"
@@ -54,14 +56,10 @@ void print_usage(std::ostream& out)
            "                         faster format). Shards must agree:\n"
            "                         --merge rejects mixed-version reports\n"
            "  --shard I/N            run only this invocation's share of the\n"
-           "                         scenarios (rows keep global indices;\n"
-           "                         merge with --merge for the full report)\n"
-           "  --shard-balance MODE   how --shard splits the expansion:\n"
-           "                         round-robin (index = I mod N, the\n"
-           "                         default) or cost (greedy LPT over the\n"
-           "                         per-scenario cost model — balances\n"
-           "                         wall clock on heterogeneous sweeps).\n"
-           "                         Every shard must use the same mode\n"
+           "                         scenarios, split by greedy LPT over the\n"
+           "                         per-scenario cost model (rows keep\n"
+           "                         global indices; merge with --merge for\n"
+           "                         the full report)\n"
            "  --lambda-cache FILE    persistent lambda sidecar: loaded\n"
            "                         before the run, rewritten atomically\n"
            "                         after it, shared across invocations\n"
@@ -158,21 +156,26 @@ void print_usage(std::ostream& out)
            "                         writes the merged manifest here\n"
            "  --manifests A,B        shard manifest files for --merge to\n"
            "                         check consistency across (spec hash,\n"
-           "                         stride, shard count, balance mode must\n"
+           "                         stride, shard count, rng_version must\n"
            "                         all agree) before trusting the rows\n"
            "  --quiet                suppress per-scenario progress on stderr\n"
            "  --dry-run              expand and list scenarios, run nothing\n"
            "  --list                 print registered topologies, load\n"
            "                         patterns and workloads, then exit\n"
+           "Every value is checked as it is loaded: an unknown name, a value\n"
+           "below its field's minimum, a key or axis given twice, or a value\n"
+           "repeated within one sweep exits 2 before any scenario runs.\n"
            "fields:";
     for (const auto& field : campaign::field_names()) out << " " << field;
-    out << "\ntopologies:";
-    for (const auto& name : campaign::topology_names()) out << " " << name;
-    out << "\nload patterns:";
-    for (const auto& name : campaign::load_pattern_names()) out << " " << name;
-    out << "\nworkloads:";
-    for (const auto& name : campaign::workload_names()) out << " " << name;
-    out << "\nsee docs/campaign-specs.md for the full reference\n";
+    out << "\naccepted values:\n";
+    for (const auto& field : campaign::field_names()) {
+        const auto* choices = campaign::field_choices(field);
+        if (choices == nullptr) continue;
+        out << "  " << field << ":";
+        for (const auto& name : *choices) out << " " << name;
+        out << "\n";
+    }
+    out << "see docs/campaign-specs.md for the full reference\n";
 }
 
 // Registry dump for scripts (and for keeping docs honest: the names printed
@@ -219,8 +222,7 @@ void write_report(const std::string& path, bool atomic,
 obs::run_manifest build_manifest(const campaign::campaign_spec& spec,
                                  std::int64_t record_every,
                                  std::int64_t shard_index,
-                                 std::int64_t shard_count,
-                                 campaign::shard_balance balance, int argc,
+                                 std::int64_t shard_count, int argc,
                                  char** argv)
 {
     obs::run_manifest manifest;
@@ -229,7 +231,6 @@ obs::run_manifest build_manifest(const campaign::campaign_spec& spec,
     manifest.set("scenario_count", std::to_string(spec.expected_count()));
     manifest.set("record_every", std::to_string(record_every));
     manifest.set("shard_count", std::to_string(shard_count));
-    manifest.set("shard_balance", campaign::to_string(balance));
     manifest.set("rng_version",
                  campaign::get_field(spec.base, "rng_version"));
 
@@ -251,8 +252,8 @@ obs::run_manifest build_manifest(const campaign::campaign_spec& spec,
 // The fields that define a merge-compatible shard set. shard_index is
 // deliberately absent (it must differ — coverage is checked separately).
 const std::vector<std::string> kManifestMustMatch = {
-    "campaign",     "spec_hash",     "scenario_count", "record_every",
-    "shard_count",  "shard_balance", "rng_version"};
+    "campaign",    "spec_hash",   "scenario_count", "record_every",
+    "shard_count", "rng_version"};
 
 // Proves the shard manifests belong to one campaign before --merge trusts
 // the shard rows: every must-match field agrees, the set covers shard
@@ -326,16 +327,26 @@ int main(int argc, char** argv)
     }
 
     try {
+        // A spec file passed without --spec would otherwise be dropped and
+        // the default campaign run in its place.
+        if (!args.positional().empty())
+            throw std::invalid_argument(
+                "unexpected argument '" + args.positional().front() +
+                "' (pass a spec file with --spec FILE)");
         campaign::campaign_spec spec;
         if (args.has("spec"))
             spec = campaign::parse_campaign_file(args.get_string("spec", ""));
-        if (args.has("name")) spec.name = args.get_string("name", spec.name);
+        if (args.has("name")) {
+            spec.name = args.get_string("name", "");
+            if (spec.name.empty())
+                throw std::invalid_argument("--name needs a campaign name");
+        }
 
         // Known option names: harness flags plus every scenario field in
         // base and sweep form. Anything else is a typo worth failing on.
         std::set<std::string> known = {"spec",    "name",   "seeds",
                                        "queue",   "lease-expiry",
-                                       "shard",   "shard-balance", "merge",
+                                       "shard",   "merge",
                                        "checkpoint-every", "checkpoint-dir",
                                        "resume",  "measure-windows",
                                        "window-rounds",
@@ -391,7 +402,7 @@ int main(int argc, char** argv)
             spec.axes["seed"] = std::move(values);
         }
 
-        if (args.has("dry-run")) {
+        if (args.get_bool("dry-run", false)) {
             const auto scenarios = campaign::expand(spec);
             std::cout << "campaign '" << spec.name << "': " << scenarios.size()
                       << " scenarios\n";
@@ -520,7 +531,7 @@ int main(int argc, char** argv)
             if (paths.empty())
                 throw std::invalid_argument("--merge needs shard CSV paths");
             // Shard manifests are checked before any row is trusted: a
-            // mixed set (different spec, stride, balance mode or shard
+            // mixed set (different spec, stride, rng_version or shard
             // count) fails here naming the differing field.
             if (args.has("manifests")) {
                 const auto manifest_paths =
@@ -568,10 +579,6 @@ int main(int argc, char** argv)
                     throw std::invalid_argument(
                         "--queue and --shard are exclusive (the queue "
                         "assigns scenarios dynamically)");
-                if (args.has("shard-balance"))
-                    throw std::invalid_argument(
-                        "--queue and --shard-balance are exclusive: lease "
-                        "order is always cost-descending (LPT)");
                 if (args.has("resume"))
                     throw std::invalid_argument(
                         "--queue and --resume are exclusive: queue workers "
@@ -596,8 +603,6 @@ int main(int argc, char** argv)
                 options.shard_index = shard.index;
                 options.shard_count = shard.count;
             }
-            options.balance = campaign::parse_shard_balance(
-                args.get_string("shard-balance", "round-robin"));
             if (!args.get_bool("quiet", false)) options.progress = &std::cerr;
             if (args.has("progress")) {
                 // Bare --progress keeps the 10 s default; --progress=SECS
@@ -670,11 +675,8 @@ int main(int argc, char** argv)
                     shard_index = shard.index;
                     shard_count = shard.count;
                 }
-                manifest = build_manifest(
-                    spec, resolved_stride, shard_index, shard_count,
-                    campaign::parse_shard_balance(
-                        args.get_string("shard-balance", "round-robin")),
-                    argc, argv);
+                manifest = build_manifest(spec, resolved_stride, shard_index,
+                                          shard_count, argc, argv);
                 if (!args.has("merge"))
                     manifest.set("scenarios_run",
                                  std::to_string(result.scenarios.size()));

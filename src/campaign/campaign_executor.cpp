@@ -43,63 +43,40 @@ constexpr std::uint64_t kWorkloadStream = 0x776b6c64;
 // under mix64(seed, kWindowStream, k), giving independent tail replicas.
 constexpr std::uint64_t kWindowStream = 0x776e6477;
 
-alpha_policy resolve_alpha(const scenario_spec& spec)
+// The value `name` maps to in a registry name table. set_field admits only
+// the names field_choices() lists, and resolve_instance re-checks specs
+// built in code first, so a miss means a table and that list disagree.
+template <class T, std::size_t N>
+T lookup(const named_value<T> (&table)[N], const std::string& name)
 {
-    if (spec.alpha == "max_degree_plus_one")
-        return alpha_policy::max_degree_plus_one;
-    if (spec.alpha == "uniform_gamma_d") return alpha_policy::uniform_gamma_d;
-    throw std::invalid_argument("unknown alpha policy '" + spec.alpha + "'");
+    for (const auto& entry : table)
+        if (entry.name == name) return entry.value;
+    throw std::logic_error("campaign: '" + name + "' has no resolver entry");
 }
 
 speed_profile resolve_speeds(const scenario_spec& spec, node_id n)
 {
-    if (spec.speeds == "uniform") return speed_profile::uniform(n);
     const std::uint64_t seed = mix64(spec.seed, kSpeedStream);
-    if (spec.speeds == "bimodal") {
+    switch (lookup(kSpeedNames, spec.speeds)) {
+    case speed_kind::uniform: return speed_profile::uniform(n);
+    case speed_kind::bimodal: {
         const double fraction = spec.speed_shape > 0.0 ? spec.speed_shape : 0.1;
         const double fast = spec.speed_value >= 1.0 ? spec.speed_value : 4.0;
         return speed_profile::bimodal(n, fraction, fast, seed);
     }
-    if (spec.speeds == "zipf") {
+    case speed_kind::zipf: {
         const double exponent = spec.speed_shape > 0.0 ? spec.speed_shape : 1.0;
         const double s_max = spec.speed_value >= 1.0 ? spec.speed_value : 8.0;
         return speed_profile::zipf(n, exponent, s_max, seed);
     }
-    throw std::invalid_argument("unknown speed profile '" + spec.speeds + "'");
+    }
+    throw std::logic_error("campaign: unhandled speed profile");
 }
 
-rounding_kind resolve_rounding(const scenario_spec& spec)
-{
-    if (spec.rounding == "randomized") return rounding_kind::randomized;
-    if (spec.rounding == "floor") return rounding_kind::floor;
-    if (spec.rounding == "nearest") return rounding_kind::nearest;
-    if (spec.rounding == "bernoulli_edge") return rounding_kind::bernoulli_edge;
-    throw std::invalid_argument("unknown rounding '" + spec.rounding + "'");
-}
-
-process_kind resolve_process(const scenario_spec& spec)
-{
-    if (spec.process == "discrete") return process_kind::discrete;
-    if (spec.process == "continuous") return process_kind::continuous;
-    if (spec.process == "cumulative") return process_kind::cumulative;
-    throw std::invalid_argument("unknown process '" + spec.process + "'");
-}
-
-negative_load_policy resolve_policy(const scenario_spec& spec)
-{
-    if (spec.policy == "allow") return negative_load_policy::allow;
-    if (spec.policy == "prevent") return negative_load_policy::prevent;
-    throw std::invalid_argument("unknown policy '" + spec.policy + "'");
-}
-
-// set_field validates eagerly, but programmatic specs can hold anything;
-// re-validate at resolution like every other field.
+// validate_fields admits only 1 and 2.
 rng_version resolve_rng_version(const scenario_spec& spec)
 {
-    if (spec.rng_version == 1) return rng_version::v1;
-    if (spec.rng_version == 2) return rng_version::v2;
-    throw std::invalid_argument("rng_version must be 1 or 2, got " +
-                                std::to_string(spec.rng_version));
+    return spec.rng_version == 2 ? rng_version::v2 : rng_version::v1;
 }
 
 // Every input of compute_lambda(g, alpha, speeds), encoded: the exact graph
@@ -139,15 +116,17 @@ std::string lambda_cache_key(const scenario_spec& spec)
 
 switch_policy resolve_switching(const scenario_spec& spec)
 {
-    if (spec.switch_mode == "never") return switch_policy::never();
-    if (spec.switch_mode == "at_round")
+    switch (lookup(kSwitchNames, spec.switch_mode)) {
+    case switch_policy::trigger::never: return switch_policy::never();
+    case switch_policy::trigger::at_round:
         return switch_policy::at(
             static_cast<std::int64_t>(std::llround(spec.switch_value)));
-    if (spec.switch_mode == "local")
+    case switch_policy::trigger::local_threshold:
         return switch_policy::when_local_below(spec.switch_value);
-    if (spec.switch_mode == "global")
+    case switch_policy::trigger::global_threshold:
         return switch_policy::when_global_below(spec.switch_value);
-    throw std::invalid_argument("unknown switch mode '" + spec.switch_mode + "'");
+    }
+    throw std::logic_error("campaign: unhandled switch mode");
 }
 
 /// A scenario's resolved instance. run_scenario and measure_windows both
@@ -163,6 +142,10 @@ struct scenario_instance {
 scenario_instance resolve_instance(const scenario_spec& spec,
                                    graph_cache* cache)
 {
+    // Parsed specs were checked field by field as they were set; a spec
+    // built in code gets the same checks here, before any work.
+    validate_fields(spec);
+
     // The topology is shared from the cache when one is given (identical
     // build inputs, so bit-identical graphs) and cold-built otherwise.
     scenario_instance out;
@@ -176,7 +159,8 @@ scenario_instance resolve_instance(const scenario_spec& spec,
     const graph& g = *out.network;
     diffusion_config& diffusion = out.diffusion;
     diffusion.network = &g;
-    diffusion.alpha = make_alpha(g, resolve_alpha(spec), spec.alpha_gamma);
+    diffusion.alpha =
+        make_alpha(g, lookup(kAlphaNames, spec.alpha), spec.alpha_gamma);
     diffusion.speeds = resolve_speeds(spec, g.num_nodes());
     const auto lambda_of = [&] {
         const auto solve = [&] {
@@ -188,10 +172,12 @@ scenario_instance resolve_instance(const scenario_spec& spec,
 
     // Relaxation parameter: explicit beta wins; otherwise SOS and
     // Chebyshev derive it from the computed lambda (Table I pipeline).
-    if (spec.scheme == "fos") {
+    switch (lookup(kSchemeNames, spec.scheme)) {
+    case scheme_kind::fos:
         diffusion.scheme = fos_scheme();
         out.beta = 1.0;
-    } else if (spec.scheme == "sos") {
+        break;
+    case scheme_kind::sos: {
         double beta = spec.beta;
         if (beta <= 0.0) {
             out.lambda = lambda_of();
@@ -199,12 +185,13 @@ scenario_instance resolve_instance(const scenario_spec& spec,
         }
         diffusion.scheme = sos_scheme(beta);
         out.beta = beta;
-    } else if (spec.scheme == "chebyshev") {
+        break;
+    }
+    case scheme_kind::chebyshev:
         out.lambda = lambda_of();
         diffusion.scheme = chebyshev_scheme(out.lambda);
         out.beta = beta_opt(out.lambda);
-    } else {
-        throw std::invalid_argument("unknown scheme '" + spec.scheme + "'");
+        break;
     }
     return out;
 }
@@ -228,14 +215,6 @@ scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
     const stopwatch watch;
 
     try {
-        if (spec.rounds < 0)
-            throw std::invalid_argument("scenario: negative round count");
-        // set_field rejects this eagerly, but programmatic specs can hold
-        // anything, and a NaN param would corrupt cache-key ordering.
-        if (!std::isfinite(spec.topology_param))
-            throw std::invalid_argument(
-                "scenario: topology_param must be finite");
-
         scenario_instance instance = resolve_instance(spec, cache);
         const graph& g = *instance.network;
         result.nodes = g.num_nodes();
@@ -264,11 +243,11 @@ scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
 
         experiment_config config;
         config.diffusion = std::move(instance.diffusion);
-        config.process = resolve_process(spec);
-        config.rounding = resolve_rounding(spec);
+        config.process = lookup(kProcessNames, spec.process);
+        config.rounding = lookup(kRoundingNames, spec.rounding);
         config.seed = spec.seed;
         config.rng = rng;
-        config.policy = resolve_policy(spec);
+        config.policy = lookup(kPolicyNames, spec.policy);
         config.rounds = spec.rounds;
         config.record_every = record_every;
         config.switching = resolve_switching(spec);
@@ -363,14 +342,14 @@ campaign_result detail_run(const campaign_spec& spec,
             "campaign: --checkpoint-every and --checkpoint-dir must be set "
             "together");
 
-    // Process-level sharding: the partitioner (cost_model.hpp) splits the
-    // expansion either round-robin or cost-balanced; both are pure
-    // functions of the spec, so independently launched shard processes
-    // agree on the assignment. Selected scenarios keep their global
-    // indices; merge_shard_csv reassembles the full report.
+    // Process-level sharding: the cost-balanced partitioner
+    // (cost_model.hpp) is a pure function of the spec, so independently
+    // launched shard processes agree on the assignment. Selected scenarios
+    // keep their global indices; merge_shard_csv reassembles the full
+    // report.
     const std::vector<std::int64_t> selected = partition_scenarios(
-        scenarios, options.shard_count,
-        options.balance)[static_cast<std::size_t>(options.shard_index)];
+        scenarios,
+        options.shard_count)[static_cast<std::size_t>(options.shard_index)];
     const auto count = static_cast<std::int64_t>(selected.size());
 
     const std::int64_t record_every =
@@ -629,8 +608,8 @@ measure_windows_result measure_windows(const campaign_spec& spec,
     const graph& g = *instance.network;
     const diffusion_config& diffusion = instance.diffusion;
 
-    const rounding_kind rounding = resolve_rounding(target);
-    const negative_load_policy policy = resolve_policy(target);
+    const rounding_kind rounding = lookup(kRoundingNames, target.rounding);
+    const negative_load_policy policy = lookup(kPolicyNames, target.policy);
     const rng_version rng = resolve_rng_version(target);
     const switch_policy switching = resolve_switching(target);
     const std::vector<std::int64_t> zeros(

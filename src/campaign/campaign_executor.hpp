@@ -54,19 +54,12 @@ struct campaign_options {
     bool pool_scratch = true;
 
     /// Process-level sharding: this invocation runs only the scenarios the
-    /// partitioner assigns to shard_index of shard_count. Results keep
-    /// their global indices, so shard CSV reports merge back into a
-    /// byte-identical equivalent of the unsharded run (see
-    /// merge_shard_csv). Default 0/1: run everything.
+    /// cost-balanced partitioner (cost_model.hpp: greedy LPT) assigns to
+    /// shard_index of shard_count. Results keep their global indices, so
+    /// shard CSV reports merge back into a byte-identical equivalent of the
+    /// unsharded run (see merge_shard_csv). Default 0/1: run everything.
     std::int64_t shard_index = 0;
     std::int64_t shard_count = 1;
-    /// How the expansion is split across shards (cost_model.hpp):
-    /// round_robin (index ≡ shard mod count, the original contract) or
-    /// cost (greedy LPT over the per-scenario cost model, tightening
-    /// multi-machine utilization on heterogeneous sweeps). Every shard of
-    /// one campaign must use the same policy — the partitions differ, and
-    /// the merge checks coverage, not assignment.
-    shard_balance balance = shard_balance::round_robin;
 
     /// Persistent lambda cache sidecar (graph_cache::load/save_lambda_
     /// sidecar): when non-empty, loaded into the campaign's graph cache

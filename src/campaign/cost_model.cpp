@@ -51,19 +51,6 @@ double scheme_weight(const scenario_spec& spec)
 
 } // namespace
 
-shard_balance parse_shard_balance(const std::string& text)
-{
-    if (text == "round-robin") return shard_balance::round_robin;
-    if (text == "cost") return shard_balance::cost;
-    throw std::invalid_argument(
-        "shard-balance: expected 'round-robin' or 'cost', got '" + text + "'");
-}
-
-std::string to_string(shard_balance balance)
-{
-    return balance == shard_balance::cost ? "cost" : "round-robin";
-}
-
 double scenario_cost(const scenario_spec& spec)
 {
     const double nodes = static_cast<double>(std::max<std::int64_t>(spec.nodes, 1));
@@ -79,7 +66,7 @@ double scenario_cost(const scenario_spec& spec)
 
 std::vector<std::vector<std::int64_t>>
 partition_scenarios(const std::vector<scenario_spec>& scenarios,
-                    std::int64_t shard_count, shard_balance balance)
+                    std::int64_t shard_count)
 {
     if (shard_count < 1)
         throw std::invalid_argument("partition: shard count must be >= 1");
@@ -87,12 +74,6 @@ partition_scenarios(const std::vector<scenario_spec>& scenarios,
     std::vector<std::vector<std::int64_t>> shards(
         static_cast<std::size_t>(shard_count));
     const auto count = static_cast<std::int64_t>(scenarios.size());
-
-    if (balance == shard_balance::round_robin) {
-        for (std::int64_t i = 0; i < count; ++i)
-            shards[static_cast<std::size_t>(i % shard_count)].push_back(i);
-        return shards;
-    }
 
     // Greedy LPT: heaviest scenario first onto the currently cheapest
     // shard. Sort ties break on ascending index and load ties on the lowest

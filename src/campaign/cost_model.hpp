@@ -1,42 +1,29 @@
 // Campaign scheduler: per-scenario cost model and cost-balanced sharding.
 //
-// `--shard i/N` originally partitioned the expansion round-robin, which
-// balances wall clock only when scenario cost is roughly uniform along the
-// expansion order. A heterogeneous sweep (e.g. nodes 256,4096,65536) breaks
-// that: one shard draws the large-`nodes` x long-`rounds` cells and becomes
-// the tail every other machine waits on. The cost model predicts each
-// scenario's relative round-loop work (nodes x rounds, scaled by per-engine
-// and per-rounding weight factors calibrated from bench_micro_step), and the
-// cost-balanced partitioner assigns scenarios to shards greedily (LPT:
-// heaviest scenario first onto the currently lightest shard) with
-// deterministic index-order tie-breaking, so every shard process computes
-// the identical partition from the spec alone.
+// A round-robin split of the expansion balances wall clock only when
+// scenario cost is roughly uniform along the expansion order. A
+// heterogeneous sweep (e.g. nodes 256,4096,65536) breaks that: one shard
+// draws the large-`nodes` x long-`rounds` cells and becomes the tail every
+// other machine waits on. The cost model predicts each scenario's relative
+// round-loop work (nodes x rounds, scaled by per-engine and per-rounding
+// weight factors calibrated from bench_micro_step), and `--shard i/N`
+// assigns scenarios greedily (LPT: heaviest scenario first onto the
+// currently lightest shard) with deterministic index-order tie-breaking,
+// so every shard process computes the identical partition from the spec
+// alone. On equal costs LPT is exactly round-robin.
 //
-// Global scenario indices are preserved no matter the balance mode, so
-// `--merge` reassembles the byte-identical full report either way; the
-// merge validates coverage, not the assignment.
+// Global scenario indices are preserved, so `--merge` reassembles the
+// byte-identical full report; the merge validates coverage, not the
+// assignment.
 #ifndef DLB_CAMPAIGN_COST_MODEL_HPP
 #define DLB_CAMPAIGN_COST_MODEL_HPP
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "campaign/spec.hpp"
 
 namespace dlb::campaign {
-
-/// Shard partition policy: `round_robin` (index ≡ shard mod count, the
-/// original contract and the default) or `cost` (greedy LPT over the cost
-/// model).
-enum class shard_balance { round_robin, cost };
-
-/// Parses the `--shard-balance` flag value ("round-robin" | "cost").
-/// Throws std::invalid_argument on anything else, naming the value.
-shard_balance parse_shard_balance(const std::string& text);
-
-/// The flag spelling of a policy (inverse of parse_shard_balance).
-std::string to_string(shard_balance balance);
 
 /// Predicted relative cost of one scenario: nodes x rounds scaled by
 /// per-engine (process) and per-rounding weight factors, with a small
@@ -47,17 +34,16 @@ std::string to_string(shard_balance balance);
 double scenario_cost(const scenario_spec& spec);
 
 /// Splits `scenarios` into `shard_count` disjoint index lists (ascending
-/// global expansion indices, every index in exactly one list).
-///   round_robin — shard s owns the indices ≡ s (mod shard_count).
-///   cost        — greedy LPT on scenario_cost: indices sorted by
-///                 descending cost (ties: ascending index) are assigned to
-///                 the currently cheapest shard (ties: lowest shard id).
-/// Pure function of (scenarios, shard_count, balance), so independently
-/// launched shard processes agree on the partition. Throws
+/// global expansion indices, every index in exactly one list) by greedy LPT
+/// on scenario_cost: indices sorted by descending cost (ties: ascending
+/// index) are assigned to the currently cheapest shard (ties: lowest shard
+/// id). When every scenario costs the same, shard s owns the indices
+/// ≡ s (mod shard_count). Pure function of (scenarios, shard_count), so
+/// independently launched shard processes agree on the partition. Throws
 /// std::invalid_argument when shard_count < 1.
 std::vector<std::vector<std::int64_t>>
 partition_scenarios(const std::vector<scenario_spec>& scenarios,
-                    std::int64_t shard_count, shard_balance balance);
+                    std::int64_t shard_count);
 
 /// Sum of scenario_cost over one shard's index list (scheduler diagnostics
 /// and the balance-quality tests).

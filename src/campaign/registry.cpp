@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
 #include <stdexcept>
 
+#include "campaign/workload.hpp"
 #include "graph/generators.hpp"
 #include "sim/initial_load.hpp"
 #include "util/rng.hpp"
@@ -262,6 +264,36 @@ std::vector<std::int64_t> build_initial_load(const std::string& pattern,
     }
 
     throw std::invalid_argument("unknown load pattern '" + pattern + "'");
+}
+
+namespace {
+
+template <class T, std::size_t N>
+std::vector<std::string> names_of(const named_value<T> (&table)[N])
+{
+    std::vector<std::string> names;
+    for (const auto& entry : table) names.emplace_back(entry.name);
+    return names;
+}
+
+} // namespace
+
+const std::vector<std::string>* field_choices(const std::string& field)
+{
+    static const std::map<std::string, std::vector<std::string>> choices = {
+        {"topology", topology_names()},
+        {"load", load_pattern_names()},
+        {"workload", workload_names()},
+        {"alpha", names_of(kAlphaNames)},
+        {"speeds", names_of(kSpeedNames)},
+        {"scheme", names_of(kSchemeNames)},
+        {"process", names_of(kProcessNames)},
+        {"rounding", names_of(kRoundingNames)},
+        {"policy", names_of(kPolicyNames)},
+        {"switch", names_of(kSwitchNames)},
+    };
+    const auto it = choices.find(field);
+    return it == choices.end() ? nullptr : &it->second;
 }
 
 } // namespace dlb::campaign

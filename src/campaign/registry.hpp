@@ -1,5 +1,7 @@
 // Named builders for every topology family and initial-load pattern a
-// scenario_spec can reference.
+// scenario_spec can reference, and the name tables of its other enumerated
+// fields: the one list per field that set_field validates against and the
+// executor resolves from.
 //
 // Topologies cover the paper's Table I families (torus, hypercube, random
 // regular via the configuration model, random geometric) plus the standard
@@ -15,8 +17,14 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/alpha.hpp"
+#include "core/hybrid.hpp"
+#include "core/process.hpp"
+#include "core/rounding.hpp"
+#include "core/scheme.hpp"
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
 
@@ -64,6 +72,61 @@ std::vector<std::int64_t> build_initial_load(const std::string& pattern,
                                              std::int64_t tokens_per_node,
                                              std::uint64_t seed,
                                              rng_version version = default_rng_version);
+
+/// One accepted value of an enumerated scenario field and what the executor
+/// resolves it to.
+template <class T>
+struct named_value {
+    std::string_view name;
+    T value;
+};
+
+/// scenario_spec::speeds profiles.
+enum class speed_kind { uniform, bimodal, zipf };
+
+// The enumerated fields the executor resolves without a registry builder
+// (campaign_executor.cpp looks each value up in its table).
+inline constexpr named_value<alpha_policy> kAlphaNames[] = {
+    {"max_degree_plus_one", alpha_policy::max_degree_plus_one},
+    {"uniform_gamma_d", alpha_policy::uniform_gamma_d},
+};
+inline constexpr named_value<speed_kind> kSpeedNames[] = {
+    {"uniform", speed_kind::uniform},
+    {"bimodal", speed_kind::bimodal},
+    {"zipf", speed_kind::zipf},
+};
+inline constexpr named_value<scheme_kind> kSchemeNames[] = {
+    {"fos", scheme_kind::fos},
+    {"sos", scheme_kind::sos},
+    {"chebyshev", scheme_kind::chebyshev},
+};
+inline constexpr named_value<process_kind> kProcessNames[] = {
+    {"discrete", process_kind::discrete},
+    {"continuous", process_kind::continuous},
+    {"cumulative", process_kind::cumulative},
+};
+inline constexpr named_value<rounding_kind> kRoundingNames[] = {
+    {"randomized", rounding_kind::randomized},
+    {"floor", rounding_kind::floor},
+    {"nearest", rounding_kind::nearest},
+    {"bernoulli_edge", rounding_kind::bernoulli_edge},
+};
+inline constexpr named_value<negative_load_policy> kPolicyNames[] = {
+    {"allow", negative_load_policy::allow},
+    {"prevent", negative_load_policy::prevent},
+};
+inline constexpr named_value<switch_policy::trigger> kSwitchNames[] = {
+    {"never", switch_policy::trigger::never},
+    {"at_round", switch_policy::trigger::at_round},
+    {"local", switch_policy::trigger::local_threshold},
+    {"global", switch_policy::trigger::global_threshold},
+};
+
+/// The accepted values of an enumerated scenario field, or nullptr for a
+/// numeric one: topology_names(), load_pattern_names() and workload_names()
+/// for topology, load and workload, the names of the tables above for the
+/// other seven. set_field accepts no other value.
+const std::vector<std::string>* field_choices(const std::string& field);
 
 } // namespace dlb::campaign
 

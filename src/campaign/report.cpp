@@ -496,10 +496,8 @@ campaign_result merge_shard_csv(const campaign_spec& spec,
                 throw std::runtime_error(
                     "merge: " + context + ": scenario " +
                     std::to_string(index) +
-                    " appears in more than one shard (duplicate shard file, "
-                    "or shards run with different --shard-balance modes — "
-                    "the round-robin and cost partitions assign different "
-                    "scenarios to each shard)");
+                    " appears in more than one shard (a shard file given "
+                    "twice, or shards run with different --shard counts)");
             seen[static_cast<std::size_t>(index)] = true;
             scenario_result row =
                 merge_row(cells, expanded[static_cast<std::size_t>(index)],
@@ -527,9 +525,7 @@ campaign_result merge_shard_csv(const campaign_spec& spec,
             "merge: " + std::to_string(missing) + " of " +
             std::to_string(expanded.size()) +
             " scenarios missing from the given shards (check the shard "
-            "list covers 0/N .. N-1/N exactly once, and that every shard "
-            "ran with the same --shard-balance mode — the round-robin and "
-            "cost partitions assign different scenarios to each shard)");
+            "list covers 0/N .. N-1/N exactly once, all with the same N)");
 
     return result;
 }

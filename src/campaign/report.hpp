@@ -55,9 +55,8 @@ void write_windows_json(std::ostream& out,
 /// against the spec (the stride shapes metrics like rounds_to_plateau, so
 /// every shard and the merge must agree on it), that no index appears
 /// twice, and at the end that every expanded scenario was covered by
-/// exactly one shard. Coverage, not assignment, is what is checked: shards
-/// produced under any `--shard-balance` partition merge identically, as
-/// long as all shards of one campaign used the same mode. Throws
+/// exactly one shard. Coverage, not assignment, is what is checked, so the
+/// merge does not depend on how the partitioner assigned scenarios. Throws
 /// std::runtime_error (with file/line context) on any inconsistency,
 /// including headers from a --timing report.
 campaign_result merge_shard_csv(const campaign_spec& spec,

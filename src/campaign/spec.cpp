@@ -1,11 +1,15 @@
 #include "campaign/spec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <istream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
+#include "campaign/registry.hpp"
 #include "util/csv.hpp" // format_double
 #include "util/parse.hpp"
 
@@ -38,6 +42,32 @@ double parse_double(const std::string& key, const std::string& value)
     return parse_full_double(value, "spec: bad number for " + key);
 }
 
+std::int64_t parse_int_at_least(const std::string& key,
+                                const std::string& value, std::int64_t minimum)
+{
+    const std::int64_t parsed = parse_int(key, value);
+    if (parsed < minimum)
+        throw std::invalid_argument("spec: " + key + " must be >= " +
+                                    std::to_string(minimum) + ", got " + value);
+    return parsed;
+}
+
+// An enumerated field accepts exactly the names its resolver maps
+// (registry.hpp: field_choices), so a typo fails at load time instead of
+// as an error row after the sweep has started.
+void check_choice(const std::string& key, const std::string& value)
+{
+    const std::vector<std::string>* choices = field_choices(key);
+    if (choices == nullptr ||
+        std::find(choices->begin(), choices->end(), value) != choices->end())
+        return;
+    std::string accepted;
+    for (const std::string& name : *choices)
+        accepted += (accepted.empty() ? "" : ", ") + name;
+    throw std::invalid_argument("spec: unknown " + key + " '" + value +
+                                "' (one of: " + accepted + ")");
+}
+
 } // namespace
 
 const std::vector<std::string>& field_names()
@@ -58,8 +88,9 @@ const std::vector<std::string>& field_names()
 void set_field(scenario_spec& spec, const std::string& key,
                const std::string& value)
 {
+    check_choice(key, value);
     if (key == "topology") spec.topology = value;
-    else if (key == "nodes") spec.nodes = parse_int(key, value);
+    else if (key == "nodes") spec.nodes = parse_int_at_least(key, value, 1);
     else if (key == "topology_param") {
         // Reject NaN/inf eagerly: a non-finite param corrupts the ordered
         // graph/lambda cache keys and no topology family accepts one.
@@ -82,11 +113,19 @@ void set_field(scenario_spec& spec, const std::string& key,
     else if (key == "switch") spec.switch_mode = value;
     else if (key == "switch_value") spec.switch_value = parse_double(key, value);
     else if (key == "load") spec.load_pattern = value;
-    else if (key == "tokens_per_node") spec.tokens_per_node = parse_int(key, value);
+    else if (key == "tokens_per_node")
+        spec.tokens_per_node = parse_int_at_least(key, value, 0);
     else if (key == "workload") spec.workload = value;
-    else if (key == "workload_rate") spec.workload_rate = parse_double(key, value);
-    else if (key == "workload_amount")
-        spec.workload_amount = parse_int(key, value);
+    else if (key == "workload_rate") {
+        const double parsed = parse_double(key, value);
+        if (!(parsed >= 0.0)) // NaN too
+            throw std::invalid_argument(
+                "spec: workload_rate must be >= 0, got " + value);
+        spec.workload_rate = parsed;
+    } else if (key == "workload_amount")
+        spec.workload_amount = parse_int_at_least(key, value, 0);
+    // No floor here: 0 is the default (set_field must round-trip every
+    // default), and burst rejects a period below 1 when it resolves.
     else if (key == "workload_period")
         spec.workload_period = parse_int(key, value);
     else if (key == "rng_version") {
@@ -98,9 +137,16 @@ void set_field(scenario_spec& spec, const std::string& key,
                 value + "'");
         spec.rng_version = parsed;
     } else if (key == "seed") spec.seed = parse_uint(key, value);
-    else if (key == "rounds") spec.rounds = parse_int(key, value);
+    else if (key == "rounds") spec.rounds = parse_int_at_least(key, value, 0);
     else
         throw std::invalid_argument("spec: unknown field '" + key + "'");
+}
+
+void validate_fields(const scenario_spec& spec)
+{
+    scenario_spec probe;
+    for (const std::string& field : field_names())
+        set_field(probe, field, get_field(spec, field));
 }
 
 std::string get_field(const scenario_spec& spec, const std::string& key)
@@ -153,7 +199,9 @@ std::int64_t campaign_spec::expected_count() const
             throw std::invalid_argument("campaign: empty sweep axis '" + key + "'");
         count *= static_cast<std::int64_t>(values.size());
         if (count > 1000000)
-            throw std::invalid_argument("campaign: expansion exceeds 1e6 scenarios");
+            throw std::invalid_argument("campaign: sweep axis '" + key +
+                                        "' takes the expansion past 1e6 "
+                                        "scenarios");
     }
     return count;
 }
@@ -162,10 +210,18 @@ std::vector<scenario_spec> expand(const campaign_spec& spec)
 {
     const std::int64_t count = spec.expected_count();
 
-    // Validate axis field names up front so a typo fails before any work.
+    // Check every axis value up front so a typo fails before any work.
+    // Repeats compare canonical forms, so "1.5, 1.50" is caught too.
     for (const auto& [key, values] : spec.axes) {
-        scenario_spec probe = spec.base;
-        set_field(probe, key, values.front());
+        scenario_spec probe;
+        std::set<std::string> seen;
+        for (const std::string& value : values) {
+            set_field(probe, key, value);
+            if (!seen.insert(get_field(probe, key)).second)
+                throw std::invalid_argument("campaign: sweep axis '" + key +
+                                            "' repeats '" +
+                                            get_field(probe, key) + "'");
+        }
     }
 
     std::vector<scenario_spec> out;
@@ -282,40 +338,55 @@ campaign_spec parse_campaign(std::istream& in)
     campaign_spec spec;
     std::string line;
     int line_number = 0;
+    std::map<std::string, int> set_on; // key -> the line that set it
     std::int64_t seed_count = 0; // "seeds" shorthand, applied after the parse
                                  // so a later "seed = N" line still counts
     while (std::getline(in, line)) {
         ++line_number;
+        const auto fail = [&](const std::string& why) {
+            throw std::invalid_argument("campaign file line " +
+                                        std::to_string(line_number) + ": " +
+                                        why);
+        };
         const auto comment = line.find('#');
         if (comment != std::string::npos) line.resize(comment);
         const std::string text = trim(line);
         if (text.empty()) continue;
         const auto eq = text.find('=');
-        if (eq == std::string::npos)
-            throw std::invalid_argument("campaign file line " +
-                                        std::to_string(line_number) +
-                                        ": expected key = value");
+        if (eq == std::string::npos) fail("expected key = value");
         const std::string key = trim(text.substr(0, eq));
         const std::string value = trim(text.substr(eq + 1));
+        if (key.empty()) fail("empty key before '='");
+        // A repeated key or axis would silently let the later line win.
+        const auto [first, fresh] = set_on.emplace(key, line_number);
+        if (!fresh)
+            fail("'" + key + "' already set on line " +
+                 std::to_string(first->second));
         if (key == "name") {
+            if (value.empty()) fail("empty campaign name");
             spec.name = value;
         } else if (key.rfind("sweep.", 0) == 0) {
-            const std::string field = key.substr(6);
             const auto values = split_list(value);
-            if (values.empty())
-                throw std::invalid_argument("campaign file line " +
-                                            std::to_string(line_number) +
-                                            ": empty sweep list");
-            spec.axes[field] = values;
+            if (values.empty()) fail("empty sweep list for '" + key + "'");
+            spec.axes[key.substr(6)] = values;
         } else if (key == "seeds") {
             seed_count = parse_int(key, value);
-            if (seed_count < 1)
-                throw std::invalid_argument("campaign file: seeds must be >= 1");
+            if (seed_count < 1) fail("seeds must be >= 1, got " + value);
         } else {
-            set_field(spec.base, key, value);
+            try {
+                set_field(spec.base, key, value);
+            } catch (const std::invalid_argument& bad) {
+                fail(bad.what());
+            }
         }
     }
     if (seed_count > 0) {
+        if (set_on.count("sweep.seed") > 0)
+            throw std::invalid_argument(
+                "campaign file line " + std::to_string(set_on.at("seeds")) +
+                ": 'seeds' and 'sweep.seed' (line " +
+                std::to_string(set_on.at("sweep.seed")) +
+                ") both define the seed axis");
         // Shorthand: sweep the seed over base.seed .. base.seed + N - 1.
         std::vector<std::string> values;
         values.reserve(static_cast<std::size_t>(seed_count));

@@ -20,8 +20,9 @@
 namespace dlb::campaign {
 
 /// One experiment, fully described by value. String fields name entries in
-/// the scenario registry (campaign/registry) and are validated when the
-/// scenario is resolved into engines, not when the spec is built.
+/// the scenario registry (campaign/registry). set_field validates every
+/// value as it is set; a spec built in code is checked the same way when
+/// the executor resolves it (validate_fields).
 struct scenario_spec {
     // Topology (registry families; `nodes` is a target some families round
     // to the nearest realizable size, e.g. torus -> square side).
@@ -73,9 +74,17 @@ struct scenario_spec {
 const std::vector<std::string>& field_names();
 
 /// Sets one field from its string form ("topology", "nodes", "scheme", ...).
-/// Throws std::invalid_argument on unknown keys or unparseable numbers.
+/// Throws std::invalid_argument, naming the field, on an unknown key, an
+/// unparseable number, a name outside the field's registry list
+/// (field_choices), nodes < 1, a negative rounds, tokens_per_node,
+/// workload_amount or workload_rate, a non-finite topology_param, or an
+/// rng_version other than 1 and 2.
 void set_field(scenario_spec& spec, const std::string& key,
                const std::string& value);
+
+/// Applies set_field's checks to every field of `spec`, for specs built in
+/// code rather than parsed. Throws like set_field.
+void validate_fields(const scenario_spec& spec);
 
 /// The current string form of one field (inverse of set_field).
 std::string get_field(const scenario_spec& spec, const std::string& key);
@@ -96,8 +105,10 @@ struct campaign_spec {
     std::int64_t expected_count() const;
 };
 
-/// Expands the sweep into a concrete scenario list. Throws on empty axes,
-/// unknown axis fields, or expansions above 1e6 scenarios.
+/// Expands the sweep into a concrete scenario list. Throws
+/// std::invalid_argument on an empty axis, an unknown axis field, a value
+/// set_field rejects, a value repeated within one axis, or an expansion
+/// above 1e6 scenarios.
 std::vector<scenario_spec> expand(const campaign_spec& spec);
 
 /// Stable FNV-1a hash over the campaign's canonical serialization (name,
@@ -117,10 +128,8 @@ std::string hex64(std::uint64_t value);
 std::vector<std::string> split_list(const std::string& csv);
 
 /// A process-level shard assignment: this invocation owns shard `index` of
-/// `count`'s share of the expansion — which scenarios that is depends on
-/// the partition policy (cost_model.hpp: round-robin index ≡ i (mod N) by
-/// default, or greedy LPT under `--shard-balance cost`). 0/1 means
-/// "everything" in every policy.
+/// `count`'s share of the expansion, as assigned by the greedy LPT
+/// partitioner (cost_model.hpp). 0/1 means "everything".
 struct shard_part {
     std::int64_t index = 0;
     std::int64_t count = 1;
@@ -136,6 +145,10 @@ shard_part parse_shard(const std::string& text);
 ///   nodes = 1024
 ///   sweep.topology = torus, hypercube
 ///   seeds = 4            # shorthand: sweep seed over base..base+3
+/// Throws std::invalid_argument naming the line on a malformed line, an
+/// empty name or sweep list, a key or axis set twice, `seeds` next to
+/// `sweep.seed`, or any value set_field rejects. Axis values are checked
+/// by expand().
 campaign_spec parse_campaign(std::istream& in);
 campaign_spec parse_campaign_file(const std::string& path);
 

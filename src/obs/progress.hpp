@@ -4,8 +4,8 @@
 // this: `--progress[=SECS]` prints one stderr line per period with the
 // scenarios completed, the elapsed wall clock, and an ETA extrapolated
 // from the campaign scheduler's per-scenario cost model — the same model
-// `--shard-balance cost` partitions with, so a drifting ETA *is* a
-// calibration signal. Each completed scenario contributes a
+// `--shard` partitions with, so a drifting ETA *is* a calibration
+// signal. Each completed scenario contributes a
 // predicted-vs-actual residual (actual seconds / predicted cost, i.e. the
 // realized seconds-per-cost-unit); the heartbeat reports the spread so a
 // mis-calibrated weight table shows up live, and the final summary line

@@ -2,6 +2,7 @@
 // spec-file parsing, and thread-count-independent campaign reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
@@ -170,6 +171,289 @@ TEST(CampaignSpec, SeedsShorthandHonorsLaterSeedLine)
     ASSERT_EQ(seeds.size(), 3u);
     EXPECT_EQ(seeds[0], "100");
     EXPECT_EQ(seeds[2], "102");
+}
+
+// -- spec validation ----------------------------------------------------------
+//
+// The C++ loader is the only spec validator: set_field checks every value
+// as it is set, parse_campaign the file grammar, and expand() the sweep
+// axes. The ctest entry spec_lint_selftest runs the SpecValidation cases.
+
+// Parses `text` as a campaign file and expands it: the path every spec file,
+// --dry-run and campaign run take.
+std::vector<scenario_spec> load_and_expand(const std::string& text)
+{
+    std::istringstream in(text);
+    return expand(parse_campaign(in));
+}
+
+std::string rejection_message(const std::string& text)
+{
+    try {
+        load_and_expand(text);
+    } catch (const std::invalid_argument& rejected) {
+        return rejected.what();
+    }
+    return "(accepted)";
+}
+
+// One rejected spec: a finding the loader must report, the campaign file
+// that has it, and the field, key or line the message must name.
+struct spec_rejection {
+    const char* finding;
+    const char* text;
+    const char* named;
+};
+
+class SpecValidationRejects
+    : public ::testing::TestWithParam<spec_rejection> {};
+
+TEST_P(SpecValidationRejects, NamingTheCulprit)
+{
+    const spec_rejection& c = GetParam();
+    const std::string message = rejection_message(c.text);
+    EXPECT_NE(message.find(c.named), std::string::npos)
+        << c.finding << ": " << message;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Findings, SpecValidationRejects,
+    ::testing::Values(
+        // Sweep expansion beyond the 1e6 scenario cap.
+        spec_rejection{"expansion_over_cap",
+                       "nodes = 256\nsweep.scheme = fos, sos\n"
+                       "seeds = 1048576\n",
+                       "sweep axis 'seed' takes the expansion past 1e6"},
+        // Values below a field's minimum.
+        spec_rejection{"nodes_zero", "nodes = 0\n", "nodes must be >= 1"},
+        spec_rejection{"rounds_negative", "rounds = -5\n",
+                       "rounds must be >= 0"},
+        spec_rejection{"tokens_negative", "tokens_per_node = -1\n",
+                       "tokens_per_node must be >= 0"},
+        spec_rejection{"workload_amount_negative", "workload_amount = -3\n",
+                       "workload_amount must be >= 0"},
+        spec_rejection{"workload_rate_negative", "workload_rate = -0.5\n",
+                       "workload_rate must be >= 0"},
+        spec_rejection{"seeds_zero", "seeds = 0\n", "seeds must be >= 1"},
+        // File shape.
+        spec_rejection{"malformed_line", "nodes = 64\njust some words\n",
+                       "line 2: expected key = value"},
+        spec_rejection{"empty_key", "= torus\n", "line 1: empty key"},
+        spec_rejection{"empty_name", "name =\n",
+                       "line 1: empty campaign name"},
+        spec_rejection{"repeated_name", "name = a\nname = b\n",
+                       "line 2: 'name' already set on line 1"},
+        spec_rejection{"repeated_key", "nodes = 64\nnodes = 128\n",
+                       "line 2: 'nodes' already set on line 1"},
+        // Sweeps.
+        spec_rejection{"empty_sweep_list", "sweep.rounding =\n",
+                       "empty sweep list for 'sweep.rounding'"},
+        spec_rejection{"repeated_sweep_value", "sweep.scheme = fos, fos\n",
+                       "sweep axis 'scheme' repeats 'fos'"},
+        spec_rejection{"repeated_canonical_value", "sweep.beta = 1.5, 1.50\n",
+                       "sweep axis 'beta' repeats '1.5'"},
+        spec_rejection{"repeated_axis",
+                       "sweep.rounding = floor\n"
+                       "sweep.rounding = floor, nearest\n",
+                       "line 2: 'sweep.rounding' already set on line 1"},
+        spec_rejection{"seeds_and_seed_axis", "sweep.seed = 1, 2\nseeds = 3\n",
+                       "line 2: 'seeds' and 'sweep.seed' (line 1) both"},
+        spec_rejection{"unknown_sweep_value", "sweep.rounding = floor, blarg\n",
+                       "unknown rounding 'blarg'"},
+        spec_rejection{"sweep_over_name", "sweep.name = a, b\n",
+                       "unknown field 'name'"},
+        // Unknown keys.
+        spec_rejection{"unknown_key", "topo = torus\n",
+                       "unknown field 'topo'"},
+        spec_rejection{"unknown_sweep_key", "sweep.sheme = fos\n",
+                       "unknown field 'sheme'"},
+        // Bad values.
+        spec_rejection{"unknown_topology", "topology = moebius\n",
+                       "unknown topology 'moebius'"},
+        spec_rejection{"non_numeric", "nodes = sixty-four\n",
+                       "bad integer for nodes"},
+        spec_rejection{"rng_version_3", "rng_version = 3\n",
+                       "rng_version must be 1"},
+        spec_rejection{"topology_param_inf", "topology_param = inf\n",
+                       "topology_param must be finite"},
+        spec_rejection{"unknown_rounding", "rounding = stochastic\n",
+                       "unknown rounding 'stochastic'"}),
+    [](const ::testing::TestParamInfo<spec_rejection>& info) {
+        return std::string(info.param.finding);
+    });
+
+TEST(SpecValidation, CleanSpecsExpand)
+{
+    // The smallest useful spec, and one that sets every scalar field once.
+    EXPECT_EQ(load_and_expand("name = minimal\n"
+                              "topology = torus\n"
+                              "nodes = 256\n"
+                              "rounds = 100\n"
+                              "tokens_per_node = 10\n"
+                              "load = point\n"
+                              "\n"
+                              "sweep.scheme = fos, sos\n"
+                              "sweep.rounding = randomized, floor\n"
+                              "seeds = 2\n")
+                  .size(),
+              8u);
+    EXPECT_EQ(load_and_expand("name = full-surface\n"
+                              "topology = erdos_renyi\n"
+                              "topology_param = 0.05\n"
+                              "nodes = 128\n"
+                              "rounds = 50\n"
+                              "tokens_per_node = 8\n"
+                              "load = bimodal\n"
+                              "alpha = uniform_gamma_d\n"
+                              "alpha_gamma = 0.5\n"
+                              "speeds = zipf\n"
+                              "speed_value = 2.0\n"
+                              "speed_shape = 1.2\n"
+                              "scheme = sos\n"
+                              "beta = 0.75\n"
+                              "process = continuous\n"
+                              "rounding = bernoulli_edge\n"
+                              "policy = prevent\n"
+                              "switch = at_round\n"
+                              "switch_value = 25\n"
+                              "workload = poisson\n"
+                              "workload_rate = 0.25\n"
+                              "workload_amount = 3\n"
+                              "workload_period = 5\n"
+                              "rng_version = 2\n"
+                              "seed = 42\n")
+                  .size(),
+              1u);
+}
+
+TEST(SpecValidation, WorkloadPeriodZeroLoadsAndBurstRejectsItWhenResolved)
+{
+    // 0 is the field's default, so it must load (set_field round-trips
+    // every default); only the burst model needs a period, and it says so
+    // when the scenario resolves.
+    const auto scenarios = load_and_expand("name = burst\n"
+                                           "nodes = 16\n"
+                                           "rounds = 4\n"
+                                           "workload = burst\n"
+                                           "workload_period = 0\n");
+    ASSERT_EQ(scenarios.size(), 1u);
+    const auto result = run_scenario(scenarios.front(), 0, 1);
+    EXPECT_NE(result.error.find("period must be >= 1"), std::string::npos)
+        << result.error;
+}
+
+// The base scenario the one-list test varies one field of: tiny, zero
+// rounds, FOS so no family needs a lambda.
+scenario_spec zero_round_spec()
+{
+    scenario_spec spec;
+    spec.topology = "torus";
+    spec.nodes = 16;
+    spec.rounds = 0;
+    spec.tokens_per_node = 4;
+    spec.scheme = "fos";
+    return spec;
+}
+
+TEST(SpecValidation, EveryListedNameLoadsAndResolves)
+{
+    std::size_t enumerated = 0;
+    for (const std::string& field : field_names()) {
+        const std::vector<std::string>* choices = field_choices(field);
+        if (choices == nullptr) continue;
+        ++enumerated;
+        ASSERT_FALSE(choices->empty()) << field;
+        for (const std::string& name : *choices) {
+            scenario_spec spec = zero_round_spec();
+            ASSERT_NO_THROW(set_field(spec, field, name))
+                << field << " = " << name;
+            // Companion values a name needs to resolve.
+            if (name == "burst") spec.workload_period = 1;
+            const auto result = run_scenario(spec, 0, 1);
+            EXPECT_TRUE(result.error.empty())
+                << field << " = " << name << ": " << result.error;
+        }
+    }
+    EXPECT_EQ(enumerated, 10u); // topology, load, workload + seven tables
+    // The scheme list carries chebyshev, which the executor runs.
+    const auto* schemes = field_choices("scheme");
+    ASSERT_NE(schemes, nullptr);
+    EXPECT_NE(std::find(schemes->begin(), schemes->end(), "chebyshev"),
+              schemes->end());
+}
+
+std::string set_field_message(const std::string& field,
+                              const std::string& value)
+{
+    scenario_spec spec = zero_round_spec();
+    try {
+        set_field(spec, field, value);
+    } catch (const std::invalid_argument& rejected) {
+        return rejected.what();
+    }
+    return "(accepted)";
+}
+
+TEST(SpecValidation, NearMissNamesAreRejectedWithTheList)
+{
+    std::vector<std::pair<std::string, std::string>> near_misses = {
+        {"topology", "Torus"}, {"scheme", "sos2"}, {"topology", "toruss"}};
+    for (const std::string& field : field_names())
+        if (const auto* choices = field_choices(field))
+            near_misses.emplace_back(field, choices->front() + "_");
+    for (const auto& [field, value] : near_misses) {
+        // set_field names the field and lists every accepted name.
+        const std::string message = set_field_message(field, value);
+        EXPECT_NE(message.find("unknown " + field + " '" + value + "'"),
+                  std::string::npos)
+            << message;
+        for (const std::string& name : *field_choices(field))
+            EXPECT_NE(message.find(name), std::string::npos)
+                << field << ": " << message;
+    }
+
+    // A spec built in code skips set_field; run_scenario reports the same
+    // message as an error row instead of throwing.
+    scenario_spec torus = zero_round_spec();
+    torus.topology = "Torus";
+    EXPECT_EQ(run_scenario(torus, 0, 1).error,
+              set_field_message("topology", "Torus"));
+    scenario_spec sos2 = zero_round_spec();
+    sos2.scheme = "sos2";
+    EXPECT_EQ(run_scenario(sos2, 0, 1).error,
+              set_field_message("scheme", "sos2"));
+}
+
+TEST(SpecValidation, BenchmarkWorkloadSweepsExpandClean)
+{
+    // The three end-to-end benchmark workloads' specs, as spec files.
+    EXPECT_EQ(load_and_expand("name = sos_torus64k_lambda\n"
+                              "topology = torus\nnodes = 65536\n"
+                              "scheme = sos\nrounding = randomized\n"
+                              "load = point\ntokens_per_node = 1000\n"
+                              "rounds = 1000\n"
+                              "sweep.speeds = uniform, zipf\n")
+                  .size(),
+              2u);
+    EXPECT_EQ(load_and_expand("name = sos_torus1m_serial\n"
+                              "topology = torus\nnodes = 1048576\n"
+                              "scheme = sos\nbeta = 1.992268632705741\n"
+                              "rounding = randomized\nload = random\n"
+                              "tokens_per_node = 100\nrounds = 100\n")
+                  .size(),
+              1u);
+    EXPECT_EQ(load_and_expand("name = sweep_4k_fanout\n"
+                              "nodes = 4096\ntopology_param = 12\n"
+                              "tokens_per_node = 100\nworkload_rate = 64\n"
+                              "rounds = 200\n"
+                              "sweep.topology = hypercube, random_regular\n"
+                              "sweep.speeds = uniform, zipf\n"
+                              "sweep.scheme = fos, sos, chebyshev\n"
+                              "sweep.rounding = randomized, floor, nearest, "
+                              "bernoulli_edge\n"
+                              "sweep.workload = static, poisson\n")
+                  .size(),
+              96u);
 }
 
 TEST(CampaignRegistry, EveryTopologyBuilds)

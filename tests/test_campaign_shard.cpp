@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "campaign/campaign_executor.hpp"
+#include "campaign/cost_model.hpp"
 #include "campaign/graph_cache.hpp"
 #include "campaign/report.hpp"
 #include "campaign/spec.hpp"
@@ -57,18 +58,15 @@ std::string json_of(const campaign_result& result)
 // temp file, merges, and returns the merged result.
 campaign_result shard_and_merge(const campaign_spec& spec,
                                 std::int64_t shard_count,
-                                std::vector<std::string>& paths,
-                                shard_balance balance = shard_balance::round_robin)
+                                std::vector<std::string>& paths)
 {
     for (std::int64_t s = 0; s < shard_count; ++s) {
         campaign_options options;
         options.threads = 2;
         options.shard_index = s;
         options.shard_count = shard_count;
-        options.balance = balance;
         const auto shard = run_campaign(spec, options);
         const std::string path = ::testing::TempDir() + "dlb_shard_" +
-                                 to_string(balance) + "_" +
                                  std::to_string(shard_count) + "_" +
                                  std::to_string(s) + ".csv";
         std::ofstream out(path);
@@ -105,76 +103,47 @@ TEST_F(ShardMergeTest, FourWayMergeIsByteIdenticalToUnsharded)
     EXPECT_EQ(json_of(full), json_of(merged));
 }
 
-TEST_F(ShardMergeTest, CostBalancedTwoWayMergeIsByteIdenticalToUnsharded)
+TEST_F(ShardMergeTest, CostSkewedTwoWayMergeIsByteIdenticalToUnsharded)
 {
-    // Cost-balanced shards own different (non-round-robin) index sets, but
-    // global indices ride along in the rows, so the merge reassembles the
-    // same canonical bytes — across a sweep heterogeneous in nodes and
-    // rounds, where the LPT assignment actually diverges from round-robin.
+    // Across a sweep heterogeneous in nodes and rounds the LPT shards own
+    // index sets far from round-robin, but global indices ride along in
+    // the rows, so the merge reassembles the same canonical bytes.
     campaign_spec spec = shard_spec();
     spec.axes["nodes"] = {"25", "100", "256"};
     spec.axes.erase("workload"); // keep the expansion size reasonable
     const auto full = run_campaign(spec, {});
-    const auto merged =
-        shard_and_merge(spec, 2, paths_, shard_balance::cost);
+    const auto merged = shard_and_merge(spec, 2, paths_);
     EXPECT_EQ(csv_of(full), csv_of(merged));
     EXPECT_EQ(json_of(full), json_of(merged));
 }
 
-TEST_F(ShardMergeTest, CostBalancedFourWayMergeIsByteIdenticalToUnsharded)
+TEST_F(ShardMergeTest, CostSkewedFourWayMergeIsByteIdenticalToUnsharded)
 {
     campaign_spec spec = shard_spec();
     spec.axes["nodes"] = {"25", "100", "256"};
     spec.axes.erase("workload");
     const auto full = run_campaign(spec, {});
-    const auto merged =
-        shard_and_merge(spec, 4, paths_, shard_balance::cost);
+    const auto merged = shard_and_merge(spec, 4, paths_);
     EXPECT_EQ(csv_of(full), csv_of(merged));
     EXPECT_EQ(json_of(full), json_of(merged));
-}
-
-TEST_F(ShardMergeTest, MixedBalanceModesFailMergeValidation)
-{
-    // One shard run round-robin, the other cost-balanced: the index sets
-    // overlap/miss, and the merge's coverage validation must say so. The
-    // sweep is cost-skewed enough that the LPT assignment provably differs
-    // from round-robin (one cell dominates, so LPT isolates it on its own
-    // shard while round-robin alternates).
-    campaign_spec spec;
-    spec.name = "mixed-balance";
-    spec.base.nodes = 36;
-    spec.base.tokens_per_node = 50;
-    spec.axes["nodes"] = {"36", "256", "1024"};
-    spec.axes["rounds"] = {"50", "300"};
-    for (std::int64_t s = 0; s < 2; ++s) {
-        campaign_options options;
-        options.shard_index = s;
-        options.shard_count = 2;
-        options.balance =
-            s == 0 ? shard_balance::round_robin : shard_balance::cost;
-        const auto shard = run_campaign(spec, options);
-        const std::string path = ::testing::TempDir() +
-                                 "dlb_shard_mixed_balance_" +
-                                 std::to_string(s) + ".csv";
-        std::ofstream out(path);
-        write_csv(out, shard);
-        paths_.push_back(path);
-    }
-    EXPECT_THROW(merge_shard_csv(spec, paths_), std::runtime_error);
 }
 
 TEST_F(ShardMergeTest, ShardsPartitionTheExpansion)
 {
     const campaign_spec spec = shard_spec();
     const auto count = spec.expected_count();
+    const auto partition = partition_scenarios(expand(spec), 3);
     std::vector<bool> covered(static_cast<std::size_t>(count), false);
     for (std::int64_t s = 0; s < 3; ++s) {
         campaign_options options;
         options.shard_index = s;
         options.shard_count = 3;
         const auto shard = run_campaign(spec, options);
-        for (const auto& r : shard.scenarios) {
-            EXPECT_EQ(r.index % 3, s);
+        const auto& assigned = partition[static_cast<std::size_t>(s)];
+        ASSERT_EQ(shard.scenarios.size(), assigned.size());
+        for (std::size_t k = 0; k < assigned.size(); ++k) {
+            const auto& r = shard.scenarios[k];
+            EXPECT_EQ(r.index, assigned[k]);
             EXPECT_FALSE(covered[static_cast<std::size_t>(r.index)]);
             covered[static_cast<std::size_t>(r.index)] = true;
         }

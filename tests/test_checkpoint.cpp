@@ -805,8 +805,9 @@ TEST_F(CheckpointTest, CampaignResumeRejectsScenarioOutsideShard)
     with_snapshots.checkpoint_dir = dir_;
     run_campaign(spec, with_snapshots);
 
-    // Scenario 0 lands in round-robin shard 0 of 2; shard 1 must refuse
-    // its snapshot rather than silently run it.
+    // Scenario 0 lands in shard 0 of 2 (equal costs: LPT puts index i on
+    // shard i mod 2); shard 1 must refuse its snapshot rather than
+    // silently run it.
     campaign_options resume;
     resume.resume_path = snapshot_path(spec, 0);
     resume.shard_index = 1;

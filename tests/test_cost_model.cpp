@@ -1,10 +1,10 @@
 // Campaign scheduler: the per-scenario cost model and the cost-balanced
 // shard partitioner. The contract under test: partitions are pure functions
 // of the spec (so independently launched shard processes agree), they cover
-// the expansion exactly once in every mode, and on a heterogeneous
-// nodes x rounds sweep the cost-balanced mode's worst shard is strictly
-// cheaper than round-robin's — the wall-clock tail the scheduler exists to
-// cut.
+// the expansion exactly once, equal costs reduce to round-robin, and on a
+// heterogeneous nodes x rounds sweep the worst LPT shard is strictly
+// cheaper than a round-robin split's — the wall-clock tail the scheduler
+// exists to cut.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -78,17 +78,6 @@ TEST(CostModel, EngineAndRoundingWeightsOrderAsCalibrated)
     EXPECT_GT(scenario_cost(make_spec(1024, 0)), 0.0);
 }
 
-TEST(CostModel, RoundRobinPartitionMatchesLegacyAssignment)
-{
-    const auto scenarios = heterogeneous_sweep();
-    const auto shards =
-        partition_scenarios(scenarios, 3, shard_balance::round_robin);
-    ASSERT_EQ(shards.size(), 3u);
-    for (std::size_t s = 0; s < shards.size(); ++s)
-        for (const std::int64_t i : shards[s])
-            EXPECT_EQ(i % 3, static_cast<std::int64_t>(s));
-}
-
 void expect_exact_cover(const std::vector<std::vector<std::int64_t>>& shards,
                         std::size_t count)
 {
@@ -104,26 +93,26 @@ void expect_exact_cover(const std::vector<std::vector<std::int64_t>>& shards,
     for (const int n : seen) EXPECT_EQ(n, 1);
 }
 
-TEST(CostModel, BothModesPartitionTheExpansionExactly)
+TEST(CostModel, PartitionCoversTheExpansionExactly)
 {
     const auto scenarios = heterogeneous_sweep();
-    for (const auto balance : {shard_balance::round_robin, shard_balance::cost})
-        for (const std::int64_t n : {1, 2, 4, 7})
-            expect_exact_cover(partition_scenarios(scenarios, n, balance),
-                               scenarios.size());
+    for (const std::int64_t n : {1, 2, 4, 7})
+        expect_exact_cover(partition_scenarios(scenarios, n),
+                           scenarios.size());
     // More shards than scenarios: some shards legitimately end up empty.
-    expect_exact_cover(
-        partition_scenarios(scenarios, 100, shard_balance::cost),
-        scenarios.size());
+    expect_exact_cover(partition_scenarios(scenarios, 100), scenarios.size());
 }
 
 TEST(CostModel, CostBalanceBeatsRoundRobinOnHeterogeneousSweep)
 {
     const auto scenarios = heterogeneous_sweep();
     for (const std::int64_t n : {2, 4}) {
-        const auto rr =
-            partition_scenarios(scenarios, n, shard_balance::round_robin);
-        const auto lpt = partition_scenarios(scenarios, n, shard_balance::cost);
+        // The round-robin baseline: index i on shard i mod n.
+        const auto count = static_cast<std::int64_t>(scenarios.size());
+        std::vector<std::vector<std::int64_t>> rr(static_cast<std::size_t>(n));
+        for (std::int64_t i = 0; i < count; ++i)
+            rr[static_cast<std::size_t>(i % n)].push_back(i);
+        const auto lpt = partition_scenarios(scenarios, n);
         double rr_max = 0.0, lpt_max = 0.0;
         for (const auto& shard : rr)
             rr_max = std::max(rr_max, shard_cost(scenarios, shard));
@@ -139,32 +128,24 @@ TEST(CostModel, PartitionIsDeterministic)
     // Equal-cost scenarios everywhere: assignment is decided purely by the
     // deterministic tie-breaks (ascending index onto the lowest shard id),
     // so repeated calls — i.e. independently launched shard processes —
-    // must produce the identical partition.
+    // must produce the identical partition, and it is round-robin.
     std::vector<scenario_spec> uniform(12, make_spec(1024, 100));
-    const auto a = partition_scenarios(uniform, 5, shard_balance::cost);
-    const auto b = partition_scenarios(uniform, 5, shard_balance::cost);
+    const auto a = partition_scenarios(uniform, 5);
+    const auto b = partition_scenarios(uniform, 5);
     EXPECT_EQ(a, b);
+    for (std::size_t s = 0; s < a.size(); ++s)
+        for (const std::int64_t i : a[s])
+            EXPECT_EQ(i % 5, static_cast<std::int64_t>(s));
 
     const auto scenarios = heterogeneous_sweep();
-    EXPECT_EQ(partition_scenarios(scenarios, 4, shard_balance::cost),
-              partition_scenarios(scenarios, 4, shard_balance::cost));
-}
-
-TEST(CostModel, ParseShardBalance)
-{
-    EXPECT_EQ(parse_shard_balance("round-robin"), shard_balance::round_robin);
-    EXPECT_EQ(parse_shard_balance("cost"), shard_balance::cost);
-    EXPECT_THROW(parse_shard_balance("lpt"), std::invalid_argument);
-    EXPECT_THROW(parse_shard_balance(""), std::invalid_argument);
-    EXPECT_EQ(to_string(shard_balance::cost), "cost");
-    EXPECT_EQ(to_string(shard_balance::round_robin), "round-robin");
+    EXPECT_EQ(partition_scenarios(scenarios, 4),
+              partition_scenarios(scenarios, 4));
 }
 
 TEST(CostModel, InvalidShardCountThrows)
 {
-    EXPECT_THROW(
-        partition_scenarios(heterogeneous_sweep(), 0, shard_balance::cost),
-        std::invalid_argument);
+    EXPECT_THROW(partition_scenarios(heterogeneous_sweep(), 0),
+                 std::invalid_argument);
 }
 
 } // namespace

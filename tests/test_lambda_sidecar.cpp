@@ -101,7 +101,6 @@ TEST_F(LambdaSidecarTest, PrePopulatedSidecarWarmsEveryShard)
         options.lambda_cache_path = path_;
         options.shard_index = s;
         options.shard_count = 2;
-        options.balance = shard_balance::cost;
         const auto shard = run_campaign(spec, options);
         EXPECT_EQ(shard.cache.lambda_misses, 0)
             << "shard " << s << " should start warm from the sidecar";

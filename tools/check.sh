@@ -1,8 +1,7 @@
 #!/usr/bin/env sh
-# Unified static-check entry point: the contract analyzer and the spec
-# linter, each with its fixture self-test, one exit code. This is the exact
-# command the CI contract-analyzer job and the docs/correctness.md gate
-# table reference:
+# Static-check entry point: the contract analyzer and its fixture
+# self-test, one exit code. This is the exact command the CI
+# contract-analyzer job and the docs/correctness.md gate table reference:
 #
 #   tools/check.sh
 #
@@ -21,10 +20,6 @@ run() {
 run "$python" "$root/tools/dlb_analyzer" --base "$root" --root src
 run "$python" "$root/tools/dlb_analyzer" --base "$root" \
     --self-test tests/analyzer_fixtures
-
-run "$python" "$root/tools/spec_lint.py" --check-tables "$root/src" \
-    "$root"/specs/*.spec
-run "$python" "$root/tools/spec_lint.py" --self-test "$root/tests/spec_fixtures"
 
 if [ "$status" -eq 0 ]; then
     echo "check.sh: all static gates clean"

@@ -4,7 +4,7 @@
     python3 tools/dlb_analyzer --self-test tests/analyzer_fixtures
 
 Exit codes: 0 clean, 1 findings (or self-test mismatch), 2 usage error, so
-tools/check.sh can aggregate it with the spec linter.
+tools/check.sh can aggregate the analysis and the self-test.
 """
 
 from __future__ import annotations
