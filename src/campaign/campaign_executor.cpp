@@ -18,7 +18,6 @@
 #include "core/checkpoint.hpp"
 #include "core/diffusion_matrix.hpp"
 #include "core/hybrid.hpp"
-#include "core/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/progress.hpp"
 #include "sim/runner.hpp"
@@ -196,6 +195,48 @@ scenario_instance resolve_instance(const scenario_spec& spec,
     return out;
 }
 
+/// A scenario's run: the runner configuration and the workload hook it
+/// points at. run_scenario runs it from round 0; measure_windows resumes
+/// it from a snapshot, once per window seed.
+struct scenario_run {
+    experiment_config config;
+    std::unique_ptr<workload_hook> workload;
+};
+
+/// The run of `spec` on its resolved `diffusion` with engine seed `seed`
+/// (the spec's own, or a window's), recording every `record_every` rounds.
+scenario_run make_run(const scenario_spec& spec, diffusion_config diffusion,
+                      std::uint64_t seed, std::int64_t record_every)
+{
+    // The versioned stream format reaches every randomized consumer: the
+    // load pattern (run_scenario), the workload model, and the engine's
+    // rounding. Topology construction and speed assignment stay
+    // format-independent by design, so graphs and lambdas are shared
+    // across a sweep.rng_version axis.
+    const rng_version rng = resolve_rng_version(spec);
+    scenario_run run;
+    run.workload = make_workload(
+        {spec.workload, spec.workload_rate, spec.workload_amount,
+         spec.workload_period},
+        diffusion.network->num_nodes(), mix64(seed, kWorkloadStream), rng);
+
+    experiment_config& config = run.config;
+    config.diffusion = std::move(diffusion);
+    config.process = lookup(kProcessNames, spec.process);
+    config.rounding = lookup(kRoundingNames, spec.rounding);
+    config.seed = seed;
+    config.rng = rng;
+    config.policy = lookup(kPolicyNames, spec.policy);
+    config.rounds = spec.rounds;
+    config.record_every = record_every;
+    config.switching = resolve_switching(spec);
+    // Plateau window scaled to the round budget: the runner default of
+    // 200 can never converge on short campaign runs.
+    config.imbalance_window = std::clamp<std::int64_t>(spec.rounds / 4, 8, 200);
+    config.workload = run.workload.get();
+    return run;
+}
+
 } // namespace
 
 scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
@@ -222,39 +263,15 @@ scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
         result.lambda = instance.lambda;
         result.beta = instance.beta;
 
-        // The versioned stream format reaches every randomized consumer:
-        // the load pattern, the workload model, and the engine's rounding.
-        // Topology construction and speed assignment stay format-independent
-        // by design, so graphs and lambdas are shared across a
-        // sweep.rng_version axis.
-        const rng_version rng = resolve_rng_version(spec);
-
-        const auto initial =
-            build_initial_load(spec.load_pattern, g.num_nodes(),
-                               spec.tokens_per_node, mix64(spec.seed, kLoadStream),
-                               rng);
+        const auto initial = build_initial_load(
+            spec.load_pattern, g.num_nodes(), spec.tokens_per_node,
+            mix64(spec.seed, kLoadStream), resolve_rng_version(spec));
         result.initial_total =
             std::accumulate(initial.begin(), initial.end(), std::int64_t{0});
 
-        const auto workload = make_workload(
-            {spec.workload, spec.workload_rate, spec.workload_amount,
-             spec.workload_period},
-            g.num_nodes(), mix64(spec.seed, kWorkloadStream), rng);
-
-        experiment_config config;
-        config.diffusion = std::move(instance.diffusion);
-        config.process = lookup(kProcessNames, spec.process);
-        config.rounding = lookup(kRoundingNames, spec.rounding);
-        config.seed = spec.seed;
-        config.rng = rng;
-        config.policy = lookup(kPolicyNames, spec.policy);
-        config.rounds = spec.rounds;
-        config.record_every = record_every;
-        config.switching = resolve_switching(spec);
-        // Plateau window scaled to the round budget: the runner default of
-        // 200 can never converge on short campaign runs.
-        config.imbalance_window = std::clamp<std::int64_t>(spec.rounds / 4, 8, 200);
-        config.workload = workload.get();
+        scenario_run run = make_run(spec, std::move(instance.diffusion),
+                                    spec.seed, record_every);
+        experiment_config& config = run.config;
         config.exec = engine_exec; // nullptr: serial round kernels (the
                                    // default when campaigns parallelize
                                    // across scenarios instead)
@@ -605,15 +622,8 @@ measure_windows_result measure_windows(const campaign_spec& spec,
     // The spec hash already guarantees these inputs equal the
     // checkpointing run's.
     const scenario_instance instance = resolve_instance(target, nullptr);
-    const graph& g = *instance.network;
-    const diffusion_config& diffusion = instance.diffusion;
-
-    const rounding_kind rounding = lookup(kRoundingNames, target.rounding);
-    const negative_load_policy policy = lookup(kPolicyNames, target.policy);
-    const rng_version rng = resolve_rng_version(target);
-    const switch_policy switching = resolve_switching(target);
     const std::vector<std::int64_t> zeros(
-        static_cast<std::size_t>(g.num_nodes()), 0);
+        static_cast<std::size_t>(instance.network->num_nodes()), 0);
 
     measure_windows_result result;
     result.campaign = spec;
@@ -623,51 +633,29 @@ measure_windows_result measure_windows(const campaign_spec& spec,
     result.start_round = snapshot.round;
     result.window_rounds = options.window_rounds;
 
+    // Each window resumes the scenario's own run from the snapshot. The
+    // seed is a construction parameter, not engine state, so re-seeding a
+    // window means resuming from a copy whose seed is the window's.
+    engine_checkpoint reseeded = snapshot;
     for (std::int64_t k = 0; k < options.windows; ++k) {
         // Window 0 keeps the original seed: with window_rounds reaching the
-        // scenario's horizon it replays the uninterrupted tail bit for bit,
-        // which is how the tests pin this loop to the runner's.
+        // scenario's horizon it replays the uninterrupted tail bit for bit.
         const std::uint64_t window_seed =
             k == 0 ? target.seed
                    : mix64(target.seed, kWindowStream,
                            static_cast<std::uint64_t>(k));
-        discrete_process engine(diffusion, zeros, rounding, window_seed,
-                                policy, nullptr, nullptr, rng);
-        engine.restore_checkpoint(snapshot.discrete);
-        hybrid_controller hybrid(switching);
-        hybrid.restore(snapshot.runner.hybrid_switched,
-                       snapshot.runner.hybrid_switch_round);
-        const auto workload = make_workload(
-            {target.workload, target.workload_rate, target.workload_amount,
-             target.workload_period},
-            g.num_nodes(), mix64(window_seed, kWorkloadStream), rng);
-
-        std::vector<std::int64_t> delta;
-        std::vector<double> load_view;
-        if (workload != nullptr) {
-            delta.resize(static_cast<std::size_t>(g.num_nodes()));
-            load_view.resize(delta.size());
-        }
-
-        const std::int64_t end = snapshot.round + options.window_rounds;
-        for (std::int64_t t = snapshot.round; t < end; ++t) {
-            const auto load = engine.load();
-            const double global = max_minus_average(load);
-            const double local = max_local_difference(g, load);
-            if (hybrid.should_switch(t, local, global))
-                engine.set_scheme(fos_scheme());
-            if (workload != nullptr) {
-                std::copy(load.begin(), load.end(), load_view.begin());
-                std::fill(delta.begin(), delta.end(), std::int64_t{0});
-                if (workload->apply(t, load_view, delta)) engine.inject(delta);
-            }
-            engine.step();
-        }
+        reseeded.seed = window_seed;
+        scenario_run run = make_run(target, instance.diffusion, window_seed,
+                                    snapshot.record_every);
+        run.config.rounds = snapshot.round + options.window_rounds;
+        run.config.checkpoint_spec_hash = campaign_hash;
+        run.config.resume = &reseeded;
+        const time_series series = run_experiment(run.config, zeros);
 
         window_sample sample;
         sample.window = k;
         sample.seed = window_seed;
-        sample.discrepancy = max_minus_average(engine.load());
+        sample.discrepancy = series.max_minus_average.back();
         result.samples.push_back(sample);
     }
 
