@@ -58,6 +58,16 @@ public:
     bool should_switch(std::int64_t round, double local_difference,
                        double global_difference);
 
+    /// True when should_switch(round, ...) reads its local_difference
+    /// argument: an unfired local_threshold trigger past round 0. Callers
+    /// may skip measuring the local difference on every other round.
+    bool reads_local_difference(std::int64_t round) const noexcept
+    {
+        return !switched_ &&
+               policy_.mode == switch_policy::trigger::local_threshold &&
+               round > 0;
+    }
+
     bool switched() const noexcept { return switched_; }
     std::int64_t switch_round() const noexcept { return switch_round_; }
     const switch_policy& policy() const noexcept { return policy_; }

@@ -11,12 +11,14 @@
 #define DLB_CORE_METRICS_HPP
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <span>
 #include <vector>
 
+#include "core/executor.hpp"
 #include "graph/graph.hpp"
 
 namespace dlb {
@@ -45,18 +47,29 @@ double max_minus_ideal(std::span<const Load> load, std::span<const double> ideal
     return best;
 }
 
-/// max_{(u,v) in E} |x_u - x_v|.
+/// max_{(u,v) in E} |x_u - x_v|, over canonical edges in a max-reduce on
+/// `exec`. The value is bit-identical for any executor and to a walk over
+/// both half-edges of every edge: |a - b| == |b - a| exactly, the running
+/// max starts at +0.0 (so a -0.0 difference never wins), and max is exact
+/// in any order.
 template <class Load>
-double max_local_difference(const graph& g, std::span<const Load> load)
+double max_local_difference(const graph& g, std::span<const Load> load,
+                            executor& exec = default_executor())
 {
-    double best = 0.0;
-    for (node_id v = 0; v < g.num_nodes(); ++v)
-        for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v); ++h) {
-            const double diff =
-                static_cast<double>(load[v]) - static_cast<double>(load[g.head(h)]);
-            best = std::max(best, diff < 0 ? -diff : diff);
-        }
-    return best;
+    const std::span<const half_edge_id> edges = g.canonical_half_edges();
+    return exec.parallel_reduce(
+        g.num_edges(), 0.0,
+        [&](std::int64_t begin, std::int64_t end) {
+            double best = 0.0;
+            for (std::int64_t e = begin; e < end; ++e) {
+                const half_edge_id h = edges[static_cast<std::size_t>(e)];
+                const double diff = static_cast<double>(load[g.tail(h)]) -
+                                    static_cast<double>(load[g.head(h)]);
+                best = std::max(best, std::fabs(diff));
+            }
+            return best;
+        },
+        [](double a, double b) { return std::max(a, b); });
 }
 
 /// Speed-normalized local difference max |x_u/s_u - x_v/s_v| (heterogeneous).
@@ -70,7 +83,7 @@ double max_local_difference_normalized(const graph& g, std::span<const Load> loa
             const node_id u = g.head(h);
             const double diff = static_cast<double>(load[v]) / speeds[v] -
                                 static_cast<double>(load[u]) / speeds[u];
-            best = std::max(best, diff < 0 ? -diff : diff);
+            best = std::max(best, std::fabs(diff));
         }
     return best;
 }
@@ -119,7 +132,7 @@ double max_deviation(std::span<const A> x, std::span<const B> y)
     double best = 0.0;
     for (std::size_t v = 0; v < x.size(); ++v) {
         const double diff = static_cast<double>(x[v]) - static_cast<double>(y[v]);
-        best = std::max(best, diff < 0 ? -diff : diff);
+        best = std::max(best, std::fabs(diff));
     }
     return best;
 }
@@ -131,9 +144,61 @@ double delta_infinity(std::span<const Load> load, std::span<const double> ideal)
     double best = 0.0;
     for (std::size_t v = 0; v < load.size(); ++v) {
         const double diff = static_cast<double>(load[v]) - ideal[v];
-        best = std::max(best, diff < 0 ? -diff : diff);
+        best = std::max(best, std::fabs(diff));
     }
     return best;
+}
+
+/// One round's measurement, as the runner reads it.
+struct round_measurement {
+    double global = 0.0;    // max_v x_v - sum_v x_v / n
+    double local = 0.0;     // max local difference; NaN when not requested
+    double potential = 0.0; // sum_v (x_v - ideal_v)^2; 0 when no ideal given
+    double min = 0.0;       // min_v x_v
+    double sum = 0.0;       // sum_v x_v
+};
+
+/// Every per-round metric of `load` in one serial pass in ascending node
+/// order: the sum, max and min always, the potential only against a
+/// non-empty `ideal`, and the local difference (max_local_difference on
+/// `exec`) only when `with_local` is set. Each sum runs in the order of the
+/// single-metric functions above, so every value is bit-identical to
+/// theirs. An empty load measures all zeros.
+template <class Load>
+round_measurement measure_round(const graph& g, std::span<const Load> load,
+                                std::span<const double> ideal, bool with_local,
+                                executor& exec)
+{
+    round_measurement out;
+    out.local = with_local ? max_local_difference(g, load, exec)
+                           : std::numeric_limits<double>::quiet_NaN();
+    if (load.empty()) return out;
+    double max_value = static_cast<double>(load.front());
+    double min_value = max_value;
+    double sum = 0.0;
+    if (ideal.empty()) {
+        for (const Load value : load) {
+            const double x = static_cast<double>(value);
+            sum += x;
+            max_value = std::max(max_value, x);
+            min_value = std::min(min_value, x);
+        }
+    } else {
+        double acc = 0.0;
+        for (std::size_t v = 0; v < load.size(); ++v) {
+            const double x = static_cast<double>(load[v]);
+            sum += x;
+            max_value = std::max(max_value, x);
+            min_value = std::min(min_value, x);
+            const double diff = x - ideal[v];
+            acc += diff * diff;
+        }
+        out.potential = acc;
+    }
+    out.global = max_value - sum / static_cast<double>(load.size());
+    out.min = min_value;
+    out.sum = sum;
+    return out;
 }
 
 /// The rows a run has recorded so far (one entry per recorded round in

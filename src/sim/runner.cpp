@@ -78,6 +78,8 @@ time_series run_loop(Engine& engine, State engine_checkpoint::*section,
                      const experiment_config& config, continuous_process* twin)
 {
     const graph& g = *config.diffusion.network;
+    executor& exec =
+        config.exec != nullptr ? *config.exec : default_executor();
 
     hybrid_controller hybrid(config.switching);
     imbalance_tracker tracker(config.imbalance_window);
@@ -155,30 +157,36 @@ time_series run_loop(Engine& engine, State engine_checkpoint::*section,
             if (config.after_checkpoint) config.after_checkpoint(t);
         }
 
+        // One measurement per round (docs/architecture.md, "Per-round
+        // measurement"): sum, max and min always; the potential and the
+        // local difference only when a recorded row or an unfired local
+        // switch trigger reads them.
         const auto load = engine.load();
-        const double global = max_minus_average(load);
-        const double local = max_local_difference(g, load);
-        tracker.observe(global);
+        const bool recorded =
+            t % config.record_every == 0 || t == config.rounds;
+        if (recorded && ideal_stale) {
+            ideal_basis = baseline_total;
+            ideal = config.diffusion.speeds.ideal_load(ideal_basis);
+            ideal_stale = false;
+        }
+        const round_measurement measured = measure_round(
+            g, load,
+            recorded ? std::span<const double>(ideal)
+                     : std::span<const double>(),
+            recorded || hybrid.reads_local_difference(t), exec);
+        tracker.observe(measured.global);
 
-        if (t % config.record_every == 0 || t == config.rounds) {
-            if (ideal_stale) {
-                ideal_basis = baseline_total;
-                ideal = config.diffusion.speeds.ideal_load(ideal_basis);
-                ideal_stale = false;
-            }
+        if (recorded) {
             out.rounds.push_back(t);
-            out.max_minus_average.push_back(global);
-            out.max_local_difference.push_back(local);
-            out.potential_over_n.push_back(
-                potential(load, std::span<const double>(ideal)) /
-                static_cast<double>(g.num_nodes()));
-            out.min_load.push_back(min_load(load));
+            out.max_minus_average.push_back(measured.global);
+            out.max_local_difference.push_back(measured.local);
+            out.potential_over_n.push_back(measured.potential /
+                                           static_cast<double>(g.num_nodes()));
+            out.min_load.push_back(measured.min);
             out.min_transient_load.push_back(
                 engine.negative_stats().min_transient_load);
-            const double total_now = std::accumulate(
-                load.begin(), load.end(), 0.0,
-                [](double acc, auto v) { return acc + static_cast<double>(v); });
-            out.total_load_error.push_back(std::abs(total_now - baseline_total));
+            out.total_load_error.push_back(
+                std::abs(measured.sum - baseline_total));
             if (with_twin)
                 out.deviation_from_twin.push_back(
                     max_deviation(load, twin->load()));
@@ -186,7 +194,7 @@ time_series run_loop(Engine& engine, State engine_checkpoint::*section,
 
         if (t == config.rounds) break;
 
-        if (hybrid.should_switch(t, local, global)) {
+        if (hybrid.should_switch(t, measured.local, measured.global)) {
             engine.set_scheme(config.switch_to);
             if (with_twin) twin->set_scheme(config.switch_to);
             out.switch_round = t;
