@@ -348,10 +348,10 @@ void round_flows(const graph& g, rounding_kind kind,
         kernel_counter(kind).add(g.num_half_edges());
 
     // Deterministic roundings need no owner/mirror split: the negative side
-    // is the exact negation of rounding the positive side (floor and
-    // llround are odd under negating their nonzero argument, and the
-    // scheduled flows are antisymmetric), so one fused branch-free sweep
-    // writes every half-edge exactly once.
+    // is the exact negation of rounding the positive side (each half-edge
+    // rounds |yhat| and restores the sign, and the scheduled flows are
+    // antisymmetric), so one fused branch-free sweep writes every
+    // half-edge exactly once.
     if (kind == rounding_kind::floor || kind == rounding_kind::nearest) {
         exec.parallel_for(
             g.num_half_edges(), [&](std::int64_t begin, std::int64_t end) {
@@ -363,10 +363,19 @@ void round_flows(const graph& g, rounding_kind kind,
                         flows_out[h] = yhat > 0.0 ? magnitude : -magnitude;
                     }
                 } else {
+                    // Half away from zero, as std::llround, without its
+                    // libm call: trunc-by-cast is floor for the magnitude,
+                    // and magnitude - floor is exact, so this equals
+                    // llround for every finite magnitude below 2^63 (the
+                    // range the int64 cast already requires).
                     for (half_edge_id h = begin; h < end; ++h) {
                         const double yhat = scheduled[h];
-                        const std::int64_t magnitude = std::llround(std::fabs(yhat));
-                        flows_out[h] = yhat > 0.0 ? magnitude : -magnitude;
+                        const double magnitude = std::fabs(yhat);
+                        const auto floored = static_cast<std::int64_t>(magnitude);
+                        const std::int64_t rounded =
+                            floored +
+                            (magnitude - static_cast<double>(floored) >= 0.5);
+                        flows_out[h] = yhat > 0.0 ? rounded : -rounded;
                     }
                 }
             });
