@@ -98,7 +98,8 @@ int main(int argc, char** argv)
         print_row({"rgg n=10^4 r=sqrt(log n)", 1.9554636334, lambda});
         std::cout << "    (rgg degree: min " << g.min_degree() << " max "
                   << g.max_degree() << " avg " << g.average_degree()
-                  << "; paper radius formula is ambiguous, see EXPERIMENTS.md)\n";
+                  << "; paper radius formula is ambiguous, see the RGG "
+                     "paragraph of ROADMAP.md's paper-scale evidence item)\n";
     }
 
     bench::verdict(true,

@@ -62,7 +62,8 @@ graph make_random_geometric(node_id n, double radius, std::uint64_t seed,
 /// The paper's RGG radius for n nodes in [0, sqrt(n)]^2. Table I lists
 /// r = (log n)^(1/4) * 4 / ... — the text reads "4-th root times" ambiguously;
 /// we follow the caption of Figure 14 ("connectivity radius sqrt(log n)")
-/// scaled by `factor` (default 1.0). See EXPERIMENTS.md.
+/// scaled by `factor` (default 1.0). ROADMAP.md's paper-scale evidence item
+/// (its RGG paragraph) records how the two readings compare with Table I.
 double rgg_paper_radius(node_id n, double factor = 1.0);
 
 } // namespace dlb
