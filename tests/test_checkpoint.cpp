@@ -960,6 +960,51 @@ TEST_F(CheckpointTest, WindowZeroReproducesTheFullRunExactly)
     EXPECT_EQ(result.start_round, snapshot.round);
 }
 
+TEST_F(CheckpointTest, ResumeAndWindowZeroReplayAnUnfiredLocalSwitch)
+{
+    // A local trigger that has not fired at the snapshot must go on
+    // reading the local difference on every round after a resume,
+    // recorded (every 7th) or not, on both the resumed run and window 0.
+    // A point load on 256 nodes keeps the local difference falling past
+    // the round-30 snapshot; the first threshold (ascending) that fires at
+    // all fires latest.
+    campaign_spec spec = windows_spec();
+    spec.base.nodes = 256;
+    spec.base.load_pattern = "point";
+    spec.base.switch_mode = "local";
+    campaign_options sparse;
+    sparse.record_every = 7;
+    std::int64_t switch_round = -1;
+    for (double threshold = 0.5; threshold <= 50.0 && switch_round < 0;
+         threshold += 0.5) {
+        spec.base.switch_value = threshold;
+        switch_round = run_campaign(spec, sparse).scenarios[0].switch_round;
+    }
+    ASSERT_GT(switch_round, 30) << "no threshold fires after the snapshot";
+    EXPECT_NE(switch_round % 7, 0) << "the switch round is recorded";
+
+    campaign_options with_snapshots = sparse;
+    with_snapshots.checkpoint_every = 30;
+    with_snapshots.checkpoint_dir = dir_;
+    const auto full = run_campaign(spec, with_snapshots);
+    const engine_checkpoint snapshot =
+        read_checkpoint_file(snapshot_path(spec));
+    ASSERT_EQ(snapshot.round, 30);
+    EXPECT_FALSE(snapshot.runner.hybrid_switched);
+
+    campaign_options resume = sparse;
+    resume.resume_path = snapshot_path(spec);
+    const auto resumed = run_campaign(spec, resume);
+    EXPECT_EQ(resumed.scenarios[0].switch_round, switch_round);
+    EXPECT_EQ(csv_of(full), csv_of(resumed));
+
+    measure_windows_options options;
+    options.windows = 1;
+    options.window_rounds = spec.base.rounds - snapshot.round;
+    EXPECT_EQ(measure_windows(spec, snapshot, options).samples[0].discrepancy,
+              full.scenarios[0].final_max_minus_average);
+}
+
 TEST_F(CheckpointTest, WindowAggregatesAreConsistent)
 {
     const campaign_spec spec = windows_spec();
