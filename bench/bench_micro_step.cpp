@@ -295,7 +295,7 @@ void bm_lanczos_lambda(benchmark::State& state)
     const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
     const auto speeds = speed_profile::uniform(g.num_nodes());
     for (auto _ : state)
-        benchmark::DoNotOptimize(compute_lambda(g, alpha, speeds, 80, 1e-8));
+        benchmark::DoNotOptimize(compute_lambda(g, alpha, speeds));
 }
 BENCHMARK(bm_lanczos_lambda)->Arg(64)->Unit(benchmark::kMillisecond);
 

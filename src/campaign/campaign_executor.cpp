@@ -162,8 +162,27 @@ scenario_instance resolve_instance(const scenario_spec& spec,
         make_alpha(g, lookup(kAlphaNames, spec.alpha), spec.alpha_gamma);
     diffusion.speeds = resolve_speeds(spec, g.num_nodes());
     const auto lambda_of = [&] {
+        // A closed form where the registry has one for these inputs,
+        // else one Lanczos solve; the metrics say which served each miss.
         const auto solve = [&] {
-            return compute_lambda(g, diffusion.alpha, diffusion.speeds);
+            if (lookup(kAlphaNames, spec.alpha) ==
+                    alpha_policy::max_degree_plus_one &&
+                lookup(kSpeedNames, spec.speeds) == speed_kind::uniform) {
+                if (const auto exact =
+                        closed_form_lambda(spec.topology, spec.nodes)) {
+                    static obs::counter& closed_forms =
+                        obs::registry_counter("linalg.lambda_closed_form");
+                    closed_forms.add(1);
+                    return *exact;
+                }
+            }
+            int steps = 0;
+            const double lambda =
+                compute_lambda(g, diffusion.alpha, diffusion.speeds, &steps);
+            static obs::histogram& lanczos_steps =
+                obs::registry_histogram("linalg.lanczos_steps");
+            lanczos_steps.record(steps);
+            return lambda;
         };
         return cache != nullptr ? cache->lambda(lambda_cache_key(spec), solve)
                                 : solve();

@@ -38,13 +38,16 @@ cache_obs& cache_metrics()
 
 // Sidecar file format, one entry per line:
 //
-//   # dlb lambda sidecar v1
+//   # dlb lambda sidecar v2
 //   <lambda_cache_key>\t<format_double(lambda)>
 //
 // Keys are '|'-joined registry names and round-trip-formatted numbers —
 // never tabs or newlines — so the last tab on a line splits key from
-// value unambiguously. Comment lines start with '#'.
-constexpr const char* kSidecarHeader = "# dlb lambda sidecar v1";
+// value unambiguously. Comment lines start with '#'. Every v2 value is a
+// registry closed form or passed the Lanczos true-residual check; v1 files
+// hold values of an older solver that stopped at a step cap without one,
+// so the exact header check drops them and their keys recompute.
+constexpr const char* kSidecarHeader = "# dlb lambda sidecar v2";
 
 /// A value is plausible exactly when it is a finite second eigenvalue of a
 /// diffusion matrix (|lambda| <= 1). Anything else on disk is corruption —

@@ -8,6 +8,7 @@
 
 #include "campaign/workload.hpp"
 #include "graph/generators.hpp"
+#include "linalg/spectra.hpp"
 #include "sim/initial_load.hpp"
 #include "util/rng.hpp"
 
@@ -35,6 +36,17 @@ node_id square_side(std::int64_t nodes, std::int64_t minimum_side)
     return static_cast<node_id>(side);
 }
 
+int hypercube_dimension(std::int64_t nodes)
+{
+    const auto dimension = static_cast<int>(std::max<std::int64_t>(
+        1, std::llround(std::log2(
+               static_cast<double>(std::max<std::int64_t>(nodes, 2))))));
+    if (dimension > 26)
+        throw std::invalid_argument("topology hypercube: dimension " +
+                                    std::to_string(dimension) + " too large");
+    return dimension;
+}
+
 } // namespace
 
 std::uint64_t topology_seed(std::uint64_t scenario_seed)
@@ -46,12 +58,15 @@ namespace {
 
 // The single source of truth for topology families: names, whether the
 // construction consumes the seed (which decides graph-cache sharing across
-// the seed axis), and the builders. Adding a family means adding one row
-// here — topology_names / topology_uses_seed / build_topology all read it.
+// the seed axis), the builders, and the closed-form lambda where one
+// exists. Adding a family means adding one row here — topology_names /
+// topology_uses_seed / build_topology / closed_form_lambda all read it.
+// A closed form must size the graph exactly as its row's builder does.
 struct topology_family {
     const char* name;
     bool uses_seed;
     graph (*build)(std::int64_t nodes, double param, std::uint64_t seed);
+    double (*lambda)(std::int64_t nodes) = nullptr;
 };
 
 const topology_family kTopologyFamilies[] = {
@@ -59,6 +74,10 @@ const topology_family kTopologyFamilies[] = {
      [](std::int64_t nodes, double, std::uint64_t) {
          const node_id side = square_side(nodes, 3);
          return make_torus_2d(side, side);
+     },
+     [](std::int64_t nodes) {
+         const node_id side = square_side(nodes, 3);
+         return torus_2d_lambda(side, side);
      }},
     {"grid", false,
      [](std::int64_t nodes, double, std::uint64_t) {
@@ -67,18 +86,17 @@ const topology_family kTopologyFamilies[] = {
      }},
     {"hypercube", false,
      [](std::int64_t nodes, double, std::uint64_t) {
-         const auto dimension = static_cast<int>(std::max<std::int64_t>(
-             1, std::llround(std::log2(static_cast<double>(
-                    std::max<std::int64_t>(nodes, 2))))));
-         if (dimension > 26)
-             throw std::invalid_argument("topology hypercube: dimension " +
-                                         std::to_string(dimension) +
-                                         " too large");
-         return make_hypercube(dimension);
+         return make_hypercube(hypercube_dimension(nodes));
+     },
+     [](std::int64_t nodes) {
+         return hypercube_lambda(hypercube_dimension(nodes));
      }},
     {"cycle", false,
      [](std::int64_t nodes, double, std::uint64_t) {
          return make_cycle(checked_node_count("cycle", nodes, 3));
+     },
+     [](std::int64_t nodes) {
+         return cycle_lambda(checked_node_count("cycle", nodes, 3));
      }},
     {"path", false,
      [](std::int64_t nodes, double, std::uint64_t) {
@@ -91,6 +109,9 @@ const topology_family kTopologyFamilies[] = {
              throw std::invalid_argument(
                  "topology complete: O(n^2) edges; refusing n > 8192");
          return make_complete(n);
+     },
+     [](std::int64_t nodes) {
+         return complete_lambda(checked_node_count("complete", nodes, 2));
      }},
     {"star", false,
      [](std::int64_t nodes, double, std::uint64_t) {
@@ -132,6 +153,14 @@ const topology_family* find_family(const std::string& name)
     return nullptr;
 }
 
+const topology_family& known_family(const std::string& name)
+{
+    const topology_family* entry = find_family(name);
+    if (entry == nullptr)
+        throw std::invalid_argument("unknown topology family '" + name + "'");
+    return *entry;
+}
+
 } // namespace
 
 bool topology_uses_seed(const std::string& family)
@@ -153,10 +182,15 @@ const std::vector<std::string>& topology_names()
 graph build_topology(const std::string& family, std::int64_t nodes,
                      double param, std::uint64_t seed)
 {
-    const topology_family* entry = find_family(family);
-    if (entry == nullptr)
-        throw std::invalid_argument("unknown topology family '" + family + "'");
-    return entry->build(nodes, param, seed);
+    return known_family(family).build(nodes, param, seed);
+}
+
+std::optional<double> closed_form_lambda(const std::string& family,
+                                         std::int64_t nodes)
+{
+    const topology_family& entry = known_family(family);
+    if (entry.lambda == nullptr) return std::nullopt;
+    return entry.lambda(nodes);
 }
 
 const std::vector<std::string>& load_pattern_names()

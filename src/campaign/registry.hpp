@@ -16,6 +16,7 @@
 #define DLB_CAMPAIGN_REGISTRY_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,6 +53,14 @@ bool topology_uses_seed(const std::string& family);
 /// Throws std::invalid_argument on unknown names or impossible sizes.
 graph build_topology(const std::string& family, std::int64_t nodes,
                      double param, std::uint64_t seed);
+
+/// lambda (second-largest eigenvalue magnitude of M) of the graph
+/// build_topology(family, nodes, ...) builds, in closed form
+/// (linalg/spectra.hpp), for alpha max_degree_plus_one and uniform speeds;
+/// nullopt for a family without one. Sizes round exactly as the family's
+/// builder rounds them. Throws std::invalid_argument on unknown names.
+std::optional<double> closed_form_lambda(const std::string& family,
+                                         std::int64_t nodes);
 
 /// Registered initial-load pattern names.
 const std::vector<std::string>& load_pattern_names();

@@ -1,6 +1,9 @@
 #include "core/diffusion_matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <iomanip>
+#include <sstream>
 #include <stdexcept>
 
 #include "linalg/lanczos.hpp"
@@ -105,15 +108,26 @@ std::vector<double> top_eigenvector_symmetrized(const speed_profile& speeds)
 }
 
 double compute_lambda(const graph& g, const std::vector<double>& alpha,
-                      const speed_profile& speeds, int max_iterations,
-                      double tolerance)
+                      const speed_profile& speeds, int* steps)
 {
     const sparse_op sym = make_symmetrized_diffusion_operator(g, alpha, speeds);
     const std::vector<std::vector<double>> deflate{
         top_eigenvector_symmetrized(speeds)};
-    return lanczos_lambda2(
+    const lanczos_result result = lanczos_extreme_eigenvalues(
         [&sym](std::span<const double> x, std::span<double> y) { sym.apply(x, y); },
-        static_cast<std::size_t>(g.num_nodes()), deflate, max_iterations, tolerance);
+        static_cast<std::size_t>(g.num_nodes()), deflate);
+    const double lambda =
+        std::max(std::abs(result.largest), std::abs(result.smallest));
+    if (!result.converged) {
+        std::ostringstream message;
+        message << std::setprecision(17) << "lambda did not converge: "
+                << lambda << " after " << result.iterations
+                << " Lanczos steps, residual " << std::setprecision(3)
+                << result.residual << " > " << kLanczosTolerance;
+        throw std::runtime_error(message.str());
+    }
+    if (steps != nullptr) *steps = result.iterations;
+    return lambda;
 }
 
 } // namespace dlb

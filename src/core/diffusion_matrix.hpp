@@ -6,7 +6,9 @@
 // In the homogeneous case this reduces to the doubly stochastic M of eq. (2).
 // M is not symmetric when speeds differ, but S^{-1/2} M S^{1/2} is, with top
 // eigenvector proportional to sqrt(s); lambda is computed on that
-// symmetrization (paper Section IV, Lemma 5/7 machinery).
+// symmetrization (paper Section IV, Lemma 5/7 machinery). Uniform speeds on
+// the closed-form families skip the solver: the campaign registry's
+// closed_form_lambda hook gives their lambda exactly.
 #ifndef DLB_CORE_DIFFUSION_MATRIX_HPP
 #define DLB_CORE_DIFFUSION_MATRIX_HPP
 
@@ -43,11 +45,19 @@ dense_matrix make_dense_diffusion_matrix(const graph& g,
 /// The unit top eigenvector of the symmetrized operator: sqrt(s)/||sqrt(s)||.
 std::vector<double> top_eigenvector_symmetrized(const speed_profile& speeds);
 
-/// lambda = second-largest eigenvalue of M in magnitude, via Lanczos with
-/// the top eigenvector deflated. Deterministic.
+/// lambda = second-largest eigenvalue of M in magnitude, via the three-term
+/// Lanczos solver (linalg/lanczos.hpp) on the symmetrization with its top
+/// eigenvector deflated. Deterministic and serial, so its bits do not
+/// depend on any executor. The returned value passed the solver's true
+/// residual check: some eigenvalue of M lies within kLanczosTolerance of
+/// it, and it never lies beyond lambda's end of the spectrum. beta_opt then
+/// moves by at most beta_opt'(lambda) * kLanczosTolerance, about 1.3e-10 on
+/// the 256^2 torus and 5e-10 on the 1024^2 one. Throws std::runtime_error
+/// naming lambda, the step count and the residual when the solver reaches
+/// kLanczosMaxSteps unconverged. `steps`, when given, receives the number
+/// of Lanczos steps taken.
 double compute_lambda(const graph& g, const std::vector<double>& alpha,
-                      const speed_profile& speeds, int max_iterations = 300,
-                      double tolerance = 1e-11);
+                      const speed_profile& speeds, int* steps = nullptr);
 
 } // namespace dlb
 

@@ -12,7 +12,13 @@
 #include "campaign/registry.hpp"
 #include "campaign/report.hpp"
 #include "campaign/spec.hpp"
+#include "core/alpha.hpp"
+#include "core/diffusion_matrix.hpp"
+#include "core/speeds.hpp"
 #include "graph/algorithms.hpp"
+#include "linalg/lanczos.hpp"
+#include "linalg/spectra.hpp"
+#include "obs/obs.hpp"
 
 namespace dlb {
 namespace {
@@ -482,6 +488,28 @@ TEST(CampaignRegistry, TopologySizesResolve)
     EXPECT_LE(r.max_degree(), 4);
 }
 
+TEST(CampaignRegistry, ClosedFormLambdaMatchesTheSolver)
+{
+    // Requested sizes that each builder rounds: 50 -> 7x7 torus,
+    // 100 -> 2^7 hypercube; the hook must size the graph the same way.
+    const std::pair<const char*, std::int64_t> hooked[] = {
+        {"torus", 50}, {"hypercube", 100}, {"cycle", 37}, {"complete", 13}};
+    for (const auto& [family, nodes] : hooked) {
+        const auto exact = closed_form_lambda(family, nodes);
+        ASSERT_TRUE(exact.has_value()) << family;
+        const graph g = build_topology(family, nodes, 0.0, 1);
+        const double solved = compute_lambda(
+            g, make_alpha(g, alpha_policy::max_degree_plus_one),
+            speed_profile::uniform(g.num_nodes()));
+        EXPECT_NEAR(*exact, solved, kLanczosTolerance) << family;
+    }
+    for (const char* family : {"grid", "path", "star", "random_regular",
+                               "erdos_renyi", "rgg"})
+        EXPECT_FALSE(closed_form_lambda(family, 64).has_value()) << family;
+    EXPECT_THROW(closed_form_lambda("no_such_family", 64),
+                 std::invalid_argument);
+}
+
 TEST(CampaignRegistry, EveryLoadPatternConservesTotal)
 {
     const node_id n = 50;
@@ -542,13 +570,44 @@ TEST(CampaignExecutor, SingleScenarioSummaries)
     EXPECT_EQ(result.index, 3);
     EXPECT_EQ(result.nodes, 36);
     EXPECT_GT(result.beta, 1.0);
-    EXPECT_GE(result.lambda, 0.0);
+    EXPECT_EQ(result.lambda, torus_2d_lambda(6, 6)); // the closed form, exactly
     EXPECT_EQ(result.initial_total, 3600);
     EXPECT_TRUE(result.conservation_ok);
     EXPECT_TRUE(result.imbalance_converged);
     EXPECT_GE(result.rounds_to_plateau, 0);
     EXPECT_LT(result.final_max_minus_average,
               static_cast<double>(result.initial_total));
+}
+
+TEST(CampaignExecutor, LambdaTelemetryCountsClosedFormsAndSolves)
+{
+    // The uniform torus takes the closed form; the zipf one, one solve.
+    campaign_spec spec;
+    spec.name = "lambda-telemetry";
+    spec.base.topology = "torus";
+    spec.base.nodes = 64;
+    spec.base.rounds = 0;
+    spec.base.scheme = "sos";
+    spec.axes["speeds"] = {"uniform", "zipf"};
+    std::vector<obs::metric_value> metrics;
+    {
+        obs::session_options options;
+        options.collect_metrics = true;
+        const obs::session session(options);
+        const auto result = run_campaign(spec, {});
+        for (const auto& r : result.scenarios) EXPECT_TRUE(r.error.empty());
+        metrics = obs::snapshot_metrics();
+    }
+    const auto find = [&](const std::string& name) {
+        for (const auto& m : metrics)
+            if (m.name == name) return m;
+        ADD_FAILURE() << "no metric " << name;
+        return obs::metric_value{};
+    };
+    EXPECT_EQ(find("linalg.lambda_closed_form").value, 1);
+    const obs::metric_value steps = find("linalg.lanczos_steps");
+    EXPECT_EQ(steps.value, 1); // one solve...
+    EXPECT_GT(steps.sum, 0);   // ...of this many steps
 }
 
 campaign_spec determinism_spec()

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -121,12 +122,12 @@ TEST_F(LambdaSidecarTest, CorruptSidecarDegradesToRecompute)
 
     const std::vector<std::string> corruptions = {
         "not a sidecar at all\n",
-        "# dlb lambda sidecar v1\ngarbage without a tab\n",
-        "# dlb lambda sidecar v1\nkey\tnot-a-number\n",
-        "# dlb lambda sidecar v1\nkey\t1e308\n",   // not an eigenvalue
-        "# dlb lambda sidecar v1\nkey\tnan\n",     // never a valid lambda
-        "# dlb lambda sidecar v1\nkey\t0.5trail\n", // trailing garbage
-        "# dlb lambda sidecar v1\ntorus|36|0|-|max_degree_plus_one|unifor",
+        "# dlb lambda sidecar v2\ngarbage without a tab\n",
+        "# dlb lambda sidecar v2\nkey\tnot-a-number\n",
+        "# dlb lambda sidecar v2\nkey\t1e308\n",   // not an eigenvalue
+        "# dlb lambda sidecar v2\nkey\tnan\n",     // never a valid lambda
+        "# dlb lambda sidecar v2\nkey\t0.5trail\n", // trailing garbage
+        "# dlb lambda sidecar v2\ntorus|36|0|-|max_degree_plus_one|unifor",
         std::string("\0\x7f\x01 binary junk", 14),
     };
     for (const auto& corruption : corruptions) {
@@ -148,6 +149,49 @@ TEST_F(LambdaSidecarTest, CorruptSidecarDegradesToRecompute)
         const auto warm = run_campaign(spec, warm_options);
         EXPECT_EQ(warm.cache.lambda_misses, 0);
     }
+}
+
+TEST_F(LambdaSidecarTest, VersionOneSidecarIsDroppedAndRecomputed)
+{
+    // A v1 file holds values of an older solver that stopped at a step cap
+    // without a residual check: none may be served. Build a well-formed one
+    // from a real run's keys, each value moved by 1.5e-7 (that solver's
+    // error on the 256^2 torus).
+    const campaign_spec spec = lambda_spec();
+    const auto cold = run_campaign(spec, {});
+    campaign_options options;
+    options.lambda_cache_path = path_;
+    run_campaign(spec, options);
+
+    std::istringstream saved(read_file(path_));
+    std::string line;
+    std::getline(saved, line);
+    std::ostringstream body;
+    std::size_t entries = 0;
+    while (std::getline(saved, line)) {
+        const auto tab = line.rfind('\t');
+        ASSERT_NE(tab, std::string::npos) << line;
+        body << line.substr(0, tab) << '\t' << std::setprecision(17)
+             << std::stod(line.substr(tab + 1)) - 1.5e-7 << '\n';
+        ++entries;
+    }
+    ASSERT_GT(entries, 0u);
+    const auto write = [&](const std::string& header) {
+        std::ofstream out(path_, std::ios::trunc);
+        out << header << '\n' << body.str();
+    };
+
+    write("# dlb lambda sidecar v2"); // the same body is well formed
+    EXPECT_EQ(graph_cache().load_lambda_sidecar(path_), entries);
+
+    write("# dlb lambda sidecar v1");
+    const auto result = run_campaign(spec, options);
+    EXPECT_EQ(result.lambda_sidecar_loaded, 0);
+    EXPECT_EQ(result.cache.lambda_misses, cold.cache.lambda_misses);
+    EXPECT_EQ(csv_of(result), csv_of(cold));
+    EXPECT_EQ(json_of(result), json_of(cold));
+    EXPECT_EQ(read_file(path_).rfind("# dlb lambda sidecar v2\n", 0), 0u)
+        << "the save must rewrite the file as v2";
 }
 
 TEST_F(LambdaSidecarTest, SaveMergesWithConcurrentlyWrittenEntries)
@@ -183,7 +227,7 @@ TEST_F(LambdaSidecarTest, LoadedEntriesNeverOverrideComputedOnes)
     cache.lambda("key", [] { return 0.5; });
     {
         std::ofstream out(path_, std::ios::trunc);
-        out << "# dlb lambda sidecar v1\nkey\t0.9\n";
+        out << "# dlb lambda sidecar v2\nkey\t0.9\n";
     }
     EXPECT_EQ(cache.load_lambda_sidecar(path_), 0u); // already present
     EXPECT_DOUBLE_EQ(cache.lambda("key", [] { return -1.0; }), 0.5);
@@ -198,7 +242,7 @@ TEST_F(LambdaSidecarTest, SidecarFileRoundTripsExactly)
     cache.save_lambda_sidecar(path_);
 
     const std::string contents = read_file(path_);
-    EXPECT_EQ(contents.rfind("# dlb lambda sidecar v1\n", 0), 0u)
+    EXPECT_EQ(contents.rfind("# dlb lambda sidecar v2\n", 0), 0u)
         << "sidecar must start with its format header";
 
     graph_cache reloaded;
@@ -272,7 +316,7 @@ TEST_F(LambdaSidecarTest, CrashOrphanedTempIsSweptAndNeverShadowsTheSidecar)
 
     {
         std::ofstream out(path_, std::ios::trunc);
-        out << "# dlb lambda sidecar v1\nkey\t0.25\n";
+        out << "# dlb lambda sidecar v2\nkey\t0.25\n";
     }
     const std::string orphan =
         path_ + ".tmp." + std::to_string(static_cast<long>(dead)) + ".0";
