@@ -17,6 +17,9 @@
 
 #include <vector>
 
+#include "campaign/registry.hpp"
+#include "campaign/workload.hpp"
+#include "core/matching.hpp"
 #include "core/rounding.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
@@ -189,6 +192,124 @@ TEST(RngGolden, OwnerPassMatchesFullRoundingOnOwnerSides)
             }
         }
     }
+}
+
+// The same scheduled-flow formula on the complete graph K6: degree 5 takes
+// the generic-degree owner kernel (the 3x3 torus above only reaches the
+// degree-4 one), and its 30 half-edges mix fractional, integral and
+// negative slots.
+struct generic_degree_golden {
+    rounding_kind kind;
+    std::int64_t round;
+    std::int64_t flows[30]; // one per half-edge of K6
+};
+
+const generic_degree_golden kGenericDegreeGoldens[] = {
+    {rounding_kind::randomized, 0,
+     {-1, 0, 2, 0, 2, 1, 0, 2, -1, 1, 0, 0, 2, -3, 0,
+      -2, -2, -2, 3, -1, 0, 1, 3, -3, 0, -2, -1, 0, 1, 0}},
+    {rounding_kind::randomized, 1,
+     {-2, 1, 2, 0, 2, 2, 0, 2, -1, 0, -1, 0, 1, -3, 0,
+      -2, -2, -1, 3, 0, 0, 1, 3, -3, -1, -2, 0, 0, 0, 1}},
+    {rounding_kind::bernoulli_edge, 0,
+     {-1, 0, 3, -1, 1, 1, 0, 2, -1, 1, 0, 0, 1, -1, 1,
+      -3, -2, -1, 3, 0, 1, 1, 1, -3, -1, -1, -1, -1, 0, 1}},
+    {rounding_kind::bernoulli_edge, 1,
+     {-2, 0, 2, -1, 2, 2, 0, 2, -1, 1, 0, 0, 1, -2, 0,
+      -2, -2, -1, 3, 0, 1, 1, 2, -3, -1, -2, -1, 0, 0, 1}},
+};
+
+TEST(RngGolden, V2GenericDegreeRoundingIsPinned)
+{
+    const graph g = make_complete(6);
+    ASSERT_EQ(g.num_half_edges(), 30);
+    const auto scheduled = golden_scheduled(g);
+    std::vector<std::int64_t> flows(scheduled.size());
+
+    for (const auto& golden : kGenericDegreeGoldens) {
+        round_flows(g, golden.kind, scheduled, 42, golden.round, flows,
+                    default_executor(), rng_version::v2);
+        for (std::size_t h = 0; h < flows.size(); ++h)
+            EXPECT_EQ(flows[h], golden.flows[h])
+                << to_string(golden.kind) << " round=" << golden.round
+                << " h=" << h;
+    }
+}
+
+TEST(RngGolden, V2InitialLoadsArePinned)
+{
+    // The randomized load patterns: `random` draws from its tagged counter
+    // substream, `bimodal` takes one draw per node. First 16 of 64 nodes.
+    const std::int64_t random_head[16] = {0,  57,  49, 82,  145, 5,  7,   191,
+                                          42, 161, 23, 176, 37,  79, 157, 27};
+    const std::int64_t bimodal_head[16] = {223, 213, 213, 213, 0,   213, 213, 0,
+                                           213, 213, 213, 213, 0,   0,   213, 0};
+    const auto random = campaign::build_initial_load("random", 64, 100, 7,
+                                                     rng_version::v2);
+    const auto bimodal = campaign::build_initial_load("bimodal", 64, 100, 7,
+                                                      rng_version::v2);
+    for (std::size_t v = 0; v < 16; ++v) {
+        EXPECT_EQ(random[v], random_head[v]) << "random v=" << v;
+        EXPECT_EQ(bimodal[v], bimodal_head[v]) << "bimodal v=" << v;
+    }
+}
+
+TEST(RngGolden, V2WorkloadDeltasArePinned)
+{
+    // Rounds 0..4 of each model over 10 nodes holding 5 tokens each.
+    struct workload_golden {
+        campaign::workload_spec spec;
+        std::int64_t deltas[5][10];
+    };
+    const workload_golden goldens[] = {
+        {{"poisson", 6.0, 0, 0},
+         {{1, 0, 0, 0, 1, 0, 1, 2, 1, 2},
+          {0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
+          {0, 0, 1, 0, 1, 0, 1, 1, 1, 0},
+          {0, 1, 2, 0, 0, 1, 1, 0, 0, 2},
+          {1, 2, 0, 0, 1, 0, 0, 0, 0, 0}}},
+        {{"burst", 0.0, 40, 2},
+         {{0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+          {0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+          {0, 0, 0, 0, 0, 0, 0, 0, 40, 0},
+          {0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+          {0, 0, 0, 40, 0, 0, 0, 0, 0, 0}}},
+        {{"drain", 3.0, 0, 0},
+         {{0, 0, 0, -1, 0, 0, -1, 0, 0, 0},
+          {0, 0, 0, 0, 0, 0, -1, 0, 0, 0},
+          {0, -1, -1, -1, 0, 0, 0, 0, 0, 0},
+          {0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+          {-2, -1, 0, 0, 0, 0, 0, 0, 0, 0}}},
+    };
+    const node_id n = 10;
+    const std::vector<double> load(n, 5.0);
+    for (const auto& golden : goldens) {
+        const auto hook = campaign::make_workload(golden.spec, n, 99,
+                                                  rng_version::v2);
+        for (std::int64_t round = 0; round < 5; ++round) {
+            std::vector<std::int64_t> delta(n, 0);
+            hook->apply(round, load, delta);
+            for (node_id v = 0; v < n; ++v)
+                EXPECT_EQ(delta[v], golden.deltas[round][v])
+                    << golden.spec.kind << " round=" << round << " v=" << v;
+        }
+    }
+}
+
+TEST(RngGolden, V2MatchingRoundIsPinned)
+{
+    // One round of random matching on the 4x4 torus: the edge shuffle and
+    // the odd-token coins both come from the per-round substream.
+    const std::int64_t expected[16] = {39, 66, 67, 51, 32, 32, 64, 50,
+                                       34, 35, 65, 55, 39, 26, 25, 56};
+    const graph g = make_torus_2d(4, 4);
+    std::vector<std::int64_t> initial(16);
+    for (std::size_t v = 0; v < initial.size(); ++v)
+        initial[v] = static_cast<std::int64_t>((v * 37 + 11) % 97);
+    matching_process matching(g, initial, 7, rng_version::v2);
+    matching.step();
+    for (node_id v = 0; v < 16; ++v)
+        EXPECT_EQ(matching.load()[v], expected[v]) << "v=" << v;
 }
 
 } // namespace
