@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "dlb.hpp"
+#include "reference_kernels.hpp"
 
 namespace {
 
@@ -22,6 +23,14 @@ const graph& torus_for(std::int64_t side)
     if (inserted)
         it->second = make_torus_2d(static_cast<node_id>(side),
                                    static_cast<node_id>(side));
+    return it->second;
+}
+
+const graph& hypercube_for(std::int64_t dimension)
+{
+    static std::map<std::int64_t, graph> cache;
+    auto [it, inserted] = cache.try_emplace(dimension);
+    if (inserted) it->second = make_hypercube(static_cast<int>(dimension));
     return it->second;
 }
 
@@ -49,23 +58,6 @@ void bm_discrete_step_sos(benchmark::State& state)
 }
 BENCHMARK(bm_discrete_step_sos)->Arg(64)->Arg(128)->Arg(256);
 
-/// Whole discrete SOS step under the v2 RNG stream format — the
-/// engine-level view of the v2 rounding-kernel speedup.
-void bm_discrete_step_sos_v2(benchmark::State& state)
-{
-    const graph& g = torus_for(state.range(0));
-    const double beta = beta_opt(torus_2d_lambda(
-        static_cast<node_id>(state.range(0)), static_cast<node_id>(state.range(0))));
-    discrete_process proc(make_config(g, sos_scheme(beta)),
-                          point_load(g.num_nodes(), 0, g.num_nodes() * 1000LL),
-                          rounding_kind::randomized, 1,
-                          negative_load_policy::allow, nullptr, nullptr,
-                          rng_version::v2);
-    for (auto _ : state) proc.step();
-    state.SetItemsProcessed(state.iterations() * g.num_edges());
-}
-BENCHMARK(bm_discrete_step_sos_v2)->Arg(256);
-
 void bm_continuous_step_sos(benchmark::State& state)
 {
     const graph& g = torus_for(state.range(0));
@@ -92,11 +84,10 @@ struct kernel_fixture {
     std::vector<double> scheduled;
     std::vector<std::int64_t> flows;
 
-    explicit kernel_fixture(std::int64_t side)
-        : g(torus_for(side)),
+    kernel_fixture(const graph& graph_, double lambda)
+        : g(graph_),
           alpha(make_alpha(g, alpha_policy::max_degree_plus_one)),
-          scheme(sos_scheme(beta_opt(torus_2d_lambda(
-              static_cast<node_id>(side), static_cast<node_id>(side)))))
+          scheme(sos_scheme(beta_opt(lambda)))
     {
         discrete_process proc(make_config(g, scheme),
                               point_load(g.num_nodes(), 0, g.num_nodes() * 1000LL),
@@ -112,9 +103,15 @@ struct kernel_fixture {
     }
 };
 
+kernel_fixture torus_fixture(std::int64_t side)
+{
+    return {torus_for(side), torus_2d_lambda(static_cast<node_id>(side),
+                                             static_cast<node_id>(side))};
+}
+
 void bm_scheduled_flows_canonical(benchmark::State& state)
 {
-    kernel_fixture fx(state.range(0));
+    const kernel_fixture fx = torus_fixture(state.range(0));
     std::vector<double> out(fx.prev.size());
     for (auto _ : state)
         scheduled_flows(fx.g, fx.alpha, fx.scheme, 5, fx.x, fx.prev, out,
@@ -125,7 +122,7 @@ BENCHMARK(bm_scheduled_flows_canonical)->Arg(128)->Arg(256);
 
 void bm_scheduled_flows_reference(benchmark::State& state)
 {
-    kernel_fixture fx(state.range(0));
+    const kernel_fixture fx = torus_fixture(state.range(0));
     std::vector<double> out(fx.prev.size());
     for (auto _ : state)
         scheduled_flows_reference(fx.g, fx.alpha, fx.scheme, 5, fx.x, fx.prev,
@@ -136,7 +133,7 @@ BENCHMARK(bm_scheduled_flows_reference)->Arg(128)->Arg(256);
 
 void bm_round_flows_canonical(benchmark::State& state)
 {
-    kernel_fixture fx(state.range(0));
+    kernel_fixture fx = torus_fixture(state.range(0));
     std::int64_t round = 0;
     for (auto _ : state)
         round_flows(fx.g, rounding_kind::randomized, fx.scheduled, 3, round++,
@@ -147,7 +144,7 @@ BENCHMARK(bm_round_flows_canonical)->Arg(256);
 
 void bm_round_flows_reference(benchmark::State& state)
 {
-    kernel_fixture fx(state.range(0));
+    kernel_fixture fx = torus_fixture(state.range(0));
     std::int64_t round = 0;
     for (auto _ : state)
         round_flows_reference(fx.g, rounding_kind::randomized, fx.scheduled, 3,
@@ -156,37 +153,30 @@ void bm_round_flows_reference(benchmark::State& state)
 }
 BENCHMARK(bm_round_flows_reference)->Arg(256);
 
-void bm_round_flows_randomized_owner(benchmark::State& state)
+/// The owner pass on the 2-D torus (the degree-4 kernel; Arg = side) and
+/// on the hypercube (the generic-degree kernel; Arg = dimension).
+void bm_round_flows_randomized_owner(benchmark::State& state, bool hypercube)
 {
-    kernel_fixture fx(state.range(0));
+    const std::int64_t size = state.range(0);
+    kernel_fixture fx =
+        hypercube ? kernel_fixture(hypercube_for(size),
+                                   hypercube_lambda(static_cast<int>(size)))
+                  : torus_fixture(size);
     std::int64_t round = 0;
     for (auto _ : state)
         round_flows_randomized_owner(fx.g, fx.scheduled, 3, round++, fx.flows,
                                      default_executor());
     state.SetItemsProcessed(state.iterations() * fx.g.num_edges());
 }
-BENCHMARK(bm_round_flows_randomized_owner)->Arg(256);
-
-/// The v2 stream format (stateless counter-based draws): the speedup over
-/// bm_round_flows_randomized_owner is the versioned-format dividend the
-/// ROADMAP "randomized-rounding serial floor" item predicted (~1.3x).
-void bm_round_flows_randomized_owner_v2(benchmark::State& state)
-{
-    kernel_fixture fx(state.range(0));
-    std::int64_t round = 0;
-    for (auto _ : state)
-        round_flows_randomized_owner(fx.g, fx.scheduled, 3, round++, fx.flows,
-                                     default_executor(), rng_version::v2);
-    state.SetItemsProcessed(state.iterations() * fx.g.num_edges());
-}
-BENCHMARK(bm_round_flows_randomized_owner_v2)->Arg(256);
+BENCHMARK_CAPTURE(bm_round_flows_randomized_owner, torus, false)->Arg(256);
+BENCHMARK_CAPTURE(bm_round_flows_randomized_owner, hypercube, true)->Arg(12);
 
 /// The full pre-refactor round pipeline (two-sided kernel, owner+mirror
 /// rounding, separate apply / min-scan / int->double conversion sweeps),
 /// for an in-binary apples-to-apples baseline of the engine step.
 void bm_discrete_step_sos_reference(benchmark::State& state)
 {
-    kernel_fixture fx(state.range(0));
+    kernel_fixture fx = torus_fixture(state.range(0));
     const graph& g = fx.g;
     std::vector<std::int64_t> load(fx.x.begin(), fx.x.end());
     std::vector<double> x(g.num_nodes()), transient(g.num_nodes());
@@ -225,8 +215,7 @@ void bm_discrete_step_sos_reference(benchmark::State& state)
 }
 BENCHMARK(bm_discrete_step_sos_reference)->Arg(256);
 
-void bm_rounding(benchmark::State& state, rounding_kind kind,
-                 rng_version version = rng_version::v1)
+void bm_rounding(benchmark::State& state, rounding_kind kind)
 {
     const graph& g = torus_for(128);
     std::vector<double> scheduled(static_cast<std::size_t>(g.num_half_edges()));
@@ -240,18 +229,13 @@ void bm_rounding(benchmark::State& state, rounding_kind kind,
     std::vector<std::int64_t> out(scheduled.size());
     std::int64_t round = 0;
     for (auto _ : state)
-        round_flows(g, kind, scheduled, 3, round++, out, default_executor(),
-                    version);
+        round_flows(g, kind, scheduled, 3, round++, out, default_executor());
     state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
 BENCHMARK_CAPTURE(bm_rounding, randomized, rounding_kind::randomized);
-BENCHMARK_CAPTURE(bm_rounding, randomized_v2, rounding_kind::randomized,
-                  rng_version::v2);
 BENCHMARK_CAPTURE(bm_rounding, floor, rounding_kind::floor);
 BENCHMARK_CAPTURE(bm_rounding, nearest, rounding_kind::nearest);
 BENCHMARK_CAPTURE(bm_rounding, bernoulli, rounding_kind::bernoulli_edge);
-BENCHMARK_CAPTURE(bm_rounding, bernoulli_v2, rounding_kind::bernoulli_edge,
-                  rng_version::v2);
 
 void bm_step_threads(benchmark::State& state)
 {

@@ -49,12 +49,6 @@ void print_usage(std::ostream& out)
            "  --<field> VALUE        set a base scenario field\n"
            "  --sweep.<field> A,B,C  sweep a field over a value list\n"
            "  --seeds N              sweep seed over base..base+N-1\n"
-           "  --rng-version 1|2      versioned RNG stream format (alias of\n"
-           "                         --rng_version): 1 = xoshiro streams\n"
-           "                         (default, bit-identical to pre-version\n"
-           "                         builds), 2 = counter-based draws (the\n"
-           "                         faster format). Shards must agree:\n"
-           "                         --merge rejects mixed-version reports\n"
            "  --shard I/N            run only this invocation's share of the\n"
            "                         scenarios, split by greedy LPT over the\n"
            "                         per-scenario cost model (rows keep\n"
@@ -101,8 +95,8 @@ void print_usage(std::ostream& out)
            "                         reports come out byte-identical to an\n"
            "                         uninterrupted run. The snapshot must\n"
            "                         match this campaign (spec hash,\n"
-           "                         rng_version, stride — mismatches are\n"
-           "                         rejected naming the field)\n"
+           "                         stride — mismatches are rejected\n"
+           "                         naming the field)\n"
            "  --measure-windows K    SMARTS-style windowed sampling: instead\n"
            "                         of one long tail, run K short measured\n"
            "                         windows from the --resume snapshot\n"
@@ -156,8 +150,8 @@ void print_usage(std::ostream& out)
            "                         writes the merged manifest here\n"
            "  --manifests A,B        shard manifest files for --merge to\n"
            "                         check consistency across (spec hash,\n"
-           "                         stride, shard count, rng_version must\n"
-           "                         all agree) before trusting the rows\n"
+           "                         stride, shard count must all agree)\n"
+           "                         before trusting the rows\n"
            "  --quiet                suppress per-scenario progress on stderr\n"
            "  --dry-run              expand and list scenarios, run nothing\n"
            "  --list                 print registered topologies, load\n"
@@ -231,8 +225,6 @@ obs::run_manifest build_manifest(const campaign::campaign_spec& spec,
     manifest.set("scenario_count", std::to_string(spec.expected_count()));
     manifest.set("record_every", std::to_string(record_every));
     manifest.set("shard_count", std::to_string(shard_count));
-    manifest.set("rng_version",
-                 campaign::get_field(spec.base, "rng_version"));
 
     manifest.set("shard_index", std::to_string(shard_index));
     std::string command = "dlb_campaign";
@@ -252,8 +244,7 @@ obs::run_manifest build_manifest(const campaign::campaign_spec& spec,
 // The fields that define a merge-compatible shard set. shard_index is
 // deliberately absent (it must differ — coverage is checked separately).
 const std::vector<std::string> kManifestMustMatch = {
-    "campaign",    "spec_hash",   "scenario_count", "record_every",
-    "shard_count", "rng_version"};
+    "campaign", "spec_hash", "scenario_count", "record_every", "shard_count"};
 
 // Proves the shard manifests belong to one campaign before --merge trusts
 // the shard rows: every must-match field agrees, the set covers shard
@@ -353,7 +344,6 @@ int main(int argc, char** argv)
                                        "lambda-cache", "threads",
                                        "engine-threads", "no-graph-cache",
                                        "no-scratch-pool", "record-every",
-                                       "rng-version", "sweep.rng-version",
                                        "json",    "csv",    "series-dir",
                                        "timing",  "trace",  "metrics",
                                        "progress", "manifest", "manifests",
@@ -373,19 +363,6 @@ int main(int argc, char** argv)
                 spec.axes[field] = values;
             }
         }
-        // Dashed aliases for the rng_version field (flag convention).
-        if (args.has("rng-version"))
-            campaign::set_field(spec.base, "rng_version",
-                                args.get_string("rng-version", ""));
-        if (args.has("sweep.rng-version")) {
-            const auto values =
-                campaign::split_list(args.get_string("sweep.rng-version", ""));
-            if (values.empty())
-                throw std::invalid_argument(
-                    "empty sweep list for --sweep.rng-version");
-            spec.axes["rng_version"] = values;
-        }
-
         for (const auto& name : args.option_names()) {
             if (known.count(name) == 0)
                 throw std::invalid_argument("unknown option --" + name +
@@ -531,8 +508,8 @@ int main(int argc, char** argv)
             if (paths.empty())
                 throw std::invalid_argument("--merge needs shard CSV paths");
             // Shard manifests are checked before any row is trusted: a
-            // mixed set (different spec, stride, rng_version or shard
-            // count) fails here naming the differing field.
+            // mixed set (different spec, stride or shard count) fails here
+            // naming the differing field.
             if (args.has("manifests")) {
                 const auto manifest_paths =
                     campaign::split_list(args.get_string("manifests", ""));

@@ -72,12 +72,6 @@ speed_profile resolve_speeds(const scenario_spec& spec, node_id n)
     throw std::logic_error("campaign: unhandled speed profile");
 }
 
-// validate_fields admits only 1 and 2.
-rng_version resolve_rng_version(const scenario_spec& spec)
-{
-    return spec.rng_version == 2 ? rng_version::v2 : rng_version::v1;
-}
-
 // Every input of compute_lambda(g, alpha, speeds), encoded: the exact graph
 // identity (cache key), the alpha policy (gamma only when it is read), and
 // the speed profile (its knobs and derived seed only when non-uniform). Two
@@ -227,24 +221,17 @@ struct scenario_run {
 scenario_run make_run(const scenario_spec& spec, diffusion_config diffusion,
                       std::uint64_t seed, std::int64_t record_every)
 {
-    // The versioned stream format reaches every randomized consumer: the
-    // load pattern (run_scenario), the workload model, and the engine's
-    // rounding. Topology construction and speed assignment stay
-    // format-independent by design, so graphs and lambdas are shared
-    // across a sweep.rng_version axis.
-    const rng_version rng = resolve_rng_version(spec);
     scenario_run run;
     run.workload = make_workload(
         {spec.workload, spec.workload_rate, spec.workload_amount,
          spec.workload_period},
-        diffusion.network->num_nodes(), mix64(seed, kWorkloadStream), rng);
+        diffusion.network->num_nodes(), mix64(seed, kWorkloadStream));
 
     experiment_config& config = run.config;
     config.diffusion = std::move(diffusion);
     config.process = lookup(kProcessNames, spec.process);
     config.rounding = lookup(kRoundingNames, spec.rounding);
     config.seed = seed;
-    config.rng = rng;
     config.policy = lookup(kPolicyNames, spec.policy);
     config.rounds = spec.rounds;
     config.record_every = record_every;
@@ -284,7 +271,7 @@ scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
 
         const auto initial = build_initial_load(
             spec.load_pattern, g.num_nodes(), spec.tokens_per_node,
-            mix64(spec.seed, kLoadStream), resolve_rng_version(spec));
+            mix64(spec.seed, kLoadStream));
         result.initial_total =
             std::accumulate(initial.begin(), initial.end(), std::int64_t{0});
 
@@ -418,14 +405,7 @@ campaign_result detail_run(const campaign_spec& spec,
                 "resume: scenario index " + std::to_string(target) +
                 " is outside this campaign's " +
                 std::to_string(scenarios.size()) + " scenarios");
-        const scenario_spec& target_spec =
-            scenarios[static_cast<std::size_t>(target)];
-        if (resume_snapshot->rng_version != target_spec.rng_version)
-            throw std::invalid_argument(
-                "resume: rng_version mismatch: checkpoint has " +
-                std::to_string(resume_snapshot->rng_version) +
-                " but scenario " + std::to_string(target) + " uses " +
-                std::to_string(target_spec.rng_version));
+        require_current_rng_version(*resume_snapshot, "resume");
         if (resume_snapshot->record_every != record_every)
             throw std::invalid_argument(
                 "resume: record_every mismatch: checkpoint recorded every " +
@@ -632,11 +612,7 @@ measure_windows_result measure_windows(const campaign_spec& spec,
             "measure_windows: checkpoint holds " +
             std::string(to_string(snapshot.engine)) +
             " state, expected discrete");
-    if (snapshot.rng_version != target.rng_version)
-        throw std::invalid_argument(
-            "measure_windows: rng_version mismatch: checkpoint has " +
-            std::to_string(snapshot.rng_version) + " but the scenario uses " +
-            std::to_string(target.rng_version));
+    require_current_rng_version(snapshot, "measure_windows");
 
     // The spec hash already guarantees these inputs equal the
     // checkpointing run's.

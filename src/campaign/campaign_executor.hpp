@@ -100,8 +100,8 @@ struct campaign_options {
     /// must match this campaign's and its scenario index must be in this
     /// shard's assignment; that scenario then continues from the saved
     /// round (byte-identical to the uninterrupted run) while every other
-    /// scenario runs normally. Any mismatch (spec hash, rng_version, seed,
-    /// record_every, …) throws, naming the field.
+    /// scenario runs normally. Any mismatch (spec hash, seed, record_every,
+    /// …) or a snapshot of the retired v1 stream throws, naming the field.
     std::string resume_path;
 
     /// Heartbeat stream (obs/progress.hpp): when non-null, a progress_meter

@@ -19,10 +19,11 @@ namespace {
 //   bm_cumulative_step                            — the PODC'12 matching
 //     baseline does per-round matching work on top, ~1.4x.
 //   bm_rounding/{randomized,floor,nearest,bernoulli} — the rounding sweep:
-//     floor/nearest are one fused branch-free pass (~0.6x of randomized's
-//     owner pass + token walk); bernoulli_edge sits just under randomized.
-//   bm_discrete_step_sos_v2 vs bm_discrete_step_sos — the v2 counter-based
-//     streams take ~1/1.15 of a whole randomized SOS step.
+//     floor/nearest are one fused branch-free pass (~0.6x of a step with
+//     xoshiro-stream randomized rounding); bernoulli_edge sits just under
+//     randomized. The counter-based draws then made a whole randomized SOS
+//     step ~1/1.15 as long (0.87), which the randomized and bernoulli_edge
+//     weights carry.
 double process_weight(const scenario_spec& spec)
 {
     if (spec.process == "continuous") return 0.55;
@@ -33,15 +34,9 @@ double process_weight(const scenario_spec& spec)
 double rounding_weight(const scenario_spec& spec)
 {
     if (spec.process != "discrete") return 1.0; // only discrete engines round
-    double weight = 1.0;
-    if (spec.rounding == "floor" || spec.rounding == "nearest") weight = 0.6;
-    else if (spec.rounding == "bernoulli_edge") weight = 0.9;
-    // The v2 stream format speeds up the randomized kernels (and the whole
-    // step that contains them); deterministic roundings don't draw.
-    if (spec.rng_version == 2 &&
-        (spec.rounding == "randomized" || spec.rounding == "bernoulli_edge"))
-        weight *= 0.87;
-    return weight;
+    if (spec.rounding == "floor" || spec.rounding == "nearest") return 0.6;
+    if (spec.rounding == "bernoulli_edge") return 0.9 * 0.87;
+    return 0.87; // randomized
 }
 
 double scheme_weight(const scenario_spec& spec)

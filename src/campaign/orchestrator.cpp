@@ -366,7 +366,7 @@ void write_row_file(const std::string& path, const campaign_spec& spec,
 /// recompute, never an error row.
 std::optional<engine_checkpoint> try_load_checkpoint(
     const std::string& dir, std::int64_t index, const std::string& label,
-    std::uint64_t hash, std::int64_t record_every, std::int32_t rng_version)
+    std::uint64_t hash, std::int64_t record_every)
 {
     if (dir.empty()) return std::nullopt;
     const std::string path =
@@ -378,7 +378,7 @@ std::optional<engine_checkpoint> try_load_checkpoint(
         if (snapshot.spec_hash != hash) return std::nullopt;
         if (snapshot.scenario_index != index) return std::nullopt;
         if (snapshot.record_every != record_every) return std::nullopt;
-        if (snapshot.rng_version != rng_version) return std::nullopt;
+        if (snapshot.rng_version != kCurrentRngVersion) return std::nullopt;
         return snapshot;
     } catch (const std::exception&) {
         return std::nullopt;
@@ -645,7 +645,7 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
         if (with_checkpoints)
             snapshot = try_load_checkpoint(
                 options.checkpoint_dir, index, scenario_label(scenario),
-                campaign_hash, record_every, scenario.rng_version);
+                campaign_hash, record_every);
         checkpointing.resume = snapshot ? &*snapshot : nullptr;
         if (snapshot) ++result.queue.resumed;
 

@@ -205,8 +205,7 @@ const std::vector<std::string>& load_pattern_names()
 std::vector<std::int64_t> build_initial_load(const std::string& pattern,
                                              node_id n,
                                              std::int64_t tokens_per_node,
-                                             std::uint64_t seed,
-                                             rng_version version)
+                                             std::uint64_t seed)
 {
     if (n <= 0) throw std::invalid_argument("initial load: empty graph");
     if (tokens_per_node < 0)
@@ -217,19 +216,13 @@ std::vector<std::int64_t> build_initial_load(const std::string& pattern,
     if (pattern == "balanced") return balanced_load(n, tokens_per_node);
 
     if (pattern == "random") {
-        // Independent per-node loads in [0, 2*tokens_per_node], then an exact
+        // Independent per-node loads in [0, 2*tokens_per_node], drawn from
+        // the (seed, node=0x4a11, round=0) counter substream, then an exact
         // total correction (multinomial random_load is O(total) and therefore
-        // unusable at campaign scale). v1 keeps the historical
-        // uniform_range_load xoshiro stream; v2 draws the same range from
-        // its (seed, node=0x4a11, round=0) counter substream — the standard
-        // tagged v2 derivation — through the same loader.
-        std::vector<std::int64_t> load;
-        if (version == rng_version::v2) {
-            counter_rng rng(seed, 0x4a11u, 0);
-            load = uniform_range_load(n, 0, 2 * tokens_per_node, rng);
-        } else {
-            load = uniform_range_load(n, 0, 2 * tokens_per_node, seed);
-        }
+        // unusable at campaign scale).
+        counter_rng rng(seed, 0x4a11u, 0);
+        std::vector<std::int64_t> load =
+            uniform_range_load(n, 0, 2 * tokens_per_node, rng);
         std::int64_t residual =
             total - std::accumulate(load.begin(), load.end(), std::int64_t{0});
         if (residual >= 0) {
@@ -262,19 +255,13 @@ std::vector<std::int64_t> build_initial_load(const std::string& pattern,
 
     if (pattern == "bimodal") {
         // A seed-chosen half of the nodes shares all load evenly. The
-        // membership coin is one per-(seed, node) substream draw: v1 seeds
-        // a stream per node, v2 computes the draw stateless-ly inline.
+        // membership coin is draw 0 of the node's (seed, node, 0) substream.
         std::vector<std::int64_t> load(static_cast<std::size_t>(n), 0);
         std::vector<node_id> high;
-        for (node_id v = 0; v < n; ++v) {
-            const bool is_high =
-                version == rng_version::v2
-                    ? to_unit_double(draw_u64(
-                          seed, static_cast<std::uint64_t>(v), 0, 0)) < 0.5
-                    : stream_for(seed, static_cast<std::uint64_t>(v), 0)
-                          .next_bernoulli(0.5);
-            if (is_high) high.push_back(v);
-        }
+        for (node_id v = 0; v < n; ++v)
+            if (to_unit_double(draw_u64(seed, static_cast<std::uint64_t>(v), 0,
+                                        0)) < 0.5)
+                high.push_back(v);
         if (high.empty()) high.push_back(0);
         const std::int64_t per =
             total / static_cast<std::int64_t>(high.size());

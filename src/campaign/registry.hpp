@@ -74,13 +74,12 @@ const std::vector<std::string>& load_pattern_names();
 ///   bimodal            — a random half of the nodes holds all load
 ///   adversarial_corner — all load on the ~sqrt(n) lowest-index nodes (a
 ///                        corner patch in row-major grid/torus layouts)
-/// `version` selects the stream format for the randomized patterns
-/// (random, bimodal); the deterministic patterns ignore it.
+/// The randomized patterns (random, bimodal) draw from `seed`'s counter
+/// substreams; the others ignore it.
 std::vector<std::int64_t> build_initial_load(const std::string& pattern,
                                              node_id n,
                                              std::int64_t tokens_per_node,
-                                             std::uint64_t seed,
-                                             rng_version version = default_rng_version);
+                                             std::uint64_t seed);
 
 /// One accepted value of an enumerated scenario field and what the executor
 /// resolves it to.

@@ -405,8 +405,8 @@ scenario_result merge_row(const std::vector<std::string>& cells,
     r.label = cells[1];
 
     // Field-by-field first, so a precise mismatch (e.g. a shard run with a
-    // different rng_version) is named; the label check then catches
-    // report-format drift the spec columns cannot.
+    // different seed) is named; the label check then catches report-format
+    // drift the spec columns cannot.
     const auto& fields = field_names();
     for (std::size_t f = 0; f < fields.size(); ++f) {
         const std::string& cell = cells[2 + f];

@@ -80,7 +80,7 @@ const std::vector<std::string>& field_names()
         "policy",        "switch",          "switch_value",
         "load",          "tokens_per_node", "workload",
         "workload_rate", "workload_amount", "workload_period",
-        "rng_version",   "seed",            "rounds",
+        "seed",          "rounds",
     };
     return names;
 }
@@ -128,15 +128,7 @@ void set_field(scenario_spec& spec, const std::string& key,
     // default), and burst rejects a period below 1 when it resolves.
     else if (key == "workload_period")
         spec.workload_period = parse_int(key, value);
-    else if (key == "rng_version") {
-        const std::int64_t parsed = parse_int(key, value);
-        if (parsed != 1 && parsed != 2)
-            throw std::invalid_argument(
-                "spec: rng_version must be 1 (xoshiro streams, the default) "
-                "or 2 (counter-based draws), got '" +
-                value + "'");
-        spec.rng_version = parsed;
-    } else if (key == "seed") spec.seed = parse_uint(key, value);
+    else if (key == "seed") spec.seed = parse_uint(key, value);
     else if (key == "rounds") spec.rounds = parse_int_at_least(key, value, 0);
     else
         throw std::invalid_argument("spec: unknown field '" + key + "'");
@@ -172,7 +164,6 @@ std::string get_field(const scenario_spec& spec, const std::string& key)
     if (key == "workload_rate") return format_double(spec.workload_rate);
     if (key == "workload_amount") return std::to_string(spec.workload_amount);
     if (key == "workload_period") return std::to_string(spec.workload_period);
-    if (key == "rng_version") return std::to_string(spec.rng_version);
     if (key == "seed") return std::to_string(spec.seed);
     if (key == "rounds") return std::to_string(spec.rounds);
     throw std::invalid_argument("spec: unknown field '" + key + "'");
@@ -186,7 +177,6 @@ std::string scenario_label(const scenario_spec& spec)
     if (spec.load_pattern != "point") label += "-" + spec.load_pattern;
     if (spec.workload != "static") label += "-" + spec.workload;
     if (spec.switch_mode != "never") label += "-sw_" + spec.switch_mode;
-    if (spec.rng_version != 1) label += "-rng" + std::to_string(spec.rng_version);
     label += "-s" + std::to_string(spec.seed);
     return label;
 }

@@ -60,12 +60,6 @@ struct scenario_spec {
     std::int64_t workload_amount = 0; // burst: tokens per burst
     std::int64_t workload_period = 0; // burst: rounds between bursts
 
-    /// Versioned RNG stream format (util/rng.hpp): 1 = per-(node, round)
-    /// xoshiro streams (the pinned default, bit-identical to pre-version
-    /// builds), 2 = stateless counter-based draws (the faster format).
-    /// Only 1 and 2 are accepted; set_field validates eagerly.
-    std::int64_t rng_version = 1;
-
     std::uint64_t seed = 1;
     std::int64_t rounds = 1000;
 };
@@ -77,8 +71,7 @@ const std::vector<std::string>& field_names();
 /// Throws std::invalid_argument, naming the field, on an unknown key, an
 /// unparseable number, a name outside the field's registry list
 /// (field_choices), nodes < 1, a negative rounds, tokens_per_node,
-/// workload_amount or workload_rate, a non-finite topology_param, or an
-/// rng_version other than 1 and 2.
+/// workload_amount or workload_rate, or a non-finite topology_param.
 void set_field(scenario_spec& spec, const std::string& key,
                const std::string& value);
 

@@ -41,12 +41,10 @@ const std::vector<std::string>& workload_names();
 
 /// Builds the hook for `spec` over `nodes` nodes. Returns null for "static"
 /// (run_experiment treats a null workload as the classic static setting).
-/// `version` selects the per-(seed, round) stream format the model draws
-/// from (util/rng.hpp); v1 is the pinned default. Throws
+/// Round t draws from the counter substream counter_rng(seed, 0, t). Throws
 /// std::invalid_argument on unknown kinds or bad parameters.
 std::unique_ptr<workload_hook> make_workload(const workload_spec& spec,
-                                             node_id nodes, std::uint64_t seed,
-                                             rng_version version = default_rng_version);
+                                             node_id nodes, std::uint64_t seed);
 
 namespace detail {
 
@@ -69,7 +67,7 @@ std::int64_t poisson_knuth(Rng& rng, double mean)
 } // namespace detail
 
 /// Deterministic Poisson(mean) sample driven by `rng` — any generator with
-/// next_double() (both stream formats); exposed for tests.
+/// next_double(); exposed for tests.
 template <class Rng>
 std::int64_t poisson_sample(Rng& rng, double mean)
 {

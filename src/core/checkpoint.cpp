@@ -381,10 +381,24 @@ std::uint64_t checkpoint_rng_check(std::int32_t rng_version_wire,
                                    std::uint64_t seed, std::int64_t round)
 {
     const auto round_word = static_cast<std::uint64_t>(round);
-    if (rng_version_wire == 1) return stream_for(seed, 0, round_word)();
+    // Wire value 1 names the retired stream, which seeded xoshiro from
+    // mix64(seed, node + 1, round + 1); its probe is that seeding at node 0.
+    if (rng_version_wire == 1) return tagged_rng(seed, 1, round_word + 1)();
     if (rng_version_wire == 2) return draw_u64(seed, 0, round_word, 0);
     throw std::invalid_argument("checkpoint: rng_version must be 1 or 2, got " +
                                 std::to_string(rng_version_wire));
+}
+
+void require_current_rng_version(const engine_checkpoint& checkpoint,
+                                 std::string_view context)
+{
+    if (checkpoint.rng_version == kCurrentRngVersion) return;
+    throw std::invalid_argument(
+        std::string(context) + ": rng_version mismatch: checkpoint has " +
+        std::to_string(checkpoint.rng_version) +
+        " but this build draws only rng_version " +
+        std::to_string(kCurrentRngVersion) +
+        " (the counter-based stream); rerun the scenario from round 0");
 }
 
 std::string serialize_checkpoint(const engine_checkpoint& checkpoint)

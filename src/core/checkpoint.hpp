@@ -5,13 +5,18 @@
 // cross-round state (loads, previous flows, scheme + O(1) Chebyshev
 // recurrence, conservation totals, negative-load stats), the runner's
 // recorder state (partially recorded series, imbalance tracker, hybrid
-// trigger, workload conservation baseline), and the RNG coordinates. Both
-// stream formats derive their draws per (seed, node, round) — v1 seeds a
-// xoshiro stream per pair, v2 hashes a counter — so no generator words
-// cross rounds and the RNG state reduces to (rng_version, seed, round); a
-// stored probe word (`rng_check`) pins the stream *implementation* so a
-// drifted RNG is rejected instead of silently resuming a different
-// trajectory.
+// trigger, workload conservation baseline), and the RNG coordinates. The
+// per-round draws are a stateless hash of (seed, node, round, index)
+// (util/rng.hpp), so no generator words cross rounds and the RNG state
+// reduces to (seed, round); a stored probe word (`rng_check`) pins the
+// stream *implementation* so a drifted RNG is rejected instead of silently
+// resuming a different trajectory.
+//
+// The header still carries the `rng_version` wire field of the original
+// layout. This build writes 2, its counter-based stream; the parser still
+// accepts 1, the retired per-(node, round) xoshiro stream, with that
+// stream's probe word, so old files parse — but every resume path refuses
+// them (require_current_rng_version) and the queue recomputes instead.
 //
 // File format (docs/campaign-specs.md "Checkpoint format"):
 //
@@ -101,6 +106,9 @@ struct runner_checkpoint_state {
     bool ideal_stale = false;    // injections since the last ideal recompute
 };
 
+/// The rng_version wire value of the per-round stream this build draws.
+inline constexpr std::int32_t kCurrentRngVersion = 2;
+
 /// One complete snapshot. Exactly one engine section (named by `engine`)
 /// is populated and serialized.
 struct engine_checkpoint {
@@ -108,9 +116,9 @@ struct engine_checkpoint {
     /// programmatic runs may leave 0). Resume rejects a mismatch.
     std::uint64_t spec_hash = 0;
     std::int64_t scenario_index = 0;
-    std::int32_t rng_version = 1; // wire value: 1 | 2
+    std::int32_t rng_version = kCurrentRngVersion; // wire: 1 (retired) | 2
     std::uint64_t seed = 0;
-    /// First draw of the (seed, node 0, round) stream under `rng_version`,
+    /// First word of the (seed, node 0, round) stream of `rng_version`,
     /// recomputed and compared on read: pins the RNG implementation.
     std::uint64_t rng_check = 0;
     process_kind engine = process_kind::discrete;
@@ -132,10 +140,16 @@ struct engine_checkpoint {
 inline constexpr std::string_view kCheckpointHeader = "# dlb checkpoint v1";
 
 /// The RNG probe word stored in (and validated against) a snapshot: the
-/// first draw of the (seed, node 0, round) stream of the given format.
+/// first word of the (seed, node 0, round) stream of the given wire value.
 /// Throws std::invalid_argument on an unknown rng_version wire value.
 std::uint64_t checkpoint_rng_check(std::int32_t rng_version,
                                    std::uint64_t seed, std::int64_t round);
+
+/// Throws std::invalid_argument, prefixed with `context` and naming
+/// rng_version, unless `checkpoint` was taken under kCurrentRngVersion:
+/// a snapshot of another stream cannot continue its trajectory here.
+void require_current_rng_version(const engine_checkpoint& checkpoint,
+                                 std::string_view context);
 
 /// Serializes to the full file image (header + payload + checksum).
 std::string serialize_checkpoint(const engine_checkpoint& checkpoint);

@@ -16,19 +16,15 @@
 
 #include "core/process.hpp"
 #include "graph/graph.hpp"
-#include "util/rng.hpp"
 
 namespace dlb {
 
 class matching_process {
 public:
     /// Homogeneous only (the classical algorithm): speeds in `config` must
-    /// be uniform, the scheme field is ignored. `rng` selects the
-    /// versioned stream format for the per-round permutation and tie coins
-    /// (util/rng.hpp); v1 is the pinned default.
+    /// be uniform, the scheme field is ignored.
     matching_process(const graph& g, std::vector<std::int64_t> initial_load,
-                     std::uint64_t seed,
-                     rng_version rng = default_rng_version);
+                     std::uint64_t seed);
 
     void step();
     void run(std::int64_t count);
@@ -53,7 +49,6 @@ public:
 private:
     const graph& graph_;
     std::uint64_t seed_;
-    rng_version rng_;
     std::vector<std::int64_t> load_;
     std::vector<edge> edges_;          // canonical edge list
     std::vector<std::int32_t> shuffle_; // scratch permutation

@@ -188,13 +188,12 @@ discrete_process::discrete_process(diffusion_config config,
                                    std::span<const std::int64_t> initial_load,
                                    rounding_kind rounding, std::uint64_t seed,
                                    negative_load_policy policy, executor* exec,
-                                   engine_scratch* scratch, rng_version rng)
+                                   engine_scratch* scratch)
     : config_(std::move(config)),
       exec_(exec != nullptr ? exec : &default_executor()),
       scratch_(scratch),
       rounding_(rounding),
       seed_(seed),
-      rng_(rng),
       policy_(policy)
 {
     validate_config(config_, initial_load.size());
@@ -286,10 +285,9 @@ void discrete_process::step()
         // no-op re-read of the mirrored value.
         if (rounding_ == rounding_kind::randomized)
             round_flows_randomized_owner(g, scheduled_, seed_, round_, flows_,
-                                         *exec_, rng_);
+                                         *exec_);
         else
-            round_flows(g, rounding_, scheduled_, seed_, round_, flows_, *exec_,
-                        rng_);
+            round_flows(g, rounding_, scheduled_, seed_, round_, flows_, *exec_);
     }
 
     obs::phase_scope apply_phase("engine", "apply", &em.apply_ns);

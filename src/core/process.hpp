@@ -134,16 +134,12 @@ class discrete_process {
 public:
     /// A non-null `scratch` lends the engine its working arrays (returned
     /// on destruction); results are byte-identical with or without it.
-    /// `rng` selects the versioned stream format the rounding draws use
-    /// (util/rng.hpp): v1 is the pinned default, v2 the counter-based
-    /// format.
     discrete_process(diffusion_config config,
                      std::span<const std::int64_t> initial_load,
                      rounding_kind rounding, std::uint64_t seed,
                      negative_load_policy policy = negative_load_policy::allow,
                      executor* exec = nullptr,
-                     engine_scratch* scratch = nullptr,
-                     rng_version rng = default_rng_version);
+                     engine_scratch* scratch = nullptr);
     ~discrete_process();
 
     discrete_process(const discrete_process&) = delete;
@@ -161,7 +157,6 @@ public:
     const diffusion_config& config() const noexcept { return config_; }
     rounding_kind rounding() const noexcept { return rounding_; }
     std::uint64_t seed() const noexcept { return seed_; }
-    rng_version rng() const noexcept { return rng_; }
 
     /// Exact token conservation modulo external injection:
     /// total_load() == initial_total() + external_total() always
@@ -193,8 +188,8 @@ public:
 
     /// Checkpoint support (core/checkpoint.hpp): capture / reinstate the
     /// evolving engine state. restore validates shapes and scheme and
-    /// throws std::invalid_argument on mismatch; seed, rounding, policy and
-    /// rng version are construction parameters, not snapshot state.
+    /// throws std::invalid_argument on mismatch; seed, rounding and policy
+    /// are construction parameters, not snapshot state.
     void save_checkpoint(discrete_engine_state& out) const;
     void restore_checkpoint(const discrete_engine_state& state);
 
@@ -204,7 +199,6 @@ private:
     engine_scratch* scratch_;
     rounding_kind rounding_;
     std::uint64_t seed_;
-    rng_version rng_;
     negative_load_policy policy_;
     aligned_vector<std::int64_t> load_;
     aligned_vector<double> load_over_speed_;

@@ -15,13 +15,10 @@
 //  * bernoulli_edge— per-edge independent randomized rounding:
 //                    floor + Bernoulli(fractional part) [Friedrich et al.].
 //
-// All randomness comes from per-(seed, node, round) streams, so outcomes
-// are independent of thread count and fully reproducible. The stream
-// *format* is versioned (util/rng.hpp rng_version): v1 seeds a xoshiro
-// stream per (node, round); v2 computes stateless counter-based draws
-// inline, which skips the per-node 256-bit seeding and is the faster
-// format. Both are unbiased; only v1 is bit-compatible with pre-version
-// builds.
+// All randomness comes from the stateless per-(seed, node, round) draws of
+// util/rng.hpp, computed inline per token or edge, so outcomes are
+// independent of thread count and fully reproducible. Golden vectors in
+// tests/test_rng_golden.cpp pin the outputs of both randomized schemes.
 #ifndef DLB_CORE_ROUNDING_HPP
 #define DLB_CORE_ROUNDING_HPP
 
@@ -31,7 +28,6 @@
 
 #include "core/executor.hpp"
 #include "graph/graph.hpp"
-#include "util/rng.hpp"
 
 namespace dlb {
 
@@ -47,8 +43,7 @@ std::string_view to_string(rounding_kind kind) noexcept;
 /// Rounds scheduled flows to integer flows with the chosen scheme.
 /// `scheduled` and `flows_out` are per-half-edge; `scheduled` must be
 /// antisymmetric. `seed`/`round` select the deterministic random streams
-/// and `version` the stream format (both unused by the deterministic
-/// schemes).
+/// (unused by the deterministic schemes).
 ///
 /// floor/nearest round both directions of every edge in one node-parallel
 /// sweep (the negative side is the exact negation of the positive side's
@@ -58,28 +53,18 @@ std::string_view to_string(rounding_kind kind) noexcept;
 void round_flows(const graph& g, rounding_kind kind,
                  std::span<const double> scheduled, std::uint64_t seed,
                  std::int64_t round, std::span<std::int64_t> flows_out,
-                 executor& exec, rng_version version = default_rng_version);
+                 executor& exec);
 
 /// Engine fast path: the randomized owner pass alone, without the mirror
 /// sweep — only owner (positive-scheduled) sides are written, zeros
 /// elsewhere; the discrete engine's apply sweep derives every negative
 /// side as its owner's negation. Owner-side values are bit-identical to
-/// round_flows(randomized) with the same `version`.
+/// round_flows(randomized).
 void round_flows_randomized_owner(const graph& g,
                                   std::span<const double> scheduled,
                                   std::uint64_t seed, std::int64_t round,
                                   std::span<std::int64_t> flows_out,
-                                  executor& exec,
-                                  rng_version version = default_rng_version);
-
-/// The pre-canonical implementation (owner pass over all half-edges plus a
-/// full mirror sweep). Kept as the bitwise oracle for the golden
-/// determinism suite and the kernel microbenchmarks. v1-format only: this
-/// is the frozen pre-version pipeline, so it takes no rng_version.
-void round_flows_reference(const graph& g, rounding_kind kind,
-                           std::span<const double> scheduled, std::uint64_t seed,
-                           std::int64_t round, std::span<std::int64_t> flows_out,
-                           executor& exec);
+                                  executor& exec);
 
 } // namespace dlb
 

@@ -157,39 +157,4 @@ void scheduled_flows(const graph& g, std::span<const double> alpha,
                     load_over_speed, previous_flows, flows_out, exec);
 }
 
-void scheduled_flows_reference(const graph& g, std::span<const double> alpha,
-                               scheme_params scheme,
-                               std::int64_t rounds_in_scheme,
-                               std::span<const double> load_over_speed,
-                               std::span<const double> previous_flows,
-                               std::span<double> flows_out, executor& exec)
-{
-    const bool second_order =
-        validate_flows(g, alpha, scheme, rounds_in_scheme, load_over_speed,
-                       previous_flows.size(), flows_out);
-
-    const double beta = scheme_beta_for_round(scheme, rounds_in_scheme);
-
-    // Parallel over nodes; each chunk writes only its nodes' half-edges.
-    exec.parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
-        for (node_id v = static_cast<node_id>(begin); v < end; ++v) {
-            const double xv = load_over_speed[v];
-            const half_edge_id he_begin = g.half_edge_begin(v);
-            const half_edge_id he_end = g.half_edge_end(v);
-            if (second_order) {
-                for (half_edge_id h = he_begin; h < he_end; ++h) {
-                    const double gradient = xv - load_over_speed[g.head(h)];
-                    flows_out[h] = (beta - 1.0) * previous_flows[h] +
-                                   beta * alpha[h] * gradient;
-                }
-            } else {
-                for (half_edge_id h = he_begin; h < he_end; ++h) {
-                    const double gradient = xv - load_over_speed[g.head(h)];
-                    flows_out[h] = alpha[h] * gradient;
-                }
-            }
-        }
-    });
-}
-
 } // namespace dlb

@@ -162,17 +162,6 @@ void scheduled_flows(const graph& g, std::span<const double> alpha,
                      std::span<const std::int64_t> previous_flows,
                      std::span<double> flows_out, executor& exec);
 
-/// The pre-canonical two-sided kernel: evaluates the flow rule
-/// independently on every half-edge. Kept as the bitwise oracle for the
-/// golden determinism suite and the kernel microbenchmarks; reads all of
-/// `previous_flows`, not just the canonical entries.
-void scheduled_flows_reference(const graph& g, std::span<const double> alpha,
-                               scheme_params scheme,
-                               std::int64_t rounds_in_scheme,
-                               std::span<const double> load_over_speed,
-                               std::span<const double> previous_flows,
-                               std::span<double> flows_out, executor& exec);
-
 /// Validates scheme parameters; throws std::invalid_argument on bad beta.
 void validate_scheme(scheme_params scheme);
 

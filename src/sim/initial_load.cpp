@@ -34,13 +34,6 @@ std::vector<std::int64_t> random_load(node_id n, std::int64_t total,
     return load;
 }
 
-std::vector<std::int64_t> uniform_range_load(node_id n, std::int64_t low,
-                                             std::int64_t high, std::uint64_t seed)
-{
-    auto rng = tagged_rng(seed, 0x4a11u);
-    return uniform_range_load(n, low, high, rng);
-}
-
 std::vector<std::int64_t> proportional_load(const std::vector<double>& speeds,
                                             std::int64_t total)
 {

@@ -23,13 +23,8 @@ std::vector<std::int64_t> balanced_load(node_id n, std::int64_t per_node);
 std::vector<std::int64_t> random_load(node_id n, std::int64_t total,
                                       std::uint64_t seed);
 
-/// Each node draws uniformly from [low, high] (independent). The seeded
-/// overload uses the historical xoshiro stream (tag 0x4a11); the generic
-/// overload draws from any generator with next_below — the single
-/// implementation both RNG stream formats share.
-std::vector<std::int64_t> uniform_range_load(node_id n, std::int64_t low,
-                                             std::int64_t high, std::uint64_t seed);
-
+/// Each node draws uniformly from [low, high] (independent), from any
+/// generator with next_below.
 template <class Rng>
 std::vector<std::int64_t> uniform_range_load(node_id n, std::int64_t low,
                                              std::int64_t high, Rng& rng)

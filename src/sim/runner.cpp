@@ -34,11 +34,7 @@ void validate_resume(const experiment_config& config,
             "resume: seed mismatch: checkpoint has " +
             std::to_string(checkpoint.seed) + " but this run uses " +
             std::to_string(config.seed));
-    if (checkpoint.rng_version != static_cast<std::int32_t>(config.rng))
-        throw std::invalid_argument(
-            "resume: rng_version mismatch: checkpoint has " +
-            std::to_string(checkpoint.rng_version) + " but this run uses " +
-            std::to_string(static_cast<std::int32_t>(config.rng)));
+    require_current_rng_version(checkpoint, "resume");
     if (checkpoint.engine != config.process)
         throw std::invalid_argument(
             "resume: engine mismatch: checkpoint holds " +
@@ -136,7 +132,6 @@ time_series run_loop(Engine& engine, State engine_checkpoint::*section,
             engine_checkpoint snapshot;
             snapshot.spec_hash = config.checkpoint_spec_hash;
             snapshot.scenario_index = config.checkpoint_scenario_index;
-            snapshot.rng_version = static_cast<std::int32_t>(config.rng);
             snapshot.seed = config.seed;
             snapshot.round = t;
             snapshot.rng_check = checkpoint_rng_check(snapshot.rng_version,
@@ -259,7 +254,7 @@ experiment_outcome run_experiment_with_final_load(
     case process_kind::discrete: {
         discrete_process engine(config.diffusion, initial_load, config.rounding,
                                 config.seed, config.policy, config.exec,
-                                config.scratch, config.rng);
+                                config.scratch);
         std::optional<continuous_process> twin;
         if (config.run_continuous_twin)
             twin.emplace(config.diffusion, to_continuous(initial_load),

@@ -41,11 +41,6 @@ struct experiment_config {
     process_kind process = process_kind::discrete;
     rounding_kind rounding = rounding_kind::randomized;
     std::uint64_t seed = 1;
-    /// Versioned RNG stream format for the discrete engine's rounding
-    /// draws (util/rng.hpp): v1 (default, pinned bit-exact) or v2
-    /// (counter-based). Deterministic roundings and the continuous /
-    /// cumulative engines ignore it.
-    rng_version rng = default_rng_version;
     negative_load_policy policy = negative_load_policy::allow;
 
     std::int64_t rounds = 1000;
@@ -85,9 +80,9 @@ struct experiment_config {
     std::function<void(std::int64_t)> after_checkpoint;
 
     /// Resume from a parsed snapshot instead of round 0. The checkpoint's
-    /// seed, rng_version, rounding, policy, record_every, engine kind and
-    /// spec hash must all match this config — any mismatch throws
-    /// std::invalid_argument naming the field. The resumed run's series is
+    /// seed, rounding, policy, record_every, engine kind and spec hash must
+    /// all match this config, and its rng_version this build's stream — any
+    /// mismatch throws std::invalid_argument naming the field. The resumed run's series is
     /// byte-identical to the uninterrupted run's. Must outlive the run;
     /// incompatible with run_continuous_twin.
     const engine_checkpoint* resume = nullptr;

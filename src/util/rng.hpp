@@ -1,48 +1,35 @@
 // Deterministic random number generation for reproducible simulations.
 //
-// The simulator derives an independent stream per (seed, node, round) by
-// hashing with splitmix64, so results are bit-identical regardless of the
-// number of worker threads. Two stream formats exist, selected by
-// rng_version (a first-class, versioned output contract — see
-// docs/architecture.md "RNG-stream contract"):
+// Two kinds of randomness, two derivations:
 //
-//   v1 (default) — stream_for(seed, node, round) seeds a 256-bit
-//       xoshiro256** generator per (node, round). Bit-exact since the seed
-//       build; pinned by golden vectors (tests/test_rng_golden.cpp).
-//   v2 — stateless counter-based draws: draw_u64(seed, node, round, i) is
-//       a pure hash of its four words, so the i-th draw of any substream
-//       is computed inline with no generator state seeded per node. The
+//   per-round draws — draw_u64(seed, node, round, i) is a stateless
+//       counter-based hash of its four words (the idea of Random123), so
+//       the i-th draw of any (seed, node, round) substream is computed
+//       inline with no generator state seeded per node, and results are
+//       bit-identical regardless of the number of worker threads. The
 //       counter_rng wrapper exposes the same sequence as an incremental
 //       generator for call sites that draw a data-dependent number of
-//       words. Batched, branch-light, and ~1.3x cheaper per (node, round)
-//       in the randomized-rounding owner pass.
+//       words (shuffles, rejection sampling). Rounding, workloads,
+//       matching and the randomized load patterns all draw from it. Its
+//       checkpoint wire value is 2 (core/checkpoint.hpp); 1 named a retired
+//       per-(node, round) xoshiro format.
+//   structural draws — tagged_rng(seed, tag) seeds a xoshiro256**
+//       generator for graph wiring, speed assignment and solver start
+//       vectors, which are drawn once per run, not per round.
 //
-// Both formats guarantee what the theory needs — unbiased draws,
+// The per-round draws give what the theory needs — unbiased draws,
 // independent per-(seed, node, round) substreams (Shiraga; Sauerwald &
 // Sun state their bounds purely in those terms) — which the statistical
-// conformance suite (tests/test_rng_stats.cpp) tests directly.
+// conformance suite (tests/test_rng_stats.cpp) tests directly, and golden
+// vectors (tests/test_rng_golden.cpp) pin bit-exactly: see
+// docs/architecture.md "Determinism and the RNG-stream contract".
 #ifndef DLB_UTIL_RNG_HPP
 #define DLB_UTIL_RNG_HPP
 
 #include <cstdint>
 #include <limits>
-#include <string_view>
 
 namespace dlb {
-
-/// The versioned RNG stream format. Numeric values are the wire values
-/// used by campaign specs and reports (`rng_version = 1|2`).
-enum class rng_version : std::int32_t {
-    v1 = 1, // per-(node, round) xoshiro256** streams (the pinned default)
-    v2 = 2, // stateless counter-based draws (batched splitmix hashing)
-};
-
-constexpr rng_version default_rng_version = rng_version::v1;
-
-constexpr std::string_view to_string(rng_version version) noexcept
-{
-    return version == rng_version::v2 ? "2" : "1";
-}
 
 /// One splitmix64 step; used both as a stand-alone hash/mixer and to seed
 /// xoshiro state from a single 64-bit value.
@@ -70,7 +57,7 @@ constexpr std::uint64_t mix64(std::uint64_t a, std::uint64_t b = 0,
 }
 
 /// Maps a 64-bit word to a uniform double in [0, 1) with 53 random bits.
-/// The shared word->unit-interval rule of both stream formats.
+/// The shared word->unit-interval rule of every generator.
 constexpr double to_unit_double(std::uint64_t word) noexcept
 {
     return static_cast<double>(word >> 11) * 0x1.0p-53;
@@ -78,8 +65,8 @@ constexpr double to_unit_double(std::uint64_t word) noexcept
 
 /// CRTP mixin: the derived draw helpers every generator shares, on top of
 /// the UniformRandomBitGenerator core (Derived::operator() over the full
-/// 64-bit range). Both stream formats' generators use the exact same
-/// word->value rules by construction.
+/// 64-bit range). Every generator uses the exact same word->value rules by
+/// construction.
 template <class Derived>
 class draw_helpers {
 public:
@@ -153,55 +140,45 @@ private:
     std::uint64_t state_[4]{};
 };
 
-/// Derives the deterministic generator used for node `node` in round `round`
-/// of a run with master seed `seed`. Thread-count independent by design.
-/// This is the v1 stream format; it is pinned bit-exactly by golden vectors.
-inline xoshiro256ss stream_for(std::uint64_t seed, std::uint64_t node,
-                               std::uint64_t round) noexcept
-{
-    return xoshiro256ss{mix64(seed, node + 1, round + 1)};
-}
-
-/// Derives a generator for structural randomness that is deliberately
-/// version-independent (graph wiring, initial load placement, speed
-/// assignment): the same seed must build the same topology whether the
-/// per-round draws use v1 streams or v2 counters, so these streams are
-/// derived from a purpose tag, not from (node, round). This is the only
-/// sanctioned way to seed a xoshiro generator outside this header — the
-/// contract analyzer (rng-contract) flags direct construction.
+/// Derives a generator for structural randomness (graph wiring, speed
+/// assignment, solver start vectors, test-scale load placement): these
+/// streams are derived from a
+/// purpose tag, not from (node, round). This is the only sanctioned way to
+/// seed a xoshiro generator outside this header — the contract analyzer
+/// (rng-contract) flags direct construction.
 inline xoshiro256ss tagged_rng(std::uint64_t seed, std::uint64_t tag,
                                std::uint64_t extra = 0) noexcept
 {
     return xoshiro256ss{mix64(seed, tag, extra)};
 }
 
-// ---- v2: stateless counter-based draws --------------------------------------
+// ---- per-round draws: stateless and counter-based ---------------------------
 //
-// Draw i of the v2 substream of (seed, node, round) is one splitmix64
-// finalize over the tagged substream base XOR an index Weyl word — a pure
-// hash of all four inputs, so any draw can be computed out of order, in a
-// batch, or incrementally, with no 256-bit state seeded per (node, round).
+// Draw i of the substream of (seed, node, round) is one splitmix64 finalize
+// over the tagged substream base XOR an index Weyl word — a pure hash of
+// all four inputs, so any draw can be computed out of order, in a batch,
+// or incrementally, with no 256-bit state seeded per (node, round).
 //
 // Two deliberate decorrelation choices in the derivation:
-//  * The base folds in a v2-only tag, so the v2 substream of a triple is
-//    unrelated to its v1 stream (whose xoshiro seed is the untagged
-//    mix64): running the same seed axis under both versions yields
-//    independent replicates, not coupled ones.
+//  * The base folds in a stream tag, so the substream of a triple is
+//    unrelated to the xoshiro seeding of the untagged mix64 of the same
+//    words (tagged_rng(seed, node + 1, round + 1)).
 //  * The index enters by XOR of a Weyl multiple, not by advancing the
 //    base additively — substreams are NOT slices of one global splitmix
 //    orbit, so two substreams can only share draws at equal indices after
-//    an exact 64-bit base collision (the same birthday profile as v1's
-//    seeding), never as shifted runs.
+//    an exact 64-bit base collision, never as shifted runs.
+//
+// The tag, the Weyl constant and both functions below are frozen: any edit
+// changes every randomized report byte (see the architecture doc).
 
-/// Distinguishes v2 substream bases from the v1 xoshiro seeding of the
-/// same (seed, node, round); part of the frozen v2 format.
+/// Distinguishes substream bases from the untagged mix64 of the same
+/// (seed, node, round).
 inline constexpr std::uint64_t kV2StreamTag = 0x32762d626e72ULL; // "rnb-v2"
 
-/// Per-draw-index Weyl constant (odd, spectrally good); part of the
-/// frozen v2 format.
+/// Per-draw-index Weyl constant (odd, spectrally good).
 inline constexpr std::uint64_t kV2DrawWeyl = 0xd1342543de82ef95ULL;
 
-/// The v2 substream base for (seed, node, round). Hoist this out of draw
+/// The substream base for (seed, node, round). Hoist this out of draw
 /// loops and index with draw_at.
 constexpr std::uint64_t stream_base(std::uint64_t seed, std::uint64_t node,
                                     std::uint64_t round) noexcept
@@ -209,15 +186,15 @@ constexpr std::uint64_t stream_base(std::uint64_t seed, std::uint64_t node,
     return mix64(seed ^ kV2StreamTag, node + 1, round + 1);
 }
 
-/// Draw `i` of the v2 substream with the given base (pure function,
-/// O(1) in i).
+/// Draw `i` of the substream with the given base (pure function, O(1) in
+/// i).
 constexpr std::uint64_t draw_at(std::uint64_t base, std::uint64_t i) noexcept
 {
     std::uint64_t state = base ^ ((i + 1) * kV2DrawWeyl);
     return splitmix64(state);
 }
 
-/// The v2 contract in one call: draw `i` of the (seed, node, round)
+/// The per-round contract in one call: draw `i` of the (seed, node, round)
 /// substream. Equals counter_rng(seed, node, round)'s (i+1)-th operator()
 /// output — pinned by tests/test_rng_golden.cpp.
 constexpr std::uint64_t draw_u64(std::uint64_t seed, std::uint64_t node,
@@ -226,7 +203,7 @@ constexpr std::uint64_t draw_u64(std::uint64_t seed, std::uint64_t node,
     return draw_at(stream_base(seed, node, round), i);
 }
 
-/// Incremental view of a v2 substream for call sites that consume a
+/// Incremental view of a substream for call sites that consume a
 /// data-dependent number of draws (shuffles, rejection sampling). Holds one
 /// 64-bit counter; output k (0-based) equals draw_at(base, k). Satisfies
 /// the C++ UniformRandomBitGenerator concept.
@@ -253,23 +230,6 @@ private:
     std::uint64_t base_;
     std::uint64_t weyl_ = 0;
 };
-
-/// Runs `body` with the per-(seed, node, round) generator of the given
-/// stream format — a v1 xoshiro stream or a v2 counter — and returns its
-/// result. The single dispatch point format-agnostic consumers (workloads,
-/// matching) share, so a future v3 is one edit here, not one per caller.
-template <class Body>
-constexpr decltype(auto) with_stream_rng(rng_version version,
-                                         std::uint64_t seed, std::uint64_t node,
-                                         std::uint64_t round, Body&& body)
-{
-    if (version == rng_version::v2) {
-        counter_rng rng(seed, node, round);
-        return body(rng);
-    }
-    auto rng = stream_for(seed, node, round);
-    return body(rng);
-}
 
 } // namespace dlb
 

@@ -1,6 +1,6 @@
 // Rule 3 positive, regression twin of the pre-analyzer src/core/speeds.cpp:
 // hand-seeding a xoshiro stream outside util/rng.hpp pins this call site to
-// the v1 stream format behind the dispatch surface's back.
+// one stream derivation behind util/rng.hpp's back.
 using u64 = unsigned long long;
 struct xoshiro256ss {
     u64 s[4];

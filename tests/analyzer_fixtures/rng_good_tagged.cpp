@@ -1,5 +1,5 @@
 // Rule 3 negative: structural randomness drawn through the sanctioned
-// dispatch surface.
+// tagged_rng.
 using u64 = unsigned long long;
 struct xoshiro256ss {
     u64 s[4];

@@ -46,50 +46,6 @@ TEST(CampaignSpec, FieldRoundTripForEveryField)
     EXPECT_THROW(get_field(spec, "no_such_field"), std::invalid_argument);
 }
 
-TEST(CampaignSpec, RngVersionValidatesEagerly)
-{
-    scenario_spec spec;
-    EXPECT_EQ(spec.rng_version, 1); // v1 is the pinned default
-    set_field(spec, "rng_version", "2");
-    EXPECT_EQ(spec.rng_version, 2);
-    set_field(spec, "rng_version", "1");
-    EXPECT_EQ(spec.rng_version, 1);
-
-    // Unknown versions are rejected at parse time with a message naming
-    // the valid set — not at scenario resolution deep inside a sweep.
-    for (const char* bad : {"3", "0", "-1", "v2", ""}) {
-        try {
-            set_field(spec, "rng_version", bad);
-            FAIL() << "rng_version '" << bad << "' unexpectedly accepted";
-        } catch (const std::invalid_argument& rejected) {
-            EXPECT_NE(std::string(rejected.what()).find("rng_version"),
-                      std::string::npos)
-                << rejected.what();
-        }
-    }
-    EXPECT_EQ(spec.rng_version, 1); // failed sets leave the spec untouched
-
-    // Programmatic specs bypass set_field; run_scenario re-validates and
-    // reports the error in the result row instead of throwing.
-    scenario_spec bad_spec;
-    bad_spec.nodes = 16;
-    bad_spec.rounds = 5;
-    bad_spec.rng_version = 3;
-    const auto result = run_scenario(bad_spec, 0, 1);
-    EXPECT_NE(result.error.find("rng_version"), std::string::npos)
-        << result.error;
-}
-
-TEST(CampaignSpec, RngVersionTagsLabelOnlyForV2)
-{
-    scenario_spec spec;
-    const std::string v1_label = scenario_label(spec);
-    EXPECT_EQ(v1_label.find("rng"), std::string::npos)
-        << "v1 labels must stay byte-identical to pre-version builds";
-    spec.rng_version = 2;
-    EXPECT_NE(scenario_label(spec).find("-rng2"), std::string::npos);
-}
-
 TEST(CampaignSpec, ExpansionCountIsAxisProduct)
 {
     campaign_spec spec;
@@ -278,8 +234,9 @@ INSTANTIATE_TEST_SUITE_P(
                        "unknown topology 'moebius'"},
         spec_rejection{"non_numeric", "nodes = sixty-four\n",
                        "bad integer for nodes"},
-        spec_rejection{"rng_version_3", "rng_version = 3\n",
-                       "rng_version must be 1"},
+        // The retired stream-format field (one per-round stream is left).
+        spec_rejection{"rng_version_retired", "rng_version = 2\n",
+                       "unknown field 'rng_version'"},
         spec_rejection{"topology_param_inf", "topology_param = inf\n",
                        "topology_param must be finite"},
         spec_rejection{"unknown_rounding", "rounding = stochastic\n",
@@ -326,7 +283,6 @@ TEST(SpecValidation, CleanSpecsExpand)
                               "workload_rate = 0.25\n"
                               "workload_amount = 3\n"
                               "workload_period = 5\n"
-                              "rng_version = 2\n"
                               "seed = 42\n")
                   .size(),
               1u);

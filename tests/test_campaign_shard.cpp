@@ -35,7 +35,6 @@ campaign_spec shard_spec()
     spec.axes["topology"] = {"torus", "random_regular"};
     spec.axes["scheme"] = {"fos", "sos"};
     spec.axes["workload"] = {"static", "poisson"};
-    spec.axes["rng_version"] = {"1", "2"};
     spec.axes["seed"] = {"1", "2"};
     return spec;
 }
@@ -214,40 +213,6 @@ TEST_F(ShardMergeTest, MergeRejectsDuplicateAndMissingScenarios)
     campaign_spec other = shard_spec();
     other.base.rounds = 61;
     EXPECT_THROW(merge_shard_csv(other, paths_), std::runtime_error);
-}
-
-TEST_F(ShardMergeTest, MergeRejectsMixedRngVersionShards)
-{
-    // A shard accidentally run with the other stream format must be
-    // rejected with a message naming rng_version — its randomized columns
-    // are drawn from a different stream and can never reassemble into the
-    // canonical report.
-    campaign_spec spec = shard_spec();
-    spec.axes.erase("rng_version"); // fixed per campaign for this test
-
-    campaign_spec wrong_version = spec;
-    wrong_version.base.rng_version = 2;
-
-    for (std::int64_t s = 0; s < 2; ++s) {
-        campaign_options options;
-        options.shard_index = s;
-        options.shard_count = 2;
-        const auto shard =
-            run_campaign(s == 0 ? spec : wrong_version, options);
-        const std::string path = ::testing::TempDir() + "dlb_shard_mixed_" +
-                                 std::to_string(s) + ".csv";
-        std::ofstream out(path);
-        write_csv(out, shard);
-        paths_.push_back(path);
-    }
-    try {
-        merge_shard_csv(spec, paths_);
-        FAIL() << "mixed-rng_version merge unexpectedly succeeded";
-    } catch (const std::runtime_error& rejected) {
-        EXPECT_NE(std::string(rejected.what()).find("rng_version"),
-                  std::string::npos)
-            << "message should name the mismatched field: " << rejected.what();
-    }
 }
 
 TEST_F(ShardMergeTest, InvalidShardOptionsThrow)

@@ -10,14 +10,15 @@
 //  2. Resume byte-identity: a campaign run that checkpoints, and a second
 //     invocation resuming from the snapshot, both produce reports
 //     byte-identical to the uninterrupted run — across discrete /
-//     continuous / cumulative engines, all four roundings, both RNG stream
-//     formats and the poisson / burst / drain workload models.
+//     continuous / cumulative engines, all four roundings and the
+//     poisson / burst / drain workload models.
 //
 //  3. Strict rejection: a snapshot that does not match the run it is fed
-//     to (spec hash, seed, rng_version, rounding, policy, record_every,
-//     engine kind, round range, load shape) is refused with an error
-//     naming the field — and a corrupted snapshot file (eight shapes,
-//     mirroring the lambda-sidecar battery) never parses.
+//     to (spec hash, seed, rounding, policy, record_every, engine kind,
+//     round range, load shape) or was taken under the retired v1 stream
+//     (rng_version 1) is refused with an error naming the field — and a
+//     corrupted snapshot file (eight shapes, mirroring the lambda-sidecar
+//     battery) never parses.
 //
 //  4. Windowed sampling (measure_windows): window 0 with W = rounds -
 //     start_round reproduces the uninterrupted run's final discrepancy
@@ -147,33 +148,31 @@ struct resume_cell {
     const char* process;
     const char* rounding;
     const char* workload;
-    std::int64_t rng;
 };
 
 TEST_F(CheckpointTest, ResumeByteIdenticalAcrossEngineGrid)
 {
-    // Every dimension value appears: 3 engines, 4 roundings, rng 1|2,
-    // poisson/burst/drain (cycled through the discrete cells, fixed
-    // pairings elsewhere — the cross product would be 72 cells for no
-    // added coverage).
+    // Every dimension value appears: 3 engines, 4 roundings,
+    // poisson/burst/drain (two per rounding, cycled through the discrete
+    // cells, fixed pairings elsewhere — the cross product would be 36
+    // cells for no added coverage).
     std::vector<resume_cell> grid;
     const char* workloads[] = {"poisson", "burst", "drain"};
     int next_workload = 0;
     for (const char* rounding :
          {"randomized", "floor", "nearest", "bernoulli_edge"})
-        for (const std::int64_t rng : {1, 2})
-            grid.push_back({"discrete", rounding,
-                            workloads[next_workload++ % 3], rng});
+        for (int pairing = 0; pairing < 2; ++pairing)
+            grid.push_back(
+                {"discrete", rounding, workloads[next_workload++ % 3]});
     for (const char* workload : workloads)
-        grid.push_back({"continuous", "randomized", workload, 1});
-    grid.push_back({"cumulative", "randomized", "poisson", 1});
-    grid.push_back({"cumulative", "randomized", "drain", 2});
+        grid.push_back({"continuous", "randomized", workload});
+    grid.push_back({"cumulative", "randomized", "poisson"});
+    grid.push_back({"cumulative", "randomized", "drain"});
 
     for (const auto& cell : grid) {
         campaign_spec spec = checkpoint_spec();
         spec.base.process = cell.process;
         spec.base.rounding = cell.rounding;
-        spec.base.rng_version = cell.rng;
         spec.base.workload = cell.workload;
         if (spec.base.workload == "poisson") {
             spec.base.workload_rate = 3.0;
@@ -184,7 +183,7 @@ TEST_F(CheckpointTest, ResumeByteIdenticalAcrossEngineGrid)
             spec.base.workload_period = 15;
         }
         SCOPED_TRACE(std::string(cell.process) + "/" + cell.rounding + "/" +
-                     cell.workload + "/rng" + std::to_string(cell.rng));
+                     cell.workload);
 
         // Uninterrupted reference.
         const auto full = run_campaign(spec, {});
@@ -201,7 +200,7 @@ TEST_F(CheckpointTest, ResumeByteIdenticalAcrossEngineGrid)
         const engine_checkpoint snapshot = read_checkpoint_file(path);
         EXPECT_EQ(snapshot.round, 40);
         EXPECT_EQ(snapshot.scenario_index, 0);
-        EXPECT_EQ(snapshot.rng_version, cell.rng);
+        EXPECT_EQ(snapshot.rng_version, kCurrentRngVersion);
         EXPECT_EQ(std::string(to_string(snapshot.engine)), cell.process);
 
         // Resume from round 40 and compare the whole report byte-for-byte.
@@ -309,7 +308,8 @@ TEST(CheckpointRoundTrip, CumulativeStateSurvivesSerializeParseExactly)
     engine_checkpoint checkpoint;
     checkpoint.seed = 1;
     checkpoint.round = engine.round();
-    checkpoint.rng_check = checkpoint_rng_check(1, 1, engine.round());
+    checkpoint.rng_check =
+        checkpoint_rng_check(checkpoint.rng_version, 1, engine.round());
     checkpoint.engine = process_kind::cumulative;
     engine.save_checkpoint(checkpoint.cumulative);
 
@@ -684,8 +684,13 @@ TEST(CheckpointResumeValidation, MismatchesThrowNamingTheField)
         expect_contains(message_for(bad), "seed");
     }
     {
+        // A snapshot of the retired v1 stream: wire value 1 with its probe.
+        engine_checkpoint v1_snapshot = snapshot;
+        v1_snapshot.rng_version = 1;
+        v1_snapshot.rng_check =
+            checkpoint_rng_check(1, v1_snapshot.seed, v1_snapshot.round);
         experiment_config bad = base;
-        bad.rng = rng_version::v2;
+        bad.resume = &v1_snapshot;
         expect_contains(message_for(bad), "rng_version");
     }
     {
@@ -765,12 +770,11 @@ TEST_F(CheckpointTest, CampaignResumeRejectsRngVersionMismatch)
     with_snapshots.checkpoint_dir = dir_;
     run_campaign(spec, with_snapshots);
 
-    // Forge a snapshot claiming rng_version 2, with a self-consistent
-    // probe word so it parses — the campaign driver must still refuse it
-    // against the scenario's rng_version 1.
+    // Forge a snapshot of the retired v1 stream, with its self-consistent
+    // probe word so it parses — the campaign driver must still refuse it.
     engine_checkpoint forged = read_checkpoint_file(snapshot_path(spec));
-    forged.rng_version = 2;
-    forged.rng_check = checkpoint_rng_check(2, forged.seed, forged.round);
+    forged.rng_version = 1;
+    forged.rng_check = checkpoint_rng_check(1, forged.seed, forged.round);
     const std::string forged_path = dir_ + "/forged_rng.ckpt";
     write_checkpoint_file(forged_path, forged);
 
@@ -1077,6 +1081,25 @@ TEST_F(CheckpointTest, WindowedSamplingRejectsNonDiscreteAndBadOptions)
         EXPECT_THROW(measure_windows(spec, snapshot, bad),
                      std::invalid_argument);
     }
+}
+
+TEST_F(CheckpointTest, WindowedSamplingRejectsRetiredRngVersion)
+{
+    const campaign_spec spec = windows_spec();
+    campaign_options with_snapshots;
+    with_snapshots.checkpoint_every = 40;
+    with_snapshots.checkpoint_dir = dir_;
+    run_campaign(spec, with_snapshots);
+    engine_checkpoint forged = read_checkpoint_file(snapshot_path(spec));
+    forged.rng_version = 1;
+    forged.rng_check = checkpoint_rng_check(1, forged.seed, forged.round);
+
+    measure_windows_options options;
+    options.windows = 2;
+    options.window_rounds = 5;
+    expect_contains(
+        thrown_message([&] { measure_windows(spec, forged, options); }),
+        "rng_version");
 }
 
 TEST_F(CheckpointTest, WindowReportsAreWellFormed)

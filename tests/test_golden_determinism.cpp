@@ -4,13 +4,13 @@
 //
 //  1. The canonical-edge kernels (scheduled_flows computing each edge once
 //     and mirroring by negation, round_flows with the fused/canonical
-//     mirror) produce bit-for-bit the same output as the pre-refactor
-//     two-sided kernels (kept as scheduled_flows_reference /
-//     round_flows_reference). A reference pipeline re-implementing the old
+//     mirror and the blocked owner walk) produce bit-for-bit the same
+//     output as the plain two-sided, early-exit kernels of
+//     reference_kernels.hpp. A reference pipeline re-implementing the old
 //     engine round drives the comparison over real engine trajectories, so
-//     every `time_series` a run records is byte-identical to what the old
-//     kernel produced: the series is a pure function of the per-round load
-//     state, which is compared exactly here.
+//     every `time_series` a run records is byte-identical to what the
+//     reference kernels produce: the series is a pure function of the
+//     per-round load state, which is compared exactly here.
 //
 //  2. Engine output is byte-identical across executors: serial_executor and
 //     thread_pool with 1, 2 and 8 workers, across discrete/continuous
@@ -33,6 +33,7 @@
 #include "core/rounding.hpp"
 #include "core/scheme.hpp"
 #include "graph/generators.hpp"
+#include "reference_kernels.hpp"
 #include "sim/initial_load.hpp"
 #include "sim/runner.hpp"
 #include "sim/thread_pool.hpp"
@@ -165,7 +166,9 @@ TEST(GoldenKernel, CanonicalMatchesTwoSidedKernelBitwise)
     // Drive the real engine and the reference pipeline in lock-step over
     // real trajectories: loads, scheduled flows and rounded flows must stay
     // bit-for-bit identical on every round, for every rounding scheme, on
-    // three topology families (one heterogeneous).
+    // three topology families (one heterogeneous). The torus takes the
+    // degree-4 owner kernel; the 6-cube and the degree-5 random regular
+    // graph take the generic-degree one.
     for (auto& tc : golden_topologies()) {
         for (const rounding_kind rounding :
              {rounding_kind::randomized, rounding_kind::floor,
@@ -260,10 +263,9 @@ struct determinism_grid_case {
     process_kind process;
     rounding_kind rounding;
     negative_load_policy policy;
-    rng_version rng;
 };
 
-TEST(GoldenDeterminism, SeriesByteIdenticalAcrossExecutorsBothRngVersions)
+TEST(GoldenDeterminism, SeriesByteIdenticalAcrossExecutors)
 {
     const graph g = make_torus_2d(12, 12);
     const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
@@ -271,15 +273,14 @@ TEST(GoldenDeterminism, SeriesByteIdenticalAcrossExecutorsBothRngVersions)
     const auto initial = point_load(g.num_nodes(), 0, g.num_nodes() * 100LL);
 
     std::vector<determinism_grid_case> grid;
-    for (const auto rng : {rng_version::v1, rng_version::v2})
-        for (const auto rounding :
-             {rounding_kind::randomized, rounding_kind::floor,
-              rounding_kind::nearest, rounding_kind::bernoulli_edge})
-            for (const auto policy :
-                 {negative_load_policy::allow, negative_load_policy::prevent})
-                grid.push_back({process_kind::discrete, rounding, policy, rng});
+    for (const auto rounding :
+         {rounding_kind::randomized, rounding_kind::floor,
+          rounding_kind::nearest, rounding_kind::bernoulli_edge})
+        for (const auto policy :
+             {negative_load_policy::allow, negative_load_policy::prevent})
+            grid.push_back({process_kind::discrete, rounding, policy});
     grid.push_back({process_kind::continuous, rounding_kind::randomized,
-                    negative_load_policy::allow, rng_version::v1});
+                    negative_load_policy::allow});
 
     for (const auto& cell : grid) {
         experiment_config config;
@@ -287,7 +288,6 @@ TEST(GoldenDeterminism, SeriesByteIdenticalAcrossExecutorsBothRngVersions)
         config.process = cell.process;
         config.rounding = cell.rounding;
         config.policy = cell.policy;
-        config.rng = cell.rng;
         config.seed = 77;
         config.rounds = 300;
         config.record_every = 7;
@@ -296,8 +296,7 @@ TEST(GoldenDeterminism, SeriesByteIdenticalAcrossExecutorsBothRngVersions)
             std::string(cell.process == process_kind::continuous ? "continuous"
                                                                  : "discrete") +
             "/" + std::string(to_string(cell.rounding)) + "/" +
-            (cell.policy == negative_load_policy::prevent ? "prevent" : "allow") +
-            "/rng" + std::string(to_string(cell.rng));
+            (cell.policy == negative_load_policy::prevent ? "prevent" : "allow");
 
         config.exec = nullptr;
         const time_series serial = run_experiment(config, initial);
@@ -317,27 +316,26 @@ TEST(GoldenDeterminism, SaveResumeSeriesByteIdenticalAcrossGrid)
     // a checkpointing run records the identical series (snapshots are pure
     // output), and resuming from the last snapshot finishes with the
     // identical series — both compared byte-for-byte against the
-    // uninterrupted run, for both RNG stream formats and all three engines.
+    // uninterrupted run, for all three engines.
     const graph g = make_torus_2d(12, 12);
     const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
     const auto speeds = speed_profile::bimodal(g.num_nodes(), 0.25, 4.0, 5);
     const auto initial = point_load(g.num_nodes(), 0, g.num_nodes() * 100LL);
 
     std::vector<determinism_grid_case> grid;
-    for (const auto rng : {rng_version::v1, rng_version::v2})
-        for (const auto rounding :
-             {rounding_kind::randomized, rounding_kind::floor,
-              rounding_kind::nearest, rounding_kind::bernoulli_edge})
-            grid.push_back({process_kind::discrete, rounding,
-                            negative_load_policy::allow, rng});
+    for (const auto rounding :
+         {rounding_kind::randomized, rounding_kind::floor,
+          rounding_kind::nearest, rounding_kind::bernoulli_edge})
+        grid.push_back(
+            {process_kind::discrete, rounding, negative_load_policy::allow});
     grid.push_back({process_kind::discrete, rounding_kind::randomized,
-                    negative_load_policy::prevent, rng_version::v1});
+                    negative_load_policy::prevent});
     grid.push_back({process_kind::discrete, rounding_kind::bernoulli_edge,
-                    negative_load_policy::prevent, rng_version::v2});
+                    negative_load_policy::prevent});
     grid.push_back({process_kind::continuous, rounding_kind::randomized,
-                    negative_load_policy::allow, rng_version::v1});
+                    negative_load_policy::allow});
     grid.push_back({process_kind::cumulative, rounding_kind::randomized,
-                    negative_load_policy::allow, rng_version::v1});
+                    negative_load_policy::allow});
 
     for (std::size_t i = 0; i < grid.size(); ++i) {
         const auto& cell = grid[i];
@@ -346,15 +344,12 @@ TEST(GoldenDeterminism, SaveResumeSeriesByteIdenticalAcrossGrid)
         config.process = cell.process;
         config.rounding = cell.rounding;
         config.policy = cell.policy;
-        config.rng = cell.rng;
         config.seed = 77;
         config.rounds = 300;
         config.record_every = 7;
 
-        const std::string label =
-            "cell " + std::to_string(i) + " (" +
-            std::string(to_string(cell.rounding)) + "/rng" +
-            std::string(to_string(cell.rng)) + ")";
+        const std::string label = "cell " + std::to_string(i) + " (" +
+                                  std::string(to_string(cell.rounding)) + ")";
         const std::string path = testing::TempDir() + "dlb_golden_resume_" +
                                  std::to_string(i) + ".ckpt";
 
@@ -398,12 +393,12 @@ TEST(GoldenDeterminism, SeriesByteIdenticalWithObservabilityEnabled)
     for (const auto rounding :
          {rounding_kind::randomized, rounding_kind::floor,
           rounding_kind::nearest, rounding_kind::bernoulli_edge})
-        grid.push_back({process_kind::discrete, rounding,
-                        negative_load_policy::allow, rng_version::v1});
+        grid.push_back(
+            {process_kind::discrete, rounding, negative_load_policy::allow});
     grid.push_back({process_kind::discrete, rounding_kind::randomized,
-                    negative_load_policy::prevent, rng_version::v2});
+                    negative_load_policy::prevent});
     grid.push_back({process_kind::continuous, rounding_kind::randomized,
-                    negative_load_policy::allow, rng_version::v1});
+                    negative_load_policy::allow});
 
     auto make_config = [&](const determinism_grid_case& cell) {
         experiment_config config;
@@ -411,7 +406,6 @@ TEST(GoldenDeterminism, SeriesByteIdenticalWithObservabilityEnabled)
         config.process = cell.process;
         config.rounding = cell.rounding;
         config.policy = cell.policy;
-        config.rng = cell.rng;
         config.seed = 77;
         config.rounds = 200;
         config.record_every = 7;
@@ -445,8 +439,7 @@ TEST(GoldenDeterminism, SeriesByteIdenticalWithObservabilityEnabled)
                 std::string(grid[i].process == process_kind::continuous
                                 ? "continuous"
                                 : "discrete") +
-                "/" + std::string(to_string(grid[i].rounding)) + "/rng" +
-                std::string(to_string(grid[i].rng)) + " (observed)";
+                "/" + std::string(to_string(grid[i].rounding)) + " (observed)";
 
             config.exec = nullptr;
             expect_series_identical(baseline[i], run_experiment(config, initial),
@@ -464,41 +457,11 @@ TEST(GoldenDeterminism, SeriesByteIdenticalWithObservabilityEnabled)
     ASSERT_FALSE(obs::metrics_enabled());
 }
 
-TEST(GoldenDeterminism, RngVersionsProduceDistinctButValidTrajectories)
-{
-    // The two formats are different streams (trajectories diverge) but the
-    // same scheme: conservation holds exactly under both.
-    const graph g = make_torus_2d(8, 8);
-    const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
-    const auto speeds = speed_profile::uniform(g.num_nodes());
-    diffusion_config config{&g, alpha, speeds, sos_scheme(1.7)};
-    const auto initial = point_load(g.num_nodes(), 0, 64000);
-
-    discrete_process v1_engine(config, initial, rounding_kind::randomized, 5,
-                               negative_load_policy::allow, nullptr, nullptr,
-                               rng_version::v1);
-    discrete_process v2_engine(config, initial, rounding_kind::randomized, 5,
-                               negative_load_policy::allow, nullptr, nullptr,
-                               rng_version::v2);
-    bool diverged = false;
-    for (int t = 0; t < 50; ++t) {
-        v1_engine.step();
-        v2_engine.step();
-        ASSERT_TRUE(v1_engine.verify_conservation()) << t;
-        ASSERT_TRUE(v2_engine.verify_conservation()) << t;
-        if (!bytes_equal(v1_engine.load(),
-                         std::vector<std::int64_t>(v2_engine.load().begin(),
-                                                   v2_engine.load().end())))
-            diverged = true;
-    }
-    EXPECT_TRUE(diverged) << "v2 unexpectedly reproduced the v1 stream";
-}
-
 TEST(GoldenDeterminism, V2ConservationAcrossEnginesRoundingsWorkloads)
 {
-    // Conservation-modulo-injection under rng_version = 2, across the
-    // discrete/cumulative engines x all four roundings x all three dynamic
-    // workload models (the workload draws also come from the v2 streams).
+    // Conservation-modulo-injection across the discrete/cumulative engines
+    // x all four roundings x all three dynamic workload models (the
+    // workload draws come from the same per-round counter streams).
     const graph g = make_torus_2d(10, 10);
     const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
     const auto speeds = speed_profile::uniform(g.num_nodes());
@@ -519,13 +482,12 @@ TEST(GoldenDeterminism, V2ConservationAcrossEnginesRoundingsWorkloads)
                 continue; // the cumulative baseline has a fixed rounding
             for (const auto& wl : workloads) {
                 const auto hook = campaign::make_workload(
-                    wl, g.num_nodes(), mix64(31, 0x776b6c64), rng_version::v2);
+                    wl, g.num_nodes(), mix64(31, 0x776b6c64));
 
                 experiment_config config;
                 config.diffusion = {&g, alpha, speeds, fos_scheme()};
                 config.process = process;
                 config.rounding = rounding;
-                config.rng = rng_version::v2;
                 config.seed = 31;
                 config.rounds = 120;
                 config.record_every = 10;

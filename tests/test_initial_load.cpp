@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "sim/initial_load.hpp"
+#include "util/rng.hpp"
 
 namespace dlb {
 namespace {
@@ -43,12 +44,13 @@ TEST(InitialLoad, RandomLoadRoughlyUniform)
 
 TEST(InitialLoad, UniformRange)
 {
-    const auto load = uniform_range_load(1000, 5, 9, 2);
+    counter_rng rng(2, 0, 0);
+    const auto load = uniform_range_load(1000, 5, 9, rng);
     for (const auto v : load) {
         EXPECT_GE(v, 5);
         EXPECT_LE(v, 9);
     }
-    EXPECT_THROW(uniform_range_load(5, 3, 2, 1), std::invalid_argument);
+    EXPECT_THROW(uniform_range_load(5, 3, 2, rng), std::invalid_argument);
 }
 
 TEST(InitialLoad, ProportionalMatchesSpeedsExactly)

@@ -356,15 +356,13 @@ obs::run_manifest shard_manifest(int index)
     m.set("scenario_count", "24");
     m.set("record_every", "7");
     m.set("shard_count", "2");
-    m.set("rng_version", "2");
     m.set("shard_index", std::to_string(index));
     m.set("host", "node" + std::to_string(index));
     return m;
 }
 
 const std::vector<std::string> kMustMatch = {
-    "campaign",    "spec_hash",   "scenario_count", "record_every",
-    "shard_count", "rng_version"};
+    "campaign", "spec_hash", "scenario_count", "record_every", "shard_count"};
 
 TEST(ObsManifest, RoundTripsThroughWriteAndParse)
 {

@@ -1,18 +1,17 @@
-// Golden vectors pinning both RNG stream formats bit-exactly.
+// Golden vectors pinning the per-round RNG stream (util/rng.hpp, checkpoint
+// wire value 2) bit-exactly.
 //
-// v1 (stream_for + xoshiro256**) is the default format and the one every
-// pre-version report was produced under: its vectors may NEVER change — a
-// failure here means the default format drifted, which silently invalidates
-// every archived campaign report and golden series. v2 (counter-based
-// draw_u64) is pinned the same way from the release that introduced it:
-// evolving the stream again means adding a v3, not editing v2 (see
-// docs/architecture.md, "RNG-stream contract").
+// A failure here means the stream drifted, which silently changes every
+// randomized report and golden series. Changing the stream is a deliberate
+// byte change that replaces these vectors in the same commit (see
+// docs/architecture.md, "Determinism and the RNG-stream contract").
 //
-// Two layers are pinned per format: the raw draw words for fixed
-// (seed, node, round) inputs, and the randomized-rounding output of a whole
-// fixed scenario (3x3 torus, deterministic antisymmetric scheduled flows),
-// which additionally freezes the draw *consumption order* of the owner
-// pass — raw words alone would not catch a reordering.
+// Three layers are pinned: the raw draw words for fixed (seed, node, round)
+// inputs; the randomized-rounding output of whole fixed scenarios (3x3
+// torus and K6, deterministic antisymmetric scheduled flows), which
+// additionally freezes the draw *consumption order* of the kernels — raw
+// words alone would not catch a reordering; and the first outputs of every
+// other per-round consumer (load patterns, workloads, matching).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -34,23 +33,7 @@ struct stream_golden {
     std::uint64_t words[3]; // first three draws of the substream
 };
 
-// v1: the first three outputs of stream_for(seed, node, round).
-const stream_golden kV1Streams[] = {
-    {1ULL, 0ULL, 0ULL,
-     {4623014522170988166ULL, 12820495699381722146ULL, 17965059027334124938ULL}},
-    {1ULL, 1ULL, 0ULL,
-     {6779608536529617433ULL, 6030115801519976082ULL, 14546059765013774290ULL}},
-    {1ULL, 0ULL, 1ULL,
-     {15685890622521051859ULL, 14631778451451619110ULL, 9148128671176408727ULL}},
-    {42ULL, 7ULL, 3ULL,
-     {13094145838232242919ULL, 130126718218767970ULL, 761758640811976620ULL}},
-    {6840124660045547947ULL, 1000000ULL, 4096ULL,
-     {10169898920969654354ULL, 7796193526877424401ULL, 8910569974820711233ULL}},
-    {18446744073709551615ULL, 5ULL, 2ULL,
-     {12880894865415816502ULL, 6556835055425169346ULL, 11672749438557834409ULL}},
-};
-
-// v2: draw_u64(seed, node, round, i) for i = 0, 1, 2.
+// draw_u64(seed, node, round, i) for i = 0, 1, 2.
 const stream_golden kV2Streams[] = {
     {1ULL, 0ULL, 0ULL,
      {6535721012157785706ULL, 2134938885099536146ULL, 18190390861039114489ULL}},
@@ -66,17 +49,6 @@ const stream_golden kV2Streams[] = {
      {12322254161731393095ULL, 8656377847639188561ULL, 7905170758349639469ULL}},
 };
 
-TEST(RngGolden, V1StreamForIsPinned)
-{
-    for (const auto& golden : kV1Streams) {
-        auto rng = stream_for(golden.seed, golden.node, golden.round);
-        for (const std::uint64_t word : golden.words)
-            EXPECT_EQ(rng(), word)
-                << "seed=" << golden.seed << " node=" << golden.node
-                << " round=" << golden.round;
-    }
-}
-
 TEST(RngGolden, V2DrawU64IsPinned)
 {
     for (const auto& golden : kV2Streams) {
@@ -90,11 +62,10 @@ TEST(RngGolden, V2DrawU64IsPinned)
 
 TEST(RngGolden, V2SubstreamIsNotTheV1SeedingSequence)
 {
-    // The v2 base is version-tagged: without the tag, v2 draws 0..3 would
-    // be exactly the four state words v1's xoshiro ctor seeds from
-    // mix64(seed, node+1, round+1) — deterministically coupling the two
-    // formats and silently breaking "run both versions as independent
-    // replicates". Pin the decorrelation.
+    // The base is tagged: without the tag, draws 0..3 would be exactly the
+    // four state words xoshiro seeds from mix64(seed, node+1, round+1) —
+    // the seeding of tagged_rng(seed, node+1, round+1) and of the retired
+    // per-round xoshiro stream. Pin the decorrelation.
     for (const auto& golden : kV2Streams) {
         std::uint64_t v1_base =
             mix64(golden.seed, golden.node + 1, golden.round + 1);
@@ -132,22 +103,15 @@ std::vector<double> golden_scheduled(const graph& g)
 }
 
 struct rounding_golden {
-    rng_version version;
     std::int64_t round;
     std::int64_t flows[36]; // one per half-edge of the 3x3 torus
 };
 
 const rounding_golden kRoundingGoldens[] = {
-    {rng_version::v1, 0,
-     {-2, 1, 2, 0, 2, -1, 0, 2, -1, 1, 2, -1, -2, -2, 0, 2, 0, 2,
-      3, 0, -2, 0, -3, 3, 0, -2, -2, 1, -2, 0, 2, 3, 1, -3, -1, -3}},
-    {rng_version::v1, 1,
-     {-1, 0, 3, 0, 1, -2, 0, 2, 0, 2, 3, 0, -3, -1, 0, 3, 0, 1,
-      3, 0, -3, 0, -3, 3, 0, -3, -1, 1, -2, 0, 1, 4, 0, -3, -1, -4}},
-    {rng_version::v2, 0,
+    {0,
      {-1, 0, 3, -1, 1, -2, 0, 2, 0, 2, 3, 0, -3, -2, 0, 2, 0, 2,
       3, 0, -3, 0, -3, 3, 1, -2, -1, 0, -2, 0, 1, 4, 0, -3, 0, -4}},
-    {rng_version::v2, 1,
+    {1,
      {-2, 1, 2, -1, 2, -2, 0, 2, -1, 2, 2, 0, -2, -2, 0, 2, 0, 2,
       3, 0, -2, 0, -3, 2, 1, -2, -1, 0, -2, 0, 1, 4, 0, -2, 0, -4}},
 };
@@ -161,33 +125,30 @@ TEST(RngGolden, RandomizedRoundingOutputsArePinned)
 
     for (const auto& golden : kRoundingGoldens) {
         round_flows(g, rounding_kind::randomized, scheduled, 42, golden.round,
-                    flows, default_executor(), golden.version);
+                    flows, default_executor());
         for (std::size_t h = 0; h < flows.size(); ++h)
             EXPECT_EQ(flows[h], golden.flows[h])
-                << "version=" << to_string(golden.version)
-                << " round=" << golden.round << " h=" << h;
+                << "round=" << golden.round << " h=" << h;
     }
 }
 
 TEST(RngGolden, OwnerPassMatchesFullRoundingOnOwnerSides)
 {
     // The engine fast path must agree with round_flows on every owner
-    // (positive-scheduled) half-edge, for both formats.
-    const graph g = make_torus_2d(3, 3);
-    const auto scheduled = golden_scheduled(g);
-    std::vector<std::int64_t> full(scheduled.size());
-    std::vector<std::int64_t> owner(scheduled.size());
-
-    for (const rng_version version : {rng_version::v1, rng_version::v2}) {
+    // (positive-scheduled) half-edge, at degree 4 and on the generic path.
+    for (const graph& g : {make_torus_2d(3, 3), make_complete(6)}) {
+        const auto scheduled = golden_scheduled(g);
+        std::vector<std::int64_t> full(scheduled.size());
+        std::vector<std::int64_t> owner(scheduled.size());
         for (std::int64_t round = 0; round < 4; ++round) {
             round_flows(g, rounding_kind::randomized, scheduled, 42, round,
-                        full, default_executor(), version);
+                        full, default_executor());
             round_flows_randomized_owner(g, scheduled, 42, round, owner,
-                                         default_executor(), version);
+                                         default_executor());
             for (half_edge_id h = 0; h < g.num_half_edges(); ++h) {
                 if (scheduled[h] > 0.0) {
                     EXPECT_EQ(owner[h], full[h])
-                        << "version=" << to_string(version) << " h=" << h;
+                        << "nodes=" << g.num_nodes() << " h=" << h;
                 }
             }
         }
@@ -228,7 +189,7 @@ TEST(RngGolden, V2GenericDegreeRoundingIsPinned)
 
     for (const auto& golden : kGenericDegreeGoldens) {
         round_flows(g, golden.kind, scheduled, 42, golden.round, flows,
-                    default_executor(), rng_version::v2);
+                    default_executor());
         for (std::size_t h = 0; h < flows.size(); ++h)
             EXPECT_EQ(flows[h], golden.flows[h])
                 << to_string(golden.kind) << " round=" << golden.round
@@ -244,10 +205,8 @@ TEST(RngGolden, V2InitialLoadsArePinned)
                                           42, 161, 23, 176, 37,  79, 157, 27};
     const std::int64_t bimodal_head[16] = {223, 213, 213, 213, 0,   213, 213, 0,
                                            213, 213, 213, 213, 0,   0,   213, 0};
-    const auto random = campaign::build_initial_load("random", 64, 100, 7,
-                                                     rng_version::v2);
-    const auto bimodal = campaign::build_initial_load("bimodal", 64, 100, 7,
-                                                      rng_version::v2);
+    const auto random = campaign::build_initial_load("random", 64, 100, 7);
+    const auto bimodal = campaign::build_initial_load("bimodal", 64, 100, 7);
     for (std::size_t v = 0; v < 16; ++v) {
         EXPECT_EQ(random[v], random_head[v]) << "random v=" << v;
         EXPECT_EQ(bimodal[v], bimodal_head[v]) << "bimodal v=" << v;
@@ -284,8 +243,7 @@ TEST(RngGolden, V2WorkloadDeltasArePinned)
     const node_id n = 10;
     const std::vector<double> load(n, 5.0);
     for (const auto& golden : goldens) {
-        const auto hook = campaign::make_workload(golden.spec, n, 99,
-                                                  rng_version::v2);
+        const auto hook = campaign::make_workload(golden.spec, n, 99);
         for (std::int64_t round = 0; round < 5; ++round) {
             std::vector<std::int64_t> delta(n, 0);
             hook->apply(round, load, delta);
@@ -306,7 +264,7 @@ TEST(RngGolden, V2MatchingRoundIsPinned)
     std::vector<std::int64_t> initial(16);
     for (std::size_t v = 0; v < initial.size(); ++v)
         initial[v] = static_cast<std::int64_t>((v * 37 + 11) % 97);
-    matching_process matching(g, initial, 7, rng_version::v2);
+    matching_process matching(g, initial, 7);
     matching.step();
     for (node_id v = 0; v < 16; ++v)
         EXPECT_EQ(matching.load()[v], expected[v]) << "v=" << v;

@@ -1,19 +1,19 @@
-// Statistical conformance suite for the versioned RNG stream formats.
+// Statistical conformance suite for the per-round RNG stream.
 //
 // The load-balancing guarantees this codebase reproduces are stated purely
 // in terms of unbiased roundings with independent per-(seed, node, round)
 // randomness (Shiraga, "Discrepancy Analysis of a New Randomized Diffusion
 // Algorithm"; Sauerwald & Sun, "Tight Bounds for Randomized Load
 // Balancing") — not in terms of any particular stream format. This suite
-// tests those properties directly, so a format change (like v2's
-// counter-based draws) is theory-safe exactly when these tests pass:
+// tests those properties directly, so a format change is theory-safe
+// exactly when these tests pass:
 //
-//  * chi-square uniformity of v2 draw_u64 low and high bits, along the
+//  * chi-square uniformity of draw_u64 low and high bits, along the
 //    draw-index, node and round axes;
 //  * cross-stream independence (adjacent node streams, paired nibbles);
-//  * unbiasedness of the randomized-rounding owner pass: the empirical
-//    mean flow equals the idealized (scheduled) flow within binomial
-//    confidence bounds, for BOTH formats.
+//  * unbiasedness of the randomized roundings: the empirical mean flow
+//    equals the idealized (scheduled) flow within binomial confidence
+//    bounds.
 //
 // All seeds are fixed, so the suite is deterministic: thresholds are
 // chosen with comfortable margin (chi-square df=255 has mean 255 and
@@ -115,13 +115,13 @@ TEST(RngStatsV2, UnitDoubleMeanIsHalf)
 /// scheduled flows and returns the per-half-edge mean flow.
 std::vector<double> mean_rounded_flow(const graph& g,
                                       std::span<const double> scheduled,
-                                      std::int64_t rounds, rng_version version)
+                                      std::int64_t rounds)
 {
     std::vector<std::int64_t> flows(scheduled.size());
     std::vector<double> mean(scheduled.size(), 0.0);
     for (std::int64_t r = 0; r < rounds; ++r) {
         round_flows_randomized_owner(g, scheduled, 2024, r, flows,
-                                     default_executor(), version);
+                                     default_executor());
         for (std::size_t h = 0; h < mean.size(); ++h)
             mean[h] += static_cast<double>(flows[h]);
     }
@@ -129,7 +129,7 @@ std::vector<double> mean_rounded_flow(const graph& g,
     return mean;
 }
 
-TEST(RngStats, OwnerPassExpectedFlowEqualsIdealizedFlowBothVersions)
+TEST(RngStats, OwnerPassExpectedFlowEqualsIdealizedFlow)
 {
     // Observation 1 of the paper (E[error] = 0): the expected rounded flow
     // on every owner half-edge equals the scheduled (idealized) flow. The
@@ -150,17 +150,14 @@ TEST(RngStats, OwnerPassExpectedFlowEqualsIdealizedFlowBothVersions)
     const std::int64_t rounds = 40000;
     const double tolerance = 7.5 / std::sqrt(static_cast<double>(rounds));
 
-    for (const rng_version version : {rng_version::v1, rng_version::v2}) {
-        const auto mean = mean_rounded_flow(g, scheduled, rounds, version);
-        for (half_edge_id h = 0; h < g.num_half_edges(); ++h) {
-            if (scheduled[h] <= 0.0) continue; // owner sides only
-            EXPECT_NEAR(mean[h], scheduled[h], tolerance)
-                << "version=" << to_string(version) << " h=" << h;
-        }
+    const auto mean = mean_rounded_flow(g, scheduled, rounds);
+    for (half_edge_id h = 0; h < g.num_half_edges(); ++h) {
+        if (scheduled[h] <= 0.0) continue; // owner sides only
+        EXPECT_NEAR(mean[h], scheduled[h], tolerance) << "h=" << h;
     }
 }
 
-TEST(RngStats, BernoulliEdgeExpectedFlowEqualsIdealizedFlowBothVersions)
+TEST(RngStats, BernoulliEdgeExpectedFlowEqualsIdealizedFlow)
 {
     const graph g = make_torus_2d(4, 4);
     std::vector<double> scheduled(static_cast<std::size_t>(g.num_half_edges()));
@@ -177,26 +174,23 @@ TEST(RngStats, BernoulliEdgeExpectedFlowEqualsIdealizedFlowBothVersions)
     const double tolerance = 2.5 / std::sqrt(static_cast<double>(rounds));
     std::vector<std::int64_t> flows(scheduled.size());
 
-    for (const rng_version version : {rng_version::v1, rng_version::v2}) {
-        std::vector<double> mean(scheduled.size(), 0.0);
-        for (std::int64_t r = 0; r < rounds; ++r) {
-            round_flows(g, rounding_kind::bernoulli_edge, scheduled, 2024, r,
-                        flows, default_executor(), version);
-            for (std::size_t h = 0; h < mean.size(); ++h)
-                mean[h] += static_cast<double>(flows[h]);
-        }
-        for (auto& value : mean) value /= static_cast<double>(rounds);
-        for (half_edge_id h = 0; h < g.num_half_edges(); ++h) {
-            if (scheduled[h] <= 0.0) continue;
-            EXPECT_NEAR(mean[h], scheduled[h], tolerance)
-                << "version=" << to_string(version) << " h=" << h;
-        }
+    std::vector<double> mean(scheduled.size(), 0.0);
+    for (std::int64_t r = 0; r < rounds; ++r) {
+        round_flows(g, rounding_kind::bernoulli_edge, scheduled, 2024, r, flows,
+                    default_executor());
+        for (std::size_t h = 0; h < mean.size(); ++h)
+            mean[h] += static_cast<double>(flows[h]);
+    }
+    for (auto& value : mean) value /= static_cast<double>(rounds);
+    for (half_edge_id h = 0; h < g.num_half_edges(); ++h) {
+        if (scheduled[h] <= 0.0) continue;
+        EXPECT_NEAR(mean[h], scheduled[h], tolerance) << "h=" << h;
     }
 }
 
 TEST(RngStats, V2RoundingConservesTokensAndAntisymmetry)
 {
-    // Structural invariants under the new format: round_flows output is
+    // Structural invariants: round_flows output is
     // antisymmetric, and each node's outgoing token total differs from the
     // scheduled total by less than 1 (floor plus at most the excess).
     const graph g = make_random_regular_cm(60, 5, 17);
@@ -212,7 +206,7 @@ TEST(RngStats, V2RoundingConservesTokensAndAntisymmetry)
 
     for (std::int64_t round = 0; round < 50; ++round) {
         round_flows(g, rounding_kind::randomized, scheduled, 7, round, flows,
-                    default_executor(), rng_version::v2);
+                    default_executor());
         for (half_edge_id h = 0; h < g.num_half_edges(); ++h)
             ASSERT_EQ(flows[h], -flows[g.twin(h)]) << "h=" << h;
         for (node_id v = 0; v < g.num_nodes(); ++v) {

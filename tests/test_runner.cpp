@@ -288,8 +288,7 @@ time_series reference_series(const experiment_config& config,
     switch (config.process) {
     case process_kind::discrete: {
         discrete_process engine(config.diffusion, initial, config.rounding,
-                                config.seed, config.policy, config.exec,
-                                nullptr, config.rng);
+                                config.seed, config.policy, config.exec);
         continuous_process twin(config.diffusion, to_continuous(initial),
                                 config.exec);
         return reference_run(engine, config, workload.get(), &twin);

@@ -68,35 +68,29 @@ TEST(Workload, PoissonDeltasAreDeterministicPerRound)
     }
 }
 
-TEST(Workload, V2StreamsAreDeterministicAndDistinctFromV1)
+TEST(Workload, PoissonDeltasDifferAcrossSeeds)
 {
-    // Same spec and seed under the v2 format: reproducible, nonnegative,
-    // but a different arrival pattern than v1 (it is a different stream).
+    // Each seed draws its own arrival pattern.
     const node_id n = 20;
-    auto v2_a = make_workload({"poisson", 6.0, 0, 0}, n, 99, rng_version::v2);
-    auto v2_b = make_workload({"poisson", 6.0, 0, 0}, n, 99, rng_version::v2);
-    auto v1 = make_workload({"poisson", 6.0, 0, 0}, n, 99);
+    auto hook_a = make_workload({"poisson", 6.0, 0, 0}, n, 99);
+    auto hook_b = make_workload({"poisson", 6.0, 0, 0}, n, 100);
     const std::vector<double> load(n, 10.0);
-    std::vector<std::int64_t> delta_a(n, 0), delta_b(n, 0), delta_v1(n, 0);
+    std::vector<std::int64_t> delta_a(n, 0), delta_b(n, 0);
     bool differs = false;
     for (std::int64_t round = 0; round < 20; ++round) {
         std::fill(delta_a.begin(), delta_a.end(), 0);
         std::fill(delta_b.begin(), delta_b.end(), 0);
-        std::fill(delta_v1.begin(), delta_v1.end(), 0);
-        v2_a->apply(round, load, delta_a);
-        v2_b->apply(round, load, delta_b);
-        v1->apply(round, load, delta_v1);
-        EXPECT_EQ(delta_a, delta_b) << round;
-        for (const auto d : delta_a) EXPECT_GE(d, 0);
-        differs |= delta_a != delta_v1;
+        hook_a->apply(round, load, delta_a);
+        hook_b->apply(round, load, delta_b);
+        differs |= delta_a != delta_b;
     }
     EXPECT_TRUE(differs);
 }
 
 TEST(PoissonSample, CounterRngMatchesMeanToo)
 {
-    // The template accepts both generator types; the v2 counter stream
-    // produces the right Poisson mean as well.
+    // The template accepts any generator; the per-round counter stream
+    // the workloads draw from produces the right Poisson mean as well.
     counter_rng rng(5, 0, 0);
     const double mean = 40.0; // crosses the 32-token chunking boundary
     const int samples = 20000;

@@ -8,7 +8,7 @@ persistence, and concurrency contracts.
                  util/sync.hpp, and every dlb::mutex data member must have a
                  DLB_GUARDED_BY field association
   rng-contract   no xoshiro construction, splitmix64 calls, or stream-
-                 derivation constants outside util/rng.hpp's dispatch surface
+                 derivation constants outside util/rng.hpp
   nondet-reduce  no floating-point accumulation into by-reference captured
                  scalars inside lambdas handed to parallel_for/parallel_tasks
                  (use executor::parallel_reduce's ordered combine)
@@ -17,7 +17,7 @@ persistence, and concurrency contracts.
   unordered      std::unordered_{map,set,multimap,multiset}: iteration order
                  can silently order a report, a merge, or an aggregation
   raw-random     rand()/srand()/time()/clock()/std::random_device anywhere
-                 but util/rng.hpp: randomness comes from the versioned streams
+                 but util/rng.hpp: randomness comes from the seeded streams
   ptr-key        std::map/std::set keyed on a pointer type: iteration order
                  is allocation order
 

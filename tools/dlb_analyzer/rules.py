@@ -30,8 +30,9 @@ TOKEN_RULES = {
         "wrappers"),
     "rng-contract": (
         RNG_IMPL,
-        "{what} outside util/rng.hpp's dispatch surface; derive streams via "
-        "stream_for/draw_u64/tagged_rng so rng_version bumps stay one-file"),
+        "{what} outside util/rng.hpp; derive per-round draws via "
+        "draw_u64/counter_rng and structural streams via tagged_rng, so a "
+        "stream change stays one file"),
     "clock": (
         TIMER_IMPL,
         "direct clock use; take timestamps from util/timer.hpp (now_ns)"),
@@ -42,7 +43,7 @@ TOKEN_RULES = {
     "raw-random": (
         RNG_IMPL,
         "ambient entropy/process state; derive randomness from the "
-        "versioned RNG streams in util/rng.hpp"),
+        "seeded RNG streams in util/rng.hpp"),
     "ptr-key": (
         (),
         "pointer-keyed ordered container: iteration order is allocation "
