@@ -19,11 +19,10 @@ namespace {
 //   bm_cumulative_step                            — the PODC'12 matching
 //     baseline does per-round matching work on top, ~1.4x.
 //   bm_rounding/{randomized,floor,nearest,bernoulli} — the rounding sweep:
-//     floor/nearest are one fused branch-free pass (~0.6x of a step with
-//     xoshiro-stream randomized rounding); bernoulli_edge sits just under
-//     randomized. The counter-based draws then made a whole randomized SOS
-//     step ~1/1.15 as long (0.87), which the randomized and bernoulli_edge
-//     weights carry.
+//     floor/nearest are one fused branch-free pass (~0.6x of a step whose
+//     randomized rounding drew from per-(node, round) xoshiro streams);
+//     bernoulli_edge sits just under randomized (0.9x). Counter-based
+//     draws cut both randomized steps to ~1/1.15 of that (the 0.87).
 double process_weight(const scenario_spec& spec)
 {
     if (spec.process == "continuous") return 0.55;

@@ -11,8 +11,7 @@
 //       generator for call sites that draw a data-dependent number of
 //       words (shuffles, rejection sampling). Rounding, workloads,
 //       matching and the randomized load patterns all draw from it. Its
-//       checkpoint wire value is 2 (core/checkpoint.hpp); 1 named a retired
-//       per-(node, round) xoshiro format.
+//       checkpoint wire value is 2 (core/checkpoint.hpp).
 //   structural draws — tagged_rng(seed, tag) seeds a xoshiro256**
 //       generator for graph wiring, speed assignment and solver start
 //       vectors, which are drawn once per run, not per round.
