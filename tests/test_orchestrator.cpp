@@ -21,6 +21,7 @@
 #include "campaign/orchestrator.hpp"
 #include "campaign/report.hpp"
 #include "campaign/spec.hpp"
+#include "core/checkpoint.hpp"
 
 namespace dlb {
 namespace {
@@ -221,6 +222,57 @@ TEST_F(OrchestratorTest, RejoiningACompletedQueueReturnsTheMergedReport)
     EXPECT_EQ(again.queue.completed, 0);
     EXPECT_EQ(again.queue.leased, 0);
     EXPECT_EQ(csv_of(again), csv_of(first));
+}
+
+// A lease resumes only from a snapshot of its own campaign. The checkpoint
+// directory holds, under the leased scenarios' own file names, snapshots
+// from another campaign (same labels, different spec hash), one recorded
+// at another stride and one forged as the retired rng_version 1: the
+// worker must recompute every scenario rather than resume any of them.
+TEST_F(OrchestratorTest, MismatchedSnapshotsAreRecomputedNotResumed)
+{
+    campaign_spec spec = queue_spec();
+    spec.axes.erase("topology");
+    const std::vector<scenario_spec> scenarios = expand(spec);
+    const campaign_result baseline = run_campaign(spec, {});
+    const auto snapshot_run = [](const campaign_spec& campaign,
+                                 const std::string& dir, std::int64_t stride) {
+        campaign_options options;
+        options.checkpoint_every = 20;
+        options.checkpoint_dir = dir;
+        options.record_every = stride;
+        run_campaign(campaign, options);
+    };
+    const auto file_of = [&](std::size_t index) {
+        return "/" + std::to_string(index) + "_" +
+               scenario_label(scenarios[index]) + ".ckpt";
+    };
+
+    // Every scenario: a snapshot of another campaign under the same label.
+    campaign_spec other = spec;
+    other.name = "another-campaign";
+    snapshot_run(other, ckpt_, 0);
+    // Scenario 1: this campaign, recorded at another stride.
+    const std::string elsewhere = ckpt_ + "/elsewhere";
+    snapshot_run(spec, elsewhere, 3);
+    std::filesystem::copy_file(elsewhere + file_of(1), ckpt_ + file_of(1),
+                               std::filesystem::copy_options::overwrite_existing);
+    // Scenario 2: this campaign's snapshot, forged as the retired stream.
+    snapshot_run(spec, elsewhere, 0);
+    engine_checkpoint forged = read_checkpoint_file(elsewhere + file_of(2));
+    forged.rng_version = 1;
+    forged.rng_check = checkpoint_rng_check(1, forged.seed, forged.round);
+    write_checkpoint_file(ckpt_ + file_of(2), forged);
+
+    campaign_options options = queue_options();
+    options.checkpoint_every = 20;
+    options.checkpoint_dir = ckpt_;
+    const campaign_result worker = run_campaign(spec, options);
+    EXPECT_EQ(worker.queue.completed,
+              static_cast<std::int64_t>(scenarios.size()));
+    EXPECT_EQ(worker.queue.resumed, 0);
+    EXPECT_EQ(csv_of(worker), csv_of(baseline));
+    EXPECT_EQ(json_of(worker), json_of(baseline));
 }
 
 TEST_F(OrchestratorTest, OptionConflictsThrowNamingTheFlags)
