@@ -307,36 +307,27 @@ obs::run_manifest merge_and_validate_manifests(
 
 int main(int argc, char** argv)
 {
-    const cli_args args(argc, argv);
-    if (args.has("help")) {
-        print_usage(std::cout);
-        return 0;
-    }
-    if (args.has("list")) {
-        print_registry(std::cout);
-        return 0;
-    }
-
     try {
+        const cli_args args(argc, argv);
+        if (args.has("help")) {
+            print_usage(std::cout);
+            return 0;
+        }
+        if (args.has("list")) {
+            print_registry(std::cout);
+            return 0;
+        }
+
         // A spec file passed without --spec would otherwise be dropped and
         // the default campaign run in its place.
         if (!args.positional().empty())
             throw std::invalid_argument(
                 "unexpected argument '" + args.positional().front() +
                 "' (pass a spec file with --spec FILE)");
-        campaign::campaign_spec spec;
-        if (args.has("spec"))
-            spec = campaign::parse_campaign_file(args.get_string("spec", ""));
-        if (args.has("name")) {
-            spec.name = args.get_string("name", "");
-            if (spec.name.empty())
-                throw std::invalid_argument("--name needs a campaign name");
-        }
 
         // Known option names: harness flags plus every scenario field in
         // base and sweep form. Anything else is a typo worth failing on.
-        std::set<std::string> known = {"spec",    "name",   "seeds",
-                                       "queue",   "lease-expiry",
+        std::set<std::string> known = {"queue",   "lease-expiry",
                                        "shard",   "merge",
                                        "checkpoint-every", "checkpoint-dir",
                                        "resume",  "measure-windows",
@@ -347,37 +338,26 @@ int main(int argc, char** argv)
                                        "json",    "csv",    "series-dir",
                                        "timing",  "trace",  "metrics",
                                        "progress", "manifest", "manifests",
-                                       "quiet",   "dry-run",
-                                       "list",    "help"};
+                                       "quiet",   "dry-run", "spec"};
+        std::set<std::string> spec_keys = {"name", "seeds"};
         for (const auto& field : campaign::field_names()) {
-            known.insert(field);
-            known.insert("sweep." + field);
-            if (args.has(field))
-                campaign::set_field(spec.base, field, args.get_string(field, ""));
-            if (args.has("sweep." + field)) {
-                const auto values = campaign::split_list(
-                    args.get_string("sweep." + field, ""));
-                if (values.empty())
-                    throw std::invalid_argument("empty sweep list for --sweep." +
-                                                field);
-                spec.axes[field] = values;
-            }
+            spec_keys.insert(field);
+            spec_keys.insert("sweep." + field);
         }
+        // Spec keys go through the spec file's reader, so a flag follows
+        // the file grammar and overrides the --spec file key by key.
+        campaign::campaign_reader reader(
+            args.has("spec")
+                ? campaign::parse_campaign_file(args.get_string("spec", ""))
+                : campaign::campaign_spec{});
         for (const auto& name : args.option_names()) {
-            if (known.count(name) == 0)
+            if (spec_keys.count(name) > 0)
+                reader.set(name, args.get_string(name, ""), "--" + name);
+            else if (known.count(name) == 0)
                 throw std::invalid_argument("unknown option --" + name +
                                             " (see --help)");
         }
-
-        if (args.has("seeds")) {
-            const std::int64_t seeds = args.get_int("seeds", 1);
-            if (seeds < 1) throw std::invalid_argument("--seeds must be >= 1");
-            std::vector<std::string> values;
-            for (std::int64_t s = 0; s < seeds; ++s)
-                values.push_back(std::to_string(
-                    spec.base.seed + static_cast<std::uint64_t>(s)));
-            spec.axes["seed"] = std::move(values);
-        }
+        const campaign::campaign_spec spec = reader.finish();
 
         if (args.get_bool("dry-run", false)) {
             const auto scenarios = campaign::expand(spec);

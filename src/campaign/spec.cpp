@@ -323,69 +323,79 @@ shard_part parse_shard(const std::string& text)
     return shard;
 }
 
-campaign_spec parse_campaign(std::istream& in)
+void campaign_reader::set(const std::string& key, const std::string& value,
+                          const std::string& source)
 {
-    campaign_spec spec;
-    std::string line;
-    int line_number = 0;
-    std::map<std::string, int> set_on; // key -> the line that set it
-    std::int64_t seed_count = 0; // "seeds" shorthand, applied after the parse
-                                 // so a later "seed = N" line still counts
-    while (std::getline(in, line)) {
-        ++line_number;
-        const auto fail = [&](const std::string& why) {
-            throw std::invalid_argument("campaign file line " +
-                                        std::to_string(line_number) + ": " +
-                                        why);
-        };
-        const auto comment = line.find('#');
-        if (comment != std::string::npos) line.resize(comment);
-        const std::string text = trim(line);
-        if (text.empty()) continue;
-        const auto eq = text.find('=');
-        if (eq == std::string::npos) fail("expected key = value");
-        const std::string key = trim(text.substr(0, eq));
-        const std::string value = trim(text.substr(eq + 1));
-        if (key.empty()) fail("empty key before '='");
-        // A repeated key or axis would silently let the later line win.
-        const auto [first, fresh] = set_on.emplace(key, line_number);
+    try {
+        // A repeated key or axis would silently let the later one win.
+        const auto [first, fresh] = source_of_.emplace(key, source);
         if (!fresh)
-            fail("'" + key + "' already set on line " +
-                 std::to_string(first->second));
+            throw std::invalid_argument("'" + key + "' already set on " +
+                                        first->second);
         if (key == "name") {
-            if (value.empty()) fail("empty campaign name");
-            spec.name = value;
+            if (value.empty())
+                throw std::invalid_argument("empty campaign name");
+            spec_.name = value;
         } else if (key.rfind("sweep.", 0) == 0) {
-            const auto values = split_list(value);
-            if (values.empty()) fail("empty sweep list for '" + key + "'");
-            spec.axes[key.substr(6)] = values;
+            auto values = split_list(value);
+            if (values.empty())
+                throw std::invalid_argument("empty sweep list for '" + key +
+                                            "'");
+            spec_.axes[key.substr(6)] = std::move(values);
         } else if (key == "seeds") {
-            seed_count = parse_int(key, value);
-            if (seed_count < 1) fail("seeds must be >= 1, got " + value);
+            seed_count_ = parse_int(key, value);
+            if (seed_count_ < 1)
+                throw std::invalid_argument("seeds must be >= 1, got " + value);
         } else {
-            try {
-                set_field(spec.base, key, value);
-            } catch (const std::invalid_argument& bad) {
-                fail(bad.what());
-            }
+            set_field(spec_.base, key, value);
         }
+    } catch (const std::invalid_argument& bad) {
+        throw std::invalid_argument(source + ": " + bad.what());
     }
-    if (seed_count > 0) {
-        if (set_on.count("sweep.seed") > 0)
+}
+
+campaign_spec campaign_reader::finish()
+{
+    if (seed_count_ > 0) {
+        if (source_of_.count("sweep.seed") > 0)
             throw std::invalid_argument(
-                "campaign file line " + std::to_string(set_on.at("seeds")) +
-                ": 'seeds' and 'sweep.seed' (line " +
-                std::to_string(set_on.at("sweep.seed")) +
-                ") both define the seed axis");
+                source_of_.at("seeds") + ": 'seeds' and 'sweep.seed' (" +
+                source_of_.at("sweep.seed") + ") both define the seed axis");
         // Shorthand: sweep the seed over base.seed .. base.seed + N - 1.
         std::vector<std::string> values;
-        values.reserve(static_cast<std::size_t>(seed_count));
-        for (std::int64_t s = 0; s < seed_count; ++s)
-            values.push_back(
-                std::to_string(spec.base.seed + static_cast<std::uint64_t>(s)));
-        spec.axes["seed"] = std::move(values);
+        values.reserve(static_cast<std::size_t>(seed_count_));
+        for (std::int64_t s = 0; s < seed_count_; ++s)
+            values.push_back(std::to_string(spec_.base.seed +
+                                            static_cast<std::uint64_t>(s)));
+        spec_.axes["seed"] = std::move(values);
     }
-    return spec;
+    return spec_;
+}
+
+campaign_spec parse_campaign(std::istream& in)
+{
+    campaign_reader reader;
+    std::string line;
+    int line_number = 0;
+    try {
+        while (std::getline(in, line)) {
+            const std::string where = "line " + std::to_string(++line_number);
+            const auto comment = line.find('#');
+            if (comment != std::string::npos) line.resize(comment);
+            const std::string text = trim(line);
+            if (text.empty()) continue;
+            const auto eq = text.find('=');
+            if (eq == std::string::npos)
+                throw std::invalid_argument(where + ": expected key = value");
+            const std::string key = trim(text.substr(0, eq));
+            if (key.empty())
+                throw std::invalid_argument(where + ": empty key before '='");
+            reader.set(key, trim(text.substr(eq + 1)), where);
+        }
+        return reader.finish();
+    } catch (const std::invalid_argument& bad) {
+        throw std::invalid_argument(std::string("campaign file ") + bad.what());
+    }
 }
 
 campaign_spec parse_campaign_file(const std::string& path)

@@ -24,20 +24,21 @@ cli_args::cli_args(int argc, const char* const* argv)
             positional_.push_back(arg);
             continue;
         }
-        const std::string body = arg.substr(2);
-        const auto eq = body.find('=');
+        std::string name = arg.substr(2);
+        std::string value;
+        const auto eq = name.find('=');
         if (eq != std::string::npos) {
-            options_[body.substr(0, eq)] = body.substr(eq + 1);
-            continue;
+            value = name.substr(eq + 1);
+            name.resize(eq);
+        } else if (i + 1 < argc && !looks_like_option(argv[i + 1])) {
+            // `--key value` when the next token is not itself an option,
+            // otherwise a bare flag.
+            value = argv[++i];
         }
-        // `--key value` when the next token is not itself an option,
-        // otherwise a bare flag.
-        if (i + 1 < argc && !looks_like_option(argv[i + 1])) {
-            options_[body] = argv[i + 1];
-            ++i;
-        } else {
-            options_[body] = "";
-        }
+        // Keeping either value of a repeated option would run something
+        // the command line does not unambiguously say.
+        if (!options_.emplace(name, value).second)
+            throw std::invalid_argument("option --" + name + " given twice");
     }
 }
 

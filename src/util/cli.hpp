@@ -1,7 +1,8 @@
 // Tiny command-line option parser for the bench/example binaries.
 //
 // Supports `--flag`, `--key value` and `--key=value` forms. Unknown options
-// raise an error so typos in experiment sweeps are caught immediately.
+// raise an error so typos in experiment sweeps are caught immediately, and
+// an option given twice throws std::invalid_argument naming it.
 // Numeric getters parse the full token — `--rounds 100x` is an error, not
 // 100 — and every parse failure throws std::invalid_argument naming the
 // offending flag and value.

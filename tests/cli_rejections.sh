@@ -8,8 +8,8 @@
 # runs; the acceptance rows replay every documented command shape under
 # --dry-run. Runs in a fresh temporary directory, so nothing is written
 # next to the sources.
-bin=$1
-spec=$2/specs/discrepancy_smoke.spec
+bin=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
+spec=$(cd "$2" && pwd)/specs/discrepancy_smoke.spec
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 cd "$work" || exit 1

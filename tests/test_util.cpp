@@ -159,6 +159,28 @@ TEST(Cli, BadBoolThrows)
     EXPECT_THROW(args.get_bool("flag", false), std::invalid_argument);
 }
 
+// A repeated option is refused in every spelling: keeping the last value
+// (or the first) would run a command line that says two things.
+TEST(Cli, RepeatedOptionThrowsNamingIt)
+{
+    const auto message_of = [](std::initializer_list<const char*> argv) {
+        try {
+            make_args(argv);
+        } catch (const std::invalid_argument& rejected) {
+            return std::string(rejected.what());
+        }
+        return std::string("(accepted)");
+    };
+    EXPECT_NE(message_of({"prog", "--nodes", "10", "--nodes", "20"})
+                  .find("--nodes"),
+              std::string::npos);
+    EXPECT_NE(message_of({"prog", "--sweep.nodes=16,32", "--sweep.nodes", "64"})
+                  .find("--sweep.nodes"),
+              std::string::npos);
+    EXPECT_NE(message_of({"prog", "--quiet", "--quiet"}).find("--quiet"),
+              std::string::npos);
+}
+
 TEST(Cli, EqualsFormBindsTightly)
 {
     const auto args = make_args({"prog", "--key=a=b"});
