@@ -58,6 +58,22 @@ double scenario_cost(const scenario_spec& spec)
     return 1.0 + loop;
 }
 
+std::vector<std::int64_t> lpt_order(const std::vector<scenario_spec>& scenarios)
+{
+    std::vector<std::int64_t> order(scenarios.size());
+    std::iota(order.begin(), order.end(), std::int64_t{0});
+    std::vector<double> costs(scenarios.size());
+    for (std::size_t i = 0; i < scenarios.size(); ++i)
+        costs[i] = scenario_cost(scenarios[i]);
+    // Stable on the iota order, so equal costs keep ascending indices.
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::int64_t a, std::int64_t b) {
+                         return costs[static_cast<std::size_t>(a)] >
+                                costs[static_cast<std::size_t>(b)];
+                     });
+    return order;
+}
+
 std::vector<std::vector<std::int64_t>>
 partition_scenarios(const std::vector<scenario_spec>& scenarios,
                     std::int64_t shard_count)
@@ -65,33 +81,19 @@ partition_scenarios(const std::vector<scenario_spec>& scenarios,
     if (shard_count < 1)
         throw std::invalid_argument("partition: shard count must be >= 1");
 
+    // Greedy LPT: heaviest scenario first onto the currently cheapest
+    // shard. Load ties break on the lowest shard id, so the partition is a
+    // pure function of the spec — every independently launched shard
+    // process computes the same assignment.
     std::vector<std::vector<std::int64_t>> shards(
         static_cast<std::size_t>(shard_count));
-    const auto count = static_cast<std::int64_t>(scenarios.size());
-
-    // Greedy LPT: heaviest scenario first onto the currently cheapest
-    // shard. Sort ties break on ascending index and load ties on the lowest
-    // shard id, so the partition is a pure function of the spec — every
-    // independently launched shard process computes the same assignment.
-    std::vector<std::int64_t> order(static_cast<std::size_t>(count));
-    std::iota(order.begin(), order.end(), std::int64_t{0});
-    std::vector<double> costs(static_cast<std::size_t>(count));
-    for (std::int64_t i = 0; i < count; ++i)
-        costs[static_cast<std::size_t>(i)] =
-            scenario_cost(scenarios[static_cast<std::size_t>(i)]);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::int64_t a, std::int64_t b) {
-                         return costs[static_cast<std::size_t>(a)] >
-                                costs[static_cast<std::size_t>(b)];
-                     });
-
     std::vector<double> load(static_cast<std::size_t>(shard_count), 0.0);
-    for (const std::int64_t i : order) {
+    for (const std::int64_t i : lpt_order(scenarios)) {
         std::size_t lightest = 0;
         for (std::size_t s = 1; s < load.size(); ++s)
             if (load[s] < load[lightest]) lightest = s;
         shards[lightest].push_back(i);
-        load[lightest] += costs[static_cast<std::size_t>(i)];
+        load[lightest] += scenario_cost(scenarios[static_cast<std::size_t>(i)]);
     }
     // Each shard runs (and reports progress) in global expansion order.
     for (auto& shard : shards) std::sort(shard.begin(), shard.end());

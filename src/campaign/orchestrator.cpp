@@ -7,7 +7,6 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <numeric>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -317,28 +316,6 @@ void ensure_meta(const std::string& path, std::uint64_t hash,
             std::to_string(got_stride) + ")");
 }
 
-/// The lease order: descending predicted cost, ties by ascending index
-/// (LPT). Fresh leases come from the head — the heaviest pending scenario,
-/// the "cheapest fit" for whichever worker is free right now — and steals
-/// scan from the tail, where a dead holder's lost work is cheapest to redo.
-std::vector<std::int64_t> lease_order(
-    const std::vector<scenario_spec>& scenarios)
-{
-    std::vector<std::int64_t> order(scenarios.size());
-    std::iota(order.begin(), order.end(), std::int64_t{0});
-    std::vector<double> costs(scenarios.size());
-    for (std::size_t i = 0; i < scenarios.size(); ++i)
-        costs[i] = scenario_cost(scenarios[i]);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::int64_t a, std::int64_t b) {
-                         const double ca = costs[static_cast<std::size_t>(a)];
-                         const double cb = costs[static_cast<std::size_t>(b)];
-                         if (ca != cb) return ca > cb;
-                         return a < b;
-                     });
-    return order;
-}
-
 std::string row_path(const std::filesystem::path& queue, std::int64_t index)
 {
     return (queue / "rows" / (std::to_string(index) + ".csv")).string();
@@ -540,7 +517,11 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
         std::error_code ec;
         if (!std::filesystem::exists(leases_path, ec) || ec) {
             std::vector<lease_entry> entries;
-            for (const std::int64_t index : lease_order(scenarios)) {
+            // LPT order: fresh leases come from the head, the heaviest
+            // pending scenario (the "cheapest fit" for whichever worker is
+            // free now), and steals scan from the tail, where a dead
+            // holder's lost work is cheapest to redo.
+            for (const std::int64_t index : lpt_order(scenarios)) {
                 lease_entry entry;
                 entry.index = index;
                 entries.push_back(std::move(entry));
