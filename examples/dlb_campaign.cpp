@@ -24,12 +24,13 @@
 // Reports are byte-identical for any --threads value, with or without
 // --shard + --merge, and with or without graph caching / scratch pooling;
 // add --timing to include (nondeterministic) wall-clock fields.
+#include <algorithm>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <optional>
-#include <set>
 #include <sstream>
+#include <utility>
 
 #include <unistd.h> // gethostname
 
@@ -39,124 +40,188 @@ using namespace dlb;
 
 namespace {
 
+// The modes an invocation runs in. --queue, --merge and --measure-windows
+// each select one (at most one of them per invocation); without them it
+// runs the campaign, or this invocation's --shard of it.
+constexpr unsigned kRun = 1;
+constexpr unsigned kQueue = 2;
+constexpr unsigned kMerge = 4;
+constexpr unsigned kWindows = 8;
+constexpr unsigned kAll = kRun | kQueue | kMerge | kWindows;
+// Not a mode: the flag is a campaign key, read like a spec file line.
+constexpr unsigned kSpecKey = 16;
+
+struct mode_row {
+    unsigned mode;
+    const char* name;
+    const char* flag; // the flag that selects it; nullptr: the default
+};
+constexpr mode_row kModes[] = {{kRun, "run", nullptr},
+                               {kQueue, "queue", "queue"},
+                               {kMerge, "merge", "merge"},
+                               {kWindows, "windows", "measure-windows"}};
+
+// One row per flag: its value (nullptr for a bare flag; `optional` values
+// are spelled --flag=VALUE), the modes it applies in and its help line.
+// --help prints this table and the one check in check_flags() reads it, so
+// a flag cannot be accepted without being documented.
+struct flag_row {
+    const char* name; // "<field>": every scenario field
+    const char* value;
+    bool optional;
+    unsigned modes;
+    const char* help;
+};
+
+constexpr flag_row kFlags[] = {
+    {"spec", "FILE", false, kAll,
+     "load a key=value campaign file (the only way to pass one; positional "
+     "arguments are rejected); the flags below override its keys one by one"},
+    {"name", "NAME", false, kAll | kSpecKey, "campaign name for the reports"},
+    {"<field>", "VALUE", false, kAll | kSpecKey, "set a base scenario field"},
+    {"sweep.<field>", "A,B,C", false, kAll | kSpecKey,
+     "sweep a field over a value list"},
+    {"seeds", "N", false, kAll | kSpecKey, "sweep seed over base..base+N-1"},
+    {"shard", "I/N", false, kRun,
+     "run only this invocation's share of the scenarios, split by greedy LPT "
+     "over the per-scenario cost model (rows keep global indices; --merge "
+     "reassembles the full report)"},
+    {"lambda-cache", "FILE", false, kRun | kQueue,
+     "persistent lambda sidecar shared across invocations and shard "
+     "processes: loaded before the run, rewritten atomically after it; a "
+     "missing or corrupt file degrades to recompute"},
+    {"queue", "DIR", false, kQueue,
+     "become one lease-queue worker on the shared directory DIR: workers on "
+     "any machines lease scenarios heaviest-first, take over dead holders' "
+     "leases (resuming from their snapshots under a shared --checkpoint-dir) "
+     "and each writes the full merged report"},
+    {"lease-expiry", "SECS", false, kQueue,
+     "treat a cross-host worker whose heartbeat is older than SECS as dead "
+     "(same-host death is detected by pid). Default 30"},
+    {"merge", "A.csv,B.csv", false, kMerge,
+     "merge shard CSV reports of the same campaign; runs nothing and writes "
+     "--csv/--json byte-identical to an unsharded run"},
+    {"checkpoint-every", "N", false, kRun | kQueue,
+     "snapshot each scenario every N rounds to <dir>/<index>_<label>.ckpt "
+     "(pure output: reports stay byte-identical)"},
+    {"checkpoint-dir", "DIR", false, kRun | kQueue,
+     "where --checkpoint-every writes (created if missing)"},
+    {"resume", "FILE", false, kRun | kWindows,
+     "resume one scenario from a snapshot of this campaign (spec hash and "
+     "stride must match); the reports come out byte-identical to an "
+     "uninterrupted run"},
+    {"measure-windows", "K", false, kWindows,
+     "run K re-seeded windows of --window-rounds W rounds from the --resume "
+     "snapshot (window 0 keeps the seed) and report the sampled "
+     "discrepancy's mean/stddev/95% CI; --csv/--json write that report"},
+    {"window-rounds", "W", false, kWindows,
+     "rounds per measured window (>= 1)"},
+    {"threads", "N", false, kRun, "scenario fan-out workers (0: hardware)"},
+    {"engine-threads", "N", false, kRun | kQueue,
+     "in-engine round-kernel workers per scenario (0: hardware, 1: serial); "
+     "any value != 1 runs scenarios one at a time. Use it for a few large "
+     "scenarios, --threads for many small ones"},
+    {"no-graph-cache", nullptr, false, kRun | kQueue,
+     "re-resolve the topology per scenario instead of sharing it"},
+    {"no-scratch-pool", nullptr, false, kRun | kQueue,
+     "allocate engine arrays per scenario instead of pooling per worker"},
+    {"record-every", "N", false, kRun | kQueue | kMerge,
+     "series sampling stride (0: rounds/256)"},
+    {"json", "PATH", false, kAll, "write the aggregated JSON report"},
+    {"csv", "PATH", false, kAll, "write the per-scenario CSV report"},
+    {"series-dir", "DIR", false, kRun | kQueue,
+     "write each scenario's per-round series CSV"},
+    {"timing", nullptr, false, kRun | kQueue,
+     "include wall-clock fields in the reports (breaks byte-determinism) and "
+     "print the cache counters"},
+    {"trace", "FILE", false, kAll,
+     "write a Chrome/Perfetto trace-event JSON of the run's phases, one "
+     "track per worker thread (open it in ui.perfetto.dev)"},
+    {"metrics", "FILE", false, kAll,
+     "write aggregated counters/histograms as JSONL (and a metrics object "
+     "in the --timing JSON report)"},
+    {"progress", "SECS", true, kRun | kQueue,
+     "heartbeat lines on stderr every SECS (default 10): scenarios done, "
+     "elapsed, a cost-model ETA and its residual spread"},
+    {"manifest", "FILE", false, kRun | kQueue | kMerge,
+     "write a provenance manifest (spec hash, args, shard, build, host); "
+     "with --merge, the merged manifest of the --manifests it validated"},
+    {"manifests", "A,B", false, kMerge,
+     "shard manifests --merge checks agree (spec hash, stride, shard count) "
+     "before it trusts the rows"},
+    {"quiet", nullptr, false, kAll,
+     "suppress per-scenario progress on stderr"},
+    {"dry-run", nullptr, false, kAll,
+     "check every flag and value, list the expansion, run nothing"},
+    {"list", nullptr, false, kAll,
+     "print registered topologies, load patterns and workloads, then exit"},
+    {"help", nullptr, false, kAll, "print this help, then exit"},
+};
+
+// The row of `--name`: a scenario field maps to "<field>", its sweep form
+// to "sweep.<field>". nullptr for an unknown flag.
+const flag_row* find_flag(const std::string& name)
+{
+    const auto& fields = campaign::field_names();
+    const auto is_field = [&](const std::string& key) {
+        return std::find(fields.begin(), fields.end(), key) != fields.end();
+    };
+    std::string key = name;
+    if (is_field(name)) key = "<field>";
+    else if (name.rfind("sweep.", 0) == 0 && is_field(name.substr(6)))
+        key = "sweep.<field>";
+    else if (name.find('<') != std::string::npos) return nullptr;
+    for (const flag_row& row : kFlags)
+        if (key == row.name) return &row;
+    return nullptr;
+}
+
+// The modes in `modes`, as their names or as the flags selecting them,
+// joined by `separator`.
+std::string join_modes(unsigned modes, bool as_flags, const char* separator)
+{
+    std::string joined;
+    for (const mode_row& row : kModes) {
+        if ((modes & row.mode) == 0 || (as_flags && row.flag == nullptr))
+            continue;
+        if (!joined.empty()) joined += separator;
+        joined += as_flags ? "--" + std::string(row.flag) : row.name;
+    }
+    return joined;
+}
+
 void print_usage(std::ostream& out)
 {
+    constexpr std::size_t kHelpColumn = 25;
+    constexpr std::size_t kWidth = 76;
     out << "usage: dlb_campaign [options]\n"
-           "  --spec FILE            load a key=value campaign file (the\n"
-           "                         only way to pass one; positional\n"
-           "                         arguments are rejected)\n"
-           "  --name NAME            campaign name for the reports\n"
-           "  --<field> VALUE        set a base scenario field\n"
-           "  --sweep.<field> A,B,C  sweep a field over a value list\n"
-           "  --seeds N              sweep seed over base..base+N-1\n"
-           "  --shard I/N            run only this invocation's share of the\n"
-           "                         scenarios, split by greedy LPT over the\n"
-           "                         per-scenario cost model (rows keep\n"
-           "                         global indices; merge with --merge for\n"
-           "                         the full report)\n"
-           "  --lambda-cache FILE    persistent lambda sidecar: loaded\n"
-           "                         before the run, rewritten atomically\n"
-           "                         after it, shared across invocations\n"
-           "                         and shard processes so each distinct\n"
-           "                         topology pays Lanczos once per\n"
-           "                         machine. Missing/corrupt files\n"
-           "                         degrade to recompute; requires the\n"
-           "                         graph cache\n"
-           "  --queue DIR            fault-tolerant lease-queue mode: this\n"
-           "                         invocation becomes one worker on the\n"
-           "                         shared queue directory (any number of\n"
-           "                         processes/machines sharing DIR cooperate\n"
-           "                         on one sweep). Workers lease scenarios\n"
-           "                         heaviest-first, take over leases whose\n"
-           "                         holder died (resuming from its newest\n"
-           "                         valid checkpoint when --checkpoint-dir\n"
-           "                         is shared), and each writes the full\n"
-           "                         merged report — byte-identical to an\n"
-           "                         unsharded run. Exclusive with --shard,\n"
-           "                         --merge and --resume\n"
-           "  --lease-expiry SECS    queue mode: a cross-host worker whose\n"
-           "                         heartbeat is older than SECS is treated\n"
-           "                         as dead and its lease re-assigned\n"
-           "                         (same-host death is detected by pid,\n"
-           "                         immediately). Default 30\n"
-           "  --merge A.csv,B.csv    merge shard CSV reports written with the\n"
-           "                         same campaign definition; runs nothing,\n"
-           "                         writes --csv/--json byte-identical to an\n"
-           "                         unsharded run\n"
-           "  --checkpoint-every N   write an atomic engine snapshot per\n"
-           "                         scenario every N rounds to\n"
-           "                         <dir>/<index>_<label>.ckpt; requires\n"
-           "                         --checkpoint-dir. Pure output: reports\n"
-           "                         stay byte-identical\n"
-           "  --checkpoint-dir DIR   where --checkpoint-every writes its\n"
-           "                         snapshots (created if missing)\n"
-           "  --resume FILE          resume one scenario from a snapshot; it\n"
-           "                         continues from the saved round and the\n"
-           "                         reports come out byte-identical to an\n"
-           "                         uninterrupted run. The snapshot must\n"
-           "                         match this campaign (spec hash,\n"
-           "                         stride — mismatches are rejected\n"
-           "                         naming the field)\n"
-           "  --measure-windows K    SMARTS-style windowed sampling: instead\n"
-           "                         of one long tail, run K short measured\n"
-           "                         windows from the --resume snapshot\n"
-           "                         (window 0 keeps the scenario seed, the\n"
-           "                         rest re-seed) and report mean/stddev/\n"
-           "                         95% CI of the sampled discrepancy;\n"
-           "                         --csv/--json then write the windows\n"
-           "                         report. Requires --window-rounds\n"
-           "  --window-rounds W      rounds per measured window (>= 1)\n"
-           "  --threads N            parallel scenario workers (0: hardware).\n"
-           "                         Fans whole scenarios out; use it when a\n"
-           "                         campaign is many scenarios\n"
-           "  --engine-threads N     in-engine round-kernel workers per\n"
-           "                         scenario (0: hardware, 1: serial). Use it\n"
-           "                         when a campaign is a few LARGE scenarios;\n"
-           "                         any value != 1 forces the scenario\n"
-           "                         fan-out serial, so --threads is then\n"
-           "                         ignored — the two levels never compose,\n"
-           "                         pick one. Reports are byte-identical\n"
-           "                         either way\n"
-           "  --no-graph-cache       re-resolve the topology per scenario\n"
-           "                         instead of sharing resolved graphs\n"
-           "  --no-scratch-pool      allocate engine arrays per scenario\n"
-           "                         instead of pooling per worker\n"
-           "  --record-every N       series sampling stride (0: rounds/256)\n"
-           "  --json PATH            write the aggregated JSON report\n"
-           "  --csv PATH             write the per-scenario CSV report\n"
-           "  --series-dir DIR       write each scenario's per-round series CSV\n"
-           "  --timing               include wall-clock fields in reports\n"
-           "                         (breaks byte-determinism and --merge)\n"
-           "                         and print cache hit/miss counters\n"
-           "  --trace FILE           write a Chrome/Perfetto trace-event JSON\n"
-           "                         of the run's phases (graph builds,\n"
-           "                         lambda solves, per-scenario engine\n"
-           "                         phases, report writes; one track per\n"
-           "                         worker thread). Load it in\n"
-           "                         ui.perfetto.dev or about://tracing.\n"
-           "                         Out-of-band: reports stay byte-identical\n"
-           "  --metrics FILE         write aggregated counters/histograms as\n"
-           "                         JSONL (deterministic for a given run\n"
-           "                         shape), and embed a metrics object in\n"
-           "                         the --timing JSON report\n"
-           "  --progress[=SECS]      per-shard heartbeat lines on stderr\n"
-           "                         every SECS (default 10) with scenarios\n"
-           "                         done, elapsed, a cost-model ETA and the\n"
-           "                         predicted-vs-actual residual spread\n"
-           "  --manifest FILE        write a run manifest (provenance: spec\n"
-           "                         hash, args, shard assignment, build,\n"
-           "                         host). With --merge, validates the\n"
-           "                         shard manifests from --manifests and\n"
-           "                         writes the merged manifest here\n"
-           "  --manifests A,B        shard manifest files for --merge to\n"
-           "                         check consistency across (spec hash,\n"
-           "                         stride, shard count must all agree)\n"
-           "                         before trusting the rows\n"
-           "  --quiet                suppress per-scenario progress on stderr\n"
-           "  --dry-run              expand and list scenarios, run nothing\n"
-           "  --list                 print registered topologies, load\n"
-           "                         patterns and workloads, then exit\n"
-           "Every value is checked as it is loaded: an unknown name, a value\n"
+           "--queue, --merge and --measure-windows select the queue, merge "
+           "and windows\nmodes (at most one); without them the campaign runs "
+           "(run mode). A flag\nmarked [modes] applies only in those; "
+           "elsewhere it exits 2.\n";
+    for (const flag_row& row : kFlags) {
+        std::string line = std::string("  --") + row.name;
+        if (row.value != nullptr)
+            line += row.optional ? std::string("[=") + row.value + "]"
+                                 : std::string(" ") + row.value;
+        std::string help = row.help;
+        if ((row.modes & kAll) != kAll)
+            help += " [" + join_modes(row.modes, false, ", ") + "]";
+        std::istringstream words(help);
+        for (std::string word; words >> word;) {
+            if (line.size() < kHelpColumn)
+                line.resize(kHelpColumn, ' ');
+            else if (line.size() + 1 + word.size() <= kWidth)
+                line += ' ';
+            else {
+                out << line << "\n";
+                line.assign(kHelpColumn, ' ');
+            }
+            line += word;
+        }
+        out << line << "\n";
+    }
+    out << "Every value is checked as it is loaded: an unknown name, a value\n"
            "below its field's minimum, a key or axis given twice, or a value\n"
            "repeated within one sweep exits 2 before any scenario runs.\n"
            "fields:";
@@ -170,6 +235,43 @@ void print_usage(std::ostream& out)
         out << "\n";
     }
     out << "see docs/campaign-specs.md for the full reference\n";
+}
+
+// The one check of what an invocation accepts, made before anything runs
+// (--dry-run included): every flag is known, has its value, and applies
+// in the selected mode. Returns the mode.
+unsigned check_flags(const cli_args& args)
+{
+    std::string mode_flag;
+    unsigned mode = kRun;
+    for (const auto& name : args.option_names()) {
+        const flag_row* row = find_flag(name);
+        if (row == nullptr)
+            throw std::invalid_argument("unknown option --" + name +
+                                        " (see --help)");
+        if (row->value != nullptr && !row->optional &&
+            args.get_string(name, "").empty())
+            throw std::invalid_argument("--" + name + " needs a value (--" +
+                                        name + " " + row->value + ")");
+        for (const mode_row& selects : kModes) {
+            if (selects.flag == nullptr || name != selects.flag) continue;
+            if (!mode_flag.empty())
+                throw std::invalid_argument("--" + mode_flag + " and --" +
+                                            name + " are exclusive");
+            mode_flag = name;
+            mode = selects.mode;
+        }
+    }
+    for (const auto& name : args.option_names()) {
+        const unsigned modes = find_flag(name)->modes;
+        if ((modes & mode) != 0) continue;
+        if (!mode_flag.empty())
+            throw std::invalid_argument("--" + mode_flag + " and --" + name +
+                                        " are exclusive");
+        throw std::invalid_argument("--" + name + " only applies to " +
+                                    join_modes(modes, true, " or "));
+    }
+    return mode;
 }
 
 // Registry dump for scripts (and for keeping docs honest: the names printed
@@ -188,25 +290,34 @@ void print_registry(std::ostream& out)
     for (const auto& name : campaign::workload_names()) out << "  " << name << "\n";
 }
 
-// Writes one report file. Queue-mode reports go through temp + rename:
-// several workers often share the report paths, and a plain truncate-then-
-// write would let a reader (or a crash) observe a partial file. Otherwise a
-// plain ofstream, closed and checked, so a full disk or an unwritable device
-// fails the run (exit 2) naming the path instead of announcing the report.
-void write_report(const std::string& path, bool atomic,
-                  const std::function<void(std::ostream&)>& emit)
+using emitter = std::function<void(std::ostream&)>;
+
+// Writes the --json and --csv reports asked for, announcing each path.
+// Queue-mode reports go through temp + rename: several workers often share
+// the report paths, and a plain truncate-then-write would let a reader (or
+// a crash) observe a partial file. Otherwise a plain ofstream, closed and
+// checked, so a full disk or an unwritable device fails the run (exit 2)
+// naming the path instead of announcing the report.
+void write_reports(const cli_args& args, bool atomic, const emitter& json,
+                   const emitter& csv)
 {
-    if (atomic) {
-        std::ostringstream bytes;
-        emit(bytes);
-        write_text_atomic(path, bytes.str(), "queue report");
-        return;
+    for (const auto& [flag, emit] : {std::pair{"json", &json},
+                                     std::pair{"csv", &csv}}) {
+        if (!args.has(flag)) continue;
+        const std::string path = args.get_string(flag, "");
+        if (atomic) {
+            std::ostringstream bytes;
+            (*emit)(bytes);
+            write_text_atomic(path, bytes.str(), "queue report");
+        } else {
+            std::ofstream out(path);
+            if (!out) throw std::runtime_error("cannot open " + path);
+            (*emit)(out);
+            out.close();
+            if (!out) throw std::runtime_error("cannot write " + path);
+        }
+        std::cout << flag << " -> " << path << "\n";
     }
-    std::ofstream out(path);
-    if (!out) throw std::runtime_error("cannot open " + path);
-    emit(out);
-    out.close();
-    if (!out) throw std::runtime_error("cannot write " + path);
 }
 
 // The provenance record one invocation (shard or whole campaign) writes via
@@ -324,40 +435,33 @@ int main(int argc, char** argv)
             throw std::invalid_argument(
                 "unexpected argument '" + args.positional().front() +
                 "' (pass a spec file with --spec FILE)");
+        const unsigned mode = check_flags(args);
+        // The values no library call checks.
+        if (args.get_int("threads", 0) < 0 ||
+            args.get_int("engine-threads", 1) < 0)
+            throw std::invalid_argument("thread counts must be >= 0");
+        if (args.get_double("progress", 10.0) <= 0.0)
+            throw std::invalid_argument(
+                "--progress period must be positive seconds");
+        if (mode == kWindows && !args.has("resume"))
+            throw std::invalid_argument(
+                "--measure-windows needs --resume FILE (the snapshot to "
+                "sample from)");
+        if (mode == kWindows && !args.has("window-rounds"))
+            throw std::invalid_argument(
+                "--measure-windows needs --window-rounds W");
 
-        // Known option names: harness flags plus every scenario field in
-        // base and sweep form. Anything else is a typo worth failing on.
-        std::set<std::string> known = {"queue",   "lease-expiry",
-                                       "shard",   "merge",
-                                       "checkpoint-every", "checkpoint-dir",
-                                       "resume",  "measure-windows",
-                                       "window-rounds",
-                                       "lambda-cache", "threads",
-                                       "engine-threads", "no-graph-cache",
-                                       "no-scratch-pool", "record-every",
-                                       "json",    "csv",    "series-dir",
-                                       "timing",  "trace",  "metrics",
-                                       "progress", "manifest", "manifests",
-                                       "quiet",   "dry-run", "spec"};
-        std::set<std::string> spec_keys = {"name", "seeds"};
-        for (const auto& field : campaign::field_names()) {
-            spec_keys.insert(field);
-            spec_keys.insert("sweep." + field);
-        }
-        // Spec keys go through the spec file's reader, so a flag follows
-        // the file grammar and overrides the --spec file key by key.
-        campaign::campaign_reader reader(
+        // Campaign keys follow the spec file grammar and override the
+        // --spec file key by key.
+        std::vector<campaign::campaign_key> keys;
+        for (const auto& name : args.option_names())
+            if ((find_flag(name)->modes & kSpecKey) != 0)
+                keys.push_back({name, args.get_string(name, ""), "--" + name});
+        const campaign::campaign_spec spec = campaign::read_campaign_keys(
             args.has("spec")
                 ? campaign::parse_campaign_file(args.get_string("spec", ""))
-                : campaign::campaign_spec{});
-        for (const auto& name : args.option_names()) {
-            if (spec_keys.count(name) > 0)
-                reader.set(name, args.get_string(name, ""), "--" + name);
-            else if (known.count(name) == 0)
-                throw std::invalid_argument("unknown option --" + name +
-                                            " (see --help)");
-        }
-        const campaign::campaign_spec spec = reader.finish();
+                : campaign::campaign_spec{},
+            keys);
 
         if (args.get_bool("dry-run", false)) {
             const auto scenarios = campaign::expand(spec);
@@ -379,55 +483,19 @@ int main(int argc, char** argv)
         if (args.has("trace") || args.has("metrics")) {
             obs::session_options obs_options;
             obs_options.trace_path = args.get_string("trace", "");
-            if (args.has("trace") && obs_options.trace_path.empty())
-                throw std::invalid_argument("--trace needs a file path");
             obs_options.metrics_path = args.get_string("metrics", "");
-            if (args.has("metrics") && obs_options.metrics_path.empty())
-                throw std::invalid_argument("--metrics needs a file path");
             obs_options.collect_metrics = args.has("metrics");
             session.emplace(obs_options);
         }
 
-        const std::int64_t resolved_stride = campaign::resolved_record_every(
-            spec, args.get_int("record-every", 0));
-
-        // Windowed sampling is its own mode: it runs measured windows from
-        // one snapshot and writes the windows report, never the campaign
-        // one. Flags that drive the scenario sweep don't compose with it.
-        if (args.has("measure-windows")) {
-            if (args.has("merge"))
-                throw std::invalid_argument(
-                    "--measure-windows and --merge are exclusive");
-            if (args.has("shard"))
-                throw std::invalid_argument(
-                    "--measure-windows and --shard are exclusive");
-            if (args.has("queue"))
-                throw std::invalid_argument(
-                    "--measure-windows and --queue are exclusive");
-            if (args.has("checkpoint-every") || args.has("checkpoint-dir"))
-                throw std::invalid_argument(
-                    "--measure-windows samples from an existing snapshot; "
-                    "checkpointing flags do not apply");
-            if (args.has("manifest") || args.has("manifests"))
-                throw std::invalid_argument(
-                    "--measure-windows does not write campaign manifests");
-            if (!args.has("resume"))
-                throw std::invalid_argument(
-                    "--measure-windows needs --resume FILE (the snapshot "
-                    "to sample from)");
-            const std::string snapshot_path = args.get_string("resume", "");
-            if (snapshot_path.empty())
-                throw std::invalid_argument(
-                    "--resume needs a checkpoint file path");
+        // Windowed sampling runs measured windows from one snapshot and
+        // writes the windows report, never the campaign one.
+        if (mode == kWindows) {
             campaign::measure_windows_options windows_options;
             windows_options.windows = args.get_int("measure-windows", 8);
             windows_options.window_rounds = args.get_int("window-rounds", 0);
-            if (windows_options.window_rounds < 1)
-                throw std::invalid_argument(
-                    "--measure-windows needs --window-rounds W (>= 1)");
-
             const engine_checkpoint snapshot =
-                read_checkpoint_file(snapshot_path);
+                read_checkpoint_file(args.get_string("resume", ""));
             const campaign::measure_windows_result windows =
                 campaign::measure_windows(spec, snapshot, windows_options);
 
@@ -438,140 +506,60 @@ int main(int argc, char** argv)
                       << "  discrepancy mean=" << windows.mean
                       << " stddev=" << windows.stddev << " ci95=+/-"
                       << windows.ci95_half_width << "\n";
-            if (args.has("json")) {
-                const std::string path = args.get_string("json", "");
-                write_report(path, false, [&](std::ostream& out) {
+            write_reports(
+                args, false,
+                [&](std::ostream& out) {
                     campaign::write_windows_json(out, windows);
-                });
-                std::cout << "json -> " << path << "\n";
-            }
-            if (args.has("csv")) {
-                const std::string path = args.get_string("csv", "");
-                write_report(path, false, [&](std::ostream& out) {
+                },
+                [&](std::ostream& out) {
                     campaign::write_windows_csv(out, windows);
                 });
-                std::cout << "csv -> " << path << "\n";
-            }
             return 0;
         }
-        if (args.has("window-rounds"))
-            throw std::invalid_argument(
-                "--window-rounds only applies to --measure-windows");
 
+        campaign::shard_part shard;
+        if (args.has("shard"))
+            shard = campaign::parse_shard(args.get_string("shard", ""));
+        const std::int64_t record_every = args.get_int("record-every", 0);
         campaign::campaign_result result;
         std::optional<obs::run_manifest> merged_manifest;
-        if (args.has("merge")) {
-            if (args.has("shard"))
-                throw std::invalid_argument("--merge and --shard are exclusive");
-            if (args.has("queue"))
-                throw std::invalid_argument(
-                    "--merge and --queue are exclusive: every queue worker "
-                    "already writes the full merged report");
-            if (args.has("lambda-cache"))
-                throw std::invalid_argument(
-                    "--merge runs nothing, so --lambda-cache has no effect "
-                    "there; pass it to the shard runs instead");
-            if (args.has("resume"))
-                throw std::invalid_argument(
-                    "--merge and --resume are exclusive: --merge runs "
-                    "nothing; resume the shard run that wrote the "
-                    "checkpoint, then merge its report");
-            if (args.has("checkpoint-every") || args.has("checkpoint-dir"))
-                throw std::invalid_argument(
-                    "--merge runs nothing, so checkpointing flags have no "
-                    "effect there; pass them to the shard runs instead");
-            if (timing)
-                throw std::invalid_argument(
-                    "--merge works on timing-free reports (drop --timing)");
-            const auto paths =
-                campaign::split_list(args.get_string("merge", ""));
-            if (paths.empty())
-                throw std::invalid_argument("--merge needs shard CSV paths");
+        if (mode == kMerge) {
             // Shard manifests are checked before any row is trusted: a
             // mixed set (different spec, stride or shard count) fails here
             // naming the differing field.
-            if (args.has("manifests")) {
-                const auto manifest_paths =
-                    campaign::split_list(args.get_string("manifests", ""));
-                if (manifest_paths.empty())
-                    throw std::invalid_argument(
-                        "--manifests needs shard manifest paths");
-                merged_manifest = merge_and_validate_manifests(
-                    spec, resolved_stride, manifest_paths);
-            }
-            result = campaign::merge_shard_csv(spec, paths,
-                                               args.get_int("record-every", 0));
-        } else {
             if (args.has("manifests"))
-                throw std::invalid_argument(
-                    "--manifests only applies to --merge; a shard run writes "
-                    "its own manifest with --manifest FILE");
+                merged_manifest = merge_and_validate_manifests(
+                    spec, campaign::resolved_record_every(spec, record_every),
+                    campaign::split_list(args.get_string("manifests", "")));
+            result = campaign::merge_shard_csv(
+                spec, campaign::split_list(args.get_string("merge", "")),
+                record_every);
+        } else {
             campaign::campaign_options options;
-            const std::int64_t threads = args.get_int("threads", 0);
-            const std::int64_t engine_threads = args.get_int("engine-threads", 1);
-            if (threads < 0 || engine_threads < 0)
-                throw std::invalid_argument("thread counts must be >= 0");
-            options.threads = static_cast<unsigned>(threads);
-            options.engine_threads = static_cast<unsigned>(engine_threads);
-            options.record_every = args.get_int("record-every", 0);
+            options.threads =
+                static_cast<unsigned>(args.get_int("threads", 0));
+            options.engine_threads =
+                static_cast<unsigned>(args.get_int("engine-threads", 1));
+            options.record_every = record_every;
             options.series_dir = args.get_string("series-dir", "");
             options.reuse_graphs = !args.get_bool("no-graph-cache", false);
             options.pool_scratch = !args.get_bool("no-scratch-pool", false);
             options.lambda_cache_path = args.get_string("lambda-cache", "");
-            if (args.has("lambda-cache") && options.lambda_cache_path.empty())
-                throw std::invalid_argument(
-                    "--lambda-cache needs a file path (a bare flag would "
-                    "silently run without the sidecar)");
             options.checkpoint_every = args.get_int("checkpoint-every", 0);
             options.checkpoint_dir = args.get_string("checkpoint-dir", "");
-            if (args.has("checkpoint-dir") && options.checkpoint_dir.empty())
-                throw std::invalid_argument(
-                    "--checkpoint-dir needs a directory path");
             options.resume_path = args.get_string("resume", "");
-            if (args.has("resume") && options.resume_path.empty())
-                throw std::invalid_argument(
-                    "--resume needs a checkpoint file path");
-            if (args.has("queue")) {
-                if (args.has("shard"))
-                    throw std::invalid_argument(
-                        "--queue and --shard are exclusive (the queue "
-                        "assigns scenarios dynamically)");
-                if (args.has("resume"))
-                    throw std::invalid_argument(
-                        "--queue and --resume are exclusive: queue workers "
-                        "resume from the shared --checkpoint-dir "
-                        "automatically");
-                options.queue_dir = args.get_string("queue", "");
-                if (options.queue_dir.empty())
-                    throw std::invalid_argument(
-                        "--queue needs a directory path");
-                const double expiry = args.get_double("lease-expiry", 30.0);
-                if (expiry <= 0.0)
-                    throw std::invalid_argument(
-                        "--lease-expiry must be positive seconds");
-                options.lease_expiry_seconds = expiry;
-            } else if (args.has("lease-expiry")) {
-                throw std::invalid_argument(
-                    "--lease-expiry only applies to --queue");
-            }
-            if (args.has("shard")) {
-                const auto shard =
-                    campaign::parse_shard(args.get_string("shard", ""));
-                options.shard_index = shard.index;
-                options.shard_count = shard.count;
-            }
+            options.queue_dir = args.get_string("queue", "");
+            options.lease_expiry_seconds =
+                args.get_double("lease-expiry", 30.0);
+            options.shard_index = shard.index;
+            options.shard_count = shard.count;
             if (!args.get_bool("quiet", false)) options.progress = &std::cerr;
             if (args.has("progress")) {
                 // Bare --progress keeps the 10 s default; --progress=SECS
                 // (or --progress SECS) overrides it.
-                const double period = args.get_double("progress", 10.0);
-                if (period <= 0.0)
-                    throw std::invalid_argument(
-                        "--progress period must be positive seconds");
                 options.heartbeat = &std::cerr;
-                options.heartbeat_seconds = period;
+                options.heartbeat_seconds = args.get_double("progress", 10.0);
             }
-
             result = campaign::run_campaign(spec, options);
         }
 
@@ -588,7 +576,7 @@ int main(int argc, char** argv)
                       << " re-leased=" << result.queue.re_leased
                       << " resumed=" << result.queue.resumed
                       << " stolen=" << result.queue.stolen << "\n";
-        if (timing && !args.has("merge"))
+        if (timing)
             std::cout << "cache: graph hits=" << result.cache.graph_hits
                       << " misses=" << result.cache.graph_misses
                       << " | lambda hits=" << result.cache.lambda_hits
@@ -596,45 +584,30 @@ int main(int argc, char** argv)
                       << " sidecar_loaded=" << result.lambda_sidecar_loaded
                       << "\n";
 
-        const bool atomic_reports = result.queue.queue_mode;
-        if (args.has("json")) {
-            const std::string path = args.get_string("json", "");
-            write_report(path, atomic_reports, [&](std::ostream& out) {
+        write_reports(
+            args, result.queue.queue_mode,
+            [&](std::ostream& out) {
                 campaign::write_json(out, result, timing);
-            });
-            std::cout << "json -> " << path << "\n";
-        }
-        if (args.has("csv")) {
-            const std::string path = args.get_string("csv", "");
-            write_report(path, atomic_reports, [&](std::ostream& out) {
+            },
+            [&](std::ostream& out) {
                 campaign::write_csv(out, result, timing);
             });
-            std::cout << "csv -> " << path << "\n";
-        }
 
         // Provenance record, written to its own file — never into the
         // CSV/JSON reports, which must stay byte-identical with or without
-        // it. On --merge this is the validated merged manifest with every
-        // shard's record embedded; otherwise it describes this invocation.
+        // it. On --merge with --manifests this is the validated merged
+        // manifest with every shard's record embedded; otherwise it
+        // describes this invocation.
         if (args.has("manifest")) {
             const std::string path = args.get_string("manifest", "");
-            if (path.empty())
-                throw std::invalid_argument("--manifest needs a file path");
             obs::run_manifest manifest;
             if (merged_manifest) {
                 manifest = *merged_manifest;
             } else {
-                std::int64_t shard_index = 0;
-                std::int64_t shard_count = 1;
-                if (args.has("shard")) {
-                    const auto shard =
-                        campaign::parse_shard(args.get_string("shard", ""));
-                    shard_index = shard.index;
-                    shard_count = shard.count;
-                }
-                manifest = build_manifest(spec, resolved_stride, shard_index,
-                                          shard_count, argc, argv);
-                if (!args.has("merge"))
+                manifest = build_manifest(
+                    spec, campaign::resolved_record_every(spec, record_every),
+                    shard.index, shard.count, argc, argv);
+                if (mode != kMerge)
                     manifest.set("scenarios_run",
                                  std::to_string(result.scenarios.size()));
                 // Lease-mode provenance: the queue directory identifies
@@ -642,7 +615,7 @@ int main(int argc, char** argv)
                 // every joining worker — the same invariants shard
                 // manifests are checked for at --merge), and the lease
                 // counters record what this worker actually did.
-                if (result.queue.queue_mode) {
+                if (mode == kQueue) {
                     manifest.set("mode", "queue");
                     manifest.set("queue_dir", args.get_string("queue", ""));
                     manifest.set("queue_completed",

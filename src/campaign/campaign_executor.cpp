@@ -9,9 +9,11 @@
 #include <optional>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "campaign/orchestrator.hpp"
 #include "campaign/registry.hpp"
+#include "campaign/run_context.hpp"
 #include "campaign/workload.hpp"
 #include "core/alpha.hpp"
 #include "core/beta.hpp"
@@ -338,6 +340,132 @@ scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
     return result;
 }
 
+void check_campaign_options(const campaign_options& options, bool queue_driver)
+{
+    const bool queue = !options.queue_dir.empty();
+    const std::pair<bool, const char*> rules[] = {
+        {queue && !queue_driver,
+         "lease-queue runs go through run_queue_campaign (run_campaign "
+         "dispatches on queue_dir; run_scenarios has no queue mode)"},
+        {!queue && queue_driver, "queue_dir must be set for run_queue_campaign"},
+        {options.shard_count < 1, "shard count must be >= 1"},
+        {options.shard_index < 0 || options.shard_index >= options.shard_count,
+         "shard index out of range"},
+        {!options.lambda_cache_path.empty() && !options.reuse_graphs,
+         "the lambda sidecar is a tier of the graph cache (drop "
+         "--no-graph-cache to use --lambda-cache)"},
+        {options.checkpoint_every < 0, "checkpoint-every must be >= 0"},
+        {(options.checkpoint_every > 0) != !options.checkpoint_dir.empty(),
+         "--checkpoint-every and --checkpoint-dir must be set together"},
+        {queue && options.shard_count != 1,
+         "--queue and --shard are mutually exclusive (the queue assigns "
+         "scenarios dynamically; drop --shard)"},
+        {queue && !options.resume_path.empty(),
+         "--queue and --resume are mutually exclusive (queue workers resume "
+         "from checkpoints automatically; drop --resume)"},
+        {queue && !(options.lease_heartbeat_seconds > 0.0),
+         "lease_heartbeat_seconds must be > 0"},
+        {queue && !(options.lease_expiry_seconds > 0.0),
+         "lease_expiry_seconds must be > 0"},
+    };
+    for (const auto& [broken, why] : rules)
+        if (broken) throw std::invalid_argument(std::string("campaign: ") + why);
+}
+
+void check_snapshot(const engine_checkpoint& snapshot,
+                    const snapshot_owner& owner, const std::string& context)
+{
+    if (snapshot.spec_hash != owner.spec_hash)
+        throw std::invalid_argument(
+            context + ": spec_hash mismatch: checkpoint was saved under "
+            "campaign spec_hash " + hex64(snapshot.spec_hash) +
+            " but this invocation's spec hashes to " +
+            hex64(owner.spec_hash) +
+            "; resume with the same campaign definition");
+    if (snapshot.scenario_index < owner.first_index ||
+        snapshot.scenario_index >= owner.end_index)
+        throw std::invalid_argument(
+            context + ": scenario index " +
+            std::to_string(snapshot.scenario_index) +
+            " is outside this campaign's scenarios " +
+            std::to_string(owner.first_index) + ".." +
+            std::to_string(owner.end_index - 1));
+    require_current_rng_version(snapshot, context);
+    if (snapshot.record_every != owner.record_every)
+        throw std::invalid_argument(
+            context + ": record_every mismatch: checkpoint recorded every " +
+            std::to_string(snapshot.record_every) +
+            " rounds but this invocation records every " +
+            std::to_string(owner.record_every) + " (rerun with --record-every " +
+            std::to_string(snapshot.record_every) + ")");
+}
+
+run_context::run_context(const std::vector<scenario_spec>& scenarios,
+                         const std::vector<std::int64_t>& selected,
+                         const campaign_options& options,
+                         std::uint64_t spec_hash, std::int64_t record_every,
+                         std::string sidecar_path, campaign_result& result)
+    : scenarios(scenarios), options(options), spec_hash(spec_hash),
+      record_every(record_every), sidecar_path(std::move(sidecar_path))
+{
+    if (!options.series_dir.empty())
+        std::filesystem::create_directories(options.series_dir);
+    if (!options.checkpoint_dir.empty()) {
+        std::filesystem::create_directories(options.checkpoint_dir);
+        // A killed run leaves `<ckpt>.tmp.<pid>.<n>` orphans next to its
+        // snapshots; sweep the ones whose writer is provably gone so crash
+        // loops don't strew the directory (live co-shards are untouched).
+        sweep_stale_temp_files(options.checkpoint_dir);
+    }
+    if (!this->sidecar_path.empty())
+        result.lambda_sidecar_loaded = static_cast<std::int64_t>(
+            cache.load_lambda_sidecar(this->sidecar_path));
+    if (options.engine_threads != 1)
+        engine_pool = std::make_unique<thread_pool>(options.engine_threads);
+    if (options.heartbeat != nullptr) {
+        double total_cost = 0.0;
+        for (const std::int64_t i : selected)
+            total_cost += scenario_cost(scenarios[static_cast<std::size_t>(i)]);
+        obs::progress_meter::options meter_options;
+        meter_options.period_seconds = options.heartbeat_seconds;
+        meter_options.out = options.heartbeat;
+        meter_options.shard_index = options.shard_index;
+        meter_options.shard_count = options.shard_count;
+        meter.emplace(meter_options,
+                      static_cast<std::int64_t>(selected.size()), total_cost);
+    }
+}
+
+scenario_result run_context::run(std::int64_t index, engine_scratch& scratch,
+                                 const engine_checkpoint* resume,
+                                 std::function<void(std::int64_t)> after_checkpoint)
+{
+    scenario_checkpointing checkpointing;
+    checkpointing.every = options.checkpoint_every;
+    checkpointing.dir = options.checkpoint_dir;
+    checkpointing.spec_hash = spec_hash;
+    checkpointing.resume = resume;
+    checkpointing.after_checkpoint = std::move(after_checkpoint);
+    return run_scenario(scenarios[static_cast<std::size_t>(index)], index,
+                        record_every, options.series_dir, engine_pool.get(),
+                        options.reuse_graphs ? &cache : nullptr,
+                        options.pool_scratch ? &scratch : nullptr,
+                        &checkpointing);
+}
+
+void run_context::save_sidecar(campaign_result& result)
+{
+    if (sidecar_path.empty()) return;
+    try {
+        cache.save_lambda_sidecar(sidecar_path);
+    } catch (const std::exception& failure) {
+        result.lambda_sidecar_error = failure.what();
+        if (options.progress != nullptr)
+            *options.progress << "lambda sidecar not saved: "
+                              << failure.what() << "\n";
+    }
+}
+
 namespace {
 
 // Shared execution core for run_scenarios / run_campaign.
@@ -345,25 +473,7 @@ campaign_result detail_run(const campaign_spec& spec,
                            const std::vector<scenario_spec>& scenarios,
                            const campaign_options& options)
 {
-    if (!options.queue_dir.empty())
-        throw std::invalid_argument(
-            "campaign: lease-queue runs go through run_queue_campaign "
-            "(run_campaign dispatches on queue_dir; run_scenarios has no "
-            "queue mode)");
-    if (options.shard_count < 1)
-        throw std::invalid_argument("campaign: shard count must be >= 1");
-    if (options.shard_index < 0 || options.shard_index >= options.shard_count)
-        throw std::invalid_argument("campaign: shard index out of range");
-    if (!options.lambda_cache_path.empty() && !options.reuse_graphs)
-        throw std::invalid_argument(
-            "campaign: the lambda sidecar is a tier of the graph cache "
-            "(drop --no-graph-cache to use --lambda-cache)");
-    if (options.checkpoint_every < 0)
-        throw std::invalid_argument("campaign: checkpoint-every must be >= 0");
-    if ((options.checkpoint_every > 0) != !options.checkpoint_dir.empty())
-        throw std::invalid_argument(
-            "campaign: --checkpoint-every and --checkpoint-dir must be set "
-            "together");
+    check_campaign_options(options, /*queue_driver=*/false);
 
     // Process-level sharding: the cost-balanced partitioner
     // (cost_model.hpp) is a pure function of the spec, so independently
@@ -377,43 +487,21 @@ campaign_result detail_run(const campaign_spec& spec,
 
     const std::int64_t record_every =
         resolved_record_every(spec, options.record_every);
+    const std::uint64_t campaign_hash = spec_hash(spec);
 
-    // Checkpoint wiring. Snapshots carry the campaign's spec_hash, and a
-    // resume snapshot is validated here — before any scenario spends work —
-    // against the campaign it claims to belong to, this shard's assignment
-    // and the effective sampling stride. Each check names the field so a
-    // stale or mislabeled snapshot is diagnosable, never silently replayed.
-    const bool with_checkpoints =
-        options.checkpoint_every > 0 || !options.resume_path.empty();
-    const std::uint64_t campaign_hash =
-        with_checkpoints ? spec_hash(spec) : 0;
+    // A resume snapshot is validated before any scenario spends work:
+    // against the campaign it claims to belong to, the effective sampling
+    // stride and this shard's assignment, naming the field that differs,
+    // so a stale or mislabeled snapshot is never silently replayed.
     std::optional<engine_checkpoint> resume_snapshot;
     if (!options.resume_path.empty()) {
         resume_snapshot = read_checkpoint_file(options.resume_path);
-        if (resume_snapshot->spec_hash != campaign_hash)
-            throw std::invalid_argument(
-                "resume: spec_hash mismatch: " + options.resume_path +
-                " was saved under campaign spec_hash " +
-                hex64(resume_snapshot->spec_hash) +
-                " but this invocation's spec hashes to " +
-                hex64(campaign_hash) +
-                "; resume with the same campaign definition");
+        check_snapshot(*resume_snapshot,
+                       {campaign_hash, 0,
+                        static_cast<std::int64_t>(scenarios.size()),
+                        record_every},
+                       "resume: " + options.resume_path);
         const std::int64_t target = resume_snapshot->scenario_index;
-        if (target < 0 ||
-            target >= static_cast<std::int64_t>(scenarios.size()))
-            throw std::invalid_argument(
-                "resume: scenario index " + std::to_string(target) +
-                " is outside this campaign's " +
-                std::to_string(scenarios.size()) + " scenarios");
-        require_current_rng_version(*resume_snapshot, "resume");
-        if (resume_snapshot->record_every != record_every)
-            throw std::invalid_argument(
-                "resume: record_every mismatch: checkpoint recorded every " +
-                std::to_string(resume_snapshot->record_every) +
-                " rounds but this invocation records every " +
-                std::to_string(record_every) +
-                " (rerun with --record-every " +
-                std::to_string(resume_snapshot->record_every) + ")");
         if (std::find(selected.begin(), selected.end(), target) ==
             selected.end())
             throw std::invalid_argument(
@@ -426,52 +514,12 @@ campaign_result detail_run(const campaign_spec& spec,
     result.spec = spec;
     result.scenarios.resize(selected.size());
 
-    if (!options.series_dir.empty())
-        std::filesystem::create_directories(options.series_dir);
-    if (!options.checkpoint_dir.empty()) {
-        std::filesystem::create_directories(options.checkpoint_dir);
-        // A killed run leaves `<ckpt>.tmp.<pid>.<n>` orphans next to its
-        // snapshots; sweep the ones whose writer is provably gone so crash
-        // loops don't strew the directory (live co-shards are untouched).
-        sweep_stale_temp_files(options.checkpoint_dir);
-    }
-
     const obs::trace_span run_span("campaign", "run");
     const stopwatch watch;
+    run_context context(scenarios, selected, options, campaign_hash,
+                        record_every, options.lambda_cache_path, result);
     std::atomic<std::int64_t> next{0};
     mutex progress_mutex;
-
-    // Heartbeats: total predicted cost of this shard's scenarios sizes the
-    // cost-model ETA. The meter lives in an optional so it can be torn down
-    // (printing its final summary line) before the sidecar save.
-    std::optional<obs::progress_meter> meter;
-    if (options.heartbeat != nullptr) {
-        double total_cost = 0.0;
-        for (const std::int64_t i : selected)
-            total_cost += scenario_cost(scenarios[static_cast<std::size_t>(i)]);
-        obs::progress_meter::options meter_options;
-        meter_options.period_seconds = options.heartbeat_seconds;
-        meter_options.out = options.heartbeat;
-        meter_options.shard_index = options.shard_index;
-        meter_options.shard_count = options.shard_count;
-        meter.emplace(meter_options, count, total_cost);
-    }
-
-    // Shared topology/lambda resolution across the whole campaign, with an
-    // optional persistent lambda tier loaded before any scenario runs.
-    graph_cache cache;
-    graph_cache* const cache_ptr = options.reuse_graphs ? &cache : nullptr;
-    if (!options.lambda_cache_path.empty())
-        result.lambda_sidecar_loaded = static_cast<std::int64_t>(
-            cache.load_lambda_sidecar(options.lambda_cache_path));
-
-    // In-engine parallelism: one shared kernel pool handed to every
-    // scenario. The pool's parallel_for is a single-caller rendezvous, so
-    // scenario fan-out must be serial whenever engines are parallel; the
-    // two levels would oversubscribe the machine anyway.
-    std::unique_ptr<thread_pool> engine_pool;
-    if (options.engine_threads != 1)
-        engine_pool = std::make_unique<thread_pool>(options.engine_threads);
 
     // One experiment per task: every pool invocation drains a shared index
     // queue instead of sticking to its contiguous chunk, so a handful of
@@ -482,31 +530,19 @@ campaign_result detail_run(const campaign_spec& spec,
     // here is per-worker and reused across all its scenarios.
     auto drain_queue = [&](std::int64_t, std::int64_t) {
         engine_scratch scratch;
-        engine_scratch* const scratch_ptr =
-            options.pool_scratch ? &scratch : nullptr;
         std::int64_t slot = 0;
         while ((slot = next.fetch_add(1)) < count) {
             const std::int64_t i = selected[static_cast<std::size_t>(slot)];
-            scenario_checkpointing checkpointing;
-            checkpointing.every = options.checkpoint_every;
-            checkpointing.dir = options.checkpoint_dir;
-            checkpointing.spec_hash = campaign_hash;
-            checkpointing.resume =
+            const scenario_result& r = result.scenarios[slot] = context.run(
+                i, scratch,
                 resume_snapshot && resume_snapshot->scenario_index == i
                     ? &*resume_snapshot
-                    : nullptr;
-            result.scenarios[slot] =
-                run_scenario(scenarios[i], i, record_every, options.series_dir,
-                             engine_pool.get(), cache_ptr, scratch_ptr,
-                             with_checkpoints ? &checkpointing : nullptr);
-            if (meter) {
-                const auto& r = result.scenarios[slot];
-                meter->scenario_done(r.predicted_cost, r.wall_seconds,
-                                     !r.error.empty());
-            }
+                    : nullptr);
+            if (context.meter)
+                context.meter->scenario_done(r.predicted_cost, r.wall_seconds,
+                                             !r.error.empty());
             if (options.progress != nullptr) {
                 const scoped_lock lock(progress_mutex);
-                const auto& r = result.scenarios[slot];
                 *options.progress
                     << "[" << slot + 1 << "/" << count << "] " << r.label
                     << (r.error.empty() ? "" : "  ERROR: " + r.error) << "\n";
@@ -516,33 +552,22 @@ campaign_result detail_run(const campaign_spec& spec,
 
     unsigned threads = options.threads;
     if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-    if (engine_pool != nullptr) threads = 1; // see engine_pool comment above
+    // The engine pool's parallel_for is a single-caller rendezvous, so
+    // parallel engines run one scenario at a time.
+    if (context.engine_pool != nullptr) threads = 1;
     if (threads <= 1 || count <= 1) {
         drain_queue(0, count);
     } else {
         thread_pool pool(threads);
         pool.parallel_tasks(count, drain_queue);
     }
-    meter.reset(); // final heartbeat summary, before the sidecar save
+    context.meter.reset(); // final heartbeat summary, before the sidecar save
 
     // Persist every lambda this run computed (or inherited) so the next
-    // invocation — and any co-running shard — starts warm. Best effort on
-    // top of a successful run: the sidecar is an accelerator, and a write
-    // failure must not discard completed scenario results — but it must
-    // not vanish either (result.lambda_sidecar_error lets callers warn
-    // even when the progress stream is off).
-    if (!options.lambda_cache_path.empty()) {
-        try {
-            cache.save_lambda_sidecar(options.lambda_cache_path);
-        } catch (const std::exception& failure) {
-            result.lambda_sidecar_error = failure.what();
-            if (options.progress != nullptr)
-                *options.progress << "lambda sidecar not saved: "
-                                  << failure.what() << "\n";
-        }
-    }
+    // invocation — and any co-running shard — starts warm.
+    context.save_sidecar(result);
 
-    result.cache = cache.stats();
+    result.cache = context.cache.stats();
     result.wall_seconds = watch.seconds();
     return result;
 }
@@ -584,22 +609,13 @@ measure_windows_result measure_windows(const campaign_spec& spec,
             "measure_windows: window_rounds must be >= 1");
 
     const std::uint64_t campaign_hash = spec_hash(spec);
-    if (snapshot.spec_hash != campaign_hash)
-        throw std::invalid_argument(
-            "measure_windows: spec_hash mismatch: checkpoint was saved under "
-            "campaign spec_hash " +
-            hex64(snapshot.spec_hash) +
-            " but this invocation's spec hashes to " +
-            hex64(campaign_hash));
-
     const std::vector<scenario_spec> scenarios = expand(spec);
-    if (snapshot.scenario_index < 0 ||
-        snapshot.scenario_index >= static_cast<std::int64_t>(scenarios.size()))
-        throw std::invalid_argument(
-            "measure_windows: scenario index " +
-            std::to_string(snapshot.scenario_index) +
-            " is outside this campaign's " + std::to_string(scenarios.size()) +
-            " scenarios");
+    // Windows record at the snapshot's own stride.
+    check_snapshot(snapshot,
+                   {campaign_hash, 0,
+                    static_cast<std::int64_t>(scenarios.size()),
+                    snapshot.record_every},
+                   "measure_windows");
     const scenario_spec target =
         scenarios[static_cast<std::size_t>(snapshot.scenario_index)];
     if (target.process != "discrete")
@@ -612,7 +628,6 @@ measure_windows_result measure_windows(const campaign_spec& spec,
             "measure_windows: checkpoint holds " +
             std::string(to_string(snapshot.engine)) +
             " state, expected discrete");
-    require_current_rng_version(snapshot, "measure_windows");
 
     // The spec hash already guarantees these inputs equal the
     // checkpointing run's.

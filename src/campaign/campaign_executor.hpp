@@ -3,9 +3,10 @@
 // Expands a campaign_spec into scenarios and fans them out across the
 // existing thread_pool, one experiment per task (workers pull scenario
 // indices from a shared queue, so uneven scenario costs still balance).
-// Each scenario runs its engines serially; parallelism lives entirely at
-// the scenario level, and every result is a pure function of its spec, so
-// campaign output is byte-identical for any worker count.
+// Parallelism sits at one level: scenarios fan out (`threads`), or, with
+// `engine_threads` != 1, they run one at a time on parallel round kernels.
+// Every result is a pure function of its spec, so campaign output is
+// byte-identical for any worker count at either level.
 #ifndef DLB_CAMPAIGN_CAMPAIGN_EXECUTOR_HPP
 #define DLB_CAMPAIGN_CAMPAIGN_EXECUTOR_HPP
 
@@ -27,6 +28,9 @@ struct engine_checkpoint; // core/checkpoint.hpp
 
 namespace dlb::campaign {
 
+/// How one campaign runs. Both drivers first check that the options
+/// compose (check_campaign_options, campaign/run_context.hpp) and throw
+/// std::invalid_argument naming the option when they do not.
 struct campaign_options {
     unsigned threads = 1;        // scenario fan-out workers; 0: hardware
     std::int64_t record_every = 0; // series sampling stride; 0: rounds/256
@@ -37,10 +41,8 @@ struct campaign_options {
     std::string series_dir;
     /// In-engine round-kernel workers per scenario (0: hardware, 1: serial).
     /// Useful when a campaign is one large scenario rather than many small
-    /// ones. Any value other than 1 forces the scenario fan-out serial —
-    /// the two levels would otherwise oversubscribe each other — and
-    /// results stay byte-identical either way (the engines are
-    /// deterministic for any worker count).
+    /// ones. Any value other than 1 forces the scenario fan-out serial, and
+    /// results stay byte-identical either way.
     unsigned engine_threads = 1;
 
     /// Resolve each distinct topology (and its lambda) once per campaign
@@ -66,26 +68,22 @@ struct campaign_options {
     /// before any scenario runs and rewritten (atomically, merged with
     /// concurrent updates) after the last one, so repeated invocations and
     /// co-running shard processes pay Lanczos once per distinct topology
-    /// per machine. Requires reuse_graphs (the sidecar is a tier of that
-    /// cache); missing or corrupt files degrade to recompute.
+    /// per machine. Missing or corrupt files degrade to recompute.
     std::string lambda_cache_path;
 
     /// Checkpointing (core/checkpoint.hpp): when checkpoint_every > 0, each
     /// scenario writes an atomic engine snapshot to
-    /// `<checkpoint_dir>/<index>_<label>.ckpt` every N rounds. Both knobs
-    /// must be set together. Snapshots carry the campaign's spec_hash and
-    /// the scenario's global index, and checkpointing never changes the
-    /// reports — the snapshot is pure output.
+    /// `<checkpoint_dir>/<index>_<label>.ckpt` every N rounds. Snapshots
+    /// carry the campaign's spec_hash and the scenario's global index, and
+    /// checkpointing never changes the reports — the snapshot is pure output.
     std::int64_t checkpoint_every = 0;
     std::string checkpoint_dir;
 
     /// Lease-queue orchestration (campaign/orchestrator.hpp): when
     /// non-empty, this invocation becomes one worker on the shared queue
-    /// directory instead of running a static partition. Mutually exclusive
-    /// with --shard (shard_index/shard_count must stay 0/1) and with
-    /// resume_path (queue workers resume from checkpoints automatically).
-    /// The final result is the full merged campaign, byte-identical to an
-    /// unsharded run.
+    /// directory instead of running a static partition; its workers resume
+    /// from checkpoints themselves. The final result is the full merged
+    /// campaign, byte-identical to an unsharded run.
     std::string queue_dir;
     /// Queue-mode heartbeat cadence: how often this worker touches its
     /// heartbeat file (and how long it idles between queue polls).
@@ -96,12 +94,11 @@ struct campaign_options {
     /// kill-9 recovery does not wait on this.
     double lease_expiry_seconds = 30.0;
 
-    /// Resume one scenario from a snapshot file. The checkpoint's spec_hash
-    /// must match this campaign's and its scenario index must be in this
-    /// shard's assignment; that scenario then continues from the saved
-    /// round (byte-identical to the uninterrupted run) while every other
-    /// scenario runs normally. Any mismatch (spec hash, seed, record_every,
-    /// …) or a snapshot of the retired v1 stream throws, naming the field.
+    /// Resume one scenario from a snapshot file of this campaign (spec hash,
+    /// stride, the current stream; check_snapshot) in this shard's
+    /// assignment: it continues from the saved round, byte-identical to the
+    /// uninterrupted run, while every other scenario runs normally. Any
+    /// mismatch throws, naming the field.
     std::string resume_path;
 
     /// Heartbeat stream (obs/progress.hpp): when non-null, a progress_meter

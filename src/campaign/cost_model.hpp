@@ -35,17 +35,17 @@ double scenario_cost(const scenario_spec& spec);
 
 /// Every index of `scenarios` in LPT (longest processing time first)
 /// order: descending scenario_cost, ties by ascending index. The shard
-/// partitioner deals scenarios out in this order and the lease queue
-/// leases them in it.
+/// partitioner deals scenarios out in this order; the lease queue leases
+/// them in it.
 std::vector<std::int64_t> lpt_order(const std::vector<scenario_spec>& scenarios);
 
 /// Splits `scenarios` into `shard_count` disjoint index lists (ascending
 /// global expansion indices, every index in exactly one list) by greedy LPT
-/// on scenario_cost: indices in lpt_order are assigned to the currently
-/// cheapest shard (ties: lowest shard id). When every scenario costs the same, shard s owns the indices
-/// ≡ s (mod shard_count). Pure function of (scenarios, shard_count), so
-/// independently launched shard processes agree on the partition. Throws
-/// std::invalid_argument when shard_count < 1.
+/// on scenario_cost: indices in lpt_order go to the currently cheapest
+/// shard (ties: lowest shard id). When every scenario costs the same, shard
+/// s owns the indices ≡ s (mod shard_count). Pure function of (scenarios,
+/// shard_count), so independently launched shard processes agree on the
+/// partition. Throws std::invalid_argument when shard_count < 1.
 std::vector<std::vector<std::int64_t>>
 partition_scenarios(const std::vector<scenario_spec>& scenarios,
                     std::int64_t shard_count);

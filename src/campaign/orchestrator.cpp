@@ -7,6 +7,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -21,10 +22,9 @@
 
 #include "campaign/cost_model.hpp"
 #include "campaign/report.hpp"
+#include "campaign/run_context.hpp"
 #include "core/checkpoint.hpp"
 #include "obs/obs.hpp"
-#include "obs/progress.hpp"
-#include "sim/thread_pool.hpp"
 #include "util/sync.hpp"
 #include "util/tempfile.hpp"
 #include "util/thread_annotations.hpp"
@@ -336,14 +336,13 @@ void write_row_file(const std::string& path, const campaign_spec& spec,
     write_text_atomic(path, bytes.str(), "queue row");
 }
 
-/// The newest valid checkpoint for a re-leased scenario, or nullopt to run
-/// from scratch. Validation mirrors detail_run's resume gate (spec hash,
-/// scenario index, stride, rng version — the deeper engine-level fields
-/// are pinned by the spec hash); a damaged or mismatched snapshot means
-/// recompute, never an error row.
+/// The newest snapshot of scenario `index` in `dir` if it passes the
+/// campaign's snapshot gate (check_snapshot against `owner`), or nullopt
+/// to run from scratch: a damaged or mismatched snapshot means recompute,
+/// never an error row.
 std::optional<engine_checkpoint> try_load_checkpoint(
     const std::string& dir, std::int64_t index, const std::string& label,
-    std::uint64_t hash, std::int64_t record_every)
+    const snapshot_owner& owner)
 {
     if (dir.empty()) return std::nullopt;
     const std::string path =
@@ -352,10 +351,7 @@ std::optional<engine_checkpoint> try_load_checkpoint(
     if (!std::filesystem::exists(path, ec) || ec) return std::nullopt;
     try {
         engine_checkpoint snapshot = read_checkpoint_file(path);
-        if (snapshot.spec_hash != hash) return std::nullopt;
-        if (snapshot.scenario_index != index) return std::nullopt;
-        if (snapshot.record_every != record_every) return std::nullopt;
-        if (snapshot.rng_version != kCurrentRngVersion) return std::nullopt;
+        check_snapshot(snapshot, owner, "queue");
         return snapshot;
     } catch (const std::exception&) {
         return std::nullopt;
@@ -450,33 +446,7 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
                                    const campaign_options& options,
                                    const orchestrator_hooks& hooks)
 {
-    if (options.queue_dir.empty())
-        throw std::invalid_argument("campaign: queue_dir must be set for "
-                                    "run_queue_campaign");
-    if (options.shard_count != 1 || options.shard_index != 0)
-        throw std::invalid_argument(
-            "campaign: --queue and --shard are mutually exclusive (the "
-            "queue assigns scenarios dynamically; drop --shard)");
-    if (!options.resume_path.empty())
-        throw std::invalid_argument(
-            "campaign: --queue and --resume are mutually exclusive (queue "
-            "workers resume from checkpoints automatically; drop --resume)");
-    if (!(options.lease_heartbeat_seconds > 0.0))
-        throw std::invalid_argument(
-            "campaign: lease_heartbeat_seconds must be > 0");
-    if (!(options.lease_expiry_seconds > 0.0))
-        throw std::invalid_argument(
-            "campaign: lease_expiry_seconds must be > 0");
-    if (!options.lambda_cache_path.empty() && !options.reuse_graphs)
-        throw std::invalid_argument(
-            "campaign: the lambda sidecar is a tier of the graph cache "
-            "(drop --no-graph-cache to use --lambda-cache)");
-    if (options.checkpoint_every < 0)
-        throw std::invalid_argument("campaign: checkpoint-every must be >= 0");
-    if ((options.checkpoint_every > 0) != !options.checkpoint_dir.empty())
-        throw std::invalid_argument(
-            "campaign: --checkpoint-every and --checkpoint-dir must be set "
-            "together");
+    check_campaign_options(options, /*queue_driver=*/true);
 
     const std::vector<scenario_spec> scenarios = expand(spec);
     const std::int64_t record_every =
@@ -489,21 +459,15 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
     result.queue.queue_mode = true;
     if (scenarios.empty()) return result;
 
+    // A previously killed worker leaves `*.tmp.<pid>.<n>` orphans beside
+    // the leases file and the row files (run_context sweeps the checkpoint
+    // directory); none can shadow a real file (reads go to the real names
+    // only), but sweep the provably dead ones so crash loops don't
+    // accumulate them.
     const std::filesystem::path queue(options.queue_dir);
     std::filesystem::create_directories(queue / "rows");
-    if (!options.series_dir.empty())
-        std::filesystem::create_directories(options.series_dir);
-    if (!options.checkpoint_dir.empty())
-        std::filesystem::create_directories(options.checkpoint_dir);
-
-    // A previously killed worker leaves `*.tmp.<pid>.<n>` orphans beside
-    // the leases file, the row files, its checkpoints and the sidecar;
-    // none can shadow a real file (reads go to the real names only), but
-    // sweep the provably dead ones so crash loops don't accumulate them.
     sweep_stale_temp_files(queue.string());
     sweep_stale_temp_files((queue / "rows").string());
-    if (!options.checkpoint_dir.empty())
-        sweep_stale_temp_files(options.checkpoint_dir);
 
     const std::string holder = make_holder_id();
     const std::string own_host = host_of(holder);
@@ -547,49 +511,28 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
     // loads never override locally computed entries) and saved, merged,
     // after every completion. Default location is inside the queue so the
     // whole fleet shares one file; --lambda-cache overrides.
-    graph_cache cache;
-    graph_cache* const cache_ptr = options.reuse_graphs ? &cache : nullptr;
     const std::string sidecar_path =
         !options.lambda_cache_path.empty()
             ? options.lambda_cache_path
             : (options.reuse_graphs ? (queue / "lambda.sidecar").string()
                                     : std::string());
-    if (!sidecar_path.empty())
-        result.lambda_sidecar_loaded = static_cast<std::int64_t>(
-            cache.load_lambda_sidecar(sidecar_path));
-
-    std::optional<obs::progress_meter> meter;
-    if (options.heartbeat != nullptr) {
-        double total_cost = 0.0;
-        for (const scenario_spec& scenario : scenarios)
-            total_cost += scenario_cost(scenario);
-        obs::progress_meter::options meter_options;
-        meter_options.period_seconds = options.heartbeat_seconds;
-        meter_options.out = options.heartbeat;
-        meter.emplace(meter_options, total, total_cost);
-    }
-
-    // In-engine parallelism, same contract as detail_run: a queue worker
-    // runs its leased scenarios serially (the fan-out is across worker
-    // processes), so the kernel pool is the only in-process parallelism.
-    std::unique_ptr<thread_pool> engine_pool;
-    if (options.engine_threads != 1)
-        engine_pool = std::make_unique<thread_pool>(options.engine_threads);
-
+    // A queue worker runs its leased scenarios serially (the fan-out is
+    // across worker processes), so the engine pool is the only in-process
+    // parallelism.
+    std::vector<std::int64_t> every_index(scenarios.size());
+    std::iota(every_index.begin(), every_index.end(), std::int64_t{0});
+    run_context context(scenarios, every_index, options, campaign_hash,
+                        record_every, sidecar_path, result);
     engine_scratch scratch;
-    engine_scratch* const scratch_ptr =
-        options.pool_scratch ? &scratch : nullptr;
-
-    const bool with_checkpoints = options.checkpoint_every > 0;
 
     while (true) {
         const queue_pick pick =
             pick_next(queue, leases_path, holder, own_host,
                       options.lease_expiry_seconds);
-        if (meter)
-            meter->set_queue_view(pick.done, pick.leased_out,
-                                  result.queue.stolen,
-                                  result.queue.re_leased);
+        if (context.meter)
+            context.meter->set_queue_view(pick.done, pick.leased_out,
+                                          result.queue.stolen,
+                                          result.queue.re_leased);
         if (pick.decision == queue_pick::kind::all_done) break;
         if (pick.decision == queue_pick::kind::wait) {
             // Live peers hold everything that is left; idle one heartbeat
@@ -601,50 +544,34 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
         }
 
         const std::int64_t index = pick.index;
-        const scenario_spec& scenario =
-            scenarios[static_cast<std::size_t>(index)];
         ++result.queue.leased;
         if (pick.re_lease) ++result.queue.re_leased;
 
         if (!sidecar_path.empty())
-            cache.load_lambda_sidecar(sidecar_path);
+            context.cache.load_lambda_sidecar(sidecar_path);
 
-        scenario_checkpointing checkpointing;
-        checkpointing.every = options.checkpoint_every;
-        checkpointing.dir = options.checkpoint_dir;
-        checkpointing.spec_hash = campaign_hash;
+        std::function<void(std::int64_t)> after_checkpoint;
         if (hooks.after_checkpoint)
-            checkpointing.after_checkpoint = [&hooks,
-                                              index](std::int64_t round) {
+            after_checkpoint = [&hooks, index](std::int64_t round) {
                 hooks.after_checkpoint(index, round);
             };
 
         // A prior holder's newest valid snapshot turns a re-run into a
         // tail-run; the resumed series is byte-identical to the
         // uninterrupted one, so the row file cannot tell the difference.
-        std::optional<engine_checkpoint> snapshot;
-        if (with_checkpoints)
-            snapshot = try_load_checkpoint(
-                options.checkpoint_dir, index, scenario_label(scenario),
-                campaign_hash, record_every);
-        checkpointing.resume = snapshot ? &*snapshot : nullptr;
+        const std::optional<engine_checkpoint> snapshot = try_load_checkpoint(
+            options.checkpoint_dir, index,
+            scenario_label(scenarios[static_cast<std::size_t>(index)]),
+            {campaign_hash, index, index + 1, record_every});
         if (snapshot) ++result.queue.resumed;
 
-        scenario_result row = run_scenario(
-            scenario, index, record_every, options.series_dir,
-            engine_pool.get(), cache_ptr, scratch_ptr,
-            with_checkpoints || checkpointing.after_checkpoint
-                ? &checkpointing
-                : nullptr);
+        scenario_result row = context.run(
+            index, scratch, snapshot ? &*snapshot : nullptr, after_checkpoint);
         if (!row.error.empty() && snapshot) {
             // A snapshot that passed the gate but failed deeper validation
             // (or a half-written file that parsed) must cost a recompute,
             // never an error row the unsharded run would not have.
-            checkpointing.resume = nullptr;
-            row = run_scenario(scenario, index, record_every,
-                               options.series_dir, engine_pool.get(),
-                               cache_ptr, scratch_ptr,
-                               with_checkpoints ? &checkpointing : nullptr);
+            row = context.run(index, scratch, nullptr, after_checkpoint);
         }
 
         write_row_file(row_path(queue, index), spec, row);
@@ -653,20 +580,10 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
             pick.prior_first != holder)
             ++result.queue.stolen;
 
-        if (!sidecar_path.empty()) {
-            try {
-                cache.save_lambda_sidecar(sidecar_path);
-            } catch (const std::exception& failure) {
-                result.lambda_sidecar_error = failure.what();
-                if (options.progress != nullptr)
-                    *options.progress << "lambda sidecar not saved: "
-                                      << failure.what() << "\n";
-            }
-        }
-
-        if (meter)
-            meter->scenario_done(row.predicted_cost, row.wall_seconds,
-                                 !row.error.empty());
+        context.save_sidecar(result);
+        if (context.meter)
+            context.meter->scenario_done(row.predicted_cost, row.wall_seconds,
+                                         !row.error.empty());
         if (options.progress != nullptr)
             *options.progress << "[queue " << holder << "] " << row.label
                               << (pick.re_lease ? "  (re-leased)" : "")
@@ -677,7 +594,7 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
                               << "\n";
     }
 
-    meter.reset(); // final heartbeat summary before teardown
+    context.meter.reset(); // final heartbeat summary before teardown
     beats.reset();
     std::error_code hb_ec;
     std::filesystem::remove(hb_path, hb_ec); // a clean exit leaves no ghost
@@ -692,7 +609,7 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
     campaign_result merged =
         merge_shard_csv(spec, paths, options.record_every);
     merged.queue = result.queue;
-    merged.cache = cache.stats();
+    merged.cache = context.cache.stats();
     merged.lambda_sidecar_loaded = result.lambda_sidecar_loaded;
     merged.lambda_sidecar_error = result.lambda_sidecar_error;
     merged.wall_seconds = watch.seconds();

@@ -323,58 +323,58 @@ shard_part parse_shard(const std::string& text)
     return shard;
 }
 
-void campaign_reader::set(const std::string& key, const std::string& value,
-                          const std::string& source)
+campaign_spec read_campaign_keys(campaign_spec spec,
+                                 const std::vector<campaign_key>& keys)
 {
-    try {
-        // A repeated key or axis would silently let the later one win.
-        const auto [first, fresh] = source_of_.emplace(key, source);
-        if (!fresh)
-            throw std::invalid_argument("'" + key + "' already set on " +
-                                        first->second);
-        if (key == "name") {
-            if (value.empty())
-                throw std::invalid_argument("empty campaign name");
-            spec_.name = value;
-        } else if (key.rfind("sweep.", 0) == 0) {
-            auto values = split_list(value);
-            if (values.empty())
-                throw std::invalid_argument("empty sweep list for '" + key +
-                                            "'");
-            spec_.axes[key.substr(6)] = std::move(values);
-        } else if (key == "seeds") {
-            seed_count_ = parse_int(key, value);
-            if (seed_count_ < 1)
-                throw std::invalid_argument("seeds must be >= 1, got " + value);
-        } else {
-            set_field(spec_.base, key, value);
+    std::map<std::string, std::string> source_of; // key -> where it was read
+    std::int64_t seed_count = 0; // applied last, so a later seed key counts
+    for (const auto& [key, value, source] : keys) {
+        try {
+            // A repeated key or axis would silently let the later one win.
+            const auto [first, fresh] = source_of.emplace(key, source);
+            if (!fresh)
+                throw std::invalid_argument("'" + key + "' already set on " +
+                                            first->second);
+            if (key == "name") {
+                if (value.empty())
+                    throw std::invalid_argument("empty campaign name");
+                spec.name = value;
+            } else if (key.rfind("sweep.", 0) == 0) {
+                auto values = split_list(value);
+                if (values.empty())
+                    throw std::invalid_argument("empty sweep list for '" +
+                                                key + "'");
+                spec.axes[key.substr(6)] = std::move(values);
+            } else if (key == "seeds") {
+                seed_count = parse_int(key, value);
+                if (seed_count < 1)
+                    throw std::invalid_argument("seeds must be >= 1, got " +
+                                                value);
+            } else {
+                set_field(spec.base, key, value);
+            }
+        } catch (const std::invalid_argument& bad) {
+            throw std::invalid_argument(source + ": " + bad.what());
         }
-    } catch (const std::invalid_argument& bad) {
-        throw std::invalid_argument(source + ": " + bad.what());
     }
-}
-
-campaign_spec campaign_reader::finish()
-{
-    if (seed_count_ > 0) {
-        if (source_of_.count("sweep.seed") > 0)
+    if (seed_count > 0) {
+        if (source_of.count("sweep.seed") > 0)
             throw std::invalid_argument(
-                source_of_.at("seeds") + ": 'seeds' and 'sweep.seed' (" +
-                source_of_.at("sweep.seed") + ") both define the seed axis");
-        // Shorthand: sweep the seed over base.seed .. base.seed + N - 1.
+                source_of.at("seeds") + ": 'seeds' and 'sweep.seed' (" +
+                source_of.at("sweep.seed") + ") both define the seed axis");
         std::vector<std::string> values;
-        values.reserve(static_cast<std::size_t>(seed_count_));
-        for (std::int64_t s = 0; s < seed_count_; ++s)
-            values.push_back(std::to_string(spec_.base.seed +
-                                            static_cast<std::uint64_t>(s)));
-        spec_.axes["seed"] = std::move(values);
+        values.reserve(static_cast<std::size_t>(seed_count));
+        for (std::int64_t s = 0; s < seed_count; ++s)
+            values.push_back(
+                std::to_string(spec.base.seed + static_cast<std::uint64_t>(s)));
+        spec.axes["seed"] = std::move(values);
     }
-    return spec_;
+    return spec;
 }
 
 campaign_spec parse_campaign(std::istream& in)
 {
-    campaign_reader reader;
+    std::vector<campaign_key> keys;
     std::string line;
     int line_number = 0;
     try {
@@ -390,9 +390,9 @@ campaign_spec parse_campaign(std::istream& in)
             const std::string key = trim(text.substr(0, eq));
             if (key.empty())
                 throw std::invalid_argument(where + ": empty key before '='");
-            reader.set(key, trim(text.substr(eq + 1)), where);
+            keys.push_back({key, trim(text.substr(eq + 1)), where});
         }
-        return reader.finish();
+        return read_campaign_keys({}, keys);
     } catch (const std::invalid_argument& bad) {
         throw std::invalid_argument(std::string("campaign file ") + bad.what());
     }

@@ -15,7 +15,6 @@
 #include <iosfwd>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace dlb::campaign {
@@ -133,44 +132,32 @@ struct shard_part {
 /// std::invalid_argument on malformed input.
 shard_part parse_shard(const std::string& text);
 
-/// Reads campaign keys one at a time, the way a spec file line or a
-/// dlb_campaign flag gives them: `name`, `seeds`, `sweep.<field>` and every
-/// field. Throws std::invalid_argument, prefixed with the key's source, on
-/// a key read twice, an empty name or sweep list, seeds < 1 or any value
-/// set_field rejects; finish() throws when both `seeds` and `sweep.seed`
-/// were read, naming both sources.
-class campaign_reader {
-public:
-    /// Starts from `spec`: the defaults, or a loaded spec file whose keys
-    /// the ones read here override one by one.
-    explicit campaign_reader(campaign_spec spec = {}) : spec_(std::move(spec))
-    {
-    }
-
-    /// Applies `key = value`; `source` names it in messages ("line 3",
-    /// "--nodes").
-    void set(const std::string& key, const std::string& value,
-             const std::string& source);
-
-    /// The spec read, with `seeds = N` applied as a seed axis over
-    /// base.seed .. base.seed + N - 1 (so a later `seed` key still counts).
-    campaign_spec finish();
-
-private:
-    campaign_spec spec_;
-    std::map<std::string, std::string> source_of_; // key -> where it was read
-    std::int64_t seed_count_ = 0;
+/// One campaign key as a spec file line or a dlb_campaign flag gives it;
+/// `source` names it in messages ("line 3", "--nodes").
+struct campaign_key {
+    std::string key;
+    std::string value;
+    std::string source;
 };
 
-/// Parses the key=value campaign file format, one campaign_reader key per
-/// line:
+/// Applies `keys` in order to `spec` (the defaults, or a loaded spec file
+/// whose keys they override one by one): `name`, `seeds`, `sweep.<field>`
+/// and the fields. `seeds = N` becomes a seed axis over base.seed ..
+/// base.seed + N - 1 once every key is read. Throws std::invalid_argument,
+/// prefixed with the key's source, on a key given twice, an empty name or
+/// sweep list, seeds < 1, `seeds` next to `sweep.seed` (naming both) or any
+/// value set_field rejects.
+campaign_spec read_campaign_keys(campaign_spec spec,
+                                 const std::vector<campaign_key>& keys);
+
+/// Parses the key=value campaign file format, one key per line:
 ///   # comment
 ///   name = demo
 ///   nodes = 1024
 ///   sweep.topology = torus, hypercube
 ///   seeds = 4            # shorthand: sweep seed over base..base+3
 /// Throws std::invalid_argument naming the line on a malformed line or
-/// anything campaign_reader rejects. Axis values are checked by expand().
+/// anything read_campaign_keys rejects. Axis values are checked by expand().
 campaign_spec parse_campaign(std::istream& in);
 campaign_spec parse_campaign_file(const std::string& path);
 

@@ -76,6 +76,28 @@ row 2 "unknown option --nodez" --nodez 5 --dry-run
 row 2 "unexpected argument" "$spec" --dry-run
 row 2 "unknown option --rng-version" --rng-version 2 --dry-run
 
+# Ignored or silently resolved before the flag table; each now exits 2.
+row 2 "--nodes given twice" --nodes 10 --nodes 20 --dry-run
+row 2 "--sweep.nodes given twice" --sweep.nodes 16,32 --sweep.nodes 64 --dry-run
+row 2 "'seeds' and 'sweep.seed' (--sweep.seed)" --sweep.seed 5,6 --seeds 3 \
+    --dry-run
+for flag in --series-dir --threads --record-every --measure-windows; do
+    row 2 "$flag needs a value" $small $flag
+done
+for flag in "--threads 2" "--engine-threads 2" --no-graph-cache \
+    --no-scratch-pool "--series-dir d" --progress "--lease-expiry 5" \
+    "--lambda-cache l.sidecar" "--checkpoint-every 5"; do
+    row 2 "--merge and ${flag%% *} are exclusive" --merge s0.csv,s1.csv $flag
+done
+for flag in "--threads 2" "--engine-threads 2" --no-graph-cache \
+    --no-scratch-pool "--series-dir d" "--lambda-cache l.sidecar" --timing \
+    --progress "--record-every 2" "--lease-expiry 5"; do
+    row 2 "--measure-windows and ${flag%% *} are exclusive" $small $windows \
+        $flag
+done
+row 2 "--queue and --threads are exclusive" --queue q --threads 4 $small
+row 2 "--merge and --resume are exclusive" --dry-run --merge s0.csv --resume x
+
 # Every documented command shape (README.md, docs/, specs/README.md,
 # bench/README.md, the CI workflow) stays valid.
 row 0 "" --nodes 1024 --rounds 400 \
