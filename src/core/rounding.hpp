@@ -1,9 +1,11 @@
 // Rounding schemes that turn the continuous scheduled flows Yhat into
 // integral token movements (paper Definition 1 and Section III-B).
 //
-// Every scheme processes only the positive direction of each edge (the node
-// with outgoing scheduled flow "owns" it) and mirrors the result to the twin
-// half-edge, so antisymmetry holds exactly.
+// The randomized schemes round only the positive direction of each edge (the
+// node with outgoing scheduled flow "owns" it) and mirror the result to the
+// twin half-edge; floor and nearest round both directions in one sweep, the
+// negative side the exact negation of the positive one. Either way
+// antisymmetry holds exactly.
 //
 //  * randomized    — the paper's framework R(C): floor every outgoing flow,
 //                    gather the fractional parts r, take ceil(r) excess

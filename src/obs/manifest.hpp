@@ -2,13 +2,13 @@
 //
 // Every campaign invocation (and every shard of one) can write a manifest
 // naming exactly what produced its report — the campaign spec hash, the
-// CLI arguments, the shard assignment and balance mode, the RNG stream
-// version, build info and host. A merge then proves the shards belong
-// together *before* trusting their rows: fields that define the result
-// (spec hash, stride, shard count, balance mode, ...) must agree across
-// every shard manifest, while per-shard fields (shard index, host, wall
-// clock) may differ, and the merged manifest embeds each shard's record so
-// the full provenance of a merged CSV stays auditable from one file.
+// CLI arguments, the shard assignment, build info and host. A merge then
+// proves the shards belong together *before* trusting their rows: fields
+// that define the result (campaign, spec hash, scenario count, stride,
+// shard count) must agree across every shard manifest, while per-shard
+// fields (shard index, host, arguments) may differ, and the merged manifest
+// embeds each shard's record so the full provenance of a merged CSV stays
+// auditable from one file.
 //
 // The format is the repo's line-based key=value idiom (the spec-file and
 // lambda-sidecar family), with a version header and `[shard N]` section
