@@ -170,7 +170,6 @@ const flag_row* find_flag(const std::string& name)
     if (is_field(name)) key = "<field>";
     else if (name.rfind("sweep.", 0) == 0 && is_field(name.substr(6)))
         key = "sweep.<field>";
-    else if (name.find('<') != std::string::npos) return nullptr;
     for (const flag_row& row : kFlags)
         if (key == row.name) return &row;
     return nullptr;

@@ -404,9 +404,9 @@ run_context::run_context(const std::vector<scenario_spec>& scenarios,
                          const std::vector<std::int64_t>& selected,
                          const campaign_options& options,
                          std::uint64_t spec_hash, std::int64_t record_every,
-                         std::string sidecar_path, campaign_result& result)
+                         std::string sidecar, campaign_result& result)
     : scenarios(scenarios), options(options), spec_hash(spec_hash),
-      record_every(record_every), sidecar_path(std::move(sidecar_path))
+      record_every(record_every), sidecar_path(std::move(sidecar))
 {
     if (!options.series_dir.empty())
         std::filesystem::create_directories(options.series_dir);
@@ -417,9 +417,9 @@ run_context::run_context(const std::vector<scenario_spec>& scenarios,
         // loops don't strew the directory (live co-shards are untouched).
         sweep_stale_temp_files(options.checkpoint_dir);
     }
-    if (!this->sidecar_path.empty())
+    if (!sidecar_path.empty())
         result.lambda_sidecar_loaded = static_cast<std::int64_t>(
-            cache.load_lambda_sidecar(this->sidecar_path));
+            cache.load_lambda_sidecar(sidecar_path));
     if (options.engine_threads != 1)
         engine_pool = std::make_unique<thread_pool>(options.engine_threads);
     if (options.heartbeat != nullptr) {

@@ -516,8 +516,9 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
             ? options.lambda_cache_path
             : (options.reuse_graphs ? (queue / "lambda.sidecar").string()
                                     : std::string());
-    // A queue worker runs its leased scenarios serially (the fan-out is
-    // across worker processes), so the engine pool is the only in-process
+    // Every scenario counts toward this worker's heartbeat ETA. A worker
+    // runs its leases one at a time (the fan-out is across worker
+    // processes), so the context's engine pool is its only in-process
     // parallelism.
     std::vector<std::int64_t> every_index(scenarios.size());
     std::iota(every_index.begin(), every_index.end(), std::int64_t{0});

@@ -44,12 +44,12 @@ void check_snapshot(const engine_checkpoint& snapshot,
 /// scenario's checkpoint wiring.
 struct run_context {
     /// `selected` (the indices this invocation may run) sizes the heartbeat
-    /// ETA. A non-empty `sidecar_path` is loaded here, its entry count
-    /// going to result.lambda_sidecar_loaded.
+    /// ETA. A non-empty `sidecar` is loaded here, its entry count going to
+    /// result.lambda_sidecar_loaded.
     run_context(const std::vector<scenario_spec>& scenarios,
                 const std::vector<std::int64_t>& selected,
                 const campaign_options& options, std::uint64_t spec_hash,
-                std::int64_t record_every, std::string sidecar_path,
+                std::int64_t record_every, std::string sidecar,
                 campaign_result& result);
 
     /// Runs scenario `index` on a worker's `scratch`, resuming from `resume`
