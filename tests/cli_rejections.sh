@@ -76,7 +76,7 @@ row 2 "unknown option --nodez" --nodez 5 --dry-run
 row 2 "unexpected argument" "$spec" --dry-run
 row 2 "unknown option --rng-version" --rng-version 2 --dry-run
 
-# Ignored or silently resolved before the flag table; each now exits 2.
+# A repeated flag, a valueless flag and a flag its mode does not read.
 row 2 "--nodes given twice" --nodes 10 --nodes 20 --dry-run
 row 2 "--sweep.nodes given twice" --sweep.nodes 16,32 --sweep.nodes 64 --dry-run
 row 2 "'seeds' and 'sweep.seed' (--sweep.seed)" --sweep.seed 5,6 --seeds 3 \
