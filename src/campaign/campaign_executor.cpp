@@ -340,14 +340,14 @@ scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
     return result;
 }
 
-void check_campaign_options(const campaign_options& options, bool queue_driver)
+void check_campaign_options(const campaign_options& options, bool for_queue)
 {
     const bool queue = !options.queue_dir.empty();
     const std::pair<bool, const char*> rules[] = {
-        {queue && !queue_driver,
+        {queue && !for_queue,
          "lease-queue runs go through run_queue_campaign (run_campaign "
          "dispatches on queue_dir; run_scenarios has no queue mode)"},
-        {!queue && queue_driver, "queue_dir must be set for run_queue_campaign"},
+        {!queue && for_queue, "queue_dir must be set for run_queue_campaign"},
         {options.shard_count < 1, "shard count must be >= 1"},
         {options.shard_index < 0 || options.shard_index >= options.shard_count,
          "shard index out of range"},
@@ -473,7 +473,7 @@ campaign_result detail_run(const campaign_spec& spec,
                            const std::vector<scenario_spec>& scenarios,
                            const campaign_options& options)
 {
-    check_campaign_options(options, /*queue_driver=*/false);
+    check_campaign_options(options, /*for_queue=*/false);
 
     // Process-level sharding: the cost-balanced partitioner
     // (cost_model.hpp) is a pure function of the spec, so independently

@@ -28,9 +28,9 @@ struct engine_checkpoint; // core/checkpoint.hpp
 
 namespace dlb::campaign {
 
-/// How one campaign runs. Both drivers first check that the options
-/// compose (check_campaign_options, campaign/run_context.hpp) and throw
-/// std::invalid_argument naming the option when they do not.
+/// How one campaign runs. Both execution paths first check that the
+/// options compose (check_campaign_options, campaign/run_context.hpp) and
+/// throw std::invalid_argument naming the option when they do not.
 struct campaign_options {
     unsigned threads = 1;        // scenario fan-out workers; 0: hardware
     std::int64_t record_every = 0; // series sampling stride; 0: rounds/256

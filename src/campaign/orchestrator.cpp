@@ -446,7 +446,7 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
                                    const campaign_options& options,
                                    const orchestrator_hooks& hooks)
 {
-    check_campaign_options(options, /*queue_driver=*/true);
+    check_campaign_options(options, /*for_queue=*/true);
 
     const std::vector<scenario_spec> scenarios = expand(spec);
     const std::int64_t record_every =

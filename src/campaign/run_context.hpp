@@ -1,5 +1,5 @@
-// What the two campaign drivers share: detail_run's static partition
-// (campaign_executor.cpp) and run_queue_campaign's lease loop
+// What the two ways of running a campaign share: detail_run's static
+// partition (campaign_executor.cpp) and run_queue_campaign's lease loop
 // (orchestrator.cpp). Each keeps only how it picks the next scenario and
 // what it does when one completes.
 #ifndef DLB_CAMPAIGN_RUN_CONTEXT_HPP
@@ -19,9 +19,9 @@
 namespace dlb::campaign {
 
 /// Throws std::invalid_argument naming the option unless `options` compose.
-/// The queue rows apply when queue_dir is set; `queue_driver` is true for
+/// The queue rows apply when queue_dir is set; `for_queue` is true for
 /// run_queue_campaign, which needs queue_dir, and false for detail_run.
-void check_campaign_options(const campaign_options& options, bool queue_driver);
+void check_campaign_options(const campaign_options& options, bool for_queue);
 
 /// The campaign a resumed snapshot must come from.
 struct snapshot_owner {
@@ -38,7 +38,7 @@ struct snapshot_owner {
 void check_snapshot(const engine_checkpoint& snapshot,
                     const snapshot_owner& owner, const std::string& context);
 
-/// The per-run state both drivers build alike: output directories (with
+/// The per-run state both paths build alike: output directories (with
 /// the stale-temp sweep of the checkpoint directory), the graph cache and
 /// its λ sidecar, the engine pool, the heartbeat meter, and each
 /// scenario's checkpoint wiring.
