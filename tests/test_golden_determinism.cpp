@@ -19,8 +19,10 @@
 //     affordable because the engines carry the omega recurrence in O(1)).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "campaign/workload.hpp"
@@ -103,7 +105,8 @@ std::vector<golden_case> golden_topologies()
 }
 
 /// One old-style engine round: the exact pre-refactor pipeline built from
-/// the retained reference kernels and the (unchanged) apply rule.
+/// the retained reference kernels, the prevent clip and the (unchanged)
+/// apply rule.
 struct reference_pipeline {
     const graph& g;
     std::vector<double> alpha;
@@ -111,6 +114,7 @@ struct reference_pipeline {
     scheme_params scheme;
     rounding_kind rounding;
     std::uint64_t seed;
+    negative_load_policy policy;
 
     std::vector<std::int64_t> load;
     std::vector<double> x_over_s;
@@ -119,16 +123,19 @@ struct reference_pipeline {
     std::vector<std::int64_t> prev_int;
     std::vector<double> prev_dbl;
     std::int64_t round = 0;
+    std::int64_t clipped = 0;
 
     reference_pipeline(const graph& graph_, speed_profile speeds_,
                        scheme_params scheme_, rounding_kind rounding_,
-                       std::uint64_t seed_, std::vector<std::int64_t> initial)
+                       std::uint64_t seed_, std::vector<std::int64_t> initial,
+                       negative_load_policy policy_ = negative_load_policy::allow)
         : g(graph_),
           alpha(make_alpha(g, alpha_policy::max_degree_plus_one)),
           speeds(std::move(speeds_)),
           scheme(scheme_),
           rounding(rounding_),
           seed(seed_),
+          policy(policy_),
           load(std::move(initial))
     {
         const auto half_edges = static_cast<std::size_t>(g.num_half_edges());
@@ -147,6 +154,7 @@ struct reference_pipeline {
                                   scheduled, default_executor());
         round_flows_reference(g, rounding, scheduled, seed, round, flows,
                               default_executor());
+        if (policy == negative_load_policy::prevent) clip();
         for (node_id v = 0; v < g.num_nodes(); ++v) {
             std::int64_t net_out = 0;
             for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v);
@@ -159,44 +167,84 @@ struct reference_pipeline {
             prev_dbl[h] = static_cast<double>(prev_int[h]);
         ++round;
     }
+
+    /// The prevent policy: a node whose outgoing tokens exceed its
+    /// (nonnegative part of its) load keeps them in slot order until the
+    /// load runs out; every incoming side is then re-mirrored from its
+    /// clipped owner.
+    void clip()
+    {
+        for (node_id v = 0; v < g.num_nodes(); ++v) {
+            std::int64_t outgoing = 0;
+            for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v);
+                 ++h)
+                if (flows[h] > 0) outgoing += flows[h];
+            std::int64_t remaining = std::max<std::int64_t>(load[v], 0);
+            if (outgoing <= remaining) continue;
+            for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v);
+                 ++h) {
+                if (flows[h] <= 0) continue;
+                const std::int64_t keep = std::min(flows[h], remaining);
+                clipped += flows[h] - keep;
+                flows[h] = keep;
+                remaining -= keep;
+            }
+        }
+        for (half_edge_id h = 0; h < g.num_half_edges(); ++h)
+            if (scheduled[h] < 0.0) flows[h] = -flows[g.twin(h)];
+    }
 };
 
 TEST(GoldenKernel, CanonicalMatchesTwoSidedKernelBitwise)
 {
     // Drive the real engine and the reference pipeline in lock-step over
-    // real trajectories: loads, scheduled flows and rounded flows must stay
-    // bit-for-bit identical on every round, for every rounding scheme, on
-    // three topology families (one heterogeneous). The torus takes the
-    // degree-4 owner kernel; the 6-cube and the degree-5 random regular
-    // graph take the generic-degree one.
+    // real trajectories: loads, scheduled flows, rounded flows and clipped
+    // tokens must stay bit-for-bit identical on every round, for every
+    // rounding scheme under both negative-load policies, on three topology
+    // families (one heterogeneous). The torus takes the degree-4 owner
+    // kernel; the 6-cube and the degree-5 random regular graph take the
+    // generic-degree one.
     for (auto& tc : golden_topologies()) {
+        const double lambda = compute_lambda(
+            tc.g, make_alpha(tc.g, alpha_policy::max_degree_plus_one), tc.speeds);
+        const scheme_params scheme = sos_scheme(beta_opt(lambda));
+        const auto initial =
+            point_load(tc.g.num_nodes(), 0, tc.g.num_nodes() * 500LL);
         for (const rounding_kind rounding :
              {rounding_kind::randomized, rounding_kind::floor,
               rounding_kind::nearest, rounding_kind::bernoulli_edge}) {
-            const double lambda = compute_lambda(
-                tc.g, make_alpha(tc.g, alpha_policy::max_degree_plus_one),
-                tc.speeds);
-            const scheme_params scheme = sos_scheme(beta_opt(lambda));
-            const auto initial =
-                point_load(tc.g.num_nodes(), 0, tc.g.num_nodes() * 500LL);
+            for (const negative_load_policy policy :
+                 {negative_load_policy::allow, negative_load_policy::prevent}) {
+                const std::string label =
+                    tc.name + " " + std::string(to_string(rounding)) +
+                    (policy == negative_load_policy::prevent ? " prevent"
+                                                             : " allow");
+                diffusion_config config{
+                    &tc.g, make_alpha(tc.g, alpha_policy::max_degree_plus_one),
+                    tc.speeds, scheme};
+                discrete_process engine(config, initial, rounding, 42, policy);
+                reference_pipeline reference(tc.g, tc.speeds, scheme, rounding,
+                                             42, initial, policy);
 
-            diffusion_config config{
-                &tc.g, make_alpha(tc.g, alpha_policy::max_degree_plus_one),
-                tc.speeds, scheme};
-            discrete_process engine(config, initial, rounding, 42);
-            reference_pipeline reference(tc.g, tc.speeds, scheme, rounding, 42,
-                                         initial);
-
-            for (int t = 0; t < 120; ++t) {
-                engine.step();
-                reference.step();
-                ASSERT_TRUE(bytes_equal(engine.load(), reference.load))
-                    << tc.name << " " << to_string(rounding) << " round " << t;
-                ASSERT_TRUE(
-                    bytes_equal(engine.last_scheduled_flows(), reference.scheduled))
-                    << tc.name << " " << to_string(rounding) << " round " << t;
-                ASSERT_TRUE(bytes_equal(engine.previous_flows(), reference.prev_int))
-                    << tc.name << " " << to_string(rounding) << " round " << t;
+                for (int t = 0; t < 120; ++t) {
+                    engine.step();
+                    reference.step();
+                    ASSERT_TRUE(bytes_equal(engine.load(), reference.load))
+                        << label << " round " << t;
+                    ASSERT_TRUE(bytes_equal(engine.last_scheduled_flows(),
+                                            reference.scheduled))
+                        << label << " round " << t;
+                    ASSERT_TRUE(
+                        bytes_equal(engine.previous_flows(), reference.prev_int))
+                        << label << " round " << t;
+                    ASSERT_EQ(engine.clipped_tokens(), reference.clipped)
+                        << label << " round " << t;
+                }
+                // The point load starves most nodes, so SOS overshoot
+                // clips somewhere under prevent.
+                if (policy == negative_load_policy::prevent) {
+                    EXPECT_GT(reference.clipped, 0) << label;
+                }
             }
         }
     }
@@ -265,23 +313,15 @@ struct determinism_grid_case {
     negative_load_policy policy;
 };
 
-TEST(GoldenDeterminism, SeriesByteIdenticalAcrossExecutors)
+/// Runs every cell serially and on a pool of each worker count, and
+/// byte-compares the recorded series.
+void expect_grid_identical_across_executors(
+    const std::string& name, const graph& g, const speed_profile& speeds,
+    const std::vector<std::int64_t>& initial,
+    const std::vector<determinism_grid_case>& grid, std::int64_t rounds,
+    std::initializer_list<unsigned> worker_counts)
 {
-    const graph g = make_torus_2d(12, 12);
     const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
-    const auto speeds = speed_profile::bimodal(g.num_nodes(), 0.25, 4.0, 5);
-    const auto initial = point_load(g.num_nodes(), 0, g.num_nodes() * 100LL);
-
-    std::vector<determinism_grid_case> grid;
-    for (const auto rounding :
-         {rounding_kind::randomized, rounding_kind::floor,
-          rounding_kind::nearest, rounding_kind::bernoulli_edge})
-        for (const auto policy :
-             {negative_load_policy::allow, negative_load_policy::prevent})
-            grid.push_back({process_kind::discrete, rounding, policy});
-    grid.push_back({process_kind::continuous, rounding_kind::randomized,
-                    negative_load_policy::allow});
-
     for (const auto& cell : grid) {
         experiment_config config;
         config.diffusion = {&g, alpha, speeds, sos_scheme(1.7)};
@@ -289,10 +329,11 @@ TEST(GoldenDeterminism, SeriesByteIdenticalAcrossExecutors)
         config.rounding = cell.rounding;
         config.policy = cell.policy;
         config.seed = 77;
-        config.rounds = 300;
+        config.rounds = rounds;
         config.record_every = 7;
 
         const std::string label =
+            name + " " +
             std::string(cell.process == process_kind::continuous ? "continuous"
                                                                  : "discrete") +
             "/" + std::string(to_string(cell.rounding)) + "/" +
@@ -300,7 +341,7 @@ TEST(GoldenDeterminism, SeriesByteIdenticalAcrossExecutors)
 
         config.exec = nullptr;
         const time_series serial = run_experiment(config, initial);
-        for (const unsigned workers : {1u, 2u, 8u}) {
+        for (const unsigned workers : worker_counts) {
             thread_pool pool(workers);
             config.exec = &pool;
             const time_series pooled = run_experiment(config, initial);
@@ -308,6 +349,44 @@ TEST(GoldenDeterminism, SeriesByteIdenticalAcrossExecutors)
                                     label + " workers=" + std::to_string(workers));
         }
     }
+}
+
+TEST(GoldenDeterminism, SeriesByteIdenticalAcrossExecutors)
+{
+    std::vector<determinism_grid_case> discrete_grid;
+    for (const auto rounding :
+         {rounding_kind::randomized, rounding_kind::floor,
+          rounding_kind::nearest, rounding_kind::bernoulli_edge})
+        for (const auto policy :
+             {negative_load_policy::allow, negative_load_policy::prevent})
+            discrete_grid.push_back({process_kind::discrete, rounding, policy});
+    std::vector<determinism_grid_case> grid = discrete_grid;
+    grid.push_back({process_kind::continuous, rounding_kind::randomized,
+                    negative_load_policy::allow});
+
+    // 144 nodes: one parallel_reduce chunk.
+    const graph small = make_torus_2d(12, 12);
+    expect_grid_identical_across_executors(
+        "torus12", small, speed_profile::bimodal(small.num_nodes(), 0.25, 4.0, 5),
+        point_load(small.num_nodes(), 0, small.num_nodes() * 100LL), grid, 300,
+        {1u, 2u, 8u});
+
+    // 2^14 nodes: four chunks, so every sweep's neighbour reads cross chunk
+    // boundaries, under uniform speeds (the torus) and heterogeneous ones
+    // (the hypercube). Two random tokens per node keep most edges busy and
+    // make the prevent policy clip.
+    const graph torus = make_torus_2d(128, 128);
+    const graph cube = make_hypercube(14);
+    ASSERT_EQ(torus.num_nodes(), 4 * executor::reduce_chunk);
+    ASSERT_EQ(cube.num_nodes(), 4 * executor::reduce_chunk);
+    expect_grid_identical_across_executors(
+        "torus128", torus, speed_profile::uniform(torus.num_nodes()),
+        random_load(torus.num_nodes(), torus.num_nodes() * 2LL, 5), discrete_grid,
+        40, {1u, 2u, 4u});
+    expect_grid_identical_across_executors(
+        "hypercube14", cube, speed_profile::bimodal(cube.num_nodes(), 0.25, 4.0, 5),
+        random_load(cube.num_nodes(), cube.num_nodes() * 2LL, 5), discrete_grid,
+        40, {1u, 2u, 4u});
 }
 
 TEST(GoldenDeterminism, SaveResumeSeriesByteIdenticalAcrossGrid)
