@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "obs/obs.hpp"
 
@@ -54,12 +55,20 @@ void validate_config(const diffusion_config& config, std::size_t load_size)
 {
     if (config.network == nullptr)
         throw std::invalid_argument("process: null network");
-    if (config.alpha.size() !=
-        static_cast<std::size_t>(config.network->num_half_edges()))
+    const graph& g = *config.network;
+    if (config.alpha.size() != static_cast<std::size_t>(g.num_half_edges()))
         throw std::invalid_argument("process: alpha size mismatch");
-    if (config.speeds.size() != config.network->num_nodes())
+    // Both directions of an edge must share one weight: the flow kernels
+    // evaluate each half-edge with its own alpha and rely on the two sides
+    // being exact negations.
+    for (half_edge_id h = 0; h < g.num_half_edges(); ++h)
+        if (config.alpha[h] != config.alpha[g.twin(h)])
+            throw std::invalid_argument(
+                "process: alpha is not symmetric at half-edge " +
+                std::to_string(h));
+    if (config.speeds.size() != g.num_nodes())
         throw std::invalid_argument("process: speeds size mismatch");
-    if (load_size != static_cast<std::size_t>(config.network->num_nodes()))
+    if (load_size != static_cast<std::size_t>(g.num_nodes()))
         throw std::invalid_argument("process: initial load size mismatch");
     validate_scheme(config.scheme);
 }

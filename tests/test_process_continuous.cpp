@@ -1,7 +1,10 @@
 // Tests for the continuous (idealized) process engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "core/alpha.hpp"
 #include "core/beta.hpp"
@@ -197,6 +200,23 @@ TEST(ContinuousProcess, ValidatesConfig)
     config.network = nullptr;
     EXPECT_THROW(continuous_process(config, std::vector<double>(5, 0.0)),
                  std::invalid_argument);
+}
+
+TEST(ContinuousProcess, RejectsAsymmetricAlpha)
+{
+    const graph g = make_cycle(5);
+    auto config = make_config(g, fos_scheme());
+    const half_edge_id h = 3;
+    config.alpha[h] *= 2.0;
+    const half_edge_id first = std::min(h, g.twin(h));
+    try {
+        continuous_process proc(config, std::vector<double>(5, 1.0));
+        FAIL() << "an asymmetric alpha was accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("half-edge " + std::to_string(first)),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace

@@ -2,7 +2,10 @@
 // continuous twin, negative-load tracking, prevention policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "core/alpha.hpp"
 #include "core/beta.hpp"
@@ -208,6 +211,24 @@ TEST(DiscreteProcess, ScheduledFlowIntrospection)
     EXPECT_EQ(proc.load()[0], 7);
     EXPECT_EQ(proc.load()[1], 4);
     EXPECT_EQ(proc.load()[2], 1);
+}
+
+TEST(DiscreteProcess, RejectsAsymmetricAlpha)
+{
+    const graph g = make_cycle(5);
+    auto config = make_config(g, fos_scheme());
+    const half_edge_id h = 3;
+    config.alpha[h] *= 2.0;
+    const half_edge_id first = std::min(h, g.twin(h));
+    try {
+        discrete_process proc(config, balanced_load(5, 4),
+                              rounding_kind::randomized, 1);
+        FAIL() << "an asymmetric alpha was accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("half-edge " + std::to_string(first)),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(DiscreteProcess, NegativeStatsStartAtInfinity)
