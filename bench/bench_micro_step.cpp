@@ -45,18 +45,24 @@ void bm_discrete_step_fos(benchmark::State& state)
 }
 BENCHMARK(bm_discrete_step_fos)->Arg(64)->Arg(128)->Arg(256);
 
-void bm_discrete_step_sos(benchmark::State& state)
+/// The whole SOS round on the 2-D torus (the degree-4 kernels; Arg = side)
+/// and on the hypercube (the generic-degree kernels; Arg = dimension).
+void bm_discrete_step_sos(benchmark::State& state, bool hypercube)
 {
-    const graph& g = torus_for(state.range(0));
-    const double beta = beta_opt(torus_2d_lambda(
-        static_cast<node_id>(state.range(0)), static_cast<node_id>(state.range(0))));
+    const auto size = state.range(0);
+    const graph& g = hypercube ? hypercube_for(size) : torus_for(size);
+    const double beta = beta_opt(
+        hypercube ? hypercube_lambda(static_cast<int>(size))
+                  : torus_2d_lambda(static_cast<node_id>(size),
+                                    static_cast<node_id>(size)));
     discrete_process proc(make_config(g, sos_scheme(beta)),
                           point_load(g.num_nodes(), 0, g.num_nodes() * 1000LL),
                           rounding_kind::randomized, 1);
     for (auto _ : state) proc.step();
     state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
-BENCHMARK(bm_discrete_step_sos)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK_CAPTURE(bm_discrete_step_sos, torus, false)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK_CAPTURE(bm_discrete_step_sos, hypercube, true)->Arg(12);
 
 void bm_continuous_step_sos(benchmark::State& state)
 {
@@ -152,24 +158,6 @@ void bm_round_flows_reference(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * fx.g.num_edges());
 }
 BENCHMARK(bm_round_flows_reference)->Arg(256);
-
-/// The owner pass on the 2-D torus (the degree-4 kernel; Arg = side) and
-/// on the hypercube (the generic-degree kernel; Arg = dimension).
-void bm_round_flows_randomized_owner(benchmark::State& state, bool hypercube)
-{
-    const std::int64_t size = state.range(0);
-    kernel_fixture fx =
-        hypercube ? kernel_fixture(hypercube_for(size),
-                                   hypercube_lambda(static_cast<int>(size)))
-                  : torus_fixture(size);
-    std::int64_t round = 0;
-    for (auto _ : state)
-        round_flows_randomized_owner(fx.g, fx.scheduled, 3, round++, fx.flows,
-                                     default_executor());
-    state.SetItemsProcessed(state.iterations() * fx.g.num_edges());
-}
-BENCHMARK_CAPTURE(bm_round_flows_randomized_owner, torus, false)->Arg(256);
-BENCHMARK_CAPTURE(bm_round_flows_randomized_owner, hypercube, true)->Arg(12);
 
 /// The full pre-refactor round pipeline (two-sided kernel, owner+mirror
 /// rounding, separate apply / min-scan / int->double conversion sweeps),

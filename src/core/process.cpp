@@ -22,9 +22,10 @@ std::string_view to_string(process_kind kind) noexcept
 namespace {
 
 // Per-phase observability (obs/obs.hpp): spans and duration histograms for
-// the three sub-phases of a round, plus rounds/edges counters so traces
-// and metrics report per-kernel throughput. Everything below is
-// out-of-band — one relaxed load per phase when no session is active.
+// the sub-phases of a round (flows, rounding, apply), plus rounds/edges
+// counters so traces and metrics report per-kernel throughput. Everything
+// below is out-of-band — one relaxed load per phase when no session is
+// active.
 struct engine_obs {
     obs::histogram& flows_ns = obs::registry_histogram("engine.flows_ns");
     obs::histogram& rounding_ns = obs::registry_histogram("engine.rounding_ns");
@@ -49,6 +50,85 @@ load_minima combine_minima(load_minima a, load_minima b)
 {
     return {std::min(a.end_of_round, b.end_of_round),
             std::min(a.transient, b.transient)};
+}
+
+/// What sweep 1 of discrete_process::step reads and writes, shared by
+/// every chunk.
+struct round_inputs {
+    const graph& g;
+    const double* alpha;
+    const std::int64_t* previous; // y^D(t-1)
+    const std::int64_t* load;     // x^D(t)
+    double beta;
+    std::uint64_t seed;
+    std::int64_t round;
+    bool prevent; // negative_load_policy::prevent
+    double* scheduled;
+    std::int64_t* flows;
+};
+
+/// The prevent policy on one node's owner slots (nonnegative; 0 off the
+/// owner side): when they send more than the node's (nonnegative part of
+/// its) load, keep tokens in slot order until the load runs out. Returns
+/// the tokens taken back.
+[[gnu::always_inline]] inline std::int64_t
+clip_owner_slots(std::int64_t* flows, half_edge_id begin, std::int32_t degree,
+                 std::int64_t load)
+{
+    std::int64_t outgoing = 0;
+    for (std::int32_t j = 0; j < degree; ++j) outgoing += flows[begin + j];
+    const std::int64_t available = std::max<std::int64_t>(load, 0);
+    if (outgoing <= available) return 0;
+    std::int64_t remaining = available;
+    for (std::int32_t j = 0; j < degree; ++j) {
+        std::int64_t& flow = flows[begin + j];
+        flow = std::min(flow, remaining);
+        remaining -= flow;
+    }
+    return outgoing - available;
+}
+
+/// Sweep 1 of discrete_process::step over nodes [begin, end): every node
+/// evaluates the flow rule on its own slice, x being the load itself
+/// (uniform speeds) or load/speed, and stores it to `scheduled`. That is
+/// bitwise scheduled_flows' value, zero-flow corner included: alpha is
+/// symmetric, previous flows are antisymmetric and the rule commutes with
+/// negating its inputs. The node then rounds its owner slots
+/// (scheduled > 0) into `flows`, 0 on every other slot, and under the
+/// prevent policy clips them. Returns the clipped tokens.
+template <rounding_kind Kind, bool SecondOrder, class X>
+[[gnu::noinline]] std::int64_t round_sweep(const round_inputs& in,
+                                           const X* __restrict x, node_id begin,
+                                           node_id end)
+{
+    double* __restrict scheduled = in.scheduled;
+    std::int64_t* __restrict flows = in.flows;
+    std::int64_t clipped = 0;
+    for_each_node_slice(
+        in.g, begin, end,
+        [&](auto degree_tag, node_id u, half_edge_id first,
+            std::int32_t dynamic_degree, double* prefix) {
+            constexpr std::int32_t static_degree = decltype(degree_tag)::value;
+            const std::int32_t degree =
+                static_degree != 0 ? static_degree : dynamic_degree;
+            const double xu = static_cast<double>(x[u]);
+            for (std::int32_t j = 0; j < degree; ++j) {
+                const half_edge_id h = first + j;
+                const double gradient = xu - static_cast<double>(x[in.g.head(h)]);
+                scheduled[h] =
+                    SecondOrder
+                        ? second_order_flow(in.beta,
+                                            static_cast<double>(in.previous[h]),
+                                            in.alpha[h], gradient)
+                        : first_order_flow(in.alpha[h], gradient);
+            }
+            round_owner_node<Kind, static_degree>(
+                scheduled, flows, first, degree, in.seed,
+                static_cast<std::uint64_t>(u), in.round, prefix);
+            if (in.prevent)
+                clipped += clip_owner_slots(flows, first, degree, in.load[u]);
+        });
+    return clipped;
 }
 
 void validate_config(const diffusion_config& config, std::size_t load_size)
@@ -257,89 +337,66 @@ void discrete_process::step()
     engine_obs& em = engine_metrics();
     em.rounds.add(1);
     em.edges.add(g.num_half_edges() / 2);
+    count_rounded_half_edges(rounding_, g.num_half_edges());
 
-    {
+    // x/s == x exactly for uniform speeds: the round sweep then reads the
+    // load itself and no load/speed pass runs.
+    const bool uniform = config_.speeds.is_uniform();
+    if (!uniform) {
         obs::phase_scope phase("engine", "flows", &em.flows_ns);
-
-        // x/s == x exactly for uniform speeds; skip the division.
-        if (config_.speeds.is_uniform()) {
-            exec_->parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
-                for (node_id v = static_cast<node_id>(begin); v < end; ++v)
-                    load_over_speed_[v] = static_cast<double>(load_[v]);
-            });
-        } else {
-            exec_->parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
-                for (node_id v = static_cast<node_id>(begin); v < end; ++v)
-                    load_over_speed_[v] =
-                        static_cast<double>(load_[v]) / config_.speeds.speed(v);
-            });
-        }
-
-        // Yhat(t) = C(x^D(t), y^D(t-1))  — the continuous scheduled load. The
-        // integer overload casts previous flows in place (exact), so no double
-        // copy of the flow state is ever materialized.
-        scheduled_flows(g, config_.alpha, config_.scheme, rounds_in_scheme_,
-                        beta_state_.next(), load_over_speed_,
-                        std::span<const std::int64_t>(previous_flows_int_),
-                        scheduled_, *exec_);
+        exec_->parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
+            for (node_id v = static_cast<node_id>(begin); v < end; ++v)
+                load_over_speed_[v] =
+                    static_cast<double>(load_[v]) / config_.speeds.speed(v);
+        });
     }
 
     {
         obs::phase_scope phase("engine", "rounding", &em.rounding_ns);
-
-        // Randomized rounding runs the owner pass alone — the mirror is folded
-        // into the apply sweep below, which derives every incoming flow from
-        // its owner; the other roundings mirror inside round_flows (floor and
-        // nearest in the same fused sweep) and the apply derivation is then a
-        // no-op re-read of the mirrored value.
-        if (rounding_ == rounding_kind::randomized)
-            round_flows_randomized_owner(g, scheduled_, seed_, round_, flows_,
-                                         *exec_);
-        else
-            round_flows(g, rounding_, scheduled_, seed_, round_, flows_, *exec_);
+        const round_inputs in{g,
+                              config_.alpha.data(),
+                              previous_flows_int_.data(),
+                              load_.data(),
+                              beta_state_.next(),
+                              seed_,
+                              round_,
+                              policy_ == negative_load_policy::prevent,
+                              scheduled_.data(),
+                              flows_.data()};
+        const bool second_order =
+            config_.scheme.kind != scheme_kind::fos && rounds_in_scheme_ > 0;
+        // Sweep 1: one chunk function per (kind, flow rule, load view);
+        // only the prevent policy needs the clipped-token sum.
+        with_rounding_kind(rounding_, [&](auto kind_tag) {
+            constexpr rounding_kind kind = decltype(kind_tag)::value;
+            const std::int64_t* x = load_.data();
+            const double* x_over_s = load_over_speed_.data();
+            const auto sweep = [&](std::int64_t begin, std::int64_t end) {
+                const auto b = static_cast<node_id>(begin);
+                const auto e = static_cast<node_id>(end);
+                if (second_order)
+                    return uniform ? round_sweep<kind, true>(in, x, b, e)
+                                   : round_sweep<kind, true>(in, x_over_s, b, e);
+                return uniform ? round_sweep<kind, false>(in, x, b, e)
+                               : round_sweep<kind, false>(in, x_over_s, b, e);
+            };
+            if (in.prevent)
+                clipped_tokens_ += exec_->parallel_reduce(
+                    g.num_nodes(), std::int64_t{0}, sweep,
+                    [](std::int64_t acc, std::int64_t part) { return acc + part; });
+            else
+                exec_->parallel_for(g.num_nodes(), sweep);
+        });
     }
 
+    // Sweep 2: apply, and track the transient state x-breve (all sends out,
+    // nothing received yet). At most one side of an edge holds a nonzero
+    // owner value, so flows_[h] - flows_[twin(h)] is every half-edge's
+    // final flow with no sign test, and flows_[h] (never negative) is its
+    // outgoing part. flows_ is read-only here, so the twin gathers race
+    // with nothing; the result lands directly in previous_flows_int_, and
+    // the negative-load min-scan is fused in as well.
     obs::phase_scope apply_phase("engine", "apply", &em.apply_ns);
-    if (policy_ == negative_load_policy::prevent) {
-        // Detect and clip over-committed nodes in parallel: each node owns
-        // its outgoing (positive-scheduled) half-edges, so the clip writes
-        // are disjoint, and the apply sweep below re-derives every incoming
-        // flow from its (possibly clipped) owner — no antisymmetry-repair
-        // rescan is needed at all.
-        const std::int64_t clipped = exec_->parallel_reduce(
-            static_cast<std::int64_t>(g.num_nodes()), std::int64_t{0},
-            [&](std::int64_t begin, std::int64_t end) {
-                std::int64_t tokens = 0;
-                for (node_id v = static_cast<node_id>(begin); v < end; ++v) {
-                    std::int64_t positive_out = 0;
-                    for (half_edge_id h = g.half_edge_begin(v);
-                         h < g.half_edge_end(v); ++h)
-                        if (flows_[h] > 0) positive_out += flows_[h];
-                    const std::int64_t available =
-                        std::max<std::int64_t>(load_[v], 0);
-                    if (positive_out <= available) continue;
-                    std::int64_t remaining = available;
-                    for (half_edge_id h = g.half_edge_begin(v);
-                         h < g.half_edge_end(v); ++h) {
-                        if (flows_[h] <= 0) continue;
-                        const std::int64_t keep = std::min(flows_[h], remaining);
-                        tokens += flows_[h] - keep;
-                        flows_[h] = keep;
-                        remaining -= keep;
-                    }
-                }
-                return tokens;
-            },
-            [](std::int64_t acc, std::int64_t part) { return acc + part; });
-        clipped_tokens_ += clipped;
-    }
-
-    // Apply; track the transient state x-breve (all sends out, nothing
-    // received yet). Each half-edge's final flow is its owner's value —
-    // negated on the incoming side — which folds the mirror into the sweep
-    // (flows_ is read-only here, so the twin gathers race with nothing);
-    // the per-round result lands directly in previous_flows_int_, and the
-    // negative-load min-scan is fused in as well.
     const load_minima minima = exec_->parallel_reduce(
         g.num_nodes(), load_minima{},
         [&](std::int64_t begin, std::int64_t end) {
@@ -349,12 +406,10 @@ void discrete_process::step()
                 std::int64_t positive_out = 0;
                 for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v);
                      ++h) {
-                    const std::int64_t f = scheduled_[h] < 0.0
-                                               ? -flows_[g.twin(h)]
-                                               : flows_[h];
+                    const std::int64_t f = flows_[h] - flows_[g.twin(h)];
                     previous_flows_int_[h] = f;
                     net_out += f;
-                    if (f > 0) positive_out += f;
+                    positive_out += flows_[h];
                 }
                 local.transient = std::min(
                     local.transient, static_cast<double>(load_[v] - positive_out));

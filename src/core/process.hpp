@@ -6,6 +6,13 @@
 // the continuous rule for the scheduled flows Yhat(t) = C(x^D(t), y^D(t-1))
 // and rounds them with the configured scheme (paper Definition 1).
 //
+// A discrete round is two node sweeps. The first evaluates every node's
+// flow rule on its own half-edges and rounds the owner side (positive
+// scheduled flow) with the rounding kernels of core/rounding.hpp, writing 0
+// on every other slot, and applies the prevent clip. The second applies
+// flows[h] - flows[twin(h)], which is each half-edge's final flow because
+// at most one side of an edge is nonzero.
+//
 // Both engines track the negative-load instrumentation of Section V: the
 // end-of-round minimum load and the *transient* minimum — the load after
 // all outgoing flow has left a node but before any incoming flow arrives
@@ -201,9 +208,9 @@ private:
     std::uint64_t seed_;
     negative_load_policy policy_;
     aligned_vector<std::int64_t> load_;
-    aligned_vector<double> load_over_speed_;
-    aligned_vector<double> scheduled_;
-    aligned_vector<std::int64_t> flows_;
+    aligned_vector<double> load_over_speed_; // read under non-uniform speeds
+    aligned_vector<double> scheduled_;       // written by the round sweep only
+    aligned_vector<std::int64_t> flows_;     // owner sides, 0 elsewhere
     aligned_vector<std::int64_t> previous_flows_int_;
     std::int64_t round_ = 0;
     std::int64_t rounds_in_scheme_ = 0;

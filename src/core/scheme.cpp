@@ -36,31 +36,6 @@ double scheme_beta_for_round(scheme_params scheme, std::int64_t rounds_in_scheme
 
 namespace {
 
-/// Shared shape checks for the scheduled_flows overloads; returns whether
-/// this round applies the second-order rule (needing previous flows).
-bool validate_flows(const graph& g, std::span<const double> alpha,
-                    scheme_params scheme, std::int64_t rounds_in_scheme,
-                    std::span<const double> load_over_speed,
-                    std::size_t previous_flows_size,
-                    std::span<double> flows_out)
-{
-    if (alpha.size() != static_cast<std::size_t>(g.num_half_edges()) ||
-        flows_out.size() != alpha.size())
-        throw std::invalid_argument("scheduled_flows: size mismatch");
-    if (load_over_speed.size() != static_cast<std::size_t>(g.num_nodes()))
-        throw std::invalid_argument("scheduled_flows: load size mismatch");
-
-    const bool second_order =
-        scheme.kind != scheme_kind::fos && rounds_in_scheme > 0;
-    if (second_order && previous_flows_size != alpha.size())
-        throw std::invalid_argument("scheduled_flows: previous flows missing");
-    return second_order;
-}
-
-} // namespace
-
-namespace {
-
 // Each undirected edge is evaluated once from its canonical half-edge
 // (tail < head, found by scanning each node's slice for larger-id
 // neighbors — cheaper than streaming the canonical index list through
@@ -71,15 +46,11 @@ namespace {
 // flows are the one asymmetric corner (x - x is +0.0 in both
 // directions, and a sum cancelling to zero is +0.0 regardless of sign),
 // so that rare case re-evaluates the twin's own expression instead.
-//
-// `Prev` is indexable by half-edge and yields double: either the double
-// span or the discrete engine's integer flows cast in place (exact).
-template <class Prev>
 void canonical_flows(const graph& g, std::span<const double> alpha,
                      bool second_order, double beta,
                      std::span<const double> load_over_speed,
-                     const Prev previous_flows, std::span<double> flows_out,
-                     executor& exec)
+                     std::span<const double> previous_flows,
+                     std::span<double> flows_out, executor& exec)
 {
     exec.parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
         for (node_id u = static_cast<node_id>(begin); u < end; ++u) {
@@ -92,16 +63,13 @@ void canonical_flows(const graph& g, std::span<const double> alpha,
                     if (v < u) continue; // the twin writes this edge
                     const half_edge_id tw = g.twin(h);
                     const double xv = load_over_speed[v];
-                    const double f =
-                        (beta - 1.0) * static_cast<double>(previous_flows[h]) +
-                        beta * alpha[h] * (xu - xv);
+                    const double f = second_order_flow(beta, previous_flows[h],
+                                                       alpha[h], xu - xv);
                     flows_out[h] = f;
                     flows_out[tw] =
-                        f != 0.0
-                            ? -f
-                            : (beta - 1.0) *
-                                      static_cast<double>(previous_flows[tw]) +
-                                  beta * alpha[tw] * (xv - xu);
+                        f != 0.0 ? -f
+                                 : second_order_flow(beta, previous_flows[tw],
+                                                     alpha[tw], xv - xu);
                 }
             } else {
                 for (half_edge_id h = he_begin; h < he_end; ++h) {
@@ -109,9 +77,10 @@ void canonical_flows(const graph& g, std::span<const double> alpha,
                     if (v < u) continue;
                     const half_edge_id tw = g.twin(h);
                     const double xv = load_over_speed[v];
-                    const double f = alpha[h] * (xu - xv);
+                    const double f = first_order_flow(alpha[h], xu - xv);
                     flows_out[h] = f;
-                    flows_out[tw] = f != 0.0 ? -f : alpha[tw] * (xv - xu);
+                    flows_out[tw] =
+                        f != 0.0 ? -f : first_order_flow(alpha[tw], xv - xu);
                 }
             }
         }
@@ -126,22 +95,16 @@ void scheduled_flows(const graph& g, std::span<const double> alpha,
                      std::span<const double> previous_flows,
                      std::span<double> flows_out, executor& exec)
 {
-    const bool second_order =
-        validate_flows(g, alpha, scheme, rounds_in_scheme, load_over_speed,
-                       previous_flows.size(), flows_out);
-    canonical_flows(g, alpha, second_order, beta, load_over_speed,
-                    previous_flows, flows_out, exec);
-}
+    if (alpha.size() != static_cast<std::size_t>(g.num_half_edges()) ||
+        flows_out.size() != alpha.size())
+        throw std::invalid_argument("scheduled_flows: size mismatch");
+    if (load_over_speed.size() != static_cast<std::size_t>(g.num_nodes()))
+        throw std::invalid_argument("scheduled_flows: load size mismatch");
 
-void scheduled_flows(const graph& g, std::span<const double> alpha,
-                     scheme_params scheme, std::int64_t rounds_in_scheme,
-                     double beta, std::span<const double> load_over_speed,
-                     std::span<const std::int64_t> previous_flows,
-                     std::span<double> flows_out, executor& exec)
-{
     const bool second_order =
-        validate_flows(g, alpha, scheme, rounds_in_scheme, load_over_speed,
-                       previous_flows.size(), flows_out);
+        scheme.kind != scheme_kind::fos && rounds_in_scheme > 0;
+    if (second_order && previous_flows.size() != alpha.size())
+        throw std::invalid_argument("scheduled_flows: previous flows missing");
     canonical_flows(g, alpha, second_order, beta, load_over_speed,
                     previous_flows, flows_out, exec);
 }

@@ -123,6 +123,22 @@ private:
     double omega_ = 1.0; // last Chebyshev omega returned (valid for t >= 1)
 };
 
+/// The flow rule on one half-edge i -> j, with
+/// gradient = x_i/s_i - x_j/s_j: the FOS rule (also every scheme's first
+/// round) and the second-order rule with relaxation factor beta. Both
+/// commute exactly with negating their inputs, which is what makes the
+/// twin's flow the exact negation of a nonzero flow.
+inline double first_order_flow(double alpha, double gradient)
+{
+    return alpha * gradient;
+}
+
+inline double second_order_flow(double beta, double previous, double alpha,
+                                double gradient)
+{
+    return (beta - 1.0) * previous + beta * alpha * gradient;
+}
+
 /// Computes the continuous scheduled flows Yhat(t) = C(x(t), y(t-1)) for
 /// every half-edge.
 ///
@@ -150,16 +166,6 @@ void scheduled_flows(const graph& g, std::span<const double> alpha,
                      scheme_params scheme, std::int64_t rounds_in_scheme,
                      double beta, std::span<const double> load_over_speed,
                      std::span<const double> previous_flows,
-                     std::span<double> flows_out, executor& exec);
-
-/// Overload for integer previous flows (the discrete engine): entries are
-/// cast in place of materializing a double copy, which is exact — token
-/// counts stay far below 2^53 — and saves a full per-half-edge conversion
-/// sweep per round.
-void scheduled_flows(const graph& g, std::span<const double> alpha,
-                     scheme_params scheme, std::int64_t rounds_in_scheme,
-                     double beta, std::span<const double> load_over_speed,
-                     std::span<const std::int64_t> previous_flows,
                      std::span<double> flows_out, executor& exec);
 
 /// Validates scheme parameters; throws std::invalid_argument on bad beta.

@@ -132,29 +132,6 @@ TEST(RngGolden, RandomizedRoundingOutputsArePinned)
     }
 }
 
-TEST(RngGolden, OwnerPassMatchesFullRoundingOnOwnerSides)
-{
-    // The engine fast path must agree with round_flows on every owner
-    // (positive-scheduled) half-edge, at degree 4 and on the generic path.
-    for (const graph& g : {make_torus_2d(3, 3), make_complete(6)}) {
-        const auto scheduled = golden_scheduled(g);
-        std::vector<std::int64_t> full(scheduled.size());
-        std::vector<std::int64_t> owner(scheduled.size());
-        for (std::int64_t round = 0; round < 4; ++round) {
-            round_flows(g, rounding_kind::randomized, scheduled, 42, round,
-                        full, default_executor());
-            round_flows_randomized_owner(g, scheduled, 42, round, owner,
-                                         default_executor());
-            for (half_edge_id h = 0; h < g.num_half_edges(); ++h) {
-                if (scheduled[h] > 0.0) {
-                    EXPECT_EQ(owner[h], full[h])
-                        << "nodes=" << g.num_nodes() << " h=" << h;
-                }
-            }
-        }
-    }
-}
-
 // The same scheduled-flow formula on the complete graph K6: degree 5 takes
 // the generic-degree owner kernel (the 3x3 torus above only reaches the
 // degree-4 one), and its 30 half-edges mix fractional, integral and

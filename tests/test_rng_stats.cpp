@@ -111,7 +111,7 @@ TEST(RngStatsV2, UnitDoubleMeanIsHalf)
     EXPECT_NEAR(sum / static_cast<double>(kSamples), 0.5, 0.003);
 }
 
-/// Accumulates `rounds` independent owner-pass roundings of the same
+/// Accumulates `rounds` independent randomized roundings of the same
 /// scheduled flows and returns the per-half-edge mean flow.
 std::vector<double> mean_rounded_flow(const graph& g,
                                       std::span<const double> scheduled,
@@ -120,8 +120,8 @@ std::vector<double> mean_rounded_flow(const graph& g,
     std::vector<std::int64_t> flows(scheduled.size());
     std::vector<double> mean(scheduled.size(), 0.0);
     for (std::int64_t r = 0; r < rounds; ++r) {
-        round_flows_randomized_owner(g, scheduled, 2024, r, flows,
-                                     default_executor());
+        round_flows(g, rounding_kind::randomized, scheduled, 2024, r, flows,
+                    default_executor());
         for (std::size_t h = 0; h < mean.size(); ++h)
             mean[h] += static_cast<double>(flows[h]);
     }
