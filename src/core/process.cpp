@@ -101,11 +101,20 @@ template <rounding_kind Kind, bool SecondOrder, class X>
                                            const X* __restrict x, node_id begin,
                                            node_id end)
 {
+    // Locals, not `in` members: the scheduled stores could alias a double
+    // member, which would reload beta on every half-edge.
+    const graph& g = in.g;
+    const double* __restrict alpha = in.alpha;
+    const std::int64_t* __restrict previous = in.previous;
+    const double beta = in.beta;
+    const std::uint64_t seed = in.seed;
+    const std::int64_t round = in.round;
+    const bool prevent = in.prevent;
     double* __restrict scheduled = in.scheduled;
     std::int64_t* __restrict flows = in.flows;
     std::int64_t clipped = 0;
     for_each_node_slice(
-        in.g, begin, end,
+        g, begin, end,
         [&](auto degree_tag, node_id u, half_edge_id first,
             std::int32_t dynamic_degree, double* prefix) {
             constexpr std::int32_t static_degree = decltype(degree_tag)::value;
@@ -114,19 +123,17 @@ template <rounding_kind Kind, bool SecondOrder, class X>
             const double xu = static_cast<double>(x[u]);
             for (std::int32_t j = 0; j < degree; ++j) {
                 const half_edge_id h = first + j;
-                const double gradient = xu - static_cast<double>(x[in.g.head(h)]);
+                const double gradient = xu - static_cast<double>(x[g.head(h)]);
                 scheduled[h] =
                     SecondOrder
-                        ? second_order_flow(in.beta,
-                                            static_cast<double>(in.previous[h]),
-                                            in.alpha[h], gradient)
-                        : first_order_flow(in.alpha[h], gradient);
+                        ? second_order_flow(beta, static_cast<double>(previous[h]),
+                                            alpha[h], gradient)
+                        : first_order_flow(alpha[h], gradient);
             }
-            round_owner_node<Kind, static_degree>(
-                scheduled, flows, first, degree, in.seed,
-                static_cast<std::uint64_t>(u), in.round, prefix);
-            if (in.prevent)
-                clipped += clip_owner_slots(flows, first, degree, in.load[u]);
+            round_owner_node<Kind, static_degree>(scheduled, flows, first, degree,
+                                                  seed, static_cast<std::uint64_t>(u),
+                                                  round, prefix);
+            if (prevent) clipped += clip_owner_slots(flows, first, degree, in.load[u]);
         });
     return clipped;
 }
