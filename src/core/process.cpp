@@ -372,27 +372,24 @@ void discrete_process::step()
                               flows_.data()};
         const bool second_order =
             config_.scheme.kind != scheme_kind::fos && rounds_in_scheme_ > 0;
-        // Sweep 1: one chunk function per (kind, flow rule, load view);
-        // only the prevent policy needs the clipped-token sum.
-        with_rounding_kind(rounding_, [&](auto kind_tag) {
+        // Sweep 1: one chunk function per (kind, flow rule, load view),
+        // reducing the clipped tokens (0 under allow).
+        clipped_tokens_ += with_rounding_kind(rounding_, [&](auto kind_tag) {
             constexpr rounding_kind kind = decltype(kind_tag)::value;
             const std::int64_t* x = load_.data();
             const double* x_over_s = load_over_speed_.data();
-            const auto sweep = [&](std::int64_t begin, std::int64_t end) {
-                const auto b = static_cast<node_id>(begin);
-                const auto e = static_cast<node_id>(end);
-                if (second_order)
-                    return uniform ? round_sweep<kind, true>(in, x, b, e)
-                                   : round_sweep<kind, true>(in, x_over_s, b, e);
-                return uniform ? round_sweep<kind, false>(in, x, b, e)
-                               : round_sweep<kind, false>(in, x_over_s, b, e);
-            };
-            if (in.prevent)
-                clipped_tokens_ += exec_->parallel_reduce(
-                    g.num_nodes(), std::int64_t{0}, sweep,
-                    [](std::int64_t acc, std::int64_t part) { return acc + part; });
-            else
-                exec_->parallel_for(g.num_nodes(), sweep);
+            return exec_->parallel_reduce(
+                g.num_nodes(), std::int64_t{0},
+                [&](std::int64_t begin, std::int64_t end) {
+                    const auto b = static_cast<node_id>(begin);
+                    const auto e = static_cast<node_id>(end);
+                    if (second_order)
+                        return uniform ? round_sweep<kind, true>(in, x, b, e)
+                                       : round_sweep<kind, true>(in, x_over_s, b, e);
+                    return uniform ? round_sweep<kind, false>(in, x, b, e)
+                                   : round_sweep<kind, false>(in, x_over_s, b, e);
+                },
+                [](std::int64_t acc, std::int64_t part) { return acc + part; });
         });
     }
 
