@@ -152,7 +152,9 @@ inline double second_order_flow(double beta, double previous, double alpha,
 /// by negation, which is bitwise-identical to evaluating the formula on
 /// both sides because alpha is symmetric and `previous_flows` is
 /// antisymmetric. All of `previous_flows` must be valid: the zero-flow
-/// corner re-evaluates the twin's own expression, reading its entry.
+/// corner re-evaluates the twin's own expression, reading its entry. The
+/// discrete engine evaluates the same rule on every half-edge inside its
+/// round sweep (core/process.cpp), which gives these same bits.
 void scheduled_flows(const graph& g, std::span<const double> alpha,
                      scheme_params scheme, std::int64_t rounds_in_scheme,
                      std::span<const double> load_over_speed,
