@@ -2,10 +2,10 @@
 //
 // Two bitwise guarantees are pinned here:
 //
-//  1. The canonical-edge kernels (scheduled_flows computing each edge once
-//     and mirroring by negation, round_flows with the fused/canonical
-//     mirror and the blocked owner walk) produce bit-for-bit the same
-//     output as the plain two-sided, early-exit kernels of
+//  1. The library kernels (scheduled_flows computing each edge once and
+//     mirroring by negation, the discrete engine's two-sweep round with
+//     its blocked owner walk and prevent clip) produce bit-for-bit the
+//     same output as the plain two-sided, early-exit kernels of
 //     reference_kernels.hpp. A reference pipeline re-implementing the old
 //     engine round drives the comparison over real engine trajectories, so
 //     every `time_series` a run records is byte-identical to what the
@@ -13,10 +13,11 @@
 //     per-round load state, which is compared exactly here.
 //
 //  2. Engine output is byte-identical across executors: serial_executor and
-//     thread_pool with 1, 2 and 8 workers, across discrete/continuous
-//     engines, all four roundings, both negative-load policies, and a
-//     hybrid-switch Chebyshev long run (>= 4000 rounds, which is only
-//     affordable because the engines carry the omega recurrence in O(1)).
+//     thread_pool with 1, 2 and 8 workers (1, 2 and 4 on the graphs of four
+//     parallel_reduce chunks), across discrete/continuous engines, all four
+//     roundings, both negative-load policies, and a hybrid-switch Chebyshev
+//     long run (>= 4000 rounds, which is only affordable because the
+//     engines carry the omega recurrence in O(1)).
 #include <gtest/gtest.h>
 
 #include <algorithm>
