@@ -82,21 +82,18 @@ void round_flows(const graph& g, rounding_kind kind,
     });
 
     // ... and each canonical edge then mirrors its owner's result onto the
-    // negative side. Each half-edge belongs to exactly one edge, so the
-    // edge-parallel writes are disjoint. Both sides are rewritten
-    // unconditionally (select, no data-dependent branch): the owner side
-    // keeps its value, the other side gets the negation, and zero-scheduled
-    // edges rewrite the 0 the owner sweep produced.
+    // negative side. At most one side of an edge is nonzero, so
+    // flows[h] - flows[twin(h)] is the canonical side's flow with no sign
+    // test. Each half-edge belongs to exactly one edge, so the
+    // edge-parallel writes are disjoint.
     const auto canonical = g.canonical_half_edges();
     exec.parallel_for(g.num_edges(), [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t e = begin; e < end; ++e) {
             const half_edge_id h = canonical[e];
             const half_edge_id tw = g.twin(h);
-            const std::int64_t forward = flows_out[h];
-            const std::int64_t backward = flows_out[tw];
-            const bool owner_is_canonical = scheduled[h] > 0.0;
-            flows_out[h] = owner_is_canonical ? forward : -backward;
-            flows_out[tw] = owner_is_canonical ? -forward : backward;
+            const std::int64_t flow = flows_out[h] - flows_out[tw];
+            flows_out[h] = flow;
+            flows_out[tw] = -flow;
         }
     });
 }
