@@ -88,20 +88,36 @@ struct golden_case {
     std::string name;
     graph g;
     speed_profile speeds;
+    std::vector<std::int64_t> initial;
+    double beta = 0.0; // 0: beta_opt of the case's lambda
 };
 
 std::vector<golden_case> golden_topologies()
 {
     std::vector<golden_case> cases;
-    cases.push_back({"torus", make_torus_2d(8, 8), speed_profile::uniform(64)});
+    const auto point = [](node_id n) { return point_load(n, 0, n * 500LL); };
     cases.push_back(
-        {"hypercube", make_hypercube(6), speed_profile::uniform(64)});
+        {"torus", make_torus_2d(8, 8), speed_profile::uniform(64), point(64)});
+    cases.push_back({"hypercube", make_hypercube(6), speed_profile::uniform(64),
+                     point(64)});
     {
         graph g = make_random_regular_cm(60, 5, 17);
         const node_id n = g.num_nodes();
         cases.push_back({"random_regular_zipf_speeds", std::move(g),
-                         speed_profile::zipf(n, 1.0, 8.0, 23)});
+                         speed_profile::zipf(n, 1.0, 8.0, 23), point(n)});
     }
+    // Graphs larger than one randomized owner block: the 67x67 torus (4489
+    // nodes, a partial last block, a partial second reduce chunk) under a
+    // 3-token random load that keeps fractional flows on every node, a
+    // degree that is not a multiple of four, and degree 599, above the
+    // block's half-edge bound. On K_600 lambda is 0, so beta_opt is 1 and
+    // the point load balances in one round; beta 1.8 keeps SOS moving.
+    cases.push_back({"torus_67x67", make_torus_2d(67, 67),
+                     speed_profile::uniform(4489), random_load(4489, 3 * 4489, 5)});
+    cases.push_back({"random_regular_degree7", make_random_regular_cm(200, 7, 29),
+                     speed_profile::uniform(200), point(200)});
+    cases.push_back({"complete_600", make_complete(600), speed_profile::uniform(600),
+                     point(600), 1.8});
     return cases;
 }
 
@@ -201,16 +217,19 @@ TEST(GoldenKernel, CanonicalMatchesTwoSidedKernelBitwise)
     // Drive the real engine and the reference pipeline in lock-step over
     // real trajectories: loads, scheduled flows, rounded flows and clipped
     // tokens must stay bit-for-bit identical on every round, for every
-    // rounding scheme under both negative-load policies, on three topology
-    // families (one heterogeneous). The torus takes the degree-4 owner
-    // kernel; the 6-cube and the degree-5 random regular graph take the
+    // rounding scheme under both negative-load policies, on four topology
+    // families (one heterogeneous). The tori take the degree-4 owner
+    // kernel; the 6-cube, the random regular graphs and K_600 take the
     // generic-degree one.
     for (auto& tc : golden_topologies()) {
-        const double lambda = compute_lambda(
-            tc.g, make_alpha(tc.g, alpha_policy::max_degree_plus_one), tc.speeds);
-        const scheme_params scheme = sos_scheme(beta_opt(lambda));
-        const auto initial =
-            point_load(tc.g.num_nodes(), 0, tc.g.num_nodes() * 500LL);
+        const double beta =
+            tc.beta != 0.0
+                ? tc.beta
+                : beta_opt(compute_lambda(
+                      tc.g, make_alpha(tc.g, alpha_policy::max_degree_plus_one),
+                      tc.speeds));
+        const scheme_params scheme = sos_scheme(beta);
+        const auto& initial = tc.initial;
         for (const rounding_kind rounding :
              {rounding_kind::randomized, rounding_kind::floor,
               rounding_kind::nearest, rounding_kind::bernoulli_edge}) {
@@ -241,8 +260,9 @@ TEST(GoldenKernel, CanonicalMatchesTwoSidedKernelBitwise)
                     ASSERT_EQ(engine.clipped_tokens(), reference.clipped)
                         << label << " round " << t;
                 }
-                // The point load starves most nodes, so SOS overshoot
-                // clips somewhere under prevent.
+                // The point load starves most nodes, and the random load
+                // leaves some empty, so SOS overshoot clips somewhere under
+                // prevent.
                 if (policy == negative_load_policy::prevent) {
                     EXPECT_GT(reference.clipped, 0) << label;
                 }
