@@ -93,9 +93,10 @@ clip_owner_slots(std::int64_t* flows, half_edge_id begin, std::int32_t degree,
 /// (uniform speeds) or load/speed, and stores it to `scheduled`. That is
 /// bitwise scheduled_flows' value, zero-flow corner included: alpha is
 /// symmetric, previous flows are antisymmetric and the rule commutes with
-/// negating its inputs. The node then rounds its owner slots
-/// (scheduled > 0) into `flows`, 0 on every other slot, and under the
-/// prevent policy clips them. Returns the clipped tokens.
+/// negating its inputs. round_owner_nodes then rounds the node's owner
+/// slots (scheduled > 0) into `flows`, 0 on every other slot (randomized
+/// a block of nodes at a time), and under the prevent policy the node
+/// clips them. Returns the clipped tokens.
 template <rounding_kind Kind, bool SecondOrder, class X>
 [[gnu::noinline]] std::int64_t round_sweep(const round_inputs& in,
                                            const X* __restrict x, node_id begin,
@@ -113,10 +114,10 @@ template <rounding_kind Kind, bool SecondOrder, class X>
     double* __restrict scheduled = in.scheduled;
     std::int64_t* __restrict flows = in.flows;
     std::int64_t clipped = 0;
-    for_each_node_slice(
-        g, begin, end,
+    round_owner_nodes<Kind>(
+        g, begin, end, scheduled, flows, seed, round,
         [&](auto degree_tag, node_id u, half_edge_id first,
-            std::int32_t dynamic_degree, double* prefix) {
+            std::int32_t dynamic_degree) {
             constexpr std::int32_t static_degree = decltype(degree_tag)::value;
             const std::int32_t degree =
                 static_degree != 0 ? static_degree : dynamic_degree;
@@ -130,9 +131,8 @@ template <rounding_kind Kind, bool SecondOrder, class X>
                                             alpha[h], gradient)
                         : first_order_flow(alpha[h], gradient);
             }
-            round_owner_node<Kind, static_degree>(scheduled, flows, first, degree,
-                                                  seed, static_cast<std::uint64_t>(u),
-                                                  round, prefix);
+        },
+        [&](node_id u, half_edge_id first, std::int32_t degree) {
             if (prevent) clipped += clip_owner_slots(flows, first, degree, in.load[u]);
         });
     return clipped;

@@ -40,21 +40,18 @@ void count_rounded_half_edges(rounding_kind kind, std::int64_t half_edges)
 namespace {
 
 /// One chunk of the owner sweep, out of line so the hot loops are compiled
-/// standalone per kind.
+/// standalone per kind. The flows are given, so there is nothing to
+/// schedule, and no policy clips them.
 template <rounding_kind Kind>
 [[gnu::noinline]] void owner_sweep(const graph& g, node_id chunk_begin,
                                    node_id chunk_end, const double* scheduled,
                                    std::uint64_t seed, std::int64_t round,
                                    std::int64_t* flows)
 {
-    for_each_node_slice(
-        g, chunk_begin, chunk_end,
-        [&](auto degree_tag, node_id v, half_edge_id begin,
-            std::int32_t degree, double* prefix) {
-            round_owner_node<Kind, decltype(degree_tag)::value>(
-                scheduled, flows, begin, degree, seed,
-                static_cast<std::uint64_t>(v), round, prefix);
-        });
+    round_owner_nodes<Kind>(
+        g, chunk_begin, chunk_end, scheduled, flows, seed, round,
+        [](auto, node_id, half_edge_id, std::int32_t) {},
+        [](node_id, half_edge_id, std::int32_t) {});
 }
 
 } // namespace

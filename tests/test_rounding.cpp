@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 #include "core/alpha.hpp"
 #include "core/rounding.hpp"
@@ -243,6 +244,76 @@ TEST(Rounding, RandomizedExcessTokensBoundedByCeil)
         EXPECT_GE(sent, static_cast<std::int64_t>(floor_sum));
         EXPECT_LE(sent, static_cast<std::int64_t>(floor_sum + std::ceil(excess)));
     }
+}
+
+/// The reference kernel's early-exit walk: the first fractional slot whose
+/// running fractional sum reaches the target.
+std::int32_t early_exit_slot(const std::vector<double>& fractions, double target)
+{
+    double cumulative = 0.0;
+    std::int32_t chosen = -1;
+    for (std::size_t j = 0; j < fractions.size(); ++j) {
+        if (fractions[j] <= 0.0) continue;
+        chosen = static_cast<std::int32_t>(j);
+        cumulative += fractions[j];
+        if (cumulative >= target) break;
+    }
+    return chosen;
+}
+
+/// Every target a sent token can hold that sits at or next to a prefix
+/// step (+0.0, one ulp below and at each step, the midpoints), below the
+/// excess: the branch-free count must pick the walk's slot.
+template <std::int32_t StaticDegree>
+void expect_pick_matches_walk(const std::vector<double>& fractions)
+{
+    const auto degree = static_cast<std::int32_t>(fractions.size());
+    std::vector<double> prefix(fractions.size());
+    double excess = 0.0;
+    for (std::size_t j = 0; j < fractions.size(); ++j) {
+        excess += fractions[j];
+        prefix[j] = excess;
+    }
+    std::vector<double> targets{0.0};
+    double previous = 0.0;
+    for (const double step : prefix) {
+        if (step == previous) continue;
+        targets.push_back(std::nextafter(step, 0.0));
+        targets.push_back(step);
+        targets.push_back(previous + (step - previous) / 2.0);
+        previous = step;
+    }
+    for (const double target : targets) {
+        if (target >= excess) continue;
+        EXPECT_EQ(pick_token_slot<StaticDegree>(prefix.data(), degree, target),
+                  early_exit_slot(fractions, target))
+            << "degree " << degree << " target " << target;
+    }
+}
+
+TEST(Rounding, TokenSlotPickMatchesEarlyExitWalk)
+{
+    // An exact-zero draw must land on the first fractional slot, not on a
+    // leading slot with no fractional mass.
+    const std::vector<double> leading_zeros{0.0, 0.0, 0.25, 0.5};
+    std::vector<double> prefix{0.0, 0.0, 0.25, 0.75};
+    EXPECT_EQ(pick_token_slot<4>(prefix.data(), 4, 0.0), 2);
+    EXPECT_EQ(pick_token_slot<0>(prefix.data(), 4, 0.0), 2);
+
+    for (const auto& row : {leading_zeros,
+                            std::vector<double>{0.3, 0.0, 0.2, 0.4},
+                            std::vector<double>{0.1, 0.2, 0.3, 0.0},
+                            std::vector<double>{0.9, 0.9, 0.9, 0.9}}) {
+        expect_pick_matches_walk<4>(row);
+        expect_pick_matches_walk<0>(row);
+    }
+    expect_pick_matches_walk<0>({0.0, 0.0, 0.0, 0.7, 0.0, 0.1, 0.9});
+    expect_pick_matches_walk<0>({0.5});
+    std::vector<double> wide(12);
+    xoshiro256ss rng{31};
+    for (auto& fraction : wide)
+        fraction = rng.next_double() < 0.4 ? 0.0 : rng.next_double();
+    expect_pick_matches_walk<0>(wide);
 }
 
 TEST(Rounding, BernoulliEdgeIsUnbiased)
