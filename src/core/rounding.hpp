@@ -282,9 +282,11 @@ round_randomized_block(const graph& g, node_id block_begin, node_id block_end,
         finish(block_begin + k, first_of(k), degree_of(k));
 }
 
-/// Per-edge Bernoulli rounding: outgoing slot j of the node always owns
-/// draw index j, so each edge coin is a pure function of
-/// (seed, node, round, j) regardless of how many edges are outgoing.
+/// Per-edge Bernoulli rounding: slot j of the node always owns draw index
+/// j, so each edge coin is a pure function of (seed, node, round, j)
+/// regardless of how many edges are outgoing. Every slot draws its coin
+/// and the owner test is the floor/nearest mask below, not a branch on the
+/// sign. An integral flow has fraction 0, which no coin is below.
 [[gnu::always_inline]] inline void
 round_node_bernoulli(const double* __restrict scheduled,
                      std::int64_t* __restrict flows_out, half_edge_id begin,
@@ -295,16 +297,13 @@ round_node_bernoulli(const double* __restrict scheduled,
         stream_base(seed, node, static_cast<std::uint64_t>(round));
     for (std::int32_t j = 0; j < degree; ++j) {
         const double yhat = scheduled[begin + j];
-        if (yhat <= 0.0) {
-            flows_out[begin + j] = 0;
-            continue;
-        }
-        const double floored = std::floor(yhat);
-        const double fraction = yhat - floored;
+        const double magnitude = std::fabs(yhat);
+        const auto floored = static_cast<std::int64_t>(magnitude);
+        const double fraction = magnitude - static_cast<double>(floored);
         const double coin =
             to_unit_double(draw_at(base, static_cast<std::uint64_t>(j)));
-        flows_out[begin + j] = static_cast<std::int64_t>(floored) +
-                               (fraction > 0.0 && coin < fraction ? 1 : 0);
+        flows_out[begin + j] =
+            (floored + (coin < fraction)) & -static_cast<std::int64_t>(yhat > 0.0);
     }
 }
 
