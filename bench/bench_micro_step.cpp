@@ -203,9 +203,11 @@ void bm_discrete_step_sos_reference(benchmark::State& state)
 }
 BENCHMARK(bm_discrete_step_sos_reference)->Arg(256);
 
-void bm_rounding(benchmark::State& state, rounding_kind kind)
+/// round_flows on fixed random flows: on the 128^2 torus (the degree-4
+/// kernels) and on the 2^12 hypercube (the generic-degree ones).
+void bm_rounding(benchmark::State& state, rounding_kind kind, bool hypercube)
 {
-    const graph& g = torus_for(128);
+    const graph& g = hypercube ? hypercube_for(12) : torus_for(128);
     std::vector<double> scheduled(static_cast<std::size_t>(g.num_half_edges()));
     xoshiro256ss rng{7};
     for (node_id v = 0; v < g.num_nodes(); ++v)
@@ -220,10 +222,14 @@ void bm_rounding(benchmark::State& state, rounding_kind kind)
         round_flows(g, kind, scheduled, 3, round++, out, default_executor());
     state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
-BENCHMARK_CAPTURE(bm_rounding, randomized, rounding_kind::randomized);
-BENCHMARK_CAPTURE(bm_rounding, floor, rounding_kind::floor);
-BENCHMARK_CAPTURE(bm_rounding, nearest, rounding_kind::nearest);
-BENCHMARK_CAPTURE(bm_rounding, bernoulli, rounding_kind::bernoulli_edge);
+BENCHMARK_CAPTURE(bm_rounding, randomized, rounding_kind::randomized, false);
+BENCHMARK_CAPTURE(bm_rounding, floor, rounding_kind::floor, false);
+BENCHMARK_CAPTURE(bm_rounding, nearest, rounding_kind::nearest, false);
+BENCHMARK_CAPTURE(bm_rounding, bernoulli, rounding_kind::bernoulli_edge, false);
+BENCHMARK_CAPTURE(bm_rounding, randomized_hypercube, rounding_kind::randomized,
+                  true);
+BENCHMARK_CAPTURE(bm_rounding, bernoulli_hypercube,
+                  rounding_kind::bernoulli_edge, true);
 
 void bm_step_threads(benchmark::State& state)
 {
