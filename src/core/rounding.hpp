@@ -185,6 +185,7 @@ struct randomized_block {
     std::uint64_t base[kBlockNodes]; // stream_base(seed, node, round)
     half_edge_id first[kBlockNodes];
     std::int32_t degree[kBlockNodes];
+    std::int32_t with_excess[kBlockNodes]; // the nodes with r > 0, in order
     double* prefix;
     block_token* tokens;
     sent_token* sent;
@@ -231,7 +232,7 @@ round_randomized_block(const graph& g, node_id block_begin, node_id block_end,
         return StaticDegree != 0 ? StaticDegree : block.degree[k];
     };
 
-    std::int32_t laid = 0;
+    std::int32_t with_excess = 0;
     for (std::int32_t k = 0; k < nodes; ++k) {
         const node_id v = block_begin + k;
         const half_edge_id first =
@@ -243,18 +244,26 @@ round_randomized_block(const graph& g, node_id block_begin, node_id block_end,
                  degree);
         const double excess = floor_owner_slots<StaticDegree>(
             scheduled, flows, first, degree, block.prefix + (first - block_first));
-        // ceil(r) by trunc and compare, exact for 0 <= r <= degree < 2^31:
+        block.excess[k] = excess;
+        block.first[k] = first;
+        block.degree[k] = degree;
+        block.with_excess[with_excess] = k;
+        with_excess += excess > 0.0 ? 1 : 0;
+    }
+
+    std::int32_t laid = 0;
+    for (std::int32_t i = 0; i < with_excess; ++i) {
+        const std::int32_t k = block.with_excess[i];
+        const double excess = block.excess[k];
+        // ceil(r) by trunc and compare, exact for 0 < r <= degree < 2^31:
         // std::ceil is a libm call or a branch on the magnitude without
         // SSE4.1.
         auto whole = static_cast<std::int32_t>(excess);
         whole += static_cast<double>(whole) < excess ? 1 : 0;
-        const auto token_count = static_cast<double>(whole);
-        block.excess[k] = excess;
-        block.token_count[k] = token_count;
-        block.base[k] = stream_base(seed, static_cast<std::uint64_t>(v),
+        block.token_count[k] = static_cast<double>(whole);
+        block.base[k] = stream_base(seed, static_cast<std::uint64_t>(block_begin + k),
                                     static_cast<std::uint64_t>(round));
-        block.first[k] = first;
-        block.degree[k] = degree;
+        const std::int32_t degree = degree_of(k);
         for (std::int32_t j = 0; j < degree; ++j) block.tokens[laid + j] = {k, j};
         laid += whole;
     }
