@@ -198,9 +198,12 @@ struct randomized_block {
 ///
 ///  * Phase A, per node in order: the caller's schedule(degree_tag, v,
 ///    first, degree) (the engine evaluates its flow rule there), pass 1
-///    (floor_owner_slots), the node's excess r, ceil(r) and stream base.
-///    It lays out `degree` candidate tokens and keeps ceil(r) <= degree of
-///    them, so the write needs no loop over the token count.
+///    (floor_owner_slots) and the node's excess r. A node with r > 0 is
+///    appended to `with_excess` by advancing on the compare. Then, per
+///    such node, ceil(r) and the stream base; it lays out `degree`
+///    candidate tokens and keeps ceil(r) <= degree of them, so the write
+///    needs no loop over the token count. A node without excess (most
+///    of them, early on from a point load) costs no hash and no layout.
 ///  * Phase B1, per candidate token: one draw decides both the send coin
 ///    and the edge pick. With u ~ U[0, 1), the scaled target u * ceil(r)
 ///    is below r with probability exactly r/ceil(r) (the paper's send
