@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -40,6 +41,7 @@
 #include "sim/initial_load.hpp"
 #include "sim/runner.hpp"
 #include "sim/thread_pool.hpp"
+#include "util/rng.hpp"
 
 namespace dlb {
 namespace {
@@ -294,6 +296,46 @@ TEST(GoldenKernel, ChebyshevTrajectoryMatchesReferenceBitwise)
         ASSERT_TRUE(bytes_equal(engine.load(), reference.load)) << t;
         ASSERT_TRUE(bytes_equal(engine.last_scheduled_flows(), reference.scheduled))
             << t;
+    }
+}
+
+TEST(GoldenKernel, RoundFlowsMatchesReferenceAcrossExecutors)
+{
+    // round_flows on fixed random antisymmetric flows, with exact zeros and
+    // integers among them, against the reference kernels: serially, and on
+    // a 3-worker pool whose parallel_for chunks start in the middle of a
+    // randomized block (562 nodes on the 67x67 torus, 200 on K_600).
+    thread_pool pool(3);
+    for (auto& tc : golden_topologies()) {
+        const graph& g = tc.g;
+        std::vector<double> scheduled(static_cast<std::size_t>(g.num_half_edges()));
+        xoshiro256ss rng{77};
+        for (const half_edge_id h : g.canonical_half_edges()) {
+            const double u = rng.next_double();
+            scheduled[h] = u < 0.1   ? 0.0
+                           : u < 0.2 ? std::floor(u * 30.0) - 4.0
+                                     : rng.next_double() * 6.0 - 3.0;
+            scheduled[g.twin(h)] = -scheduled[h];
+        }
+        for (const rounding_kind rounding :
+             {rounding_kind::randomized, rounding_kind::floor,
+              rounding_kind::nearest, rounding_kind::bernoulli_edge}) {
+            for (std::int64_t round = 0; round < 3; ++round) {
+                const std::string label = tc.name + " " +
+                                          std::string(to_string(rounding)) +
+                                          " round " + std::to_string(round);
+                std::vector<std::int64_t> expected(scheduled.size());
+                round_flows_reference(g, rounding, scheduled, 42, round, expected,
+                                      default_executor());
+                std::vector<std::int64_t> serial(scheduled.size());
+                round_flows(g, rounding, scheduled, 42, round, serial,
+                            default_executor());
+                EXPECT_TRUE(bytes_equal(serial, expected)) << label;
+                std::vector<std::int64_t> pooled(scheduled.size());
+                round_flows(g, rounding, scheduled, 42, round, pooled, pool);
+                EXPECT_TRUE(bytes_equal(pooled, expected)) << label;
+            }
+        }
     }
 }
 
