@@ -296,7 +296,7 @@ TEST(Rounding, TokenSlotPickMatchesEarlyExitWalk)
     // An exact-zero draw must land on the first fractional slot, not on a
     // leading slot with no fractional mass.
     const std::vector<double> leading_zeros{0.0, 0.0, 0.25, 0.5};
-    std::vector<double> prefix{0.0, 0.0, 0.25, 0.75};
+    const std::vector<double> prefix{0.0, 0.0, 0.25, 0.75};
     EXPECT_EQ(pick_token_slot<4>(prefix.data(), 4, 0.0), 2);
     EXPECT_EQ(pick_token_slot<0>(prefix.data(), 4, 0.0), 2);
 
