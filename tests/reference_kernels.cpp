@@ -1,7 +1,10 @@
 #include "reference_kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -153,6 +156,118 @@ void round_flows_reference(const graph& g, rounding_kind kind,
         for (half_edge_id h = begin; h < end; ++h)
             if (scheduled[h] < 0.0) flows_out[h] = -flows_out[g.twin(h)];
     });
+}
+
+void continuous_step_reference(const graph& g, std::span<const double> alpha,
+                               const speed_profile& speeds,
+                               continuous_engine_state& state, executor& exec)
+{
+    const scheme_params scheme{static_cast<scheme_kind>(state.scheme.kind),
+                               state.scheme.beta, state.scheme.lambda};
+    const std::int64_t rounds_in_scheme = state.scheme.rounds_in_scheme;
+    std::vector<double> x_over_s(state.load.size());
+    for (node_id v = 0; v < g.num_nodes(); ++v)
+        x_over_s[v] = state.load[v] / speeds.speed(v);
+    std::vector<double> flows(state.previous_flows.size());
+    scheduled_flows_reference(g, alpha, scheme, rounds_in_scheme, x_over_s,
+                              state.previous_flows, flows, exec);
+    if (scheme.kind == scheme_kind::chebyshev && rounds_in_scheme > 0)
+        state.scheme.omega = scheme_beta_for_round(scheme, rounds_in_scheme);
+
+    double min_end = std::numeric_limits<double>::infinity();
+    double min_transient = std::numeric_limits<double>::infinity();
+    for (node_id v = 0; v < g.num_nodes(); ++v) {
+        double net_out = 0.0;
+        double positive_out = 0.0;
+        for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v); ++h) {
+            net_out += flows[h];
+            if (flows[h] > 0.0) positive_out += flows[h];
+        }
+        min_transient = std::min(min_transient, state.load[v] - positive_out);
+        state.load[v] -= net_out;
+        min_end = std::min(min_end, state.load[v]);
+    }
+    if (state.load.empty()) min_end = min_transient = 0.0;
+    negative_load_stats& negative = state.negative;
+    negative.min_end_of_round_load = std::min(negative.min_end_of_round_load, min_end);
+    negative.min_transient_load = std::min(negative.min_transient_load, min_transient);
+    if (min_end < 0.0) ++negative.rounds_with_negative_end_load;
+    if (min_transient < 0.0) ++negative.rounds_with_negative_transient;
+
+    state.previous_flows = std::move(flows);
+    ++state.round;
+    ++state.scheme.rounds_in_scheme;
+}
+
+void cumulative_step_reference(const graph& g, std::span<const double> alpha,
+                               const speed_profile& speeds,
+                               cumulative_engine_state& state, executor& exec)
+{
+    continuous_step_reference(g, alpha, speeds, state.twin, exec);
+    const std::vector<double>& continuous_flows = state.twin.previous_flows;
+    std::vector<std::int64_t>& load = state.load;
+    std::vector<double>& cumulative_continuous = state.cumulative_continuous;
+    std::vector<std::int64_t>& cumulative_discrete = state.cumulative_discrete;
+
+    exec.parallel_for(g.num_half_edges(), [&](std::int64_t begin, std::int64_t end) {
+        for (half_edge_id h = begin; h < end; ++h)
+            cumulative_continuous[h] += continuous_flows[h];
+    });
+
+    std::vector<double> transient(static_cast<std::size_t>(g.num_nodes()));
+    exec.parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
+        for (node_id v = static_cast<node_id>(begin); v < end; ++v) {
+            std::int64_t net_out = 0;
+            std::int64_t positive_out = 0;
+            for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v); ++h) {
+                const node_id u = g.head(h);
+                std::int64_t flow;
+                if (v < u) {
+                    flow = std::llround(cumulative_continuous[h]) -
+                           cumulative_discrete[h];
+                } else {
+                    const half_edge_id tw = g.twin(h);
+                    flow = -(std::llround(cumulative_continuous[tw]) -
+                             cumulative_discrete[tw]);
+                }
+                net_out += flow;
+                if (flow > 0) positive_out += flow;
+            }
+            transient[v] = static_cast<double>(load[v] - positive_out);
+            load[v] -= net_out;
+        }
+    });
+
+    exec.parallel_for(g.num_half_edges(), [&](std::int64_t begin, std::int64_t end) {
+        for (half_edge_id h = begin; h < end; ++h) {
+            const half_edge_id tw = g.twin(h);
+            const node_id tail = g.head(tw); // tail of h
+            if (tail < g.head(h))
+                cumulative_discrete[h] = std::llround(cumulative_continuous[h]);
+        }
+    });
+    exec.parallel_for(g.num_half_edges(), [&](std::int64_t begin, std::int64_t end) {
+        for (half_edge_id h = begin; h < end; ++h) {
+            const half_edge_id tw = g.twin(h);
+            const node_id tail = g.head(tw);
+            if (tail > g.head(h))
+                cumulative_discrete[h] = -cumulative_discrete[tw];
+        }
+    });
+
+    double min_end = load.empty() ? 0.0 : static_cast<double>(load.front());
+    double min_transient = transient.empty() ? 0.0 : transient.front();
+    for (node_id v = 0; v < g.num_nodes(); ++v) {
+        min_end = std::min(min_end, static_cast<double>(load[v]));
+        min_transient = std::min(min_transient, transient[v]);
+    }
+    negative_load_stats& negative = state.negative;
+    negative.min_end_of_round_load = std::min(negative.min_end_of_round_load, min_end);
+    negative.min_transient_load = std::min(negative.min_transient_load, min_transient);
+    if (min_end < 0.0) ++negative.rounds_with_negative_end_load;
+    if (min_transient < 0.0) ++negative.rounds_with_negative_transient;
+
+    ++state.round;
 }
 
 } // namespace dlb

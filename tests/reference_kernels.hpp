@@ -9,9 +9,11 @@
 #include <cstdint>
 #include <span>
 
+#include "core/checkpoint.hpp"
 #include "core/executor.hpp"
 #include "core/rounding.hpp"
 #include "core/scheme.hpp"
+#include "core/speeds.hpp"
 #include "graph/graph.hpp"
 
 namespace dlb {
@@ -33,6 +35,24 @@ void round_flows_reference(const graph& g, rounding_kind kind,
                            std::span<const double> scheduled, std::uint64_t seed,
                            std::int64_t round, std::span<std::int64_t> flows_out,
                            executor& exec);
+
+/// One plain continuous round on continuous_process's checkpoint state:
+/// x/s per node, scheduled_flows_reference, then every node subtracts its
+/// flows in slot order, and the negative-load stats take the round's
+/// minima. The Chebyshev omega is recomputed from scratch.
+void continuous_step_reference(const graph& g, std::span<const double> alpha,
+                               const speed_profile& speeds,
+                               continuous_engine_state& state, executor& exec);
+
+/// One cumulative-baseline round on cumulative_process's checkpoint state,
+/// in four passes after continuous_step_reference on the twin: accumulate
+/// the continuous flows, apply round(cumC) - cumD from each edge's
+/// canonical side (the other side negates its twin's) into a transient
+/// vector, commit the canonical counters, mirror them, then a serial
+/// minimum scan.
+void cumulative_step_reference(const graph& g, std::span<const double> alpha,
+                               const speed_profile& speeds,
+                               cumulative_engine_state& state, executor& exec);
 
 } // namespace dlb
 

@@ -14,7 +14,7 @@
 //
 //  2. Engine output is byte-identical across executors: serial_executor and
 //     thread_pool with 1, 2 and 8 workers (1, 2 and 4 on the graphs of four
-//     parallel_reduce chunks), across discrete/continuous engines, all four
+//     parallel_reduce chunks), across all three engines, all four
 //     roundings, both negative-load policies, and a hybrid-switch Chebyshev
 //     long run (>= 4000 rounds, which is only affordable because the
 //     engines carry the omega recurrence in O(1)).
@@ -32,6 +32,7 @@
 #include "obs/obs.hpp"
 #include "core/beta.hpp"
 #include "core/checkpoint.hpp"
+#include "core/cumulative_baseline.hpp"
 #include "core/diffusion_matrix.hpp"
 #include "core/process.hpp"
 #include "core/rounding.hpp"
@@ -370,6 +371,144 @@ TEST(GoldenKernel, ContinuousScheduledFlowsMatchReferenceBitwise)
     }
 }
 
+bool same_bits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Every field of two checkpoint states, each double bit for bit.
+bool same_state(const continuous_engine_state& a, const continuous_engine_state& b)
+{
+    return bytes_equal(a.load, b.load) &&
+           bytes_equal(a.previous_flows, b.previous_flows) && a.round == b.round &&
+           a.scheme.kind == b.scheme.kind && same_bits(a.scheme.beta, b.scheme.beta) &&
+           same_bits(a.scheme.lambda, b.scheme.lambda) &&
+           a.scheme.rounds_in_scheme == b.scheme.rounds_in_scheme &&
+           same_bits(a.scheme.omega, b.scheme.omega) &&
+           same_bits(a.initial_total, b.initial_total) &&
+           same_bits(a.external_total, b.external_total) &&
+           std::memcmp(&a.negative, &b.negative, sizeof a.negative) == 0;
+}
+
+bool same_state(const cumulative_engine_state& a, const cumulative_engine_state& b)
+{
+    return same_state(a.twin, b.twin) && bytes_equal(a.load, b.load) &&
+           bytes_equal(a.cumulative_continuous, b.cumulative_continuous) &&
+           bytes_equal(a.cumulative_discrete, b.cumulative_discrete) &&
+           a.round == b.round && a.initial_total == b.initial_total &&
+           a.external_total == b.external_total &&
+           std::memcmp(&a.negative, &b.negative, sizeof a.negative) == 0;
+}
+
+/// continuous_process::inject and set_scheme on a checkpoint state.
+void inject_reference(continuous_engine_state& state,
+                      const std::vector<std::int64_t>& delta)
+{
+    for (std::size_t v = 0; v < delta.size(); ++v) {
+        state.load[v] += static_cast<double>(delta[v]);
+        state.external_total += static_cast<double>(delta[v]);
+    }
+}
+
+void switch_reference(continuous_engine_state& state, scheme_params scheme)
+{
+    state.scheme = {static_cast<std::int32_t>(scheme.kind), scheme.beta,
+                    scheme.lambda, 0, 1.0};
+}
+
+TEST(GoldenKernel, ContinuousAndCumulativeEnginesMatchReferenceBitwise)
+{
+    // Both engines in lock-step with the plain reference steps, from their
+    // own round-0 snapshots: every field of the checkpoint state stays
+    // bitwise equal on every round, through token arrivals and departures
+    // and a mid-run scheme switch, under FOS, SOS and Chebyshev with
+    // uniform and zipf speeds. The 67x67 torus spans two parallel_reduce
+    // chunks; there a second pair of engines runs on a 3-worker pool (on
+    // the one-chunk graphs the pair runs serially too).
+    thread_pool pool(3);
+    const auto cases = golden_topologies();
+    for (const char* name : {"torus", "torus_67x67", "random_regular_degree7"}) {
+        const golden_case& tc = *std::find_if(
+            cases.begin(), cases.end(),
+            [&](const golden_case& c) { return c.name == name; });
+        const graph& g = tc.g;
+        const node_id n = g.num_nodes();
+        const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
+        executor* pooled = n > executor::reduce_chunk ? &pool : nullptr;
+        for (const speed_profile& speeds :
+             {speed_profile::uniform(n), speed_profile::zipf(n, 1.0, 8.0, 23)}) {
+            const double lambda = compute_lambda(g, alpha, speeds);
+            for (const scheme_params scheme :
+                 {fos_scheme(), sos_scheme(beta_opt(lambda)),
+                  chebyshev_scheme(lambda)}) {
+                const scheme_params switched =
+                    scheme.kind == scheme_kind::fos ? sos_scheme(1.7) : fos_scheme();
+                const std::string label =
+                    tc.name + (speeds.is_uniform() ? " uniform " : " zipf ") +
+                    std::to_string(static_cast<int>(scheme.kind));
+                const diffusion_config config{&g, alpha, speeds, scheme};
+                const auto initial_real = to_continuous(tc.initial);
+                continuous_process continuous(config, initial_real);
+                continuous_process continuous_pooled(config, initial_real, pooled);
+                cumulative_process cumulative(config, tc.initial);
+                cumulative_process cumulative_pooled(config, tc.initial, pooled);
+                continuous_engine_state continuous_ref;
+                continuous.save_checkpoint(continuous_ref);
+                cumulative_engine_state cumulative_ref;
+                cumulative.save_checkpoint(cumulative_ref);
+
+                continuous_engine_state continuous_state;
+                cumulative_engine_state cumulative_state;
+                for (int t = 0; t < 300; ++t) {
+                    if (t == 40 || t == 170) {
+                        std::vector<std::int64_t> delta(static_cast<std::size_t>(n));
+                        for (node_id v = 0; v < n; ++v) delta[v] = (v * 7 + t) % 5 - 2;
+                        continuous.inject(delta);
+                        continuous_pooled.inject(delta);
+                        cumulative.inject(delta);
+                        cumulative_pooled.inject(delta);
+                        inject_reference(continuous_ref, delta);
+                        inject_reference(cumulative_ref.twin, delta);
+                        for (std::size_t v = 0; v < delta.size(); ++v) {
+                            cumulative_ref.load[v] += delta[v];
+                            cumulative_ref.external_total += delta[v];
+                        }
+                    }
+                    if (t == 120) {
+                        continuous.set_scheme(switched);
+                        continuous_pooled.set_scheme(switched);
+                        cumulative.set_scheme(switched);
+                        cumulative_pooled.set_scheme(switched);
+                        switch_reference(continuous_ref, switched);
+                        switch_reference(cumulative_ref.twin, switched);
+                    }
+                    continuous.step();
+                    continuous_pooled.step();
+                    cumulative.step();
+                    cumulative_pooled.step();
+                    continuous_step_reference(g, alpha, speeds, continuous_ref,
+                                              default_executor());
+                    cumulative_step_reference(g, alpha, speeds, cumulative_ref,
+                                              default_executor());
+
+                    continuous.save_checkpoint(continuous_state);
+                    ASSERT_TRUE(same_state(continuous_state, continuous_ref))
+                        << label << " continuous round " << t;
+                    continuous_pooled.save_checkpoint(continuous_state);
+                    ASSERT_TRUE(same_state(continuous_state, continuous_ref))
+                        << label << " continuous pooled round " << t;
+                    cumulative.save_checkpoint(cumulative_state);
+                    ASSERT_TRUE(same_state(cumulative_state, cumulative_ref))
+                        << label << " cumulative round " << t;
+                    cumulative_pooled.save_checkpoint(cumulative_state);
+                    ASSERT_TRUE(same_state(cumulative_state, cumulative_ref))
+                        << label << " cumulative pooled round " << t;
+                }
+            }
+        }
+    }
+}
+
 struct determinism_grid_case {
     process_kind process;
     rounding_kind rounding;
@@ -396,10 +535,8 @@ void expect_grid_identical_across_executors(
         config.record_every = 7;
 
         const std::string label =
-            name + " " +
-            std::string(cell.process == process_kind::continuous ? "continuous"
-                                                                 : "discrete") +
-            "/" + std::string(to_string(cell.rounding)) + "/" +
+            name + " " + std::string(to_string(cell.process)) + "/" +
+            std::string(to_string(cell.rounding)) + "/" +
             (cell.policy == negative_load_policy::prevent ? "prevent" : "allow");
 
         config.exec = nullptr;
@@ -416,15 +553,16 @@ void expect_grid_identical_across_executors(
 
 TEST(GoldenDeterminism, SeriesByteIdenticalAcrossExecutors)
 {
-    std::vector<determinism_grid_case> discrete_grid;
+    std::vector<determinism_grid_case> grid;
     for (const auto rounding :
          {rounding_kind::randomized, rounding_kind::floor,
           rounding_kind::nearest, rounding_kind::bernoulli_edge})
         for (const auto policy :
              {negative_load_policy::allow, negative_load_policy::prevent})
-            discrete_grid.push_back({process_kind::discrete, rounding, policy});
-    std::vector<determinism_grid_case> grid = discrete_grid;
+            grid.push_back({process_kind::discrete, rounding, policy});
     grid.push_back({process_kind::continuous, rounding_kind::randomized,
+                    negative_load_policy::allow});
+    grid.push_back({process_kind::cumulative, rounding_kind::randomized,
                     negative_load_policy::allow});
 
     // 144 nodes: one parallel_reduce chunk.
@@ -444,12 +582,12 @@ TEST(GoldenDeterminism, SeriesByteIdenticalAcrossExecutors)
     ASSERT_EQ(cube.num_nodes(), 4 * executor::reduce_chunk);
     expect_grid_identical_across_executors(
         "torus128", torus, speed_profile::uniform(torus.num_nodes()),
-        random_load(torus.num_nodes(), torus.num_nodes() * 2LL, 5), discrete_grid,
-        40, {1u, 2u, 4u});
+        random_load(torus.num_nodes(), torus.num_nodes() * 2LL, 5), grid, 40,
+        {1u, 2u, 4u});
     expect_grid_identical_across_executors(
         "hypercube14", cube, speed_profile::bimodal(cube.num_nodes(), 0.25, 4.0, 5),
-        random_load(cube.num_nodes(), cube.num_nodes() * 2LL, 5), discrete_grid,
-        40, {1u, 2u, 4u});
+        random_load(cube.num_nodes(), cube.num_nodes() * 2LL, 5), grid, 40,
+        {1u, 2u, 4u});
 }
 
 TEST(GoldenDeterminism, SaveResumeSeriesByteIdenticalAcrossGrid)

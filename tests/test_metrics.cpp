@@ -1,10 +1,15 @@
 // Tests for the Section VI metrics and the remaining-imbalance tracker.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/metrics.hpp"
 #include "graph/generators.hpp"
+#include "sim/thread_pool.hpp"
+#include "util/rng.hpp"
 
 namespace dlb {
 namespace {
@@ -41,6 +46,84 @@ TEST(Metrics, MaxLocalDifferenceIgnoresNonEdges)
     // Edges: (0,1): 5, (0,2): 5, (0,3): 0. Leaf-leaf difference 10 ignored.
     EXPECT_DOUBLE_EQ(max_local_difference(g, std::span<const std::int64_t>(load)),
                      5.0);
+}
+
+/// max over every half-edge v -> u of |x_v - x_u|, written out.
+template <class Load>
+double half_edge_walk(const graph& g, const std::vector<Load>& load)
+{
+    double best = 0.0;
+    for (node_id v = 0; v < g.num_nodes(); ++v)
+        for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v); ++h)
+            best = std::max(best, std::fabs(static_cast<double>(load[v]) -
+                                            static_cast<double>(load[g.head(h)])));
+    return best;
+}
+
+TEST(Metrics, LocalDifferenceMatchesHalfEdgeWalk)
+{
+    // Bitwise, serially and on a pool: int64 loads with negatives and
+    // magnitudes above 2^53 (where the conversion to double rounds), and
+    // double loads with negatives and both signed zeros.
+    std::vector<std::pair<std::string, graph>> graphs;
+    graphs.emplace_back("path", make_path(9));
+    graphs.emplace_back("star", make_star(7));
+    graphs.emplace_back("isolated",
+                        graph::from_edge_list(12, std::vector<edge>{
+                                                      {1, 2}, {2, 5}, {5, 7}, {3, 9}}));
+    graphs.emplace_back("torus_67x67", make_torus_2d(67, 67));
+    graphs.emplace_back("hypercube13", make_hypercube(13));
+    graphs.emplace_back("complete50", make_complete(50));
+    graphs.emplace_back("random_regular7", make_random_regular_cm(5000, 7, 11));
+    ASSERT_EQ(graphs[4].second.num_nodes(), 2 * executor::reduce_chunk);
+
+    thread_pool pool(3);
+    xoshiro256ss rng{19};
+    const auto pick = [&](std::uint64_t range) { return rng() % range; };
+    for (const auto& [name, g] : graphs) {
+        const auto n = static_cast<std::size_t>(g.num_nodes());
+        std::vector<std::vector<std::int64_t>> int_loads(4, std::vector<std::int64_t>(n));
+        std::vector<std::vector<double>> real_loads(4, std::vector<double>(n));
+        for (std::size_t v = 0; v < n; ++v) {
+            int_loads[0][v] = static_cast<std::int64_t>(pick(201)) - 50;
+            int_loads[1][v] = (std::int64_t{1} << 60) +
+                              static_cast<std::int64_t>(pick(4001)) - 2000;
+            int_loads[2][v] = pick(2) == 0 ? -(std::int64_t{1} << 55) -
+                                                 static_cast<std::int64_t>(pick(999))
+                                           : static_cast<std::int64_t>(pick(7));
+            int_loads[3][v] = 42;
+            const std::uint64_t kind = pick(4);
+            real_loads[0][v] = kind == 0   ? 0.0
+                               : kind == 1 ? -0.0
+                                           : static_cast<double>(pick(1000)) / 7.0 - 70.0;
+            real_loads[1][v] = pick(2) == 0 ? 0.0 : -0.0;
+            real_loads[2][v] = std::ldexp(static_cast<double>(pick(1 << 20)), -30) -
+                               0.0004;
+            real_loads[3][v] = -3.25;
+        }
+        for (std::size_t i = 0; i < int_loads.size(); ++i) {
+            const std::string label = name + " int64 load " + std::to_string(i);
+            const std::span<const std::int64_t> load(int_loads[i]);
+            const auto expected = std::bit_cast<std::uint64_t>(half_edge_walk(g, int_loads[i]));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(max_local_difference(g, load)),
+                      expected)
+                << label;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(max_local_difference(g, load, pool)),
+                      expected)
+                << label << " pooled";
+        }
+        for (std::size_t i = 0; i < real_loads.size(); ++i) {
+            const std::string label = name + " double load " + std::to_string(i);
+            const std::span<const double> load(real_loads[i]);
+            const auto expected = std::bit_cast<std::uint64_t>(half_edge_walk(g, real_loads[i]));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(max_local_difference(g, load)),
+                      expected)
+                << label;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(max_local_difference(g, load, pool)),
+                      expected)
+                << label << " pooled";
+        }
+    }
 }
 
 TEST(Metrics, NormalizedLocalDifference)
