@@ -94,7 +94,7 @@ std::vector<double> golden_scheduled(const graph& g)
     std::vector<double> scheduled(static_cast<std::size_t>(g.num_half_edges()));
     for (node_id v = 0; v < g.num_nodes(); ++v)
         for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v); ++h)
-            if (g.is_canonical(h)) {
+            if (h < g.twin(h)) {
                 scheduled[h] =
                     static_cast<double>((h * 37 + 11) % 97) / 19.0 - 2.0;
                 scheduled[g.twin(h)] = -scheduled[h];

@@ -143,7 +143,7 @@ TEST(Rounding, NearestMatchesLlroundOnEdgeValues)
 {
     // Ties, the largest double below a tie, and the ends of the exactly
     // representable integer range, each scheduled with both signs on the
-    // canonical side (the twin carries the negation).
+    // half-edge toward the larger node (the twin carries the negation).
     std::vector<double> values = {0.0, 0.49999999999999994, 0x1p52 + 0.5,
                                   0x1p53 - 1.0};
     for (const double k : {0.0, 1.0, 2.0, 3.0, 1e6, 0x1p51}) {
@@ -156,10 +156,11 @@ TEST(Rounding, NearestMatchesLlroundOnEdgeValues)
     const graph g = make_path(static_cast<node_id>(values.size()) + 1);
     ASSERT_EQ(g.num_edges(), static_cast<std::int64_t>(values.size()));
     std::vector<double> scheduled(static_cast<std::size_t>(g.num_half_edges()));
-    const auto canonical = g.canonical_half_edges();
-    for (std::size_t e = 0; e < values.size(); ++e) {
-        scheduled[canonical[e]] = values[e];
-        scheduled[g.twin(canonical[e])] = -values[e];
+    std::size_t e = 0;
+    for (half_edge_id h = 0; h < g.num_half_edges(); ++h) {
+        if (h > g.twin(h)) continue;
+        scheduled[h] = values[e];
+        scheduled[g.twin(h)] = -values[e++];
     }
     std::vector<std::int64_t> flows(scheduled.size());
     round_flows(g, rounding_kind::nearest, scheduled, 0, 0, flows,
