@@ -78,73 +78,42 @@ void cumulative_process::step()
     // Advance the internal continuous process; its previous_flows() then
     // holds the continuous flows y^C(t) of the round just performed.
     continuous_.step();
-    const auto continuous_flows = continuous_.previous_flows();
+    const double* continuous_flows = continuous_.previous_flows().data();
 
-    exec_->parallel_for(g.num_half_edges(), [&](std::int64_t begin, std::int64_t end) {
-        for (half_edge_id h = begin; h < end; ++h)
-            cumulative_continuous_[h] += continuous_flows[h];
-    });
-
-    // Discrete flow keeps the cumulative counter as close as possible to the
-    // continuous cumulative: on the canonical (v < u) side,
-    // y^D = round(cumC) - cumD; the reverse side mirrors it. Each node
-    // updates only its own load; canonical counters are written by the
-    // canonical tail only, so the loop is race-free.
-    std::vector<double> transient(static_cast<std::size_t>(g.num_nodes()));
-    exec_->parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
-        for (node_id v = static_cast<node_id>(begin); v < end; ++v) {
-            std::int64_t net_out = 0;
-            std::int64_t positive_out = 0;
-            for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v); ++h) {
-                const node_id u = g.head(h);
-                std::int64_t flow;
-                if (v < u) {
-                    flow = std::llround(cumulative_continuous_[h]) -
-                           cumulative_discrete_[h];
-                } else {
-                    const half_edge_id tw = g.twin(h);
-                    flow = -(std::llround(cumulative_continuous_[tw]) -
-                             cumulative_discrete_[tw]);
+    // One node sweep: each half-edge of a node adds its continuous flow to
+    // its cumulative counter, and its discrete flow keeps the discrete
+    // cumulative counter as close as possible to it, y^D = round(cumC) -
+    // cumD. Both counters stay antisymmetric — the continuous flows are
+    // exact negations and llround is odd — so both sides of an edge agree
+    // without reading each other, and each node writes only its own slice.
+    load_minima minima = exec_->parallel_reduce(
+        g.num_nodes(), load_minima{},
+        [&](std::int64_t begin, std::int64_t end) {
+            load_minima local;
+            for (node_id v = static_cast<node_id>(begin); v < end; ++v) {
+                std::int64_t net_out = 0;
+                std::int64_t positive_out = 0;
+                for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v);
+                     ++h) {
+                    cumulative_continuous_[h] += continuous_flows[h];
+                    const std::int64_t rounded =
+                        std::llround(cumulative_continuous_[h]);
+                    const std::int64_t flow = rounded - cumulative_discrete_[h];
+                    cumulative_discrete_[h] = rounded;
+                    net_out += flow;
+                    positive_out += std::max<std::int64_t>(flow, 0);
                 }
-                net_out += flow;
-                if (flow > 0) positive_out += flow;
+                local.transient = std::min(
+                    local.transient, static_cast<double>(load_[v] - positive_out));
+                load_[v] -= net_out;
+                local.end_of_round = std::min(local.end_of_round,
+                                              static_cast<double>(load_[v]));
             }
-            transient[v] = static_cast<double>(load_[v] - positive_out);
-            load_[v] -= net_out;
-        }
-    });
-
-    // Commit the canonical cumulative counters and mirror the twins.
-    exec_->parallel_for(g.num_half_edges(), [&](std::int64_t begin, std::int64_t end) {
-        for (half_edge_id h = begin; h < end; ++h) {
-            const half_edge_id tw = g.twin(h);
-            const node_id tail = g.head(tw); // tail of h
-            if (tail < g.head(h))
-                cumulative_discrete_[h] = std::llround(cumulative_continuous_[h]);
-        }
-    });
-    exec_->parallel_for(g.num_half_edges(), [&](std::int64_t begin, std::int64_t end) {
-        for (half_edge_id h = begin; h < end; ++h) {
-            const half_edge_id tw = g.twin(h);
-            const node_id tail = g.head(tw);
-            if (tail > g.head(h))
-                cumulative_discrete_[h] = -cumulative_discrete_[tw];
-        }
-    });
-
-    double min_end = load_.empty() ? 0.0 : static_cast<double>(load_.front());
-    double min_transient =
-        transient.empty() ? 0.0 : transient.front();
-    for (node_id v = 0; v < g.num_nodes(); ++v) {
-        min_end = std::min(min_end, static_cast<double>(load_[v]));
-        min_transient = std::min(min_transient, transient[v]);
-    }
-    negative_.min_end_of_round_load =
-        std::min(negative_.min_end_of_round_load, min_end);
-    negative_.min_transient_load =
-        std::min(negative_.min_transient_load, min_transient);
-    if (min_end < 0.0) ++negative_.rounds_with_negative_end_load;
-    if (min_transient < 0.0) ++negative_.rounds_with_negative_transient;
+            return local;
+        },
+        load_minima::combine);
+    if (load_.empty()) minima = {0.0, 0.0}; // an empty network measures 0
+    negative_.observe(minima.end_of_round, minima.transient);
 
     ++round_;
 }

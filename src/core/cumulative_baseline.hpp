@@ -8,6 +8,11 @@
 // cumulative counters, and the continuous state must be simulated alongside.
 // The paper uses it as the comparison point for its stateless randomized
 // framework (Result I discussion), so it is reproduced here as a baseline.
+//
+// A round is the continuous twin's step plus one node sweep in which every
+// node updates the two counters of its own half-edges and applies their
+// flows. Both counters stay antisymmetric, so the two sides of an edge
+// agree without reading each other.
 #ifndef DLB_CORE_CUMULATIVE_BASELINE_HPP
 #define DLB_CORE_CUMULATIVE_BASELINE_HPP
 

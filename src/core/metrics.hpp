@@ -47,27 +47,52 @@ double max_minus_ideal(std::span<const Load> load, std::span<const double> ideal
     return best;
 }
 
-/// max_{(u,v) in E} |x_u - x_v|, over canonical edges in a max-reduce on
-/// `exec`. The value is bit-identical for any executor and to a walk over
-/// both half-edges of every edge: |a - b| == |b - a| exactly, the running
-/// max starts at +0.0 (so a -0.0 difference never wins), and max is exact
-/// in any order.
+/// max_v (x_v - min_{u in N(v)} x_u) over nodes [begin, end), the
+/// minimum in the load's own type and the difference in double; 0.0 when
+/// no node in the range has a neighbour. Two running minima (slot 0 and
+/// the odd slots, the last slot and the even ones) halve the compare
+/// chain; min is exact in any order. Out of line, so the loop is compiled
+/// standalone per load type.
+template <class Load>
+[[gnu::noinline]] double neighbour_difference_max(const graph& g,
+                                                  const Load* load,
+                                                  node_id begin, node_id end)
+{
+    double best = 0.0;
+    for_each_node_slice(
+        g, begin, end,
+        [&](auto, node_id v, half_edge_id first, std::int32_t degree) {
+            if (degree == 0) return;
+            Load low = load[g.head(first)];
+            Load high = load[g.head(first + degree - 1)];
+            for (std::int32_t j = 1; j + 1 < degree; j += 2) {
+                low = std::min(low, load[g.head(first + j)]);
+                high = std::min(high, load[g.head(first + j + 1)]);
+            }
+            best = std::max(best, static_cast<double>(load[v]) -
+                                      static_cast<double>(std::min(low, high)));
+        });
+    return best;
+}
+
+/// max_{(u,v) in E} |x_u - x_v|, as a node max-reduce on `exec` of
+/// neighbour_difference_max. That is bitwise the maximum of |x_u - x_v|
+/// over every half-edge: the conversion to double and the subtraction are
+/// both monotone, so each node's largest difference is the one against its
+/// smallest neighbour; each edge is seen from both ends, and
+/// fl(b - a) == -fl(a - b); and the running max starts at +0.0, so a -0.0
+/// difference never wins. Max is exact in any order, so the value does not
+/// depend on the executor either.
 template <class Load>
 double max_local_difference(const graph& g, std::span<const Load> load,
                             executor& exec = default_executor())
 {
-    const std::span<const half_edge_id> edges = g.canonical_half_edges();
     return exec.parallel_reduce(
-        g.num_edges(), 0.0,
+        g.num_nodes(), 0.0,
         [&](std::int64_t begin, std::int64_t end) {
-            double best = 0.0;
-            for (std::int64_t e = begin; e < end; ++e) {
-                const half_edge_id h = edges[static_cast<std::size_t>(e)];
-                const double diff = static_cast<double>(load[g.tail(h)]) -
-                                    static_cast<double>(load[g.head(h)]);
-                best = std::max(best, std::fabs(diff));
-            }
-            return best;
+            return neighbour_difference_max(g, load.data(),
+                                            static_cast<node_id>(begin),
+                                            static_cast<node_id>(end));
         },
         [](double a, double b) { return std::max(a, b); });
 }

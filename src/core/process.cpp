@@ -40,18 +40,6 @@ engine_obs& engine_metrics()
     return metrics;
 }
 
-/// Chunk-local minima of the fused apply+scan sweep.
-struct load_minima {
-    double end_of_round = std::numeric_limits<double>::infinity();
-    double transient = std::numeric_limits<double>::infinity();
-};
-
-load_minima combine_minima(load_minima a, load_minima b)
-{
-    return {std::min(a.end_of_round, b.end_of_round),
-            std::min(a.transient, b.transient)};
-}
-
 /// What sweep 1 of discrete_process::step reads and writes, shared by
 /// every chunk.
 struct round_inputs {
@@ -89,11 +77,9 @@ clip_owner_slots(std::int64_t* flows, half_edge_id begin, std::int32_t degree,
 }
 
 /// Sweep 1 of discrete_process::step over nodes [begin, end): every node
-/// evaluates the flow rule on its own slice, x being the load itself
-/// (uniform speeds) or load/speed, and stores it to `scheduled`. That is
-/// bitwise scheduled_flows' value, zero-flow corner included: alpha is
-/// symmetric, previous flows are antisymmetric and the rule commutes with
-/// negating its inputs. round_owner_nodes then rounds the node's owner
+/// evaluates the flow rule on its own slice (node_flows), x being the load
+/// itself (uniform speeds) or load/speed, and stores it to `scheduled`:
+/// scheduled_flows' bits. round_owner_nodes then rounds the node's owner
 /// slots (scheduled > 0) into `flows`, 0 on every other slot (randomized
 /// a block of nodes at a time), and under the prevent policy the node
 /// clips them. Returns the clipped tokens.
@@ -119,18 +105,9 @@ template <rounding_kind Kind, bool SecondOrder, class X>
         [&](auto degree_tag, node_id u, half_edge_id first,
             std::int32_t dynamic_degree) {
             constexpr std::int32_t static_degree = decltype(degree_tag)::value;
-            const std::int32_t degree =
-                static_degree != 0 ? static_degree : dynamic_degree;
-            const double xu = static_cast<double>(x[u]);
-            for (std::int32_t j = 0; j < degree; ++j) {
-                const half_edge_id h = first + j;
-                const double gradient = xu - static_cast<double>(x[g.head(h)]);
-                scheduled[h] =
-                    SecondOrder
-                        ? second_order_flow(beta, static_cast<double>(previous[h]),
-                                            alpha[h], gradient)
-                        : first_order_flow(alpha[h], gradient);
-            }
+            node_flows<SecondOrder>(
+                g, x, alpha, previous, beta, u, first,
+                static_degree != 0 ? static_degree : dynamic_degree, scheduled);
         },
         [&](node_id u, half_edge_id first, std::int32_t degree) {
             if (prevent) clipped += clip_owner_slots(flows, first, degree, in.load[u]);
@@ -223,9 +200,10 @@ void continuous_process::step()
     {
         obs::phase_scope phase("engine", "flows", &em.flows_ns);
 
-        if (config_.speeds.is_uniform()) {
-            std::copy(load_.begin(), load_.end(), load_over_speed_.begin());
-        } else {
+        // x/s == x exactly for uniform speeds: the flow sweep then reads
+        // the load itself.
+        const bool uniform = config_.speeds.is_uniform();
+        if (!uniform) {
             exec_->parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
                 for (node_id v = static_cast<node_id>(begin); v < end; ++v)
                     load_over_speed_[v] = load_[v] / config_.speeds.speed(v);
@@ -233,14 +211,14 @@ void continuous_process::step()
         }
 
         scheduled_flows(g, config_.alpha, config_.scheme, rounds_in_scheme_,
-                        beta_state_.next(), load_over_speed_, previous_flows_,
-                        flows_, *exec_);
+                        beta_state_.next(), uniform ? load_ : load_over_speed_,
+                        previous_flows_, flows_, *exec_);
     }
 
     // Apply flows; the negative-load min-scan is fused into the same sweep,
     // with per-chunk minima combined deterministically in chunk order.
     obs::phase_scope apply_phase("engine", "apply", &em.apply_ns);
-    const load_minima minima = exec_->parallel_reduce(
+    load_minima minima = exec_->parallel_reduce(
         g.num_nodes(), load_minima{},
         [&](std::int64_t begin, std::int64_t end) {
             load_minima local;
@@ -259,16 +237,9 @@ void continuous_process::step()
             }
             return local;
         },
-        combine_minima);
-
-    const double min_end = load_.empty() ? 0.0 : minima.end_of_round;
-    const double min_transient = load_.empty() ? 0.0 : minima.transient;
-    negative_.min_end_of_round_load =
-        std::min(negative_.min_end_of_round_load, min_end);
-    negative_.min_transient_load =
-        std::min(negative_.min_transient_load, min_transient);
-    if (min_end < 0.0) ++negative_.rounds_with_negative_end_load;
-    if (min_transient < 0.0) ++negative_.rounds_with_negative_transient;
+        load_minima::combine);
+    if (load_.empty()) minima = {0.0, 0.0}; // an empty network measures 0
+    negative_.observe(minima.end_of_round, minima.transient);
 
     std::swap(previous_flows_, flows_);
     ++round_;
@@ -401,7 +372,7 @@ void discrete_process::step()
     // with nothing; the result lands directly in previous_flows_int_, and
     // the negative-load min-scan is fused in as well.
     obs::phase_scope apply_phase("engine", "apply", &em.apply_ns);
-    const load_minima minima = exec_->parallel_reduce(
+    load_minima minima = exec_->parallel_reduce(
         g.num_nodes(), load_minima{},
         [&](std::int64_t begin, std::int64_t end) {
             load_minima local;
@@ -423,16 +394,9 @@ void discrete_process::step()
             }
             return local;
         },
-        combine_minima);
-
-    const double min_end = load_.empty() ? 0.0 : minima.end_of_round;
-    const double min_transient = load_.empty() ? 0.0 : minima.transient;
-    negative_.min_end_of_round_load =
-        std::min(negative_.min_end_of_round_load, min_end);
-    negative_.min_transient_load =
-        std::min(negative_.min_transient_load, min_transient);
-    if (min_end < 0.0) ++negative_.rounds_with_negative_end_load;
-    if (min_transient < 0.0) ++negative_.rounds_with_negative_transient;
+        load_minima::combine);
+    if (load_.empty()) minima = {0.0, 0.0}; // an empty network measures 0
+    negative_.observe(minima.end_of_round, minima.transient);
 
     ++round_;
     ++rounds_in_scheme_;

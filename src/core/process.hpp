@@ -20,6 +20,7 @@
 #ifndef DLB_CORE_PROCESS_HPP
 #define DLB_CORE_PROCESS_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -62,6 +63,30 @@ struct negative_load_stats {
     double min_transient_load = std::numeric_limits<double>::infinity();
     std::int64_t rounds_with_negative_end_load = 0;
     std::int64_t rounds_with_negative_transient = 0;
+
+    /// Folds in one round's minimum end-of-round and transient loads,
+    /// counting the round once for each that is negative.
+    void observe(double min_end, double min_transient)
+    {
+        min_end_of_round_load = std::min(min_end_of_round_load, min_end);
+        min_transient_load = std::min(min_transient_load, min_transient);
+        if (min_end < 0.0) ++rounds_with_negative_end_load;
+        if (min_transient < 0.0) ++rounds_with_negative_transient;
+    }
+};
+
+/// One round's minimum end-of-round and transient loads over a chunk of
+/// nodes: the partial of the engines' apply sweeps, which fuse the
+/// negative-load scan into a parallel_reduce.
+struct load_minima {
+    double end_of_round = std::numeric_limits<double>::infinity();
+    double transient = std::numeric_limits<double>::infinity();
+
+    static load_minima combine(load_minima a, load_minima b)
+    {
+        return {std::min(a.end_of_round, b.end_of_round),
+                std::min(a.transient, b.transient)};
+    }
 };
 
 /// What to do when a node's scheduled outgoing flow exceeds its load.

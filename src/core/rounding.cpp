@@ -78,20 +78,24 @@ void round_flows(const graph& g, rounding_kind kind,
             });
     });
 
-    // ... and each canonical edge then mirrors its owner's result onto the
-    // negative side. At most one side of an edge is nonzero, so
-    // flows[h] - flows[twin(h)] is the canonical side's flow with no sign
-    // test. Each half-edge belongs to exactly one edge, so the
-    // edge-parallel writes are disjoint.
-    const auto canonical = g.canonical_half_edges();
-    exec.parallel_for(g.num_edges(), [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t e = begin; e < end; ++e) {
-            const half_edge_id h = canonical[e];
-            const half_edge_id tw = g.twin(h);
-            const std::int64_t flow = flows_out[h] - flows_out[tw];
-            flows_out[h] = flow;
-            flows_out[tw] = -flow;
-        }
+    // ... and each node then mirrors the edges to larger nodes (the
+    // half-edges h < twin(h) of its slice) onto their negative sides. At
+    // most one side of an edge is nonzero, so flows[h] - flows[twin(h)] is
+    // h's flow with no sign test. Only the smaller endpoint writes an
+    // edge's two slots, so the chunks' writes are disjoint.
+    std::int64_t* out = flows_out.data();
+    exec.parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
+        for_each_node_slice(
+            g, static_cast<node_id>(begin), static_cast<node_id>(end),
+            [&](auto, node_id, half_edge_id first, std::int32_t degree) {
+                for (half_edge_id h = first; h < first + degree; ++h) {
+                    const half_edge_id tw = g.twin(h);
+                    if (tw < h) continue;
+                    const std::int64_t flow = out[h] - out[tw];
+                    out[h] = flow;
+                    out[tw] = -flow;
+                }
+            });
     });
 }
 

@@ -4,8 +4,8 @@
 // Every scheme rounds only the positive direction of each edge: the node
 // with outgoing scheduled flow "owns" it, rounds it with its own kernel and
 // leaves 0 on every other slot. The negative side is then the owner's
-// negation (round_flows mirrors it; the discrete engine gathers it in its
-// apply sweep), so antisymmetry holds exactly.
+// negation (round_flows' node sweep mirrors it; the discrete engine
+// gathers it in its apply sweep), so antisymmetry holds exactly.
 //
 //  * randomized    — the paper's framework R(C): floor every outgoing flow,
 //                    gather the fractional parts r, take ceil(r) excess
@@ -60,8 +60,9 @@ std::string_view to_string(rounding_kind kind) noexcept;
 /// `scheduled` and `flows_out` are per-half-edge; `scheduled` must be
 /// antisymmetric. `seed`/`round` select the deterministic random streams
 /// (unused by the deterministic schemes). One node-parallel owner sweep
-/// rounds every positive side, then one canonical-edge sweep mirrors it
-/// onto the negative side.
+/// rounds every positive side, then a second node sweep mirrors it onto
+/// the negative side: node v writes both sides of each edge to a larger
+/// node.
 void round_flows(const graph& g, rounding_kind kind,
                  std::span<const double> scheduled, std::uint64_t seed,
                  std::int64_t round, std::span<std::int64_t> flows_out,
@@ -340,39 +341,6 @@ round_node_deterministic(const double* __restrict scheduled,
         if constexpr (Kind == rounding_kind::nearest)
             rounded += magnitude - static_cast<double>(rounded) >= 0.5;
         flows_out[begin + j] = rounded & -static_cast<std::int64_t>(yhat > 0.0);
-    }
-}
-
-/// True on a 4-regular graph (the 2-D torus, the paper's primary
-/// topology): node v's slots are then [4v, 4v + 4).
-inline bool is_four_regular(const graph& g)
-{
-    return g.max_degree() == 4 &&
-           g.num_half_edges() == 4 * static_cast<std::int64_t>(g.num_nodes());
-}
-
-/// Calls visit(degree_tag, v, begin, degree) for every node v in
-/// [chunk_begin, chunk_end), in order. On a 4-regular graph degree_tag is
-/// std::integral_constant<std::int32_t, 4> and begin == 4v (no CSR offset
-/// loads); otherwise it is the 0 tag and the degree is read per node.
-/// Identical results either way: the tag only changes trip counts and
-/// addressing.
-template <class Visit>
-[[gnu::always_inline]] inline void for_each_node_slice(const graph& g,
-                                                       node_id chunk_begin,
-                                                       node_id chunk_end,
-                                                       Visit&& visit)
-{
-    if (is_four_regular(g)) {
-        for (node_id v = chunk_begin; v < chunk_end; ++v)
-            visit(std::integral_constant<std::int32_t, 4>{}, v,
-                  static_cast<half_edge_id>(v) * 4, std::int32_t{4});
-        return;
-    }
-    for (node_id v = chunk_begin; v < chunk_end; ++v) {
-        const half_edge_id begin = g.half_edge_begin(v);
-        visit(std::integral_constant<std::int32_t, 0>{}, v, begin,
-              static_cast<std::int32_t>(g.half_edge_end(v) - begin));
     }
 }
 

@@ -36,55 +36,17 @@ double scheme_beta_for_round(scheme_params scheme, std::int64_t rounds_in_scheme
 
 namespace {
 
-// Each undirected edge is evaluated once from its canonical half-edge
-// (tail < head, found by scanning each node's slice for larger-id
-// neighbors — cheaper than streaming the canonical index list through
-// the cache) and mirrored by negation. For a nonzero flow the mirror is
-// bitwise what the two-sided evaluation would produce: alpha is
-// symmetric, the twin's previous flow and gradient are exact negations,
-// and IEEE operations commute with jointly negating their inputs. Zero
-// flows are the one asymmetric corner (x - x is +0.0 in both
-// directions, and a sum cancelling to zero is +0.0 regardless of sign),
-// so that rare case re-evaluates the twin's own expression instead.
-void canonical_flows(const graph& g, std::span<const double> alpha,
-                     bool second_order, double beta,
-                     std::span<const double> load_over_speed,
-                     std::span<const double> previous_flows,
-                     std::span<double> flows_out, executor& exec)
+template <bool SecondOrder>
+void flows_sweep(const graph& g, const double* alpha, const double* previous,
+                 double beta, const double* x, double* out, node_id begin,
+                 node_id end)
 {
-    exec.parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
-        for (node_id u = static_cast<node_id>(begin); u < end; ++u) {
-            const double xu = load_over_speed[u];
-            const half_edge_id he_begin = g.half_edge_begin(u);
-            const half_edge_id he_end = g.half_edge_end(u);
-            if (second_order) {
-                for (half_edge_id h = he_begin; h < he_end; ++h) {
-                    const node_id v = g.head(h);
-                    if (v < u) continue; // the twin writes this edge
-                    const half_edge_id tw = g.twin(h);
-                    const double xv = load_over_speed[v];
-                    const double f = second_order_flow(beta, previous_flows[h],
-                                                       alpha[h], xu - xv);
-                    flows_out[h] = f;
-                    flows_out[tw] =
-                        f != 0.0 ? -f
-                                 : second_order_flow(beta, previous_flows[tw],
-                                                     alpha[tw], xv - xu);
-                }
-            } else {
-                for (half_edge_id h = he_begin; h < he_end; ++h) {
-                    const node_id v = g.head(h);
-                    if (v < u) continue;
-                    const half_edge_id tw = g.twin(h);
-                    const double xv = load_over_speed[v];
-                    const double f = first_order_flow(alpha[h], xu - xv);
-                    flows_out[h] = f;
-                    flows_out[tw] =
-                        f != 0.0 ? -f : first_order_flow(alpha[tw], xv - xu);
-                }
-            }
-        }
-    });
+    for_each_node_slice(g, begin, end,
+                        [&](auto, node_id u, half_edge_id first,
+                            std::int32_t degree) {
+                            node_flows<SecondOrder>(g, x, alpha, previous, beta,
+                                                    u, first, degree, out);
+                        });
 }
 
 } // namespace
@@ -105,8 +67,16 @@ void scheduled_flows(const graph& g, std::span<const double> alpha,
         scheme.kind != scheme_kind::fos && rounds_in_scheme > 0;
     if (second_order && previous_flows.size() != alpha.size())
         throw std::invalid_argument("scheduled_flows: previous flows missing");
-    canonical_flows(g, alpha, second_order, beta, load_over_speed,
-                    previous_flows, flows_out, exec);
+    exec.parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
+        const auto b = static_cast<node_id>(begin);
+        const auto e = static_cast<node_id>(end);
+        if (second_order)
+            flows_sweep<true>(g, alpha.data(), previous_flows.data(), beta,
+                              load_over_speed.data(), flows_out.data(), b, e);
+        else
+            flows_sweep<false>(g, alpha.data(), previous_flows.data(), beta,
+                               load_over_speed.data(), flows_out.data(), b, e);
+    });
 }
 
 void scheduled_flows(const graph& g, std::span<const double> alpha,

@@ -139,6 +139,30 @@ inline double second_order_flow(double beta, double previous, double alpha,
     return (beta - 1.0) * previous + beta * alpha * gradient;
 }
 
+/// The flow rule on node u's own slice [first, first + degree): every
+/// half-edge h = u -> v gets first_order_flow(alpha[h], x_u - x_v), or with
+/// SecondOrder second_order_flow(beta, previous[h], alpha[h], x_u - x_v),
+/// x and previous read through a cast to double. Each half-edge evaluates
+/// its own expression; the twin's is its exact negation whenever the flow
+/// is nonzero, because alpha is symmetric, previous flows are
+/// antisymmetric and the rule commutes with negating its inputs.
+template <bool SecondOrder, class X, class Previous>
+[[gnu::always_inline]] inline void
+node_flows(const graph& g, const X* x, const double* alpha,
+           const Previous* previous, double beta, node_id u,
+           half_edge_id first, std::int32_t degree, double* out)
+{
+    const double xu = static_cast<double>(x[u]);
+    for (std::int32_t j = 0; j < degree; ++j) {
+        const half_edge_id h = first + j;
+        const double gradient = xu - static_cast<double>(x[g.head(h)]);
+        out[h] = SecondOrder ? second_order_flow(beta,
+                                                 static_cast<double>(previous[h]),
+                                                 alpha[h], gradient)
+                             : first_order_flow(alpha[h], gradient);
+    }
+}
+
 /// Computes the continuous scheduled flows Yhat(t) = C(x(t), y(t-1)) for
 /// every half-edge.
 ///
@@ -147,14 +171,10 @@ inline double second_order_flow(double beta, double previous, double alpha,
 /// zero (paper: "The only exception is the very first round in which FOS is
 /// applied"). `previous_flows` may be empty for FOS.
 ///
-/// The kernel is edge-canonical: each undirected edge's flow is computed
-/// once from its canonical half-edge (tail < head) and mirrored to the twin
-/// by negation, which is bitwise-identical to evaluating the formula on
-/// both sides because alpha is symmetric and `previous_flows` is
-/// antisymmetric. All of `previous_flows` must be valid: the zero-flow
-/// corner re-evaluates the twin's own expression, reading its entry. The
-/// discrete engine evaluates the same rule on every half-edge inside its
-/// round sweep (core/process.cpp), which gives these same bits.
+/// The kernel is a node sweep: each node evaluates node_flows on its own
+/// half-edges and writes only its own slice. The discrete engine runs the
+/// same helper inside its round sweep (core/process.cpp), so both give
+/// these bits.
 void scheduled_flows(const graph& g, std::span<const double> alpha,
                      scheme_params scheme, std::int64_t rounds_in_scheme,
                      std::span<const double> load_over_speed,

@@ -25,20 +25,13 @@ void graph::build_from_sorted_pairs(node_id num_nodes, std::vector<edge>&& direc
     num_nodes_ = num_nodes;
     offsets_.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
     adjacency_.resize(directed.size());
-    tails_.resize(directed.size());
     twins_.assign(directed.size(), -1);
-    canonical_.clear();
-    canonical_.reserve(directed.size() / 2);
 
     for (const auto& [u, v] : directed) offsets_[u + 1]++;
     for (node_id v = 0; v < num_nodes; ++v) offsets_[v + 1] += offsets_[v];
 
-    for (std::size_t i = 0; i < directed.size(); ++i) {
-        tails_[i] = directed[i].first;
+    for (std::size_t i = 0; i < directed.size(); ++i)
         adjacency_[i] = directed[i].second;
-        if (directed[i].first < directed[i].second)
-            canonical_.push_back(static_cast<half_edge_id>(i));
-    }
 
     // Twin resolution: for half-edge h = (u -> v), find (v -> u) by binary
     // search in v's slice. Total O(m log d).

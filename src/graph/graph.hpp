@@ -3,21 +3,20 @@
 // Each undirected edge {u, v} appears as two *half-edges*: one in u's
 // adjacency slice pointing to v and one in v's slice pointing to u. The
 // `twin` table maps a half-edge to its reverse, which lets the diffusion
-// engine store the antisymmetric flow state y with the invariant
-// y[h] == -y[twin(h)] enforced structurally (flows are computed once per
-// canonical half-edge u < v and mirrored).
+// engines keep the antisymmetric flow state y with y[h] == -y[twin(h)].
 //
-// The *canonical-edge view* materializes that convention: the half-edge
-// (u -> v) with u < v is the edge's canonical representative, and
-// canonical_half_edges() lists all |E| of them in ascending half-edge
-// order. Edge-parallel kernels iterate this list, read tail(h)/head(h),
-// and write flows to h and twin(h) — each half-edge is owned by exactly
-// one canonical edge, so chunked parallel writes never race.
+// The node slice is the one traversal of the per-round kernels:
+// for_each_node_slice hands each node its own half-edges, and a kernel
+// writes only the slices of its own nodes (round_flows' mirror also writes
+// the twins of the half-edges whose head is above the node, which no other
+// node writes). Slices are contiguous and ascending, so half-edge h is
+// u -> v with u < v exactly when h < twin(h).
 #ifndef DLB_GRAPH_GRAPH_HPP
 #define DLB_GRAPH_GRAPH_HPP
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -84,25 +83,8 @@ public:
     /// Head (target node) of a half-edge.
     node_id head(half_edge_id h) const noexcept { return adjacency_[h]; }
 
-    /// Tail (source node) of a half-edge: the node whose slice contains h.
-    node_id tail(half_edge_id h) const noexcept { return tails_[h]; }
-
     /// The reverse half-edge of h.
     half_edge_id twin(half_edge_id h) const noexcept { return twins_[h]; }
-
-    /// True when h is its edge's canonical representative (tail < head).
-    bool is_canonical(half_edge_id h) const noexcept
-    {
-        return tails_[h] < adjacency_[h];
-    }
-
-    /// The canonical half-edge (tail < head) of every undirected edge, in
-    /// ascending half-edge order; size num_edges(). canonical_half_edges()[e]
-    /// is edge e's representative for per-edge state of size num_edges().
-    std::span<const half_edge_id> canonical_half_edges() const noexcept
-    {
-        return canonical_;
-    }
 
     /// True when {u, v} is an edge. O(log degree(u)).
     bool has_edge(node_id u, node_id v) const noexcept;
@@ -124,12 +106,43 @@ private:
     std::int32_t min_degree_ = 0;
     std::vector<half_edge_id> offsets_; // size n+1
     std::vector<node_id> adjacency_;    // size 2|E|, per-node ascending
-    std::vector<node_id> tails_;        // size 2|E|, source node per half-edge
     std::vector<half_edge_id> twins_;   // size 2|E|
-    std::vector<half_edge_id> canonical_; // size |E|, ascending
 
     void build_from_sorted_pairs(node_id num_nodes, std::vector<edge>&& directed);
 };
+
+/// True on a 4-regular graph (the 2-D torus, the paper's primary
+/// topology): node v's slots are then [4v, 4v + 4).
+inline bool is_four_regular(const graph& g)
+{
+    return g.max_degree() == 4 &&
+           g.num_half_edges() == 4 * static_cast<std::int64_t>(g.num_nodes());
+}
+
+/// Calls visit(degree_tag, v, begin, degree) for every node v in
+/// [chunk_begin, chunk_end), in order. On a 4-regular graph degree_tag is
+/// std::integral_constant<std::int32_t, 4> and begin == 4v (no CSR offset
+/// loads); otherwise it is the 0 tag and the degree is read per node.
+/// Identical results either way: the tag only changes trip counts and
+/// addressing.
+template <class Visit>
+[[gnu::always_inline]] inline void for_each_node_slice(const graph& g,
+                                                       node_id chunk_begin,
+                                                       node_id chunk_end,
+                                                       Visit&& visit)
+{
+    if (is_four_regular(g)) {
+        for (node_id v = chunk_begin; v < chunk_end; ++v)
+            visit(std::integral_constant<std::int32_t, 4>{}, v,
+                  static_cast<half_edge_id>(v) * 4, std::int32_t{4});
+        return;
+    }
+    for (node_id v = chunk_begin; v < chunk_end; ++v) {
+        const half_edge_id begin = g.half_edge_begin(v);
+        visit(std::integral_constant<std::int32_t, 0>{}, v, begin,
+              static_cast<std::int32_t>(g.half_edge_end(v) - begin));
+    }
+}
 
 } // namespace dlb
 

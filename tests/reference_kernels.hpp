@@ -1,8 +1,8 @@
-// The pre-canonical round kernels, kept as bitwise oracles for the golden
-// determinism suite (tests/test_golden_determinism.cpp) and as baselines
-// for the kernel microbenchmarks (bench/bench_micro_step.cpp). Each is the
-// plain two-sided or early-exit form of a library kernel, and must produce
-// exactly the library kernel's bits.
+// The reference round kernels and engine steps, kept as bitwise oracles
+// for the golden determinism suite (tests/test_golden_determinism.cpp) and
+// as baselines for the kernel microbenchmarks (bench/bench_micro_step.cpp).
+// Each is the plain two-sided, early-exit or multi-pass form of a library
+// kernel, and must produce exactly the library kernel's bits.
 #ifndef DLB_TESTS_REFERENCE_KERNELS_HPP
 #define DLB_TESTS_REFERENCE_KERNELS_HPP
 
@@ -18,8 +18,8 @@
 
 namespace dlb {
 
-/// The two-sided flow rule: evaluates every half-edge independently and
-/// reads all of `previous_flows`, not just the canonical entries.
+/// The two-sided flow rule: evaluates every half-edge independently, with
+/// the relaxation factor recomputed from scratch.
 void scheduled_flows_reference(const graph& g, std::span<const double> alpha,
                                scheme_params scheme,
                                std::int64_t rounds_in_scheme,

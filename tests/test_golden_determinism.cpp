@@ -1,13 +1,13 @@
-// Golden determinism suite for the canonical-edge round kernels.
+// Golden determinism suite for the node-slice round kernels.
 //
 // Two bitwise guarantees are pinned here:
 //
-//  1. The library kernels (scheduled_flows computing each edge once and
-//     mirroring by negation, the discrete engine's two-sweep round with
-//     its blocked owner walk and prevent clip) produce bit-for-bit the
-//     same output as the plain two-sided, early-exit kernels of
-//     reference_kernels.hpp. A reference pipeline re-implementing the old
-//     engine round drives the comparison over real engine trajectories, so
+//  1. The library kernels (the discrete engine's two-sweep round with its
+//     blocked owner walk and prevent clip, round_flows, scheduled_flows,
+//     and the continuous and cumulative rounds) produce bit-for-bit the
+//     same output as the plain two-sided, early-exit kernels and steps of
+//     reference_kernels.hpp. Reference pipelines re-implementing the old
+//     engine rounds drive the comparison over real engine trajectories, so
 //     every `time_series` a run records is byte-identical to what the
 //     reference kernels produce: the series is a pure function of the
 //     per-round load state, which is compared exactly here.
@@ -311,7 +311,8 @@ TEST(GoldenKernel, RoundFlowsMatchesReferenceAcrossExecutors)
         const graph& g = tc.g;
         std::vector<double> scheduled(static_cast<std::size_t>(g.num_half_edges()));
         xoshiro256ss rng{77};
-        for (const half_edge_id h : g.canonical_half_edges()) {
+        for (half_edge_id h = 0; h < g.num_half_edges(); ++h) {
+            if (h > g.twin(h)) continue;
             const double u = rng.next_double();
             scheduled[h] = u < 0.1   ? 0.0
                            : u < 0.2 ? std::floor(u * 30.0) - 4.0
@@ -356,17 +357,17 @@ TEST(GoldenKernel, ContinuousScheduledFlowsMatchReferenceBitwise)
                               to_continuous(point_load(g.num_nodes(), 0, 64000)));
 
     std::vector<double> x(engine.load().begin(), engine.load().end());
-    std::vector<double> canonical(static_cast<std::size_t>(g.num_half_edges()));
-    std::vector<double> reference(canonical.size());
+    std::vector<double> swept(static_cast<std::size_t>(g.num_half_edges()));
+    std::vector<double> reference(swept.size());
     for (int t = 0; t < 2000; ++t) {
         engine.step();
         x.assign(engine.load().begin(), engine.load().end());
         const auto prev = engine.previous_flows();
-        scheduled_flows(g, alpha, scheme, t + 1, x, prev, canonical,
+        scheduled_flows(g, alpha, scheme, t + 1, x, prev, swept,
                         default_executor());
         scheduled_flows_reference(g, alpha, scheme, t + 1, x, prev, reference,
                                   default_executor());
-        ASSERT_TRUE(bytes_equal(std::span<const double>(canonical), reference))
+        ASSERT_TRUE(bytes_equal(std::span<const double>(swept), reference))
             << "round " << t;
     }
 }

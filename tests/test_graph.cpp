@@ -146,35 +146,5 @@ TEST(Graph, HalfEdgeRangesPartitionAdjacency)
     EXPECT_EQ(expected_begin, g.num_half_edges());
 }
 
-TEST(Graph, CanonicalEdgeViewCoversEveryEdgeOnce)
-{
-    const std::vector<edge> edges{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {1, 3}};
-    const graph g = graph::from_edge_list(4, edges);
-
-    const auto canonical = g.canonical_half_edges();
-    ASSERT_EQ(static_cast<std::int64_t>(canonical.size()), g.num_edges());
-
-    // Ascending, canonical (tail < head), and twin-closed: the canonical
-    // list plus its twins is exactly the half-edge set.
-    std::vector<bool> covered(static_cast<std::size_t>(g.num_half_edges()), false);
-    half_edge_id previous = -1;
-    for (const half_edge_id h : canonical) {
-        EXPECT_GT(h, previous);
-        previous = h;
-        EXPECT_TRUE(g.is_canonical(h));
-        EXPECT_FALSE(g.is_canonical(g.twin(h)));
-        EXPECT_LT(g.tail(h), g.head(h));
-        EXPECT_FALSE(covered[h]);
-        EXPECT_FALSE(covered[g.twin(h)]);
-        covered[h] = covered[g.twin(h)] = true;
-    }
-    for (const bool c : covered) EXPECT_TRUE(c);
-
-    // tail() inverts the CSR slices.
-    for (node_id v = 0; v < g.num_nodes(); ++v)
-        for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v); ++h)
-            EXPECT_EQ(g.tail(h), v);
-}
-
 } // namespace
 } // namespace dlb

@@ -48,82 +48,71 @@ TEST(Metrics, MaxLocalDifferenceIgnoresNonEdges)
                      5.0);
 }
 
-/// max over every half-edge v -> u of |x_v - x_u|, written out.
+/// Compares max_local_difference bitwise, serially and on `pool`, with a
+/// written-out max of |x_v - x_u| over every half-edge v -> u.
 template <class Load>
-double half_edge_walk(const graph& g, const std::vector<Load>& load)
+void expect_matches_half_edge_walk(const graph& g, const std::vector<Load>& load,
+                                   executor& pool, const std::string& label)
 {
-    double best = 0.0;
+    double walk = 0.0;
     for (node_id v = 0; v < g.num_nodes(); ++v)
         for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v); ++h)
-            best = std::max(best, std::fabs(static_cast<double>(load[v]) -
+            walk = std::max(walk, std::fabs(static_cast<double>(load[v]) -
                                             static_cast<double>(load[g.head(h)])));
-    return best;
+    const std::span<const Load> view(load);
+    const auto expected = std::bit_cast<std::uint64_t>(walk);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(max_local_difference(g, view)), expected)
+        << label;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(max_local_difference(g, view, pool)),
+              expected)
+        << label << " pooled";
 }
 
 TEST(Metrics, LocalDifferenceMatchesHalfEdgeWalk)
 {
-    // Bitwise, serially and on a pool: int64 loads with negatives and
-    // magnitudes above 2^53 (where the conversion to double rounds), and
-    // double loads with negatives and both signed zeros.
-    std::vector<std::pair<std::string, graph>> graphs;
-    graphs.emplace_back("path", make_path(9));
-    graphs.emplace_back("star", make_star(7));
-    graphs.emplace_back("isolated",
-                        graph::from_edge_list(12, std::vector<edge>{
-                                                      {1, 2}, {2, 5}, {5, 7}, {3, 9}}));
-    graphs.emplace_back("torus_67x67", make_torus_2d(67, 67));
-    graphs.emplace_back("hypercube13", make_hypercube(13));
-    graphs.emplace_back("complete50", make_complete(50));
-    graphs.emplace_back("random_regular7", make_random_regular_cm(5000, 7, 11));
-    ASSERT_EQ(graphs[4].second.num_nodes(), 2 * executor::reduce_chunk);
-
+    // int64 loads with negatives and magnitudes above 2^53 (where the
+    // conversion to double rounds), and double loads with negatives and
+    // both signed zeros.
     thread_pool pool(3);
     xoshiro256ss rng{19};
-    const auto pick = [&](std::uint64_t range) { return rng() % range; };
-    for (const auto& [name, g] : graphs) {
+    const auto pick = [&](std::uint64_t range) {
+        return static_cast<std::int64_t>(rng() % range);
+    };
+    const auto check = [&](const std::string& name, const graph& g) {
         const auto n = static_cast<std::size_t>(g.num_nodes());
         std::vector<std::vector<std::int64_t>> int_loads(4, std::vector<std::int64_t>(n));
         std::vector<std::vector<double>> real_loads(4, std::vector<double>(n));
         for (std::size_t v = 0; v < n; ++v) {
-            int_loads[0][v] = static_cast<std::int64_t>(pick(201)) - 50;
-            int_loads[1][v] = (std::int64_t{1} << 60) +
-                              static_cast<std::int64_t>(pick(4001)) - 2000;
-            int_loads[2][v] = pick(2) == 0 ? -(std::int64_t{1} << 55) -
-                                                 static_cast<std::int64_t>(pick(999))
-                                           : static_cast<std::int64_t>(pick(7));
+            int_loads[0][v] = pick(201) - 50;
+            int_loads[1][v] = (std::int64_t{1} << 60) + pick(4001) - 2000;
+            int_loads[2][v] =
+                pick(2) == 0 ? -(std::int64_t{1} << 55) - pick(999) : pick(7);
             int_loads[3][v] = 42;
-            const std::uint64_t kind = pick(4);
+            const std::int64_t kind = pick(4);
             real_loads[0][v] = kind == 0   ? 0.0
                                : kind == 1 ? -0.0
                                            : static_cast<double>(pick(1000)) / 7.0 - 70.0;
             real_loads[1][v] = pick(2) == 0 ? 0.0 : -0.0;
-            real_loads[2][v] = std::ldexp(static_cast<double>(pick(1 << 20)), -30) -
-                               0.0004;
+            real_loads[2][v] =
+                std::ldexp(static_cast<double>(pick(1 << 20)), -30) - 0.0004;
             real_loads[3][v] = -3.25;
         }
-        for (std::size_t i = 0; i < int_loads.size(); ++i) {
-            const std::string label = name + " int64 load " + std::to_string(i);
-            const std::span<const std::int64_t> load(int_loads[i]);
-            const auto expected = std::bit_cast<std::uint64_t>(half_edge_walk(g, int_loads[i]));
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(max_local_difference(g, load)),
-                      expected)
-                << label;
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(max_local_difference(g, load, pool)),
-                      expected)
-                << label << " pooled";
+        for (std::size_t i = 0; i < 4; ++i) {
+            const std::string label = name + " load " + std::to_string(i);
+            expect_matches_half_edge_walk(g, int_loads[i], pool, label + " int64");
+            expect_matches_half_edge_walk(g, real_loads[i], pool, label + " double");
         }
-        for (std::size_t i = 0; i < real_loads.size(); ++i) {
-            const std::string label = name + " double load " + std::to_string(i);
-            const std::span<const double> load(real_loads[i]);
-            const auto expected = std::bit_cast<std::uint64_t>(half_edge_walk(g, real_loads[i]));
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(max_local_difference(g, load)),
-                      expected)
-                << label;
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(max_local_difference(g, load, pool)),
-                      expected)
-                << label << " pooled";
-        }
-    }
+    };
+    check("path", make_path(9));
+    check("star", make_star(7));
+    check("isolated", graph::from_edge_list(
+                          12, std::vector<edge>{{1, 2}, {2, 5}, {5, 7}, {3, 9}}));
+    check("torus_67x67", make_torus_2d(67, 67));
+    const graph cube = make_hypercube(13);
+    ASSERT_EQ(cube.num_nodes(), 2 * executor::reduce_chunk);
+    check("hypercube13", cube);
+    check("complete50", make_complete(50));
+    check("random_regular7", make_random_regular_cm(5000, 7, 11));
 }
 
 TEST(Metrics, NormalizedLocalDifference)
