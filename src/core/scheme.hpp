@@ -145,7 +145,11 @@ inline double second_order_flow(double beta, double previous, double alpha,
 /// x and previous read through a cast to double. Each half-edge evaluates
 /// its own expression; the twin's is its exact negation whenever the flow
 /// is nonzero, because alpha is symmetric, previous flows are
-/// antisymmetric and the rule commutes with negating its inputs.
+/// antisymmetric and the rule commutes with negating its inputs. The
+/// pointers carry no restrict: with it GCC 12 packs the degree-4 slots
+/// into SSE2 pairs, and the discrete round sweep then reads each 16-byte
+/// store back as 8-byte loads, which made its 2^20 torus rounding phase
+/// slower.
 template <bool SecondOrder, class X, class Previous>
 [[gnu::always_inline]] inline void
 node_flows(const graph& g, const X* x, const double* alpha,
