@@ -85,17 +85,15 @@ void round_flows(const graph& g, rounding_kind kind,
     // edge's two slots, so the chunks' writes are disjoint.
     std::int64_t* out = flows_out.data();
     exec.parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
-        for_each_node_slice(
-            g, static_cast<node_id>(begin), static_cast<node_id>(end),
-            [&](auto, node_id, half_edge_id first, std::int32_t degree) {
-                for (half_edge_id h = first; h < first + degree; ++h) {
-                    const half_edge_id tw = g.twin(h);
-                    if (tw < h) continue;
-                    const std::int64_t flow = out[h] - out[tw];
-                    out[h] = flow;
-                    out[tw] = -flow;
-                }
-            });
+        const half_edge_id slices_end = g.half_edge_end(static_cast<node_id>(end - 1));
+        for (half_edge_id h = g.half_edge_begin(static_cast<node_id>(begin));
+             h < slices_end; ++h) {
+            const half_edge_id tw = g.twin(h);
+            if (tw < h) continue;
+            const std::int64_t flow = out[h] - out[tw];
+            out[h] = flow;
+            out[tw] = -flow;
+        }
     });
 }
 
