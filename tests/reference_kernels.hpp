@@ -1,13 +1,17 @@
-// The reference round kernels and engine steps, kept as bitwise oracles
-// for the golden determinism suite (tests/test_golden_determinism.cpp) and
-// as baselines for the kernel microbenchmarks (bench/bench_micro_step.cpp).
-// Each is the plain two-sided, early-exit or multi-pass form of a library
-// kernel, and must produce exactly the library kernel's bits.
+// The reference round kernels, engine steps and Lanczos solver, kept as
+// bitwise oracles for the golden determinism suite
+// (tests/test_golden_determinism.cpp) and the solver tests
+// (tests/test_lanczos.cpp), and as baselines for the kernel
+// microbenchmarks (bench/bench_micro_step.cpp). Each is the plain
+// two-sided, early-exit or multi-pass form of a library kernel, and must
+// produce exactly the library kernel's bits.
 #ifndef DLB_TESTS_REFERENCE_KERNELS_HPP
 #define DLB_TESTS_REFERENCE_KERNELS_HPP
 
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/executor.hpp"
@@ -15,6 +19,7 @@
 #include "core/scheme.hpp"
 #include "core/speeds.hpp"
 #include "graph/graph.hpp"
+#include "linalg/lanczos.hpp"
 
 namespace dlb {
 
@@ -53,6 +58,20 @@ void continuous_step_reference(const graph& g, std::span<const double> alpha,
 void cumulative_step_reference(const graph& g, std::span<const double> alpha,
                                const speed_profile& speeds,
                                cumulative_engine_state& state, executor& exec);
+
+/// A symmetric operator of dimension n as the reference solver takes it:
+/// y = A x.
+using reference_operator =
+    std::function<void(std::span<const double>, std::span<double>)>;
+
+/// The three-term Lanczos solver as one opaque operator call per step plus
+/// separate axpy, dot, projection and scale passes, with the same calls
+/// regenerating the vectors for the true-residual check. The library's
+/// fused sweeps must return its largest, smallest, iterations, residual and
+/// converged bit for bit; it does not count operator applications.
+lanczos_result lanczos_reference(const reference_operator& apply, std::size_t n,
+                                 std::span<const std::vector<double>> deflate,
+                                 int max_steps = kLanczosMaxSteps);
 
 } // namespace dlb
 

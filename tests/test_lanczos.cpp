@@ -1,7 +1,9 @@
 // Tests for the Lanczos extreme-eigenvalue solver.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,6 +15,8 @@
 #include "linalg/jacobi.hpp"
 #include "linalg/lanczos.hpp"
 #include "linalg/spectra.hpp"
+#include "linalg/sparse_op.hpp"
+#include "reference_kernels.hpp"
 
 namespace dlb {
 namespace {
@@ -175,6 +179,103 @@ TEST(Lanczos, HeterogeneousLambdaMatchesDenseJacobi)
         const double reference =
             std::max(std::abs(eigen.values[1]), std::abs(eigen.values.back()));
         EXPECT_NEAR(lanczos_lambda, reference, 1e-12) << c.name;
+    }
+}
+
+/// What one solve of the bitwise pin runs: an operator, the vectors it
+/// deflates and the step cap.
+struct pinned_solve {
+    std::string name;
+    const sparse_op* op;
+    std::vector<std::vector<double>> deflate;
+    int max_steps = kLanczosMaxSteps;
+};
+
+/// compute_lambda's operator and deflated vector for g under the paper's
+/// alpha and `speeds`.
+struct lambda_problem {
+    lambda_problem(const graph& g, const speed_profile& speeds)
+        : op(make_symmetrized_diffusion_operator(
+              g, make_alpha(g, alpha_policy::max_degree_plus_one), speeds)),
+          deflate{top_eigenvector_symmetrized(speeds)}
+    {
+    }
+    sparse_op op;
+    std::vector<std::vector<double>> deflate;
+};
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+TEST(Lanczos, MatchesReferenceRecurrenceBitwise)
+{
+    // Every element of every vector takes the reference's rounded
+    // operations in its order, and every dot sums from +0.0 in ascending
+    // index order, so the extremes, the step count and the residual keep
+    // their bits: diagonal operators with and without deflation, a step
+    // cap that stops unconverged, regular and irregular degrees, and
+    // zipf speeds (the symmetrization's unequal weights).
+    const graph line50 = graph::from_edge_list(50, {});
+    std::vector<double> ramp(50);
+    for (std::size_t i = 0; i < ramp.size(); ++i)
+        ramp[i] = static_cast<double>(i) / 49.0;
+    const sparse_op diagonal50(&line50, ramp, {});
+    const graph line40 = graph::from_edge_list(40, {});
+    std::vector<double> spike(40, 1.0);
+    spike[0] = 5.0;
+    const sparse_op diagonal40(&line40, spike, {});
+    std::vector<double> e0(40, 0.0);
+    e0[0] = 1.0;
+
+    const auto uniform = [](const graph& g) {
+        return speed_profile::uniform(g.num_nodes());
+    };
+    const graph cycle = make_cycle(33);
+    const graph torus = make_torus_2d(8, 10);
+    const graph cube = make_hypercube(7);
+    const graph path = make_path(30);
+    const graph small_torus = make_torus_2d(20, 20);
+    const graph large_torus = make_torus_2d(128, 128);
+    const graph regular = make_random_regular_cm(400, 8, 5);
+    std::vector<lambda_problem> problems;
+    problems.emplace_back(cycle, uniform(cycle));
+    problems.emplace_back(torus, uniform(torus));
+    problems.emplace_back(cube, uniform(cube));
+    problems.emplace_back(path, uniform(path));
+    problems.emplace_back(small_torus, speed_profile::zipf(400, 1.0, 8.0, 11));
+    problems.emplace_back(large_torus,
+                          speed_profile::zipf(128 * 128, 1.0, 8.0, 17));
+    problems.emplace_back(regular, speed_profile::zipf(400, 1.0, 8.0, 13));
+
+    std::vector<pinned_solve> solves;
+    solves.push_back({"50-entry diagonal", &diagonal50, {}});
+    solves.push_back({"40-entry diagonal, e0 deflated", &diagonal40, {e0}});
+    solves.push_back({"50-entry diagonal, 3-step cap", &diagonal50, {}, 3});
+    const char* const names[] = {"cycle 33",        "8x10 torus",
+                                 "2^7 hypercube",   "path 30",
+                                 "20x20 zipf torus", "128^2 zipf torus",
+                                 "400-node 8-regular, zipf"};
+    for (std::size_t i = 0; i < problems.size(); ++i)
+        solves.push_back({names[i], &problems[i].op, problems[i].deflate});
+
+    for (const pinned_solve& solve : solves) {
+        const sparse_op& op = *solve.op;
+        const lanczos_result want = lanczos_reference(
+            [&op](std::span<const double> x, std::span<double> y) {
+                op.apply(x, y);
+            },
+            op.dimension(), solve.deflate, solve.max_steps);
+        const lanczos_result got = lanczos_extreme_eigenvalues(
+            [&op](std::span<const double> x, std::span<double> y) {
+                op.apply(x, y);
+            },
+            op.dimension(), solve.deflate, solve.max_steps);
+        EXPECT_EQ(bits(got.largest), bits(want.largest)) << solve.name;
+        EXPECT_EQ(bits(got.smallest), bits(want.smallest)) << solve.name;
+        EXPECT_EQ(got.iterations, want.iterations) << solve.name;
+        EXPECT_EQ(bits(got.residual), bits(want.residual)) << solve.name;
+        EXPECT_EQ(got.converged, want.converged) << solve.name;
+        EXPECT_EQ(want.converged, solve.max_steps == kLanczosMaxSteps)
+            << solve.name;
     }
 }
 
