@@ -54,8 +54,10 @@ row registry_row(std::string name, double paper_beta, const graph& g)
 {
     const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
     row r{std::move(name), paper_beta, 0.0};
+    lanczos_result solved;
     r.lambda = compute_lambda(g, alpha, speed_profile::uniform(g.num_nodes()),
-                              &r.steps);
+                              &solved);
+    r.steps = solved.iterations;
     return r;
 }
 

@@ -172,12 +172,12 @@ scenario_instance resolve_instance(const scenario_spec& spec,
                     return *exact;
                 }
             }
-            int steps = 0;
+            lanczos_result solved;
             const double lambda =
-                compute_lambda(g, diffusion.alpha, diffusion.speeds, &steps);
+                compute_lambda(g, diffusion.alpha, diffusion.speeds, &solved);
             static obs::histogram& lanczos_steps =
                 obs::registry_histogram("linalg.lanczos_steps");
-            lanczos_steps.record(steps);
+            lanczos_steps.record(solved.iterations);
             return lambda;
         };
         return cache != nullptr ? cache->lambda(lambda_cache_key(spec), solve)

@@ -6,7 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "linalg/lanczos.hpp"
+#include "obs/obs.hpp"
 
 namespace dlb {
 
@@ -108,14 +108,20 @@ std::vector<double> top_eigenvector_symmetrized(const speed_profile& speeds)
 }
 
 double compute_lambda(const graph& g, const std::vector<double>& alpha,
-                      const speed_profile& speeds, int* steps)
+                      const speed_profile& speeds, lanczos_result* solve)
 {
     const sparse_op sym = make_symmetrized_diffusion_operator(g, alpha, speeds);
     const std::vector<std::vector<double>> deflate{
         top_eigenvector_symmetrized(speeds)};
-    const lanczos_result result = lanczos_extreme_eigenvalues(
-        [&sym](std::span<const double> x, std::span<double> y) { sym.apply(x, y); },
-        static_cast<std::size_t>(g.num_nodes()), deflate);
+    lanczos_result result;
+    {
+        obs::trace_span span("linalg", "lanczos");
+        result = lanczos_extreme_eigenvalues(sym, deflate);
+        span.set_args({{"steps", static_cast<double>(result.iterations)},
+                       {"applies", static_cast<double>(result.applies)},
+                       {"residual", result.residual},
+                       {"converged", result.converged ? 1.0 : 0.0}});
+    }
     const double lambda =
         std::max(std::abs(result.largest), std::abs(result.smallest));
     if (!result.converged) {
@@ -126,7 +132,7 @@ double compute_lambda(const graph& g, const std::vector<double>& alpha,
                 << result.residual << " > " << kLanczosTolerance;
         throw std::runtime_error(message.str());
     }
-    if (steps != nullptr) *steps = result.iterations;
+    if (solve != nullptr) *solve = result;
     return lambda;
 }
 

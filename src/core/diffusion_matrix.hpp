@@ -17,6 +17,7 @@
 #include "core/speeds.hpp"
 #include "graph/graph.hpp"
 #include "linalg/dense_matrix.hpp"
+#include "linalg/lanczos.hpp"
 #include "linalg/sparse_op.hpp"
 
 namespace dlb {
@@ -47,17 +48,24 @@ std::vector<double> top_eigenvector_symmetrized(const speed_profile& speeds);
 
 /// lambda = second-largest eigenvalue of M in magnitude, via the three-term
 /// Lanczos solver (linalg/lanczos.hpp) on the symmetrization with its top
-/// eigenvector deflated. Deterministic and serial, so its bits do not
-/// depend on any executor. The returned value passed the solver's true
-/// residual check: some eigenvalue of M lies within kLanczosTolerance of
-/// it, and it never lies beyond lambda's end of the spectrum. beta_opt then
-/// moves by at most beta_opt'(lambda) * kLanczosTolerance, about 1.3e-10 on
-/// the 256^2 torus and 5e-10 on the 1024^2 one. Throws std::runtime_error
-/// naming lambda, the step count and the residual when the solver reaches
-/// kLanczosMaxSteps unconverged. `steps`, when given, receives the number
-/// of Lanczos steps taken.
+/// eigenvector deflated. The solver's steps are node sweeps over the
+/// symmetrized operator's row kernel (sparse_op::for_each_row) that carry
+/// their own sums; per element they run the plain recurrence's rounded
+/// operations in its order, so lambda keeps the plain recurrence's bits.
+/// Deterministic and serial, so its bits do not depend on any executor.
+/// The returned value passed the solver's true residual check: some
+/// eigenvalue of M lies within kLanczosTolerance of it, and it never lies
+/// beyond lambda's end of the spectrum. beta_opt then moves by at most
+/// beta_opt'(lambda) * kLanczosTolerance, about 1.3e-10 on the 256^2 torus
+/// and 5e-10 on the 1024^2 one. Throws std::runtime_error naming lambda,
+/// the step count and the residual when the solver reaches
+/// kLanczosMaxSteps unconverged. Under a trace session the solve is a
+/// `linalg`/`lanczos` span whose args are the steps, operator applications,
+/// residual and converged flag. `solve`, when given, receives the solver's
+/// result.
 double compute_lambda(const graph& g, const std::vector<double>& alpha,
-                      const speed_profile& speeds, int* steps = nullptr);
+                      const speed_profile& speeds,
+                      lanczos_result* solve = nullptr);
 
 } // namespace dlb
 

@@ -14,24 +14,12 @@ namespace dlb {
 
 namespace {
 
-using operator_fn =
-    std::function<void(std::span<const double>, std::span<double>)>;
-
 constexpr double kEps = std::numeric_limits<double>::epsilon();
 constexpr std::uint64_t kStartSeed = 0xdecafbad;
 
 // Steps between two looks at T_k's extremes. A look costs O(k) per
 // bisection step, far less than the k operator applications between looks.
 constexpr int kCheckEvery = 20;
-
-/// Removes the components of v along each (normalized) basis vector.
-void project_out(std::span<double> v, std::span<const std::vector<double>> basis)
-{
-    for (const auto& b : basis) {
-        const double coefficient = dot(v, b);
-        axpy(-coefficient, b, v);
-    }
-}
 
 /// The symmetric tridiagonal T_k of the recurrence: diagonal `alpha`,
 /// off-diagonal `beta` (beta[i] couples i and i + 1).
@@ -183,86 +171,175 @@ ritz_end ritz_end_of(const tridiagonal& t, std::size_t index, double beta_k)
     return end;
 }
 
-/// The vectors of the three-term recurrence. Both passes step through the
-/// same three calls, so the second regenerates the first's vectors bit for
-/// bit.
-class recurrence {
-public:
-    recurrence(const operator_fn& apply,
-               std::span<const std::vector<double>> deflate,
-               std::span<const double> start)
-        : apply_(apply), deflate_(deflate), previous_(start.size(), 0.0),
-          current_(start.begin(), start.end()), next_(start.size())
+// -- the fused sweeps ---------------------------------------------------------
+//
+// Each sweep visits every element once in ascending order and sums its dot
+// from +0.0 as it goes. The plain recurrence ran the operator, axpy, dot,
+// projection and scale as separate passes; per element, the sweeps below
+// run the same rounded operations in the same order.
+
+using deflation = std::span<const std::vector<double>>;
+
+/// w += a * s, then the sum of w_i * d_i, in one sweep. d may be w itself,
+/// which sums ||w||^2.
+double axpy_dot(double a, std::span<const double> s, std::span<double> w,
+                std::span<const double> d)
+{
+    double sum = 0.0;
+    for (std::size_t i = 0; i < w.size(); ++i) {
+        w[i] += a * s[i];
+        sum += w[i] * d[i];
+    }
+    return sum;
+}
+
+/// What the first deflation coefficient of w is summed against: the first
+/// deflated vector, or w itself when nothing is deflated (the sum is then
+/// ||w||^2 and no coefficient is needed).
+std::span<const double> first_dot(deflation deflate, std::span<const double> w)
+{
+    return deflate.empty() ? w : std::span<const double>(deflate.front());
+}
+
+/// Given c = w . deflate[0] from the caller's sweep, removes every deflated
+/// direction of w but the last, one sweep each: sweep i subtracts
+/// c * deflate[i - 1] and sums c = w . deflate[i]. Returns the last c, for
+/// the caller's final sweep to subtract times deflate.back().
+double deflate_but_last(std::span<double> w, double c, deflation deflate)
+{
+    for (std::size_t i = 1; i < deflate.size(); ++i)
+        c = axpy_dot(-c, deflate[i - 1], w, deflate[i]);
+    return c;
+}
+
+/// Removes the deflated directions from w and returns ||w||^2, given
+/// c = w . first_dot(deflate, w) from the caller's sweep.
+double deflate_norm_sq(std::span<double> w, double c, deflation deflate)
+{
+    if (deflate.empty()) return c;
+    c = deflate_but_last(w, c, deflate);
+    return axpy_dot(-c, deflate.back(), w, w);
+}
+
+/// The previous, current and next Lanczos vectors. Both passes start them
+/// from the same start vector and step them through the same operations,
+/// so the second regenerates the first's vectors bit for bit.
+struct lanczos_vectors {
+    explicit lanczos_vectors(std::span<const double> start)
+        : previous(start.size(), 0.0), current(start.begin(), start.end()),
+          next(start.size())
     {
     }
 
-    std::span<const double> current() const noexcept { return current_; }
-    std::span<const double> next() const noexcept { return next_; }
-
-    /// w = M v - beta_prev v_prev.
-    void apply_operator(double beta_prev)
+    /// Sweep (D): w = (w - c b) * (1 / beta), with no subtraction when b is
+    /// empty; then (v_prev, v) <- (v, w). The first pass has removed every
+    /// deflated direction by then; the regeneration pass leaves the last
+    /// one's subtraction to this sweep.
+    void advance(double beta, double c = 0.0, std::span<const double> b = {})
     {
-        apply_(current_, next_);
-        if (beta_prev != 0.0) axpy(-beta_prev, previous_, next_);
+        const double inverse = 1.0 / beta;
+        if (b.empty()) {
+            for (double& w : next) w *= inverse;
+        } else {
+            const double shift = -c;
+            for (std::size_t i = 0; i < next.size(); ++i)
+                next[i] = (next[i] + shift * b[i]) * inverse;
+        }
+        std::swap(previous, current);
+        std::swap(current, next);
     }
 
-    /// w -= alpha v, then the deflated directions leave w.
-    void orthogonalize(double alpha)
-    {
-        axpy(-alpha, current_, next_);
-        project_out(next_, deflate_);
-    }
-
-    /// (v_prev, v) <- (v, w / beta).
-    void advance(double beta)
-    {
-        scale(next_, 1.0 / beta);
-        std::swap(previous_, current_);
-        std::swap(current_, next_);
-    }
-
-private:
-    const operator_fn& apply_;
-    std::span<const std::vector<double>> deflate_;
-    std::vector<double> previous_;
-    std::vector<double> current_;
-    std::vector<double> next_;
+    std::vector<double> previous;
+    std::vector<double> current;
+    std::vector<double> next;
 };
 
+/// Sweep (A) of a first-pass step: w = M v - beta_prev v_prev row by row,
+/// summing alpha = w . v. On the first step v_prev is zero and beta_prev is
+/// 0, and adding (-0) * 0 = -0 leaves every double as it is, so that step
+/// needs no branch.
+double operator_sweep(const sparse_op& op, lanczos_vectors& r, double beta_prev)
+{
+    const double shift = -beta_prev;
+    const double* previous = r.previous.data();
+    const double* current = r.current.data();
+    double* next = r.next.data();
+    double alpha = 0.0;
+    op.for_each_row(current, [&](node_id v, double row) {
+        const double w = row + shift * previous[v];
+        next[v] = w;
+        alpha += w * current[v];
+    });
+    return alpha;
+}
+
+/// Sweep (A') of regeneration step j: x += y_j v; w = M v - beta_{j-1}
+/// v_prev - alpha_j v row by row, summing w . first_dot(deflate, w).
+double regeneration_sweep(const sparse_op& op, lanczos_vectors& r,
+                          std::span<double> x, double y, double beta_prev,
+                          double alpha, deflation deflate)
+{
+    const double beta_shift = -beta_prev;
+    const double alpha_shift = -alpha;
+    const double* previous = r.previous.data();
+    const double* current = r.current.data();
+    double* next = r.next.data();
+    double* ritz = x.data();
+    const double* dots = first_dot(deflate, r.next).data();
+    double sum = 0.0;
+    op.for_each_row(current, [&](node_id v, double row) {
+        ritz[v] += y * current[v];
+        double w = row + beta_shift * previous[v];
+        w += alpha_shift * current[v];
+        next[v] = w;
+        sum += w * dots[v];
+    });
+    return sum;
+}
+
 /// ||M x - theta x|| for the unit Ritz vector x = V_k y, with V_k
-/// regenerated from `start` and t (k - 1 more operator applications).
-double true_residual(const operator_fn& apply,
-                     std::span<const std::vector<double>> deflate,
+/// regenerated from `start` and t in two sweeps per step: (A') above, then
+/// (B') w = (w - c b) / beta_j, b the last deflated vector (each further
+/// deflated vector adds its sweep between the two). Adds the operator
+/// applications, k - 1 regenerated and one for the residual, to `applies`.
+double true_residual(const sparse_op& op, deflation deflate,
                      std::span<const double> start, const tridiagonal& t,
-                     const ritz_end& end)
+                     const ritz_end& end, int& applies)
 {
     const std::size_t k = t.size();
     std::vector<double> x(start.size(), 0.0);
-    recurrence again(apply, deflate, start);
-    for (std::size_t j = 0;; ++j) {
-        axpy(end.y[j], again.current(), x);
-        if (j + 1 == k) break;
-        again.apply_operator(j == 0 ? 0.0 : t.beta[j - 1]);
-        again.orthogonalize(t.alpha[j]);
-        again.advance(t.beta[j]);
+    lanczos_vectors again(start);
+    const std::span<const double> last =
+        deflate.empty() ? std::span<const double>() : deflate.back();
+    for (std::size_t j = 0; j + 1 < k; ++j) {
+        const double c = regeneration_sweep(op, again, x, end.y[j],
+                                            j == 0 ? 0.0 : t.beta[j - 1],
+                                            t.alpha[j], deflate);
+        ++applies;
+        again.advance(t.beta[j], deflate_but_last(again.next, c, deflate), last);
     }
-    project_out(x, deflate);
-    const double x_norm = norm2(x);
+    // x += y_{k-1} v_{k-1}, then the deflated directions leave x.
+    const double x_norm = std::sqrt(deflate_norm_sq(
+        x, axpy_dot(end.y[k - 1], again.current, x, first_dot(deflate, x)),
+        deflate));
     if (!(x_norm > 0.0)) return std::numeric_limits<double>::infinity();
     scale(x, 1.0 / x_norm);
-    std::vector<double> residual(x.size());
-    apply(x, residual);
-    axpy(-end.theta, x, residual);
-    return norm2(residual);
+    const double shift = -end.theta;
+    double sum = 0.0;
+    op.for_each_row(x.data(), [&](node_id v, double row) {
+        const double residual = row + shift * x[v];
+        sum += residual * residual;
+    });
+    ++applies;
+    return std::sqrt(sum);
 }
 
 } // namespace
 
-lanczos_result lanczos_extreme_eigenvalues(const operator_fn& apply,
-                                           std::size_t n,
-                                           std::span<const std::vector<double>> deflate,
-                                           int max_steps)
+lanczos_result lanczos_extreme_eigenvalues(const sparse_op& op,
+                                           deflation deflate, int max_steps)
 {
+    const std::size_t n = op.dimension();
     if (n == 0) throw std::invalid_argument("lanczos: empty operator");
     if (max_steps < 1) throw std::invalid_argument("lanczos: max_steps < 1");
     for (const auto& b : deflate)
@@ -273,26 +350,31 @@ lanczos_result lanczos_extreme_eigenvalues(const operator_fn& apply,
     std::vector<double> start(n);
     auto rng = tagged_rng(kStartSeed, n);
     for (auto& entry : start) entry = rng.next_double() - 0.5;
-    project_out(start, deflate);
-    const double start_norm = norm2(start);
+    const double start_norm = std::sqrt(
+        deflate_norm_sq(start, dot(start, first_dot(deflate, start)), deflate));
     if (start_norm < 1e-300)
         throw std::runtime_error("lanczos: start vector vanished after deflation");
     scale(start, 1.0 / start_norm);
 
     lanczos_result result;
     tridiagonal t;
-    recurrence lanczos(apply, deflate, start);
+    lanczos_vectors lanczos(start);
     // A true-residual check costs k operator applications. After one fails,
     // the next waits until k has grown by a quarter, which keeps all checks
     // together under five times the steps taken.
     int check_from = 1;
     for (int k = 1;; ++k) {
-        lanczos.apply_operator(t.beta.empty() ? 0.0 : t.beta.back());
-        const double alpha = dot(lanczos.next(), lanczos.current());
-        lanczos.orthogonalize(alpha);
-        const double beta = norm2(lanczos.next());
+        // Sweeps (A) to (C): w = M v - beta_{k-1} v_prev - alpha v with the
+        // deflated directions removed, and beta = ||w||.
+        const double alpha = operator_sweep(
+            op, lanczos, t.beta.empty() ? 0.0 : t.beta.back());
+        std::span<double> w = lanczos.next;
+        const double beta = std::sqrt(deflate_norm_sq(
+            w, axpy_dot(-alpha, lanczos.current, w, first_dot(deflate, w)),
+            deflate));
         t.alpha.push_back(alpha);
         result.iterations = k;
+        ++result.applies;
 
         // beta_k bounds every Ritz residual: at or below the tolerance the
         // Krylov space is invariant to working precision, and the
@@ -308,7 +390,8 @@ lanczos_result lanczos_extreme_eigenvalues(const operator_fn& apply,
             if (result.residual <= kLanczosTolerance && (last || k >= check_from)) {
                 const ritz_end& wanted =
                     std::abs(top.theta) >= std::abs(bottom.theta) ? top : bottom;
-                result.residual = true_residual(apply, deflate, start, t, wanted);
+                result.residual = true_residual(op, deflate, start, t, wanted,
+                                                result.applies);
                 result.converged = result.residual <= kLanczosTolerance;
                 check_from = k + k / 4;
             }

@@ -17,6 +17,21 @@
 // magnitude, and checks the true residual ||M x - theta x||. Only a passed
 // check converges; otherwise iteration continues. The solver is serial.
 //
+// Each step is a few node sweeps that carry their own sums, over the
+// operator's row kernel (sparse_op::for_each_row). With d deflated vectors
+// b_i, step k runs d + 3 sweeps where the plain recurrence ran 2d + 6 passes:
+// (A) w = M v - beta_{k-1} v_prev row by row, summing alpha = w . v;
+// (B) w -= alpha v, summing c_0 = w . b_0; one more sweep per further b_i,
+// subtracting c_{i-1} b_{i-1} and summing c_i; (C) w -= c_{d-1} b_{d-1},
+// summing ||w||^2; (D) w /= beta. The regeneration pass folds x += y_j v_j,
+// the row, both subtractions and the c_0 sum into one sweep and the last
+// subtraction and the scale into another. Every element still takes the
+// same rounded operations in the same order as in the plain recurrence
+// (operator, axpy, dot, projection, scale as separate passes), and every
+// sum still runs from +0.0 in ascending index order, so the fused sweeps
+// return the plain recurrence's bits, and the regeneration pass still
+// regenerates the first pass's vectors bit for bit.
+//
 // What convergence means, and no more: theta is a Ritz value, the Rayleigh
 // quotient of x, so it never lies beyond lambda_2's end of the spectrum
 // (lambda_n's for the smallest end); ||M x - theta x|| <= kLanczosTolerance
@@ -24,9 +39,10 @@
 #ifndef DLB_LINALG_LANCZOS_HPP
 #define DLB_LINALG_LANCZOS_HPP
 
-#include <functional>
 #include <span>
 #include <vector>
+
+#include "linalg/sparse_op.hpp"
 
 namespace dlb {
 
@@ -40,20 +56,21 @@ inline constexpr int kLanczosMaxSteps = 20000;
 struct lanczos_result {
     double largest = 0.0;    // largest Ritz value (after deflation)
     double smallest = 0.0;   // smallest Ritz value (after deflation)
-    int iterations = 0;      // Lanczos steps (operator applications) taken
+    int iterations = 0;      // Lanczos steps taken
+    int applies = 0;         // operator applications: one per step, plus
+                             // k per true-residual check at step k
     double residual = 0.0;   // true ||M x - theta x|| once checked, else the
                              // larger of the two ends' estimates
     bool converged = false;  // the true residual met kLanczosTolerance
 };
 
-/// Extreme eigenvalues of the symmetric operator `apply` (dimension n) on the
-/// complement of span(deflate) — pass the known top eigenvector(s),
-/// normalized, in `deflate`. Stops converged or after `max_steps` steps;
-/// callers must check `converged`. Deterministic: the start vector is a
-/// fixed pseudo-random one.
+/// Extreme eigenvalues of the symmetric operator `op` on the complement of
+/// span(deflate) — pass the known top eigenvector(s), normalized, in
+/// `deflate`. Stops converged or after `max_steps` steps; callers must
+/// check `converged`. Deterministic: the start vector is a fixed
+/// pseudo-random one.
 lanczos_result lanczos_extreme_eigenvalues(
-    const std::function<void(std::span<const double>, std::span<double>)>& apply,
-    std::size_t n, std::span<const std::vector<double>> deflate,
+    const sparse_op& op, std::span<const std::vector<double>> deflate,
     int max_steps = kLanczosMaxSteps);
 
 } // namespace dlb

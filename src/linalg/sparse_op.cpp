@@ -20,15 +20,8 @@ void sparse_op::apply(std::span<const double> x, std::span<double> y) const
 {
     if (x.size() != dimension() || y.size() != dimension())
         throw std::invalid_argument("sparse_op::apply: size mismatch");
-    const graph& g = *graph_;
-    for (node_id v = 0; v < g.num_nodes(); ++v) {
-        double acc = diagonal_[v] * x[v];
-        const half_edge_id begin = g.half_edge_begin(v);
-        const half_edge_id end = g.half_edge_end(v);
-        for (half_edge_id h = begin; h < end; ++h)
-            acc += weights_[h] * x[g.head(h)];
-        y[v] = acc;
-    }
+    double* out = y.data();
+    for_each_row(x.data(), [out](node_id v, double row) { out[v] = row; });
 }
 
 std::vector<double> sparse_op::apply(std::span<const double> x) const

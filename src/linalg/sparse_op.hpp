@@ -2,10 +2,15 @@
 //
 // Represents A = diag(diagonal) + sum over half-edges h=(u->v) of
 // weight[h] * E_{u,v}. The diffusion layer builds the (symmetrized)
-// diffusion matrix in this form; Lanczos consumes it through apply().
+// diffusion matrix in this form. One row kernel computes (A x)_v:
+// diagonal[v] * x[v], then += weight[h] * x[head(h)] over v's half-edges in
+// slice order. apply() writes its rows out; the Lanczos solver's node
+// sweeps (linalg/lanczos.hpp) consume each row where it is made, so every
+// row carries the same rounded operations on both paths.
 #ifndef DLB_LINALG_SPARSE_OP_HPP
 #define DLB_LINALG_SPARSE_OP_HPP
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -27,6 +32,33 @@ public:
 
     /// y = A x.
     void apply(std::span<const double> x, std::span<double> y) const;
+
+    /// Calls visit(v, row) for every node v in ascending order, with row =
+    /// (A x)_v summed as diagonal[v] * x[v], then += weight[h] * x[head(h)]
+    /// over v's half-edges in slice order. The node slices come from
+    /// for_each_node_slice, so a 4-regular graph runs fixed-degree rows.
+    /// x has dimension() entries; visit may write any array but x.
+    template <class Visit>
+    [[gnu::always_inline]] inline void for_each_row(const double* x,
+                                                    Visit&& visit) const
+    {
+        const graph& g = *graph_;
+        const double* diagonal = diagonal_.data();
+        const double* weights = weights_.data();
+        for_each_node_slice(
+            g, 0, g.num_nodes(),
+            [&](auto degree_tag, node_id v, half_edge_id first,
+                std::int32_t dynamic_degree) {
+                constexpr std::int32_t static_degree =
+                    decltype(degree_tag)::value;
+                const std::int32_t degree =
+                    static_degree != 0 ? static_degree : dynamic_degree;
+                double row = diagonal[v] * x[v];
+                for (std::int32_t j = 0; j < degree; ++j)
+                    row += weights[first + j] * x[g.head(first + j)];
+                visit(v, row);
+            });
+    }
 
     std::vector<double> apply(std::span<const double> x) const;
 

@@ -1,11 +1,13 @@
 #include "obs/obs.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <stdexcept>
 
+#include "util/csv.hpp"
 #include "util/json.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
@@ -207,7 +209,8 @@ void write_us(std::ostream& out, std::int64_t ns)
 namespace detail {
 
 void emit_complete_event(const char* category, const char* name,
-                         std::int64_t start_ns, std::int64_t duration_ns)
+                         std::int64_t start_ns, std::int64_t duration_ns,
+                         std::span<const trace_arg> args)
 {
     const int tid = thread_id();
     const scoped_lock lock(trace_mutex);
@@ -220,6 +223,17 @@ void emit_complete_event(const char* category, const char* name,
     write_us(w.out, start_ns - w.base_ns);
     w.out << ",\"dur\":";
     write_us(w.out, duration_ns);
+    if (!args.empty()) {
+        w.out << ",\"args\":{";
+        for (std::size_t i = 0; i < args.size(); ++i) {
+            // JSON has no Inf/NaN literals; write them as null.
+            w.out << (i > 0 ? "," : "") << "\"" << json_writer::escape(args[i].key)
+                  << "\":"
+                  << (std::isfinite(args[i].value) ? format_double(args[i].value)
+                                                   : std::string("null"));
+        }
+        w.out << "}";
+    }
     w.out << "}";
 }
 

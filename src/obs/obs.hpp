@@ -13,6 +13,8 @@
 //    JSON ("ph":"X" complete events) to the session's --trace file, one
 //    track per thread (thread_pool workers register names). Spans nest by
 //    construction order, which the trace viewers render as flame graphs.
+//    A span may carry one numeric "args" object (set_args), which the
+//    viewers show beside the event.
 //
 //  * metrics registry — process-wide named counters (striped relaxed
 //    atomics: per-worker lock-free increments, summed at read) and
@@ -35,6 +37,8 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -188,9 +192,16 @@ void reset_metrics();
 
 // -- tracing ------------------------------------------------------------------
 
+/// One numeric member of a trace event's "args" object.
+struct trace_arg {
+    const char* key;
+    double value;
+};
+
 namespace detail {
 void emit_complete_event(const char* category, const char* name,
-                         std::int64_t start_ns, std::int64_t duration_ns);
+                         std::int64_t start_ns, std::int64_t duration_ns,
+                         std::span<const trace_arg> args = {});
 } // namespace detail
 
 /// RAII phase span: records the monotonic start time on construction and
@@ -217,7 +228,17 @@ public:
     {
         if (start_ < 0 || !tracing()) return;
         detail::emit_complete_event(category_, name_, start_,
-                                    now_ns() - start_);
+                                    now_ns() - start_, args_);
+    }
+
+    /// Sets the event's "args" object, written when the span ends: one
+    /// member per entry, in order, a non-finite value as null. Keys must
+    /// outlive the span. A later call replaces the earlier args; without a
+    /// trace session this does nothing.
+    void set_args(std::initializer_list<trace_arg> args)
+    {
+        if (start_ < 0) return;
+        args_.assign(args.begin(), args.end());
     }
 
     trace_span(const trace_span&) = delete;
@@ -228,6 +249,7 @@ private:
     const char* category_;
     const char* name_;
     std::string owned_; // backs name_ for the dynamic-name overload
+    std::vector<trace_arg> args_;
 };
 
 /// Span + duration histogram in one RAII object: the per-round engine

@@ -21,22 +21,28 @@
 namespace dlb {
 namespace {
 
-/// Dense operator wrapper.
-auto dense_apply(const dense_matrix& m)
+/// The diagonal operator diag(entries): a sparse_op on g, a graph of
+/// entries.size() nodes and no edges.
+sparse_op diagonal_operator(const graph& g, std::vector<double> entries)
 {
-    return [&m](std::span<const double> x, std::span<double> y) {
-        const auto result = m.multiply(x);
-        std::copy(result.begin(), result.end(), y.begin());
-    };
+    return sparse_op(&g, std::move(entries), {});
+}
+
+/// n evenly spaced entries from 0 to 1.
+std::vector<double> ramp(std::size_t n)
+{
+    std::vector<double> entries(n);
+    for (std::size_t i = 0; i < n; ++i)
+        entries[i] = static_cast<double>(i) / static_cast<double>(n - 1);
+    return entries;
 }
 
 TEST(Lanczos, DiagonalOperatorExtremes)
 {
     const std::size_t n = 50;
-    dense_matrix m(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        m(i, i) = static_cast<double>(i) / static_cast<double>(n - 1); // [0, 1]
-    const auto result = lanczos_extreme_eigenvalues(dense_apply(m), n, {});
+    const graph g = graph::from_edge_list(n, {});
+    const sparse_op m = diagonal_operator(g, ramp(n)); // [0, 1]
+    const auto result = lanczos_extreme_eigenvalues(m, {});
     EXPECT_NEAR(result.largest, 1.0, 1e-8);
     EXPECT_NEAR(result.smallest, 0.0, 1e-8);
     EXPECT_TRUE(result.converged);
@@ -45,13 +51,14 @@ TEST(Lanczos, DiagonalOperatorExtremes)
 TEST(Lanczos, DeflationRemovesTopEigenvalue)
 {
     const std::size_t n = 40;
-    dense_matrix m(n, n);
-    for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-    m(0, 0) = 5.0; // top eigenpair: e_0 with value 5
+    const graph g = graph::from_edge_list(n, {});
+    std::vector<double> entries(n, 1.0);
+    entries[0] = 5.0; // top eigenpair: e_0 with value 5
+    const sparse_op m = diagonal_operator(g, entries);
     std::vector<double> top(n, 0.0);
     top[0] = 1.0;
     const std::vector<std::vector<double>> deflate{top};
-    const auto result = lanczos_extreme_eigenvalues(dense_apply(m), n, deflate);
+    const auto result = lanczos_extreme_eigenvalues(m, deflate);
     EXPECT_TRUE(result.converged);
     EXPECT_NEAR(result.largest, 1.0, 1e-8);
 }
@@ -59,10 +66,9 @@ TEST(Lanczos, DeflationRemovesTopEigenvalue)
 TEST(Lanczos, StepCapReportsUnconverged)
 {
     const std::size_t n = 50;
-    dense_matrix m(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        m(i, i) = static_cast<double>(i) / static_cast<double>(n - 1);
-    const auto result = lanczos_extreme_eigenvalues(dense_apply(m), n, {}, 3);
+    const graph g = graph::from_edge_list(n, {});
+    const sparse_op m = diagonal_operator(g, ramp(n));
+    const auto result = lanczos_extreme_eigenvalues(m, {}, 3);
     EXPECT_FALSE(result.converged);
     EXPECT_EQ(result.iterations, 3);
     EXPECT_GT(result.residual, kLanczosTolerance);
@@ -96,11 +102,12 @@ TEST(Lanczos, TorusLambdaMatchesAnalyticAtScale)
     // its own, without the registry's closed form.
     const graph g = make_torus_2d(256, 256);
     const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
-    int steps = 0;
+    lanczos_result solved;
     const double lambda =
-        compute_lambda(g, alpha, speed_profile::uniform(g.num_nodes()), &steps);
+        compute_lambda(g, alpha, speed_profile::uniform(g.num_nodes()), &solved);
     EXPECT_NEAR(lambda, torus_2d_lambda(256, 256), kLanczosTolerance);
-    EXPECT_GT(steps, 0);
+    EXPECT_GT(solved.iterations, 0);
+    EXPECT_GT(solved.applies, solved.iterations); // a passed check adds k
 }
 
 TEST(Lanczos, CycleLambdaMatchesAnalytic)
@@ -215,14 +222,11 @@ TEST(Lanczos, MatchesReferenceRecurrenceBitwise)
     // cap that stops unconverged, regular and irregular degrees, and
     // zipf speeds (the symmetrization's unequal weights).
     const graph line50 = graph::from_edge_list(50, {});
-    std::vector<double> ramp(50);
-    for (std::size_t i = 0; i < ramp.size(); ++i)
-        ramp[i] = static_cast<double>(i) / 49.0;
-    const sparse_op diagonal50(&line50, ramp, {});
+    const sparse_op diagonal50 = diagonal_operator(line50, ramp(50));
     const graph line40 = graph::from_edge_list(40, {});
     std::vector<double> spike(40, 1.0);
     spike[0] = 5.0;
-    const sparse_op diagonal40(&line40, spike, {});
+    const sparse_op diagonal40 = diagonal_operator(line40, spike);
     std::vector<double> e0(40, 0.0);
     e0[0] = 1.0;
 
@@ -259,16 +263,17 @@ TEST(Lanczos, MatchesReferenceRecurrenceBitwise)
 
     for (const pinned_solve& solve : solves) {
         const sparse_op& op = *solve.op;
+        // The reference takes the operator opaquely; counting its calls
+        // gives the operator applications the fused solver must report.
+        int applies = 0;
         const lanczos_result want = lanczos_reference(
-            [&op](std::span<const double> x, std::span<double> y) {
+            [&op, &applies](std::span<const double> x, std::span<double> y) {
+                ++applies;
                 op.apply(x, y);
             },
             op.dimension(), solve.deflate, solve.max_steps);
-        const lanczos_result got = lanczos_extreme_eigenvalues(
-            [&op](std::span<const double> x, std::span<double> y) {
-                op.apply(x, y);
-            },
-            op.dimension(), solve.deflate, solve.max_steps);
+        const lanczos_result got =
+            lanczos_extreme_eigenvalues(op, solve.deflate, solve.max_steps);
         EXPECT_EQ(bits(got.largest), bits(want.largest)) << solve.name;
         EXPECT_EQ(bits(got.smallest), bits(want.smallest)) << solve.name;
         EXPECT_EQ(got.iterations, want.iterations) << solve.name;
@@ -276,14 +281,15 @@ TEST(Lanczos, MatchesReferenceRecurrenceBitwise)
         EXPECT_EQ(got.converged, want.converged) << solve.name;
         EXPECT_EQ(want.converged, solve.max_steps == kLanczosMaxSteps)
             << solve.name;
+        EXPECT_EQ(got.applies, applies) << solve.name;
     }
 }
 
 TEST(Lanczos, EmptyOperatorThrows)
 {
-    EXPECT_THROW(
-        lanczos_extreme_eigenvalues([](auto, auto) {}, 0, {}),
-        std::invalid_argument);
+    const graph g = graph::from_edge_list(0, {});
+    EXPECT_THROW(lanczos_extreme_eigenvalues(diagonal_operator(g, {}), {}),
+                 std::invalid_argument);
 }
 
 } // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -11,6 +12,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/alpha.hpp"
+#include "core/diffusion_matrix.hpp"
+#include "core/speeds.hpp"
+#include "graph/generators.hpp"
 #include "obs/manifest.hpp"
 #include "obs/obs.hpp"
 #include "obs/progress.hpp"
@@ -134,6 +139,59 @@ TEST_F(ObsSessionTest, TraceFileIsValidNestableTraceEventJson)
     EXPECT_LE(inner_ts + inner_dur, outer_ts + outer_dur);
     EXPECT_GE(inner_dur, 0.0);
     EXPECT_GE(outer_dur, inner_dur);
+}
+
+TEST_F(ObsSessionTest, SpanArgsAreOneNumericObject)
+{
+    {
+        obs::session_options options;
+        options.trace_path = trace_path_;
+        const obs::session session(options);
+        obs::trace_span span("test", "with_args");
+        span.set_args({{"first", 1.0}, {"dropped", 2.0}});
+        span.set_args({{"count", 3.0},
+                       {"ratio", 0.25},
+                       {"undefined", std::nan("")}});
+    }
+    const std::string text = read_file(trace_path_);
+    expect_balanced_json(text);
+    // The later call replaced the earlier args; a non-finite value is null.
+    EXPECT_NE(text.find("\"args\":{\"count\":3,\"ratio\":0.25,"
+                        "\"undefined\":null}}"),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(text.find("dropped"), std::string::npos);
+}
+
+TEST_F(ObsSessionTest, LambdaSolveSpanCarriesSolverArgs)
+{
+    // A zipf-speed torus has no closed form: compute_lambda runs the
+    // solver inside a linalg/lanczos span whose args are its telemetry.
+    const graph g = make_torus_2d(20, 20);
+    const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
+    const auto speeds = speed_profile::zipf(400, 1.0, 8.0, 11);
+    lanczos_result solved;
+    {
+        obs::session_options options;
+        options.trace_path = trace_path_;
+        const obs::session session(options);
+        compute_lambda(g, alpha, speeds, &solved);
+    }
+    ASSERT_TRUE(solved.converged);
+    const std::string text = read_file(trace_path_);
+    expect_balanced_json(text);
+    const auto name_pos = text.find("\"name\":\"lanczos\"");
+    ASSERT_NE(name_pos, std::string::npos) << text;
+    const auto event = text.rfind('{', name_pos);
+    EXPECT_NE(text.find("\"cat\":\"linalg\"", event), std::string::npos);
+    EXPECT_LT(text.find("\"cat\":\"linalg\"", event), name_pos);
+    EXPECT_EQ(event_number(text, event, "steps"), solved.iterations);
+    EXPECT_EQ(event_number(text, event, "applies"), solved.applies);
+    EXPECT_GT(solved.applies, solved.iterations);
+    // Shortest round-trip text: the residual reads back bit for bit.
+    EXPECT_EQ(event_number(text, event, "residual"), solved.residual);
+    EXPECT_LE(solved.residual, kLanczosTolerance);
+    EXPECT_EQ(event_number(text, event, "converged"), 1.0);
 }
 
 TEST_F(ObsSessionTest, MetricsAggregationDeterministicAcrossThreadCounts)
