@@ -284,15 +284,28 @@ void bm_torus_projection(benchmark::State& state)
 }
 BENCHMARK(bm_torus_projection)->Arg(64)->Arg(100);
 
-void bm_lanczos_lambda(benchmark::State& state)
+/// compute_lambda on the Arg x Arg torus, the solver alone (no closed
+/// form): under uniform speeds, and under zipf speeds from a fixed seed,
+/// whose symmetrization has unequal weights. The `steps` and `applies`
+/// counters are one solve's Lanczos steps and operator applications.
+void bm_lanczos_lambda(benchmark::State& state, bool zipf)
 {
     const graph& g = torus_for(state.range(0));
     const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
-    const auto speeds = speed_profile::uniform(g.num_nodes());
+    const auto speeds = zipf ? speed_profile::zipf(g.num_nodes(), 1.0, 8.0, 23)
+                             : speed_profile::uniform(g.num_nodes());
+    lanczos_result solved;
     for (auto _ : state)
-        benchmark::DoNotOptimize(compute_lambda(g, alpha, speeds));
+        benchmark::DoNotOptimize(compute_lambda(g, alpha, speeds, &solved));
+    state.counters["steps"] = solved.iterations;
+    state.counters["applies"] = solved.applies;
 }
-BENCHMARK(bm_lanczos_lambda)->Arg(64)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(bm_lanczos_lambda, uniform, false)
+    ->Arg(64)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(bm_lanczos_lambda, zipf, true)
+    ->Arg(128)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 
