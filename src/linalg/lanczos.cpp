@@ -174,9 +174,10 @@ ritz_end ritz_end_of(const tridiagonal& t, std::size_t index, double beta_k)
 // -- the fused sweeps ---------------------------------------------------------
 //
 // Each sweep visits every element once in ascending order and sums its dot
-// from +0.0 as it goes. The plain recurrence ran the operator, axpy, dot,
-// projection and scale as separate passes; per element, the sweeps below
-// run the same rounded operations in the same order.
+// from +0.0 as it goes. Per element, the sweeps must run the rounded
+// operations of the plain recurrence (operator, axpy, dot, projection and
+// scale as separate passes; lanczos_reference in tests/reference_kernels.*)
+// in its order: that is what keeps lambda's bits.
 
 using deflation = std::span<const std::vector<double>>;
 

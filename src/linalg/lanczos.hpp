@@ -19,18 +19,18 @@
 //
 // Each step is a few node sweeps that carry their own sums, over the
 // operator's row kernel (sparse_op::for_each_row). With d deflated vectors
-// b_i, step k runs d + 3 sweeps where the plain recurrence ran 2d + 6 passes:
+// b_i, step k runs d + 3 sweeps, against 2d + 6 passes for the plain
+// recurrence (operator, axpy, dot, projection and scale as separate passes):
 // (A) w = M v - beta_{k-1} v_prev row by row, summing alpha = w . v;
 // (B) w -= alpha v, summing c_0 = w . b_0; one more sweep per further b_i,
 // subtracting c_{i-1} b_{i-1} and summing c_i; (C) w -= c_{d-1} b_{d-1},
 // summing ||w||^2; (D) w /= beta. The regeneration pass folds x += y_j v_j,
-// the row, both subtractions and the c_0 sum into one sweep and the last
-// subtraction and the scale into another. Every element still takes the
-// same rounded operations in the same order as in the plain recurrence
-// (operator, axpy, dot, projection, scale as separate passes), and every
-// sum still runs from +0.0 in ascending index order, so the fused sweeps
-// return the plain recurrence's bits, and the regeneration pass still
-// regenerates the first pass's vectors bit for bit.
+// the row, both subtractions and the c_0 sum into one sweep, and the last
+// subtraction and the scale into another. Every element takes the plain
+// recurrence's rounded operations in its order, and every sum runs from
+// +0.0 in ascending index order, so the sweeps return the plain
+// recurrence's bits, and the regeneration pass regenerates the first
+// pass's vectors bit for bit.
 //
 // What convergence means, and no more: theta is a Ritz value, the Rayleigh
 // quotient of x, so it never lies beyond lambda_2's end of the spectrum
