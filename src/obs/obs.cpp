@@ -209,6 +209,12 @@ void write_us(std::ostream& out, std::int64_t ns)
 namespace detail {
 
 void emit_complete_event(const char* category, const char* name,
+                         std::int64_t start_ns, std::int64_t duration_ns)
+{
+    emit_complete_event(category, name, start_ns, duration_ns, {});
+}
+
+void emit_complete_event(const char* category, const char* name,
                          std::int64_t start_ns, std::int64_t duration_ns,
                          std::span<const trace_arg> args)
 {

@@ -200,8 +200,11 @@ struct trace_arg {
 
 namespace detail {
 void emit_complete_event(const char* category, const char* name,
+                         std::int64_t start_ns, std::int64_t duration_ns);
+/// The same event with an "args" object (none when `args` is empty).
+void emit_complete_event(const char* category, const char* name,
                          std::int64_t start_ns, std::int64_t duration_ns,
-                         std::span<const trace_arg> args = {});
+                         std::span<const trace_arg> args);
 } // namespace detail
 
 /// RAII phase span: records the monotonic start time on construction and
