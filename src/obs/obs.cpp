@@ -232,11 +232,13 @@ void emit_complete_event(const char* category, const char* name,
     if (!args.empty()) {
         w.out << ",\"args\":{";
         for (std::size_t i = 0; i < args.size(); ++i) {
+            if (i > 0) w.out << ",";
+            w.out << "\"" << json_writer::escape(args[i].key) << "\":";
             // JSON has no Inf/NaN literals; write them as null.
-            w.out << (i > 0 ? "," : "") << "\"" << json_writer::escape(args[i].key)
-                  << "\":"
-                  << (std::isfinite(args[i].value) ? format_double(args[i].value)
-                                                   : std::string("null"));
+            if (std::isfinite(args[i].value))
+                w.out << format_double(args[i].value);
+            else
+                w.out << "null";
         }
         w.out << "}";
     }
