@@ -221,14 +221,20 @@ TEST(Lanczos, MatchesReferenceRecurrenceBitwise)
     // their bits: diagonal operators with and without deflation, a step
     // cap that stops unconverged, regular and irregular degrees, and
     // zipf speeds (the symmetrization's unequal weights).
-    const graph line50 = graph::from_edge_list(50, {});
-    const sparse_op diagonal50 = diagonal_operator(line50, ramp(50));
-    const graph line40 = graph::from_edge_list(40, {});
+    const graph isolated50 = graph::from_edge_list(50, {});
+    const sparse_op diagonal50 = diagonal_operator(isolated50, ramp(50));
+    const graph isolated40 = graph::from_edge_list(40, {});
     std::vector<double> spike(40, 1.0);
     spike[0] = 5.0;
-    const sparse_op diagonal40 = diagonal_operator(line40, spike);
+    const sparse_op diagonal40 = diagonal_operator(isolated40, spike);
     std::vector<double> e0(40, 0.0);
     e0[0] = 1.0;
+    // The ramp's top two unit vectors: a second deflated vector takes the
+    // extra deflation sweep.
+    std::vector<double> e48(50, 0.0);
+    std::vector<double> e49(50, 0.0);
+    e48[48] = 1.0;
+    e49[49] = 1.0;
 
     const auto uniform = [](const graph& g) {
         return speed_profile::uniform(g.num_nodes());
@@ -254,6 +260,8 @@ TEST(Lanczos, MatchesReferenceRecurrenceBitwise)
     solves.push_back({"50-entry diagonal", &diagonal50, {}});
     solves.push_back({"40-entry diagonal, e0 deflated", &diagonal40, {e0}});
     solves.push_back({"50-entry diagonal, 3-step cap", &diagonal50, {}, 3});
+    solves.push_back(
+        {"50-entry diagonal, top two deflated", &diagonal50, {e49, e48}});
     const char* const names[] = {"cycle 33",        "8x10 torus",
                                  "2^7 hypercube",   "path 30",
                                  "20x20 zipf torus", "128^2 zipf torus",
