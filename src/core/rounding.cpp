@@ -12,7 +12,7 @@ std::string_view to_string(rounding_kind kind) noexcept
     case rounding_kind::randomized: return "randomized";
     case rounding_kind::floor: return "floor";
     case rounding_kind::nearest: return "nearest";
-    case rounding_kind::bernoulli_edge: return "bernoulli-edge";
+    case rounding_kind::bernoulli_edge: return "bernoulli_edge";
     }
     return "unknown";
 }

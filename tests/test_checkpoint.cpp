@@ -699,6 +699,12 @@ TEST(CheckpointResumeValidation, MismatchesThrowNamingTheField)
         expect_contains(message_for(bad), "rounding");
     }
     {
+        // The message spells the kind the way specs and flags accept it.
+        experiment_config bad = base;
+        bad.rounding = rounding_kind::bernoulli_edge;
+        expect_contains(message_for(bad), "bernoulli_edge");
+    }
+    {
         experiment_config bad = base;
         bad.policy = negative_load_policy::prevent;
         expect_contains(message_for(bad), "policy");

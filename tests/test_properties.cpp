@@ -59,8 +59,7 @@ std::string param_name(const ::testing::TestParamInfo<param_tuple>& info)
                 ? "_fos"
                 : (scheme == scheme_kind::sos ? "_sos" : "_cheb");
     name += "_";
-    for (const char c : to_string(rounding))
-        name += c == '-' ? '_' : c;
+    name += to_string(rounding);
     name += speeds == speed_kind::uniform ? "_uni" : "_het";
     return name;
 }

@@ -109,9 +109,7 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, RoundingKinds,
                                            rounding_kind::nearest,
                                            rounding_kind::bernoulli_edge),
                          [](const auto& info) {
-                             return std::string(to_string(info.param)) == "bernoulli-edge"
-                                        ? "bernoulli_edge"
-                                        : std::string(to_string(info.param));
+                             return std::string(to_string(info.param));
                          });
 
 TEST(Rounding, FloorAlwaysRoundsDown)
@@ -349,7 +347,7 @@ TEST(Rounding, ToStringNames)
     EXPECT_EQ(to_string(rounding_kind::randomized), "randomized");
     EXPECT_EQ(to_string(rounding_kind::floor), "floor");
     EXPECT_EQ(to_string(rounding_kind::nearest), "nearest");
-    EXPECT_EQ(to_string(rounding_kind::bernoulli_edge), "bernoulli-edge");
+    EXPECT_EQ(to_string(rounding_kind::bernoulli_edge), "bernoulli_edge");
 }
 
 } // namespace
