@@ -277,9 +277,6 @@ public:
     /// Median of the trailing window — the reported remaining imbalance.
     double remaining() const;
 
-    std::int64_t observations() const noexcept { return count_; }
-    double best() const noexcept { return best_; }
-
     /// Checkpoint support: capture / reinstate the evolving state. restore
     /// throws std::invalid_argument if the trailing window exceeds the
     /// tracker's configured window.

@@ -94,15 +94,6 @@ public:
         return int_free_.size() + real_free_.size();
     }
 
-    /// Total capacity held by the free lists, in bytes (introspection).
-    std::size_t pooled_bytes() const noexcept
-    {
-        std::size_t bytes = 0;
-        for (const auto& b : int_free_) bytes += b.capacity() * sizeof(std::int64_t);
-        for (const auto& b : real_free_) bytes += b.capacity() * sizeof(double);
-        return bytes;
-    }
-
 private:
     // Hands out the largest-capacity free buffer so one big scenario's
     // arrays keep serving smaller ones without reallocation, zero-filled to

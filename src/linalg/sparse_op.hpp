@@ -65,7 +65,6 @@ public:
     /// max_h |w[h] - w[twin(h)]| — zero for a symmetric operator.
     double symmetry_defect() const;
 
-    const graph& underlying_graph() const noexcept { return *graph_; }
     std::span<const double> diagonal() const noexcept { return diagonal_; }
     std::span<const double> weights() const noexcept { return weights_; }
 
