@@ -21,9 +21,9 @@
 //   dlb_campaign --spec big.spec --merge s0.csv,s1.csv
 //     --csv full.csv --json full.json
 //
-// Reports are byte-identical for any --threads value, with or without
-// --shard + --merge, and with or without graph caching / scratch pooling;
-// add --timing to include (nondeterministic) wall-clock fields.
+// Reports are byte-identical for any --threads value and with or without
+// --shard + --merge; add --timing to include (nondeterministic) wall-clock
+// fields.
 #include <algorithm>
 #include <fstream>
 #include <functional>
@@ -121,10 +121,6 @@ constexpr flag_row kFlags[] = {
      "in-engine round-kernel workers per scenario (0: hardware, 1: serial); "
      "any value != 1 runs scenarios one at a time. Use it for a few large "
      "scenarios, --threads for many small ones"},
-    {"no-graph-cache", nullptr, false, kRun | kQueue,
-     "re-resolve the topology per scenario instead of sharing it"},
-    {"no-scratch-pool", nullptr, false, kRun | kQueue,
-     "allocate engine arrays per scenario instead of pooling per worker"},
     {"record-every", "N", false, kRun | kQueue | kMerge,
      "series sampling stride (0: rounds/256)"},
     {"json", "PATH", false, kAll, "write the aggregated JSON report"},
@@ -541,8 +537,6 @@ int main(int argc, char** argv)
                 static_cast<unsigned>(args.get_int("engine-threads", 1));
             options.record_every = record_every;
             options.series_dir = args.get_string("series-dir", "");
-            options.reuse_graphs = !args.get_bool("no-graph-cache", false);
-            options.pool_scratch = !args.get_bool("no-scratch-pool", false);
             options.lambda_cache_path = args.get_string("lambda-cache", "");
             options.checkpoint_every = args.get_int("checkpoint-every", 0);
             options.checkpoint_dir = args.get_string("checkpoint-dir", "");

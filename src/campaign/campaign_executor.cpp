@@ -128,29 +128,22 @@ switch_policy resolve_switching(const scenario_spec& spec)
 /// resolve through resolve_instance, so windowed sampling replays exactly
 /// the campaign's graph, alpha, speeds and scheme.
 struct scenario_instance {
-    std::shared_ptr<const graph> network; // shared by the cache, or owned
+    std::shared_ptr<const graph> network; // shared by the cache
     diffusion_config diffusion;           // on *network
     double lambda = -1.0;                 // -1: the scheme needed none
     double beta = 0.0;                    // effective relaxation parameter
 };
 
 scenario_instance resolve_instance(const scenario_spec& spec,
-                                   graph_cache* cache)
+                                   graph_cache& cache)
 {
     // Parsed specs were checked field by field as they were set; a spec
     // built in code gets the same checks here, before any work.
     validate_fields(spec);
 
-    // The topology is shared from the cache when one is given (identical
-    // build inputs, so bit-identical graphs) and cold-built otherwise.
     scenario_instance out;
     out.network =
-        cache != nullptr
-            ? cache->get(spec.topology, spec.nodes, spec.topology_param,
-                         spec.seed)
-            : std::make_shared<const graph>(
-                  build_topology(spec.topology, spec.nodes, spec.topology_param,
-                                 topology_seed(spec.seed)));
+        cache.get(spec.topology, spec.nodes, spec.topology_param, spec.seed);
     const graph& g = *out.network;
     diffusion_config& diffusion = out.diffusion;
     diffusion.network = &g;
@@ -160,7 +153,7 @@ scenario_instance resolve_instance(const scenario_spec& spec,
     const auto lambda_of = [&] {
         // A closed form where the registry has one for these inputs,
         // else one Lanczos solve; the metrics say which served each miss.
-        const auto solve = [&] {
+        return cache.lambda(lambda_cache_key(spec), [&] {
             if (lookup(kAlphaNames, spec.alpha) ==
                     alpha_policy::max_degree_plus_one &&
                 lookup(kSpeedNames, spec.speeds) == speed_kind::uniform) {
@@ -179,9 +172,7 @@ scenario_instance resolve_instance(const scenario_spec& spec,
                 obs::registry_histogram("linalg.lanczos_steps");
             lanczos_steps.record(solved.iterations);
             return lambda;
-        };
-        return cache != nullptr ? cache->lambda(lambda_cache_key(spec), solve)
-                                : solve();
+        });
     };
 
     // Relaxation parameter: explicit beta wins; otherwise SOS and
@@ -264,7 +255,9 @@ scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
     const stopwatch watch;
 
     try {
-        scenario_instance instance = resolve_instance(spec, cache);
+        graph_cache own_cache; // resolves this scenario when none is lent
+        scenario_instance instance =
+            resolve_instance(spec, cache != nullptr ? *cache : own_cache);
         const graph& g = *instance.network;
         result.nodes = g.num_nodes();
         result.edges = g.num_edges();
@@ -351,9 +344,6 @@ void check_campaign_options(const campaign_options& options, bool for_queue)
         {options.shard_count < 1, "shard count must be >= 1"},
         {options.shard_index < 0 || options.shard_index >= options.shard_count,
          "shard index out of range"},
-        {!options.lambda_cache_path.empty() && !options.reuse_graphs,
-         "the lambda sidecar is a tier of the graph cache (drop "
-         "--no-graph-cache to use --lambda-cache)"},
         {options.checkpoint_every < 0, "checkpoint-every must be >= 0"},
         {(options.checkpoint_every > 0) != !options.checkpoint_dir.empty(),
          "--checkpoint-every and --checkpoint-dir must be set together"},
@@ -448,9 +438,7 @@ scenario_result run_context::run(std::int64_t index, engine_scratch& scratch,
     checkpointing.after_checkpoint = std::move(after_checkpoint);
     return run_scenario(scenarios[static_cast<std::size_t>(index)], index,
                         record_every, options.series_dir, engine_pool.get(),
-                        options.reuse_graphs ? &cache : nullptr,
-                        options.pool_scratch ? &scratch : nullptr,
-                        &checkpointing);
+                        &cache, &scratch, &checkpointing);
 }
 
 void run_context::save_sidecar(campaign_result& result)
@@ -631,7 +619,8 @@ measure_windows_result measure_windows(const campaign_spec& spec,
 
     // The spec hash already guarantees these inputs equal the
     // checkpointing run's.
-    const scenario_instance instance = resolve_instance(target, nullptr);
+    graph_cache cache;
+    const scenario_instance instance = resolve_instance(target, cache);
     const std::vector<std::int64_t> zeros(
         static_cast<std::size_t>(instance.network->num_nodes()), 0);
 

@@ -45,16 +45,6 @@ struct campaign_options {
     /// results stay byte-identical either way.
     unsigned engine_threads = 1;
 
-    /// Resolve each distinct topology (and its lambda) once per campaign
-    /// and share it across scenarios (graph_cache). Off: every scenario
-    /// cold-builds, the pre-cache behavior. Reports are byte-identical
-    /// either way.
-    bool reuse_graphs = true;
-    /// Reuse per-worker engine scratch (64-byte-aligned SoA buffers)
-    /// across consecutive scenarios instead of allocating per run. Off:
-    /// every engine allocates fresh. Reports are byte-identical either way.
-    bool pool_scratch = true;
-
     /// Process-level sharding: this invocation runs only the scenarios the
     /// cost-balanced partitioner (cost_model.hpp: greedy LPT) assigns to
     /// shard_index of shard_count. Results keep their global indices, so
@@ -172,10 +162,10 @@ struct campaign_result {
     /// Lease-queue activity of the worker that produced this result.
     queue_worker_stats queue;
     /// Resolution-cache counters for this run (all zero when the result was
-    /// assembled by merge_shard_csv or the graph cache was disabled). A
-    /// warm lambda sidecar shows up as lambda_misses == 0: every lookup
-    /// was served from cache. Like wall_seconds, never part of the
-    /// byte-deterministic reports — dlb_campaign prints it under --timing.
+    /// assembled by merge_shard_csv). A warm lambda sidecar shows up as
+    /// lambda_misses == 0: every lookup was served from cache. Like
+    /// wall_seconds, never part of the byte-deterministic reports —
+    /// dlb_campaign prints it under --timing.
     graph_cache::cache_stats cache;
     /// Entries loaded from options.lambda_cache_path (0: none/no sidecar).
     std::int64_t lambda_sidecar_loaded = 0;
@@ -203,9 +193,10 @@ struct scenario_checkpointing {
 /// scenario_result::error so one bad cell cannot sink a sweep. A non-empty
 /// `series_dir` (must exist) also writes the recorded per-round series.
 /// `engine_exec` runs the per-round kernels (nullptr: serial); `cache`
-/// shares resolved topologies/lambdas across calls; `scratch` lends the
-/// engines pooled buffers; `checkpointing` (optional) snapshots and/or
-/// resumes the run. Results are byte-identical for every combination.
+/// shares resolved topologies/lambdas across calls (nullptr: a cache of
+/// this call's own); `scratch` lends the engines pooled buffers (nullptr:
+/// fresh arrays); `checkpointing` (optional) snapshots and/or resumes the
+/// run. Results are byte-identical for every combination.
 scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
                              std::int64_t record_every,
                              const std::string& series_dir = {},

@@ -16,7 +16,7 @@
 // per-entry std::call_once, so concurrent workers missing on the same key
 // neither duplicate the build nor serialize unrelated builds behind one
 // mutex. A builder that throws leaves the entry unbuilt (the next lookup
-// retries and rethrows), matching cold-path error semantics.
+// retries and rethrows).
 //
 // Lambda entries additionally have a persistent tier: a sidecar file
 // mapping lambda_cache_key strings to values, loaded at campaign start and

@@ -511,11 +511,9 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
     // loads never override locally computed entries) and saved, merged,
     // after every completion. Default location is inside the queue so the
     // whole fleet shares one file; --lambda-cache overrides.
-    const std::string sidecar_path =
-        !options.lambda_cache_path.empty()
-            ? options.lambda_cache_path
-            : (options.reuse_graphs ? (queue / "lambda.sidecar").string()
-                                    : std::string());
+    const std::string sidecar_path = !options.lambda_cache_path.empty()
+                                         ? options.lambda_cache_path
+                                         : (queue / "lambda.sidecar").string();
     // Every scenario counts toward this worker's heartbeat ETA. A worker
     // runs its leases one at a time (the fan-out is across worker
     // processes), so the context's engine pool is its only in-process
@@ -548,8 +546,7 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
         ++result.queue.leased;
         if (pick.re_lease) ++result.queue.re_leased;
 
-        if (!sidecar_path.empty())
-            context.cache.load_lambda_sidecar(sidecar_path);
+        context.cache.load_lambda_sidecar(sidecar_path);
 
         std::function<void(std::int64_t)> after_checkpoint;
         if (hooks.after_checkpoint)

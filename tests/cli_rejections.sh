@@ -67,7 +67,6 @@ row 2 "--progress" --progress=0 $small
 row 2 "lease" --queue q --lease-expiry 0 $small
 row 2 "--shard" --shard 2/2 $small
 row 2 "must be set together" --checkpoint-every 5 $small
-row 2 "tier of the graph cache" --lambda-cache l.sidecar --no-graph-cache $small
 row 2 "seeds must be >= 1" --seeds 0 --dry-run
 row 2 "repeats 'fos'" --sweep.scheme fos,fos --dry-run
 
@@ -75,6 +74,8 @@ row 2 "repeats 'fos'" --sweep.scheme fos,fos --dry-run
 row 2 "unknown option --nodez" --nodez 5 --dry-run
 row 2 "unexpected argument" "$spec" --dry-run
 row 2 "unknown option --rng-version" --rng-version 2 --dry-run
+row 2 "unknown option --no-graph-cache" --no-graph-cache --dry-run
+row 2 "unknown option --no-scratch-pool" --no-scratch-pool --dry-run
 
 # A repeated flag, a valueless flag and a flag its mode does not read.
 row 2 "--nodes given twice" --nodes 10 --nodes 20 --dry-run
@@ -84,14 +85,13 @@ row 2 "'seeds' and 'sweep.seed' (--sweep.seed)" --sweep.seed 5,6 --seeds 3 \
 for flag in --series-dir --threads --record-every --measure-windows; do
     row 2 "$flag needs a value" $small $flag
 done
-for flag in "--threads 2" "--engine-threads 2" --no-graph-cache \
-    --no-scratch-pool "--series-dir d" --progress "--lease-expiry 5" \
-    "--lambda-cache l.sidecar" "--checkpoint-every 5"; do
+for flag in "--threads 2" "--engine-threads 2" "--series-dir d" --progress \
+    "--lease-expiry 5" "--lambda-cache l.sidecar" "--checkpoint-every 5"; do
     row 2 "--merge and ${flag%% *} are exclusive" --merge s0.csv,s1.csv $flag
 done
-for flag in "--threads 2" "--engine-threads 2" --no-graph-cache \
-    --no-scratch-pool "--series-dir d" "--lambda-cache l.sidecar" --timing \
-    --progress "--record-every 2" "--lease-expiry 5"; do
+for flag in "--threads 2" "--engine-threads 2" "--series-dir d" \
+    "--lambda-cache l.sidecar" --timing --progress "--record-every 2" \
+    "--lease-expiry 5"; do
     row 2 "--measure-windows and ${flag%% *} are exclusive" $small $windows \
         $flag
 done
@@ -116,8 +116,6 @@ row 0 "" --spec "$spec" --threads 8 --json report.json --csv report.csv \
 row 0 "" --spec "$spec" --shard 0/2 --csv s0.csv --dry-run
 row 0 "" --spec "$spec" --merge s0.csv,s1.csv --csv full.csv --json full.json \
     --quiet --dry-run
-row 0 "" --spec "$spec" --threads 2 --no-graph-cache --no-scratch-pool \
-    --csv cold.csv --quiet --dry-run
 row 0 "" --spec "$spec" --threads 2 --shard 1/2 --lambda-cache l.sidecar \
     --csv cb1.csv --quiet --dry-run
 row 0 "" --spec "$spec" --threads 2 --lambda-cache l.sidecar --timing \

@@ -1,8 +1,8 @@
 // Sharded campaign execution and resource reuse: shard + merge reports must
-// be byte-identical to the unsharded run, and graph-cache / scratch-pool
-// runs byte-identical to cold-build runs — the contracts behind splitting a
-// 2^20-node discrepancy sweep across machines (specs/) and reassembling one
-// canonical report.
+// be byte-identical to the unsharded run, and a campaign's shared graph
+// cache and scratch pools byte-identical to scenarios run alone — the
+// contracts behind splitting a 2^20-node discrepancy sweep across machines
+// (specs/) and reassembling one canonical report.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -266,20 +266,26 @@ TEST(ShardSpec, ParseShardFailuresNameTheFlag)
     EXPECT_EQ(parse_shard("1 / 4").count, 4);
 }
 
-TEST(ResourceReuse, WarmRunsAreByteIdenticalToColdRuns)
+TEST(ResourceReuse, SharedRunsMatchScenariosRunAlone)
 {
+    // The campaign's workers share one graph cache and each reuses its own
+    // scratch pool; run_scenario with nothing lent resolves through a
+    // private cache and allocates fresh engine arrays.
     const campaign_spec spec = shard_spec();
+    campaign_options options;
+    options.threads = 4;
+    const campaign_result shared = run_campaign(spec, options);
 
-    campaign_options cold;
-    cold.reuse_graphs = false;
-    cold.pool_scratch = false;
-    campaign_options warm; // both reuses on by default
-    warm.threads = 4;      // and across the thread axis for good measure
+    campaign_result alone;
+    alone.spec = spec;
+    const std::vector<scenario_spec> scenarios = expand(spec);
+    const std::int64_t record_every = resolved_record_every(spec, 0);
+    for (std::size_t i = 0; i < scenarios.size(); ++i)
+        alone.scenarios.push_back(run_scenario(
+            scenarios[i], static_cast<std::int64_t>(i), record_every));
 
-    const auto a = run_campaign(spec, cold);
-    const auto b = run_campaign(spec, warm);
-    EXPECT_EQ(csv_of(a), csv_of(b));
-    EXPECT_EQ(json_of(a), json_of(b));
+    EXPECT_EQ(csv_of(shared), csv_of(alone));
+    EXPECT_EQ(json_of(shared), json_of(alone));
 }
 
 TEST(GraphCache, SharesAcrossSeedsOnlyWhenSeedIndependent)

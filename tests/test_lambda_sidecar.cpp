@@ -348,14 +348,6 @@ TEST_F(LambdaSidecarTest, MissingFileLoadsNothing)
     EXPECT_EQ(cache.load_lambda_sidecar(path_ + ".does-not-exist"), 0u);
 }
 
-TEST_F(LambdaSidecarTest, SidecarRequiresGraphCache)
-{
-    campaign_options options;
-    options.lambda_cache_path = path_;
-    options.reuse_graphs = false;
-    EXPECT_THROW(run_campaign(lambda_spec(), options), std::invalid_argument);
-}
-
 TEST(GraphCacheKey, NormalizesParamZeroAndRejectsNonFinite)
 {
     graph_cache cache;
