@@ -596,6 +596,7 @@ measure_windows_result measure_windows(const campaign_spec& spec,
         throw std::invalid_argument(
             "measure_windows: window_rounds must be >= 1");
 
+    const obs::trace_span windows_span("campaign", "windows");
     const std::uint64_t campaign_hash = spec_hash(spec);
     const std::vector<scenario_spec> scenarios = expand(spec);
     // Windows record at the snapshot's own stride.

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -12,7 +13,9 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/campaign_executor.hpp"
 #include "core/alpha.hpp"
+#include "core/checkpoint.hpp"
 #include "core/diffusion_matrix.hpp"
 #include "core/speeds.hpp"
 #include "graph/generators.hpp"
@@ -192,6 +195,47 @@ TEST_F(ObsSessionTest, LambdaSolveSpanCarriesSolverArgs)
     EXPECT_EQ(event_number(text, event, "residual"), solved.residual);
     EXPECT_LE(solved.residual, kLanczosTolerance);
     EXPECT_EQ(event_number(text, event, "converged"), 1.0);
+}
+
+TEST_F(ObsSessionTest, WindowsTraceSpansTheRunAndItsResolution)
+{
+    // Windows resample a snapshot of a zipf-speed SOS torus, whose λ has
+    // no closed form: resolving the scenario builds the graph and solves.
+    campaign::campaign_spec spec;
+    spec.name = "obs-windows";
+    spec.base.nodes = 64;
+    spec.base.rounds = 20;
+    spec.base.speeds = "zipf";
+    const std::string dir = ::testing::TempDir() + "dlb_obs_windows";
+    std::filesystem::remove_all(dir);
+    campaign::campaign_options options;
+    options.checkpoint_every = 10;
+    options.checkpoint_dir = dir;
+    const auto full = campaign::run_campaign(spec, options);
+    ASSERT_EQ(full.scenarios.size(), 1u);
+    ASSERT_TRUE(full.scenarios[0].error.empty()) << full.scenarios[0].error;
+    const engine_checkpoint snapshot = read_checkpoint_file(
+        dir + "/0_" + full.scenarios[0].label + ".ckpt");
+    std::filesystem::remove_all(dir);
+
+    campaign::measure_windows_options windows;
+    windows.windows = 2;
+    windows.window_rounds = 5;
+    {
+        obs::session_options trace;
+        trace.trace_path = trace_path_;
+        const obs::session session(trace);
+        campaign::measure_windows(spec, snapshot, windows);
+    }
+    const std::string text = read_file(trace_path_);
+    expect_balanced_json(text);
+    for (const char* name : {"windows", "graph.build", "lambda.compute"}) {
+        const auto name_pos =
+            text.find("\"name\":\"" + std::string(name) + "\"");
+        ASSERT_NE(name_pos, std::string::npos) << name << " missing:\n" << text;
+        const auto event = text.rfind('{', name_pos);
+        EXPECT_LT(text.find("\"cat\":\"campaign\"", event), name_pos) << name;
+    }
 }
 
 TEST_F(ObsSessionTest, MetricsAggregationDeterministicAcrossThreadCounts)
