@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -579,6 +580,75 @@ lanczos_result lanczos_reference(const reference_operator& apply, std::size_t n,
         t.beta.push_back(beta);
         lanczos.advance(beta);
     }
+}
+
+namespace {
+
+void validate_endpoint_reference(node_id v, node_id num_nodes)
+{
+    if (v < 0 || v >= num_nodes)
+        throw std::invalid_argument("graph: endpoint " + std::to_string(v) +
+                                    " outside [0, " + std::to_string(num_nodes) + ")");
+}
+
+} // namespace
+
+csr_reference build_csr_reference(node_id num_nodes, std::span<const edge> edges,
+                                  bool dedup)
+{
+    if (num_nodes < 0) throw std::invalid_argument("graph: negative node count");
+
+    std::vector<edge> directed;
+    directed.reserve(edges.size() * 2);
+    for (const auto& [u, v] : edges) {
+        validate_endpoint_reference(u, num_nodes);
+        validate_endpoint_reference(v, num_nodes);
+        if (u == v) {
+            if (dedup) continue;
+            throw std::invalid_argument("graph: self-loop at node " + std::to_string(u));
+        }
+        directed.emplace_back(u, v);
+        directed.emplace_back(v, u);
+    }
+    std::sort(directed.begin(), directed.end());
+    if (dedup)
+        directed.erase(std::unique(directed.begin(), directed.end()), directed.end());
+    else if (std::adjacent_find(directed.begin(), directed.end()) != directed.end())
+        throw std::invalid_argument("graph: duplicate edge in input");
+
+    // `directed` holds both (u,v) and (v,u) for every undirected edge and is
+    // sorted lexicographically, which yields per-node ascending adjacency.
+    csr_reference out;
+    out.offsets.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
+    out.adjacency.resize(directed.size());
+    out.twins.assign(directed.size(), -1);
+
+    for (const auto& [u, v] : directed) out.offsets[u + 1]++;
+    for (node_id v = 0; v < num_nodes; ++v) out.offsets[v + 1] += out.offsets[v];
+
+    for (std::size_t i = 0; i < directed.size(); ++i)
+        out.adjacency[i] = directed[i].second;
+
+    // Twin resolution: for half-edge h = (u -> v), find (v -> u) by binary
+    // search in v's slice. Total O(m log d).
+    for (node_id u = 0; u < num_nodes; ++u) {
+        for (half_edge_id h = out.offsets[u]; h < out.offsets[u + 1]; ++h) {
+            const node_id v = out.adjacency[h];
+            const auto begin = out.adjacency.begin() + out.offsets[v];
+            const auto end = out.adjacency.begin() + out.offsets[v + 1];
+            const auto it = std::lower_bound(begin, end, u);
+            out.twins[h] = out.offsets[v] + (it - begin);
+        }
+    }
+
+    out.max_degree = 0;
+    out.min_degree = num_nodes > 0 ? std::numeric_limits<std::int32_t>::max() : 0;
+    for (node_id v = 0; v < num_nodes; ++v) {
+        const auto d = static_cast<std::int32_t>(out.offsets[v + 1] - out.offsets[v]);
+        out.max_degree = std::max(out.max_degree, d);
+        out.min_degree = std::min(out.min_degree, d);
+    }
+    return out;
 }
 
 } // namespace dlb

@@ -1,10 +1,11 @@
-// The reference round kernels, engine steps and Lanczos solver, kept as
-// bitwise oracles for the golden determinism suite
-// (tests/test_golden_determinism.cpp) and the solver tests
-// (tests/test_lanczos.cpp), and as baselines for the kernel
-// microbenchmarks (bench/bench_micro_step.cpp). Each is the plain
-// two-sided, early-exit or multi-pass form of a library kernel, and must
-// produce exactly the library kernel's bits.
+// The reference round kernels, engine steps, Lanczos solver and graph
+// build, kept as bitwise oracles for the golden determinism suite
+// (tests/test_golden_determinism.cpp), the solver tests
+// (tests/test_lanczos.cpp) and the graph tests (tests/test_graph.cpp), and
+// as baselines for the kernel microbenchmarks (bench/bench_micro_step.cpp).
+// Each is the plain two-sided, early-exit, multi-pass or globally sorted
+// form of a library kernel, and must produce exactly the library kernel's
+// bits.
 #ifndef DLB_TESTS_REFERENCE_KERNELS_HPP
 #define DLB_TESTS_REFERENCE_KERNELS_HPP
 
@@ -72,6 +73,24 @@ using reference_operator =
 lanczos_result lanczos_reference(const reference_operator& apply, std::size_t n,
                                  std::span<const std::vector<double>> deflate,
                                  int max_steps = kLanczosMaxSteps);
+
+/// The CSR arrays and degree extremes of one graph build.
+struct csr_reference {
+    std::vector<half_edge_id> offsets; // size n+1
+    std::vector<node_id> adjacency;    // size 2|E|, per-node ascending
+    std::vector<half_edge_id> twins;   // size 2|E|
+    std::int32_t max_degree = 0;
+    std::int32_t min_degree = 0;
+};
+
+/// The sort-based CSR build: both directions of every edge as (tail, head)
+/// pairs in one vector, one global sort, then the twin of each half-edge
+/// by binary search in its head's slice. With `dedup` false it is
+/// graph::from_edge_list (self-loops, duplicates and endpoints outside
+/// [0, num_nodes) throw std::invalid_argument); with `dedup` true it is
+/// graph::from_edge_list_dedup (self-loops and duplicates are dropped).
+csr_reference build_csr_reference(node_id num_nodes, std::span<const edge> edges,
+                                  bool dedup);
 
 } // namespace dlb
 
