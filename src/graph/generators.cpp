@@ -347,7 +347,7 @@ graph make_random_geometric(node_id n, double radius, std::uint64_t seed,
             }
             edges.emplace_back(std::min(v, best), std::max(v, best));
         }
-        g = graph::from_edge_list_dedup(n, std::move(edges));
+        g = graph::from_edge_list_dedup(n, edges);
     }
     return g;
 }

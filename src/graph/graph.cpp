@@ -18,30 +18,68 @@ void validate_endpoint(node_id v, node_id num_nodes)
 
 } // namespace
 
-void graph::build_from_sorted_pairs(node_id num_nodes, std::vector<edge>&& directed)
+void graph::build(node_id num_nodes, std::span<const edge> edges, bool dedup)
 {
-    // `directed` holds both (u,v) and (v,u) for every undirected edge and is
-    // sorted lexicographically, which yields per-node ascending adjacency.
+    if (num_nodes < 0) throw std::invalid_argument("graph: negative node count");
     num_nodes_ = num_nodes;
-    offsets_.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
-    adjacency_.resize(directed.size());
-    twins_.assign(directed.size(), -1);
 
-    for (const auto& [u, v] : directed) offsets_[u + 1]++;
+    // Pass 1, in edge order: endpoint and self-loop errors, degree counts.
+    offsets_.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
+    for (const auto& [u, v] : edges) {
+        validate_endpoint(u, num_nodes);
+        validate_endpoint(v, num_nodes);
+        if (u == v) {
+            if (dedup) continue;
+            throw std::invalid_argument("graph: self-loop at node " + std::to_string(u));
+        }
+        offsets_[u + 1]++;
+        offsets_[v + 1]++;
+    }
     for (node_id v = 0; v < num_nodes; ++v) offsets_[v + 1] += offsets_[v];
 
-    for (std::size_t i = 0; i < directed.size(); ++i)
-        adjacency_[i] = directed[i].second;
+    // Scatter each edge into both endpoints' slices.
+    std::vector<half_edge_id> cursor(offsets_.begin(), offsets_.end() - 1);
+    adjacency_.resize(static_cast<std::size_t>(offsets_.back()));
+    for (const auto& [u, v] : edges) {
+        if (u == v) continue;
+        adjacency_[cursor[u]++] = v;
+        adjacency_[cursor[v]++] = u;
+    }
 
-    // Twin resolution: for half-edge h = (u -> v), find (v -> u) by binary
-    // search in v's slice. Total O(m log d).
+    // Sort each slice; a duplicate edge shows as equal neighbours in both
+    // of its endpoints' slices. The dedup path compacts the slices left.
+    half_edge_id kept = 0;
+    for (node_id v = 0; v < num_nodes; ++v) {
+        const auto first = adjacency_.begin() + offsets_[v];
+        auto last = adjacency_.begin() + offsets_[v + 1];
+        std::sort(first, last);
+        if (dedup) {
+            last = std::unique(first, last);
+            const auto target = adjacency_.begin() + kept;
+            if (target != first) std::copy(first, last, target);
+            offsets_[v] = kept;
+            kept += last - first;
+        } else if (std::adjacent_find(first, last) != last) {
+            throw std::invalid_argument("graph: duplicate edge in input");
+        }
+    }
+    if (dedup) {
+        offsets_[num_nodes] = kept;
+        adjacency_.resize(static_cast<std::size_t>(kept));
+    }
+
+    // Twins in one ascending pass. For u < v, v's slice lists its
+    // neighbours below v first and in ascending order, which is the order
+    // this pass meets their edges to v in; cursor[v] walks that prefix.
+    std::copy(offsets_.begin(), offsets_.end() - 1, cursor.begin());
+    twins_.resize(adjacency_.size());
     for (node_id u = 0; u < num_nodes; ++u) {
         for (half_edge_id h = offsets_[u]; h < offsets_[u + 1]; ++h) {
             const node_id v = adjacency_[h];
-            const auto begin = adjacency_.begin() + offsets_[v];
-            const auto end = adjacency_.begin() + offsets_[v + 1];
-            const auto it = std::lower_bound(begin, end, u);
-            twins_[h] = offsets_[v] + (it - begin);
+            if (v < u) continue;
+            const half_edge_id reverse = cursor[v]++;
+            twins_[h] = reverse;
+            twins_[reverse] = h;
         }
     }
 
@@ -56,45 +94,15 @@ void graph::build_from_sorted_pairs(node_id num_nodes, std::vector<edge>&& direc
 
 graph graph::from_edge_list(node_id num_nodes, std::span<const edge> edges)
 {
-    if (num_nodes < 0) throw std::invalid_argument("graph: negative node count");
-
-    std::vector<edge> directed;
-    directed.reserve(edges.size() * 2);
-    for (const auto& [u, v] : edges) {
-        validate_endpoint(u, num_nodes);
-        validate_endpoint(v, num_nodes);
-        if (u == v)
-            throw std::invalid_argument("graph: self-loop at node " + std::to_string(u));
-        directed.emplace_back(u, v);
-        directed.emplace_back(v, u);
-    }
-    std::sort(directed.begin(), directed.end());
-    if (std::adjacent_find(directed.begin(), directed.end()) != directed.end())
-        throw std::invalid_argument("graph: duplicate edge in input");
-
     graph g;
-    g.build_from_sorted_pairs(num_nodes, std::move(directed));
+    g.build(num_nodes, edges, false);
     return g;
 }
 
-graph graph::from_edge_list_dedup(node_id num_nodes, std::vector<edge> edges)
+graph graph::from_edge_list_dedup(node_id num_nodes, std::span<const edge> edges)
 {
-    if (num_nodes < 0) throw std::invalid_argument("graph: negative node count");
-
-    std::vector<edge> directed;
-    directed.reserve(edges.size() * 2);
-    for (const auto& [u, v] : edges) {
-        validate_endpoint(u, num_nodes);
-        validate_endpoint(v, num_nodes);
-        if (u == v) continue;
-        directed.emplace_back(u, v);
-        directed.emplace_back(v, u);
-    }
-    std::sort(directed.begin(), directed.end());
-    directed.erase(std::unique(directed.begin(), directed.end()), directed.end());
-
     graph g;
-    g.build_from_sorted_pairs(num_nodes, std::move(directed));
+    g.build(num_nodes, edges, true);
     return g;
 }
 

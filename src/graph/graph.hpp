@@ -36,13 +36,15 @@ public:
     /// Builds a graph from an undirected edge list.
     ///
     /// Self-loops and duplicate edges are rejected with
-    /// std::invalid_argument, as are endpoints outside [0, num_nodes).
-    /// Cost: O(n + m log m) (duplicate detection sorts a copy).
+    /// std::invalid_argument, as are endpoints outside [0, num_nodes);
+    /// endpoint and self-loop errors come in edge order, before any
+    /// duplicate error. Cost: O(n + m + sum_v d_v log d_v) (a counting-sort
+    /// scatter, then one sort per node slice), with one n-sized temporary.
     static graph from_edge_list(node_id num_nodes, std::span<const edge> edges);
 
     /// Like from_edge_list but silently drops self-loops and duplicates;
-    /// used by the erased configuration model generator.
-    static graph from_edge_list_dedup(node_id num_nodes, std::vector<edge> edges);
+    /// used by the erased configuration model generator and the RGG repair.
+    static graph from_edge_list_dedup(node_id num_nodes, std::span<const edge> edges);
 
     graph() = default;
 
@@ -108,7 +110,9 @@ private:
     std::vector<node_id> adjacency_;    // size 2|E|, per-node ascending
     std::vector<half_edge_id> twins_;   // size 2|E|
 
-    void build_from_sorted_pairs(node_id num_nodes, std::vector<edge>&& directed);
+    /// The one builder behind both entry points; `dedup` drops self-loops
+    /// and duplicates instead of rejecting them.
+    void build(node_id num_nodes, std::span<const edge> edges, bool dedup);
 };
 
 /// True on a 4-regular graph (the 2-D torus, the paper's primary
