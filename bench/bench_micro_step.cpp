@@ -1,6 +1,7 @@
 // Microbenchmarks of the per-round kernels (google-benchmark): scheduled
-// flow computation, rounding schemes, whole discrete/continuous steps, and
-// thread-pool scaling. Reports edges/second so kernel regressions surface.
+// flow computation, rounding schemes, whole discrete/continuous steps,
+// thread-pool scaling, the λ solver and the CSR graph build. Reports
+// edges/second so kernel regressions surface.
 #include <benchmark/benchmark.h>
 
 #include "dlb.hpp"
@@ -283,6 +284,44 @@ void bm_torus_projection(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * side * side);
 }
 BENCHMARK(bm_torus_projection)->Arg(64)->Arg(100);
+
+/// Times `build` on the graph's own canonical edge list: on the Arg x Arg
+/// torus, or on the 2^Arg hypercube.
+template <class Build>
+void time_graph_build(benchmark::State& state, bool hypercube, Build build)
+{
+    const auto size = state.range(0);
+    const graph& g = hypercube ? hypercube_for(size) : torus_for(size);
+    const std::vector<edge> edges = g.edge_list();
+    for (auto _ : state) benchmark::DoNotOptimize(build(g.num_nodes(), edges));
+    state.SetItemsProcessed(state.iterations() * g.num_edges());
+}
+
+void bm_graph_build(benchmark::State& state, bool hypercube)
+{
+    time_graph_build(state, hypercube, [](node_id n, std::span<const edge> edges) {
+        return graph::from_edge_list(n, edges);
+    });
+}
+BENCHMARK_CAPTURE(bm_graph_build, torus, false)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(bm_graph_build, hypercube, true)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond);
+
+void bm_graph_build_reference(benchmark::State& state, bool hypercube)
+{
+    time_graph_build(state, hypercube, [](node_id n, std::span<const edge> edges) {
+        return build_csr_reference(n, edges, false);
+    });
+}
+BENCHMARK_CAPTURE(bm_graph_build_reference, torus, false)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(bm_graph_build_reference, hypercube, true)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond);
 
 /// compute_lambda on the Arg x Arg torus, the solver alone (no closed
 /// form): under uniform speeds, and under zipf speeds from a fixed seed,
