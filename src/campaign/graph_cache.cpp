@@ -117,9 +117,12 @@ std::shared_ptr<const graph> graph_cache::get(const std::string& family,
 
     bool built_here = false;
     std::call_once(slot->once, [&] {
-        const obs::trace_span span("campaign", "graph.build");
+        obs::trace_span span("campaign", "graph.build");
         slot->built = std::make_shared<const graph>(
             build_topology(family, nodes, param, effective_seed));
+        span.set_args(
+            {{"nodes", static_cast<double>(slot->built->num_nodes())},
+             {"half_edges", static_cast<double>(slot->built->num_half_edges())}});
         built_here = true;
     });
     if (built_here) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "campaign/campaign_executor.hpp"
+#include "campaign/graph_cache.hpp"
 #include "core/alpha.hpp"
 #include "core/checkpoint.hpp"
 #include "core/diffusion_matrix.hpp"
@@ -195,6 +196,29 @@ TEST_F(ObsSessionTest, LambdaSolveSpanCarriesSolverArgs)
     EXPECT_EQ(event_number(text, event, "residual"), solved.residual);
     EXPECT_LE(solved.residual, kLanczosTolerance);
     EXPECT_EQ(event_number(text, event, "converged"), 1.0);
+}
+
+TEST_F(ObsSessionTest, GraphBuildSpanCarriesTheGraphSize)
+{
+    // A cache miss builds under a campaign/graph.build span whose args
+    // name what was built; the hit that follows emits no span.
+    campaign::graph_cache cache;
+    {
+        obs::session_options options;
+        options.trace_path = trace_path_;
+        const obs::session session(options);
+        cache.get("torus", 100, 0.0, 1);
+        cache.get("torus", 100, 0.0, 2);
+    }
+    const std::string text = read_file(trace_path_);
+    expect_balanced_json(text);
+    const auto name_pos = text.find("\"name\":\"graph.build\"");
+    ASSERT_NE(name_pos, std::string::npos) << text;
+    EXPECT_EQ(text.find("\"name\":\"graph.build\"", name_pos + 1), std::string::npos);
+    const auto event = text.rfind('{', name_pos);
+    EXPECT_LT(text.find("\"cat\":\"campaign\"", event), name_pos);
+    EXPECT_EQ(event_number(text, event, "nodes"), 100.0);
+    EXPECT_EQ(event_number(text, event, "half_edges"), 400.0);
 }
 
 TEST_F(ObsSessionTest, WindowsTraceSpansTheRunAndItsResolution)
