@@ -86,10 +86,10 @@ constexpr flag_row kFlags[] = {
      "run only this invocation's share of the scenarios, split by greedy LPT "
      "over the per-scenario cost model (rows keep global indices; --merge "
      "reassembles the full report)"},
-    {"lambda-cache", "FILE", false, kRun | kQueue,
+    {"lambda-cache", "FILE", false, kRun | kQueue | kWindows,
      "persistent lambda sidecar shared across invocations and shard "
-     "processes: loaded before the run, rewritten atomically after it; a "
-     "missing or corrupt file degrades to recompute"},
+     "processes: loaded before the run or the windows, rewritten atomically "
+     "after it; a missing or corrupt file degrades to recompute"},
     {"queue", "DIR", false, kQueue,
      "become one lease-queue worker on the shared directory DIR: workers on "
      "any machines lease scenarios heaviest-first, take over dead holders' "
@@ -489,10 +489,15 @@ int main(int argc, char** argv)
             campaign::measure_windows_options windows_options;
             windows_options.windows = args.get_int("measure-windows", 8);
             windows_options.window_rounds = args.get_int("window-rounds", 0);
+            windows_options.lambda_cache_path =
+                args.get_string("lambda-cache", "");
             const engine_checkpoint snapshot =
                 read_checkpoint_file(args.get_string("resume", ""));
             const campaign::measure_windows_result windows =
                 campaign::measure_windows(spec, snapshot, windows_options);
+            if (!windows.lambda_sidecar_error.empty())
+                std::cerr << "dlb_campaign: warning: lambda sidecar not saved: "
+                          << windows.lambda_sidecar_error << "\n";
 
             std::cout << "windows '" << windows.label << "': "
                       << windows.samples.size() << " x "

@@ -619,8 +619,10 @@ measure_windows_result measure_windows(const campaign_spec& spec,
             " state, expected discrete");
 
     // The spec hash already guarantees these inputs equal the
-    // checkpointing run's.
+    // checkpointing run's, so a sidecar that run left serves its λ.
     graph_cache cache;
+    if (!options.lambda_cache_path.empty())
+        cache.load_lambda_sidecar(options.lambda_cache_path);
     const scenario_instance instance = resolve_instance(target, cache);
     const std::vector<std::int64_t> zeros(
         static_cast<std::size_t>(instance.network->num_nodes()), 0);
@@ -673,6 +675,14 @@ measure_windows_result measure_windows(const campaign_spec& spec,
         result.stddev = std::sqrt(squares / (k - 1.0));
     }
     result.ci95_half_width = 1.96 * result.stddev / std::sqrt(k);
+
+    if (!options.lambda_cache_path.empty()) {
+        try {
+            cache.save_lambda_sidecar(options.lambda_cache_path);
+        } catch (const std::exception& failure) {
+            result.lambda_sidecar_error = failure.what();
+        }
+    }
     return result;
 }
 

@@ -228,6 +228,10 @@ std::int64_t resolved_record_every(const campaign_spec& spec,
 struct measure_windows_options {
     std::int64_t windows = 8;       // K, >= 1
     std::int64_t window_rounds = 0; // W, >= 1 (required)
+    /// Persistent lambda sidecar, as campaign_options::lambda_cache_path:
+    /// when non-empty, loaded before the scenario resolves and rewritten
+    /// after the last window, so a warm sidecar skips the λ solve.
+    std::string lambda_cache_path;
 };
 
 struct window_sample {
@@ -247,6 +251,9 @@ struct measure_windows_result {
     double mean = 0.0;
     double stddev = 0.0;          // sample standard deviation (0 for K = 1)
     double ci95_half_width = 0.0; // 1.96 * stddev / sqrt(K)
+    /// Non-empty when the sidecar save failed, as
+    /// campaign_result::lambda_sidecar_error.
+    std::string lambda_sidecar_error;
 };
 
 /// Runs K measured windows of W rounds from `snapshot`, which must hold

@@ -90,8 +90,7 @@ for flag in "--threads 2" "--engine-threads 2" "--series-dir d" --progress \
     row 2 "--merge and ${flag%% *} are exclusive" --merge s0.csv,s1.csv $flag
 done
 for flag in "--threads 2" "--engine-threads 2" "--series-dir d" \
-    "--lambda-cache l.sidecar" --timing --progress "--record-every 2" \
-    "--lease-expiry 5"; do
+    --timing --progress "--record-every 2" "--lease-expiry 5"; do
     row 2 "--measure-windows and ${flag%% *} are exclusive" $small $windows \
         $flag
 done
@@ -129,6 +128,9 @@ row 0 "" --spec "$spec" --queue q --checkpoint-every 500 \
 row 0 "" --spec "$spec" --resume ckpt/0_x.ckpt --csv full.csv --dry-run
 row 0 "" --spec "$spec" --resume ckpt/0_x.ckpt --measure-windows 8 \
     --window-rounds 200 --csv windows.csv --json windows.json --quiet \
+    --dry-run
+row 0 "" --spec "$spec" --resume ckpt/0_x.ckpt --measure-windows 8 \
+    --window-rounds 200 --lambda-cache l.sidecar --csv windows.csv --quiet \
     --dry-run
 row 0 "" --spec "$spec" --threads 4 --trace trace.json --csv out.csv --dry-run
 row 0 "" --spec "$spec" --threads 2 --trace trace.json \

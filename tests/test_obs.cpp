@@ -15,6 +15,7 @@
 
 #include "campaign/campaign_executor.hpp"
 #include "campaign/graph_cache.hpp"
+#include "campaign/report.hpp"
 #include "core/alpha.hpp"
 #include "core/checkpoint.hpp"
 #include "core/diffusion_matrix.hpp"
@@ -242,24 +243,49 @@ TEST_F(ObsSessionTest, WindowsTraceSpansTheRunAndItsResolution)
         dir + "/0_" + full.scenarios[0].label + ".ckpt");
     std::filesystem::remove_all(dir);
 
+    // The first invocation finds no sidecar, solves λ and writes one; the
+    // second reads λ from it.
+    const std::string sidecar = dir + ".sidecar";
+    std::filesystem::remove(sidecar);
     campaign::measure_windows_options windows;
     windows.windows = 2;
     windows.window_rounds = 5;
-    {
+    windows.lambda_cache_path = sidecar;
+    const auto traced_windows = [&] {
         obs::session_options trace;
         trace.trace_path = trace_path_;
         const obs::session session(trace);
-        campaign::measure_windows(spec, snapshot, windows);
-    }
+        return campaign::measure_windows(spec, snapshot, windows);
+    };
+    const auto report = [](const campaign::measure_windows_result& result) {
+        std::ostringstream out;
+        campaign::write_windows_csv(out, result);
+        campaign::write_windows_json(out, result);
+        return out.str();
+    };
+    const auto span_of = [](const std::string& text, const std::string& category,
+                            const std::string& name) {
+        const auto name_pos = text.find("\"name\":\"" + name + "\"");
+        if (name_pos == std::string::npos) return false;
+        const auto event = text.rfind('{', name_pos);
+        return text.find("\"cat\":\"" + category + "\"", event) < name_pos;
+    };
+
+    const auto cold = traced_windows();
     const std::string text = read_file(trace_path_);
     expect_balanced_json(text);
-    for (const char* name : {"windows", "graph.build", "lambda.compute"}) {
-        const auto name_pos =
-            text.find("\"name\":\"" + std::string(name) + "\"");
-        ASSERT_NE(name_pos, std::string::npos) << name << " missing:\n" << text;
-        const auto event = text.rfind('{', name_pos);
-        EXPECT_LT(text.find("\"cat\":\"campaign\"", event), name_pos) << name;
-    }
+    for (const char* name : {"windows", "graph.build", "lambda.compute"})
+        EXPECT_TRUE(span_of(text, "campaign", name)) << name << " missing:\n" << text;
+    EXPECT_TRUE(span_of(text, "linalg", "lanczos")) << text;
+    ASSERT_TRUE(std::filesystem::exists(sidecar));
+
+    const auto warm = traced_windows();
+    const std::string warm_text = read_file(trace_path_);
+    expect_balanced_json(warm_text);
+    EXPECT_TRUE(span_of(warm_text, "campaign", "windows")) << warm_text;
+    EXPECT_EQ(warm_text.find("\"name\":\"lanczos\""), std::string::npos) << warm_text;
+    EXPECT_EQ(report(warm), report(cold));
+    std::filesystem::remove(sidecar);
 }
 
 TEST_F(ObsSessionTest, MetricsAggregationDeterministicAcrossThreadCounts)
