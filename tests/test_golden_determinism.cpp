@@ -121,7 +121,23 @@ std::vector<golden_case> golden_topologies()
                      speed_profile::uniform(200), point(200)});
     cases.push_back({"complete_600", make_complete(600), speed_profile::uniform(600),
                      point(600), 1.8});
+    // The one irregular graph: degrees 2, 3 and 4 give three alpha values,
+    // so its engines read alpha per half-edge. Under this load seed floor
+    // rounding clips too (3 tokens), as it does on the 67x67 torus.
+    cases.push_back({"grid_37x23", make_grid_2d(37, 23), speed_profile::uniform(851),
+                     random_load(851, 3 * 851, 23)});
     return cases;
+}
+
+/// The paper-default alpha, 1/(max(d_u, d_v) + 1) per half-edge, computed
+/// here so that no reference goes through the library's alpha type.
+std::vector<double> reference_alpha(const graph& g)
+{
+    std::vector<double> alpha(static_cast<std::size_t>(g.num_half_edges()));
+    for (node_id u = 0; u < g.num_nodes(); ++u)
+        for (half_edge_id h = g.half_edge_begin(u); h < g.half_edge_end(u); ++h)
+            alpha[h] = 1.0 / (std::max(g.degree(u), g.degree(g.head(h))) + 1.0);
+    return alpha;
 }
 
 /// One old-style engine round: the exact pre-refactor pipeline built from
@@ -150,7 +166,7 @@ struct reference_pipeline {
                        std::uint64_t seed_, std::vector<std::int64_t> initial,
                        negative_load_policy policy_ = negative_load_policy::allow)
         : g(graph_),
-          alpha(make_alpha(g, alpha_policy::max_degree_plus_one)),
+          alpha(reference_alpha(g)),
           speeds(std::move(speeds_)),
           scheme(scheme_),
           rounding(rounding_),
@@ -220,10 +236,11 @@ TEST(GoldenKernel, CanonicalMatchesTwoSidedKernelBitwise)
     // Drive the real engine and the reference pipeline in lock-step over
     // real trajectories: loads, scheduled flows, rounded flows and clipped
     // tokens must stay bit-for-bit identical on every round, for every
-    // rounding scheme under both negative-load policies, on four topology
+    // rounding scheme under both negative-load policies, on five topology
     // families (one heterogeneous). The tori take the degree-4 owner
-    // kernel; the 6-cube, the random regular graphs and K_600 take the
-    // generic-degree one.
+    // kernel; the 6-cube, the random regular graphs, K_600 and the grid
+    // take the generic-degree one, and the grid the only alpha that is not
+    // one number.
     for (auto& tc : golden_topologies()) {
         const double beta =
             tc.beta != 0.0
@@ -423,18 +440,21 @@ TEST(GoldenKernel, ContinuousAndCumulativeEnginesMatchReferenceBitwise)
     // own round-0 snapshots: every field of the checkpoint state stays
     // bitwise equal on every round, through token arrivals and departures
     // and a mid-run scheme switch, under FOS, SOS and Chebyshev with
-    // uniform and zipf speeds. The 67x67 torus spans two parallel_reduce
-    // chunks; there a second pair of engines runs on a 3-worker pool (on
-    // the one-chunk graphs the pair runs serially too).
+    // uniform and zipf speeds, on the grid with three alpha values too.
+    // The references take their own alpha. The 67x67 torus spans two
+    // parallel_reduce chunks; there a second pair of engines runs on a
+    // 3-worker pool (on the one-chunk graphs the pair runs serially too).
     thread_pool pool(3);
     const auto cases = golden_topologies();
-    for (const char* name : {"torus", "torus_67x67", "random_regular_degree7"}) {
+    for (const char* name :
+         {"torus", "torus_67x67", "random_regular_degree7", "grid_37x23"}) {
         const golden_case& tc = *std::find_if(
             cases.begin(), cases.end(),
             [&](const golden_case& c) { return c.name == name; });
         const graph& g = tc.g;
         const node_id n = g.num_nodes();
         const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
+        const auto reference = reference_alpha(g);
         executor* pooled = n > executor::reduce_chunk ? &pool : nullptr;
         for (const speed_profile& speeds :
              {speed_profile::uniform(n), speed_profile::zipf(n, 1.0, 8.0, 23)}) {
@@ -487,10 +507,10 @@ TEST(GoldenKernel, ContinuousAndCumulativeEnginesMatchReferenceBitwise)
                     continuous_pooled.step();
                     cumulative.step();
                     cumulative_pooled.step();
-                    continuous_step_reference(g, alpha, speeds, continuous_ref,
-                                              default_executor());
-                    cumulative_step_reference(g, alpha, speeds, cumulative_ref,
-                                              default_executor());
+                    continuous_step_reference(g, reference, speeds,
+                                              continuous_ref, default_executor());
+                    cumulative_step_reference(g, reference, speeds,
+                                              cumulative_ref, default_executor());
 
                     continuous.save_checkpoint(continuous_state);
                     ASSERT_TRUE(same_state(continuous_state, continuous_ref))
