@@ -100,10 +100,12 @@ BENCHMARK(bm_continuous_step_sos)->Arg(128)->Arg(256);
 // --- kernel benchmarks: the library kernels vs the reference ones --------
 
 /// Scheduled-flow state frozen from a warmed-up engine, so the kernels see
-/// a realistic mid-run distribution instead of a synthetic one.
+/// a realistic mid-run distribution instead of a synthetic one. The
+/// reference kernels take their own per-half-edge alpha.
 struct kernel_fixture {
     const graph& g;
-    std::vector<double> alpha;
+    alpha_weights alpha;
+    std::vector<double> reference_alpha;
     scheme_params scheme;
     std::vector<double> x;
     std::vector<double> prev;
@@ -113,18 +115,20 @@ struct kernel_fixture {
     kernel_fixture(const graph& graph_, double lambda)
         : g(graph_),
           alpha(make_alpha(g, alpha_policy::max_degree_plus_one)),
+          reference_alpha(alpha_reference(g)),
           scheme(sos_scheme(beta_opt(lambda)))
     {
         discrete_process proc(make_config(g, scheme),
                               point_load(g.num_nodes(), 0, g.num_nodes() * 1000LL),
                               rounding_kind::randomized, 1);
-        for (int i = 0; i < 600; ++i) proc.step();
+        for (int i = 0; i < 599; ++i) proc.step();
+        scheduled.resize(static_cast<std::size_t>(g.num_half_edges()));
+        proc.capture_scheduled_flows(scheduled);
+        proc.step();
         x.assign(proc.load().begin(), proc.load().end());
-        prev.resize(static_cast<std::size_t>(g.num_half_edges()));
+        prev.resize(scheduled.size());
         for (half_edge_id h = 0; h < g.num_half_edges(); ++h)
             prev[h] = static_cast<double>(proc.previous_flows()[h]);
-        scheduled.assign(proc.last_scheduled_flows().begin(),
-                         proc.last_scheduled_flows().end());
         flows.resize(prev.size());
     }
 };
@@ -151,8 +155,8 @@ void bm_scheduled_flows_reference(benchmark::State& state)
     const kernel_fixture fx = torus_fixture(state.range(0));
     std::vector<double> out(fx.prev.size());
     for (auto _ : state)
-        scheduled_flows_reference(fx.g, fx.alpha, fx.scheme, 5, fx.x, fx.prev,
-                                  out, default_executor());
+        scheduled_flows_reference(fx.g, fx.reference_alpha, fx.scheme, 5, fx.x,
+                                  fx.prev, out, default_executor());
     state.SetItemsProcessed(state.iterations() * fx.g.num_edges());
 }
 BENCHMARK(bm_scheduled_flows_reference)->Arg(128)->Arg(256);
@@ -194,7 +198,7 @@ void bm_discrete_step_sos_reference(benchmark::State& state)
     for (auto _ : state) {
         for (node_id v = 0; v < g.num_nodes(); ++v)
             x[v] = static_cast<double>(load[v]);
-        scheduled_flows_reference(g, fx.alpha, fx.scheme, 5, x, prevd,
+        scheduled_flows_reference(g, fx.reference_alpha, fx.scheme, 5, x, prevd,
                                   fx.scheduled, default_executor());
         round_flows_reference(g, rounding_kind::randomized, fx.scheduled, 1,
                               round++, flows, default_executor());

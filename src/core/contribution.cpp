@@ -8,7 +8,7 @@
 namespace dlb {
 
 contribution_rows::contribution_rows(const graph& g,
-                                     const std::vector<double>& alpha,
+                                     const alpha_weights& alpha,
                                      const speed_profile& speeds,
                                      scheme_params scheme, node_id k)
     : graph_(g),

@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "core/alpha.hpp"
 #include "core/scheme.hpp"
 #include "core/speeds.hpp"
 #include "graph/graph.hpp"
@@ -25,7 +26,7 @@ namespace dlb {
 class contribution_rows {
 public:
     /// For SOS, scheme.beta is the relaxation parameter.
-    contribution_rows(const graph& g, const std::vector<double>& alpha,
+    contribution_rows(const graph& g, const alpha_weights& alpha,
                       const speed_profile& speeds, scheme_params scheme,
                       node_id k);
 

@@ -29,6 +29,7 @@ cumulative_process::cumulative_process(diffusion_config config,
     std::copy(initial_load.begin(), initial_load.end(), load_.begin());
     cumulative_continuous_ = scratch_real(scratch_, half_edges);
     cumulative_discrete_ = scratch_int(scratch_, half_edges);
+    record_state_bytes(load_, cumulative_continuous_, cumulative_discrete_);
     initial_total_ = std::accumulate(load_.begin(), load_.end(), std::int64_t{0});
 }
 

@@ -12,7 +12,7 @@ namespace dlb {
 
 namespace {
 
-void check_sizes(const graph& g, const std::vector<double>& alpha,
+void check_sizes(const graph& g, const alpha_weights& alpha,
                  const speed_profile& speeds)
 {
     if (alpha.size() != static_cast<std::size_t>(g.num_half_edges()))
@@ -21,7 +21,7 @@ void check_sizes(const graph& g, const std::vector<double>& alpha,
         throw std::invalid_argument("diffusion_matrix: speeds size mismatch");
 }
 
-std::vector<double> diagonal_of_m(const graph& g, const std::vector<double>& alpha,
+std::vector<double> diagonal_of_m(const graph& g, const alpha_weights& alpha,
                                   const speed_profile& speeds)
 {
     std::vector<double> diag(static_cast<std::size_t>(g.num_nodes()));
@@ -36,7 +36,7 @@ std::vector<double> diagonal_of_m(const graph& g, const std::vector<double>& alp
 
 } // namespace
 
-sparse_op make_diffusion_operator(const graph& g, const std::vector<double>& alpha,
+sparse_op make_diffusion_operator(const graph& g, const alpha_weights& alpha,
                                   const speed_profile& speeds)
 {
     check_sizes(g, alpha, speeds);
@@ -47,7 +47,7 @@ sparse_op make_diffusion_operator(const graph& g, const std::vector<double>& alp
 }
 
 sparse_op make_diffusion_operator_transposed(const graph& g,
-                                             const std::vector<double>& alpha,
+                                             const alpha_weights& alpha,
                                              const speed_profile& speeds)
 {
     check_sizes(g, alpha, speeds);
@@ -63,7 +63,7 @@ sparse_op make_diffusion_operator_transposed(const graph& g,
 }
 
 sparse_op make_symmetrized_diffusion_operator(const graph& g,
-                                              const std::vector<double>& alpha,
+                                              const alpha_weights& alpha,
                                               const speed_profile& speeds)
 {
     check_sizes(g, alpha, speeds);
@@ -77,7 +77,7 @@ sparse_op make_symmetrized_diffusion_operator(const graph& g,
 }
 
 dense_matrix make_dense_diffusion_matrix(const graph& g,
-                                         const std::vector<double>& alpha,
+                                         const alpha_weights& alpha,
                                          const speed_profile& speeds)
 {
     check_sizes(g, alpha, speeds);
@@ -107,7 +107,7 @@ std::vector<double> top_eigenvector_symmetrized(const speed_profile& speeds)
     return v;
 }
 
-double compute_lambda(const graph& g, const std::vector<double>& alpha,
+double compute_lambda(const graph& g, const alpha_weights& alpha,
                       const speed_profile& speeds, lanczos_result* solve)
 {
     const sparse_op sym = make_symmetrized_diffusion_operator(g, alpha, speeds);

@@ -14,6 +14,7 @@
 
 #include <vector>
 
+#include "core/alpha.hpp"
 #include "core/speeds.hpp"
 #include "graph/graph.hpp"
 #include "linalg/dense_matrix.hpp"
@@ -24,23 +25,23 @@ namespace dlb {
 
 /// Sparse M (row-action: y = M x). Off-diagonal weight on half-edge
 /// h = (i -> j) is M_ij = alpha[h] / s_j.
-sparse_op make_diffusion_operator(const graph& g, const std::vector<double>& alpha,
+sparse_op make_diffusion_operator(const graph& g, const alpha_weights& alpha,
                                   const speed_profile& speeds);
 
 /// Sparse M^T; needed for row-vector recursions (contributions, divergence).
 sparse_op make_diffusion_operator_transposed(const graph& g,
-                                             const std::vector<double>& alpha,
+                                             const alpha_weights& alpha,
                                              const speed_profile& speeds);
 
 /// Sparse symmetrization S^{-1/2} M S^{1/2}; equals M when speeds are
 /// uniform. Shares the spectrum of M.
 sparse_op make_symmetrized_diffusion_operator(const graph& g,
-                                              const std::vector<double>& alpha,
+                                              const alpha_weights& alpha,
                                               const speed_profile& speeds);
 
 /// Dense M for small graphs / tests.
 dense_matrix make_dense_diffusion_matrix(const graph& g,
-                                         const std::vector<double>& alpha,
+                                         const alpha_weights& alpha,
                                          const speed_profile& speeds);
 
 /// The unit top eigenvector of the symmetrized operator: sqrt(s)/||sqrt(s)||.
@@ -63,7 +64,7 @@ std::vector<double> top_eigenvector_symmetrized(const speed_profile& speeds);
 /// `linalg`/`lanczos` span whose args are the steps, operator applications,
 /// residual and converged flag. `solve`, when given, receives the solver's
 /// result.
-double compute_lambda(const graph& g, const std::vector<double>& alpha,
+double compute_lambda(const graph& g, const alpha_weights& alpha,
                       const speed_profile& speeds,
                       lanczos_result* solve = nullptr);
 

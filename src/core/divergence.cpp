@@ -8,7 +8,7 @@
 namespace dlb {
 
 divergence_result refined_local_divergence(const graph& g,
-                                           const std::vector<double>& alpha,
+                                           const alpha_weights& alpha,
                                            const speed_profile& speeds,
                                            scheme_params scheme, node_id k,
                                            const divergence_options& options)
@@ -48,7 +48,7 @@ divergence_result refined_local_divergence(const graph& g,
 }
 
 divergence_result refined_local_divergence_max(
-    const graph& g, const std::vector<double>& alpha, const speed_profile& speeds,
+    const graph& g, const alpha_weights& alpha, const speed_profile& speeds,
     scheme_params scheme, std::span<const node_id> anchors,
     const divergence_options& options)
 {

@@ -15,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "core/alpha.hpp"
 #include "core/scheme.hpp"
 #include "core/speeds.hpp"
 #include "graph/graph.hpp"
@@ -39,7 +40,7 @@ struct divergence_result {
 /// Upsilon evaluated for a fixed anchor node k. For SOS the series uses
 /// C(s) = Q(s-1) rows per Lemma 6 (C(0) = 0); for FOS C(s) = M^s rows.
 divergence_result refined_local_divergence(const graph& g,
-                                           const std::vector<double>& alpha,
+                                           const alpha_weights& alpha,
                                            const speed_profile& speeds,
                                            scheme_params scheme, node_id k,
                                            const divergence_options& options = {});
@@ -47,7 +48,7 @@ divergence_result refined_local_divergence(const graph& g,
 /// max over a sample of anchor nodes (the paper's definition maximizes over
 /// all k; on vertex-transitive graphs any single k suffices).
 divergence_result refined_local_divergence_max(
-    const graph& g, const std::vector<double>& alpha, const speed_profile& speeds,
+    const graph& g, const alpha_weights& alpha, const speed_profile& speeds,
     scheme_params scheme, std::span<const node_id> anchors,
     const divergence_options& options = {});
 

@@ -44,15 +44,14 @@ engine_obs& engine_metrics()
 /// every chunk.
 struct round_inputs {
     const graph& g;
-    const double* alpha;
     const std::int64_t* previous; // y^D(t-1)
     const std::int64_t* load;     // x^D(t)
     double beta;
     std::uint64_t seed;
     std::int64_t round;
     bool prevent; // negative_load_policy::prevent
-    double* scheduled;
     std::int64_t* flows;
+    double* capture; // capture_scheduled_flows' array, or null
 };
 
 /// The prevent policy on one node's owner slots (nonnegative; 0 off the
@@ -78,36 +77,40 @@ clip_owner_slots(std::int64_t* flows, half_edge_id begin, std::int32_t degree,
 
 /// Sweep 1 of discrete_process::step over nodes [begin, end): every node
 /// evaluates the flow rule on its own slice (node_flows), x being the load
-/// itself (uniform speeds) or load/speed, and stores it to `scheduled`:
-/// scheduled_flows' bits. round_owner_nodes then rounds the node's owner
-/// slots (scheduled > 0) into `flows`, 0 on every other slot (randomized
-/// a block of nodes at a time), and under the prevent policy the node
-/// clips them. Returns the clipped tokens.
-template <rounding_kind Kind, bool SecondOrder, class X>
+/// itself (uniform speeds) or load/speed and alpha one value or one weight
+/// per half-edge, into the row round_owner_nodes lends it (local to the
+/// node or its randomized block): scheduled_flows' bits, copied out only
+/// when captured. round_owner_nodes then rounds the node's owner slots
+/// (scheduled > 0) into `flows`, 0 on every other slot (randomized a block
+/// of nodes at a time), and under the prevent policy the node clips them.
+/// Returns the clipped tokens.
+template <rounding_kind Kind, bool SecondOrder, class X, class Alpha>
 [[gnu::noinline]] std::int64_t round_sweep(const round_inputs& in,
-                                           const X* __restrict x, node_id begin,
-                                           node_id end)
+                                           const X* __restrict x, Alpha alpha,
+                                           node_id begin, node_id end)
 {
     // Locals, not `in` members: the scheduled stores could alias a double
     // member, which would reload beta on every half-edge.
     const graph& g = in.g;
-    const double* __restrict alpha = in.alpha;
     const std::int64_t* __restrict previous = in.previous;
     const double beta = in.beta;
     const std::uint64_t seed = in.seed;
     const std::int64_t round = in.round;
     const bool prevent = in.prevent;
-    double* __restrict scheduled = in.scheduled;
     std::int64_t* __restrict flows = in.flows;
+    double* const capture = in.capture;
     std::int64_t clipped = 0;
     round_owner_nodes<Kind>(
-        g, begin, end, scheduled, flows, seed, round,
+        g, begin, end, flows, seed, round,
         [&](auto degree_tag, node_id u, half_edge_id first,
-            std::int32_t dynamic_degree) {
+            std::int32_t dynamic_degree, double* row) -> const double* {
             constexpr std::int32_t static_degree = decltype(degree_tag)::value;
-            node_flows<SecondOrder>(
-                g, x, alpha, previous, beta, u, first,
-                static_degree != 0 ? static_degree : dynamic_degree, scheduled);
+            const std::int32_t degree =
+                static_degree != 0 ? static_degree : dynamic_degree;
+            node_flows<SecondOrder>(g, x, alpha, previous, beta, u, first,
+                                    degree, row);
+            if (capture != nullptr) std::copy_n(row, degree, capture + first);
+            return row;
         },
         [&](node_id u, half_edge_id first, std::int32_t degree) {
             if (prevent) clipped += clip_owner_slots(flows, first, degree, in.load[u]);
@@ -124,9 +127,10 @@ void validate_config(const diffusion_config& config, std::size_t load_size)
         throw std::invalid_argument("process: alpha size mismatch");
     // Both directions of an edge must share one weight: the flow kernels
     // evaluate each half-edge with its own alpha and rely on the two sides
-    // being exact negations.
-    for (half_edge_id h = 0; h < g.num_half_edges(); ++h)
-        if (config.alpha[h] != config.alpha[g.twin(h)])
+    // being exact negations. One value always is.
+    const auto weights = config.alpha.weights();
+    for (half_edge_id h = 0; h < static_cast<half_edge_id>(weights.size()); ++h)
+        if (weights[h] != weights[g.twin(h)])
             throw std::invalid_argument(
                 "process: alpha is not symmetric at half-edge " +
                 std::to_string(h));
@@ -151,9 +155,11 @@ continuous_process::continuous_process(diffusion_config config,
         static_cast<std::size_t>(config_.network->num_half_edges());
     load_ = scratch_real(scratch_, initial_load.size());
     std::copy(initial_load.begin(), initial_load.end(), load_.begin());
-    load_over_speed_ = scratch_real(scratch_, load_.size());
+    if (!config_.speeds.is_uniform())
+        load_over_speed_ = scratch_real(scratch_, load_.size());
     flows_ = scratch_real(scratch_, half_edges);
     previous_flows_ = scratch_real(scratch_, half_edges);
+    record_state_bytes(load_, load_over_speed_, flows_, previous_flows_);
     beta_state_.reset(config_.scheme);
     initial_total_ = std::accumulate(load_.begin(), load_.end(), 0.0);
 }
@@ -268,10 +274,11 @@ discrete_process::discrete_process(diffusion_config config,
         static_cast<std::size_t>(config_.network->num_half_edges());
     load_ = scratch_int(scratch_, initial_load.size());
     std::copy(initial_load.begin(), initial_load.end(), load_.begin());
-    load_over_speed_ = scratch_real(scratch_, load_.size());
-    scheduled_ = scratch_real(scratch_, half_edges);
+    if (!config_.speeds.is_uniform())
+        load_over_speed_ = scratch_real(scratch_, load_.size());
     flows_ = scratch_int(scratch_, half_edges);
     previous_flows_int_ = scratch_int(scratch_, half_edges);
+    record_state_bytes(load_, load_over_speed_, flows_, previous_flows_int_);
     beta_state_.reset(config_.scheme);
     initial_total_ = std::accumulate(load_.begin(), load_.end(), std::int64_t{0});
 }
@@ -281,7 +288,6 @@ discrete_process::~discrete_process()
     if (scratch_ == nullptr) return;
     scratch_->release(std::move(load_));
     scratch_->release(std::move(load_over_speed_));
-    scratch_->release(std::move(scheduled_));
     scratch_->release(std::move(flows_));
     scratch_->release(std::move(previous_flows_int_));
 }
@@ -292,6 +298,14 @@ void discrete_process::set_scheme(scheme_params scheme)
     config_.scheme = scheme;
     rounds_in_scheme_ = 0;
     beta_state_.reset(scheme);
+}
+
+void discrete_process::capture_scheduled_flows(std::span<double> out)
+{
+    if (!out.empty() &&
+        out.size() != static_cast<std::size_t>(config_.network->num_half_edges()))
+        throw std::invalid_argument("capture_scheduled_flows: size mismatch");
+    capture_ = out;
 }
 
 std::int64_t discrete_process::total_load() const
@@ -332,35 +346,40 @@ void discrete_process::step()
     {
         obs::phase_scope phase("engine", "rounding", &em.rounding_ns);
         const round_inputs in{g,
-                              config_.alpha.data(),
                               previous_flows_int_.data(),
                               load_.data(),
                               beta_state_.next(),
                               seed_,
                               round_,
                               policy_ == negative_load_policy::prevent,
-                              scheduled_.data(),
-                              flows_.data()};
+                              flows_.data(),
+                              capture_.empty() ? nullptr : capture_.data()};
         const bool second_order =
             config_.scheme.kind != scheme_kind::fos && rounds_in_scheme_ > 0;
-        // Sweep 1: one chunk function per (kind, flow rule, load view),
-        // reducing the clipped tokens (0 under allow).
+        // Sweep 1: one chunk function per (kind, flow rule, load view,
+        // alpha view), reducing the clipped tokens (0 under allow).
         clipped_tokens_ += with_rounding_kind(rounding_, [&](auto kind_tag) {
             constexpr rounding_kind kind = decltype(kind_tag)::value;
-            const std::int64_t* x = load_.data();
-            const double* x_over_s = load_over_speed_.data();
-            return exec_->parallel_reduce(
-                g.num_nodes(), std::int64_t{0},
-                [&](std::int64_t begin, std::int64_t end) {
-                    const auto b = static_cast<node_id>(begin);
-                    const auto e = static_cast<node_id>(end);
-                    if (second_order)
-                        return uniform ? round_sweep<kind, true>(in, x, b, e)
-                                       : round_sweep<kind, true>(in, x_over_s, b, e);
-                    return uniform ? round_sweep<kind, false>(in, x, b, e)
-                                   : round_sweep<kind, false>(in, x_over_s, b, e);
-                },
-                [](std::int64_t acc, std::int64_t part) { return acc + part; });
+            return with_alpha_view(config_.alpha, [&](auto alpha) {
+                const std::int64_t* x = load_.data();
+                const double* x_over_s = load_over_speed_.data();
+                return exec_->parallel_reduce(
+                    g.num_nodes(), std::int64_t{0},
+                    [&](std::int64_t begin, std::int64_t end) {
+                        const auto b = static_cast<node_id>(begin);
+                        const auto e = static_cast<node_id>(end);
+                        if (second_order)
+                            return uniform
+                                       ? round_sweep<kind, true>(in, x, alpha, b, e)
+                                       : round_sweep<kind, true>(in, x_over_s,
+                                                                 alpha, b, e);
+                        return uniform
+                                   ? round_sweep<kind, false>(in, x, alpha, b, e)
+                                   : round_sweep<kind, false>(in, x_over_s, alpha,
+                                                              b, e);
+                    },
+                    [](std::int64_t acc, std::int64_t part) { return acc + part; });
+            });
         });
     }
 

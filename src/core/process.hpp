@@ -7,11 +7,16 @@
 // and rounds them with the configured scheme (paper Definition 1).
 //
 // A discrete round is two node sweeps. The first evaluates every node's
-// flow rule on its own half-edges and rounds the owner side (positive
-// scheduled flow) with the rounding kernels of core/rounding.hpp, writing 0
-// on every other slot, and applies the prevent clip. The second applies
+// flow rule on its own half-edges into a buffer local to the node (or to
+// its randomized block) and rounds the owner side (positive scheduled
+// flow) from there with the rounding kernels of core/rounding.hpp, writing
+// 0 on every other slot, and applies the prevent clip. The second applies
 // flows[h] - flows[twin(h)], which is each half-edge's final flow because
-// at most one side of an edge is nonzero.
+// at most one side of an edge is nonzero. So the discrete engine holds 16
+// bytes per half-edge (flows and previous flows) and 8 per node (load),
+// plus 8 per node of load/speed under non-uniform speeds; the continuous
+// engine holds the same in doubles. Each engine constructed records those
+// bytes as one engine.state_bytes sample.
 //
 // Both engines track the negative-load instrumentation of Section V: the
 // end-of-round minimum load and the *transient* minimum — the load after
@@ -27,6 +32,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/alpha.hpp"
 #include "core/executor.hpp"
 #include "core/rounding.hpp"
 #include "core/scheme.hpp"
@@ -49,10 +55,11 @@ enum class process_kind : std::int32_t {
 std::string_view to_string(process_kind kind) noexcept;
 
 /// Everything that defines the continuous process C on a network.
-/// The graph must outlive any engine constructed from this config.
+/// The graph must outlive any engine constructed from this config; copies
+/// share the alpha weights.
 struct diffusion_config {
     const graph* network = nullptr;
-    std::vector<double> alpha; // per half-edge, symmetric
+    alpha_weights alpha; // one value or shared per-half-edge, symmetric
     speed_profile speeds;
     scheme_params scheme;
 };
@@ -151,7 +158,7 @@ private:
     executor* exec_;
     engine_scratch* scratch_;
     aligned_vector<double> load_;
-    aligned_vector<double> load_over_speed_;
+    aligned_vector<double> load_over_speed_; // empty under uniform speeds
     aligned_vector<double> flows_;
     aligned_vector<double> previous_flows_;
     std::int64_t round_ = 0;
@@ -214,9 +221,13 @@ public:
 
     void set_scheme(scheme_params scheme);
 
-    /// The last round's scheduled (continuous) flows; introspection for
-    /// deviation analyses and tests.
-    std::span<const double> last_scheduled_flows() const noexcept { return scheduled_; }
+    /// From the next step on, copies each round's scheduled (continuous)
+    /// flows Yhat, one per half-edge, into `out` with the round's bits;
+    /// introspection for tests and benchmarks, off by default. `out` must
+    /// stay alive while capturing and have one entry per half-edge; an
+    /// empty span turns the capture off. Throws std::invalid_argument on
+    /// any other size. The round itself neither reads nor depends on it.
+    void capture_scheduled_flows(std::span<double> out);
 
     /// Checkpoint support (core/checkpoint.hpp): capture / reinstate the
     /// evolving engine state. restore validates shapes and scheme and
@@ -233,10 +244,10 @@ private:
     std::uint64_t seed_;
     negative_load_policy policy_;
     aligned_vector<std::int64_t> load_;
-    aligned_vector<double> load_over_speed_; // read under non-uniform speeds
-    aligned_vector<double> scheduled_;       // written by the round sweep only
+    aligned_vector<double> load_over_speed_; // empty under uniform speeds
     aligned_vector<std::int64_t> flows_;     // owner sides, 0 elsewhere
     aligned_vector<std::int64_t> previous_flows_int_;
+    std::span<double> capture_; // capture_scheduled_flows; empty: off
     std::int64_t round_ = 0;
     std::int64_t rounds_in_scheme_ = 0;
     scheme_beta_state beta_state_; // O(1) per-round relaxation factor

@@ -40,8 +40,8 @@ void count_rounded_half_edges(rounding_kind kind, std::int64_t half_edges)
 namespace {
 
 /// One chunk of the owner sweep, out of line so the hot loops are compiled
-/// standalone per kind. The flows are given, so there is nothing to
-/// schedule, and no policy clips them.
+/// standalone per kind. The flows are given, so each node's schedule points
+/// at its slice of them, and no policy clips them.
 template <rounding_kind Kind>
 [[gnu::noinline]] void owner_sweep(const graph& g, node_id chunk_begin,
                                    node_id chunk_end, const double* scheduled,
@@ -49,8 +49,10 @@ template <rounding_kind Kind>
                                    std::int64_t* flows)
 {
     round_owner_nodes<Kind>(
-        g, chunk_begin, chunk_end, scheduled, flows, seed, round,
-        [](auto, node_id, half_edge_id, std::int32_t) {},
+        g, chunk_begin, chunk_end, flows, seed, round,
+        [scheduled](auto, node_id, half_edge_id first, std::int32_t, double*) {
+            return scheduled + first;
+        },
         [](node_id, half_edge_id, std::int32_t) {});
 }
 

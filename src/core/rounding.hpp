@@ -29,7 +29,11 @@
 // Randomized rounds blocks of nodes (round_randomized_block): it floors
 // and lays out a whole block first, then draws every token of the block in
 // one flat loop and walks the sent ones in another, so no loop branches on
-// a node's token count or on a token's send coin.
+// a node's token count or on a token's send coin. The engine's scheduled
+// flows Yhat never leave the pass: each node writes its own into a buffer
+// local to its node (floor, nearest, bernoulli_edge) or to its randomized
+// block, and the kernel reads them back from L1. round_flows reads its
+// caller's array instead.
 #ifndef DLB_CORE_ROUNDING_HPP
 #define DLB_CORE_ROUNDING_HPP
 
@@ -74,10 +78,11 @@ void count_rounded_half_edges(rounding_kind kind, std::int64_t half_edges);
 
 // --- owner kernels ----------------------------------------------------------
 //
-// Each kernel reads node slots [begin, begin + degree) of `scheduled` and
-// writes the rounded flow to every slot with scheduled > 0 and 0 to every
-// other slot (±0.0 included). Raw restrict pointers (the spans' data) keep
-// the compiler from re-reading across the flows stores.
+// Each kernel reads one node's slots [0, degree) of `scheduled` (its Yhat)
+// and writes the rounded flow to every slot of `flows_out` (the node's
+// slice) with scheduled > 0 and 0 to every other slot (±0.0 included). Raw
+// restrict pointers keep the compiler from re-reading across the flows
+// stores.
 
 /// Slots per pass-1 block of the generic-degree randomized floor.
 inline constexpr std::int32_t kSlotBlock = 4;
@@ -97,13 +102,13 @@ inline constexpr std::int32_t kBlockHalfEdges = 4 * kBlockNodes;
 /// exact 0.0.
 [[gnu::always_inline]] inline double floor_slot(const double* __restrict scheduled,
                                                 std::int64_t* __restrict flows_out,
-                                                half_edge_id h)
+                                                std::int32_t j)
 {
-    const double yhat = scheduled[h];
+    const double yhat = scheduled[j];
     const double gate = yhat > 0.0 ? 1.0 : 0.0;
     const double magnitude = std::fabs(yhat);
     const double floored = static_cast<double>(static_cast<std::int64_t>(magnitude));
-    flows_out[h] = static_cast<std::int64_t>(floored * gate);
+    flows_out[j] = static_cast<std::int64_t>(floored * gate);
     return (magnitude - floored) * gate;
 }
 
@@ -118,7 +123,7 @@ inline constexpr std::int32_t kBlockHalfEdges = 4 * kBlockNodes;
 template <std::int32_t StaticDegree>
 [[gnu::always_inline]] inline double
 floor_owner_slots(const double* __restrict scheduled,
-                  std::int64_t* __restrict flows_out, half_edge_id begin,
+                  std::int64_t* __restrict flows_out,
                   std::int32_t dynamic_degree, double* __restrict prefix)
 {
     const std::int32_t degree =
@@ -127,12 +132,12 @@ floor_owner_slots(const double* __restrict scheduled,
     std::int32_t j = 0;
     for (; j + kSlotBlock <= degree; j += kSlotBlock) {
         for (std::int32_t k = 0; k < kSlotBlock; ++k) {
-            excess += floor_slot(scheduled, flows_out, begin + j + k);
+            excess += floor_slot(scheduled, flows_out, j + k);
             prefix[j + k] = excess;
         }
     }
     for (; j < degree; ++j) {
-        excess += floor_slot(scheduled, flows_out, begin + j);
+        excess += floor_slot(scheduled, flows_out, j);
         prefix[j] = excess;
     }
     return excess;
@@ -178,8 +183,9 @@ struct sent_token {
 };
 
 /// Scratch of one randomized block. The node arrays are indexed by a
-/// node's index in the block; the three buffers each hold at least the
-/// block's half-edge count, and prefix rows sit in half-edge order.
+/// node's index in the block; the four buffers each hold at least the
+/// block's half-edge count, and the scheduled and prefix rows sit in
+/// half-edge order.
 struct randomized_block {
     double excess[kBlockNodes];
     double token_count[kBlockNodes]; // ceil(excess)
@@ -187,6 +193,7 @@ struct randomized_block {
     half_edge_id first[kBlockNodes];
     std::int32_t degree[kBlockNodes];
     std::int32_t with_excess[kBlockNodes]; // the nodes with r > 0, in order
+    double* scheduled; // Yhat rows the schedule callback may fill
     double* prefix;
     block_token* tokens;
     sent_token* sent;
@@ -198,8 +205,10 @@ struct randomized_block {
 /// of (seed, node, round, i), whatever the block layout.
 ///
 ///  * Phase A, per node in order: the caller's schedule(degree_tag, v,
-///    first, degree) (the engine evaluates its flow rule there), pass 1
-///    (floor_owner_slots) and the node's excess r. A node with r > 0 is
+///    first, degree, row), which returns the node's Yhat (the engine
+///    evaluates its flow rule into `row`, the node's row of
+///    block.scheduled), pass 1 (floor_owner_slots) on it and the node's
+///    excess r. A node with r > 0 is
 ///    appended to `with_excess` by advancing on the compare. Then, per
 ///    such node, ceil(r) and the stream base; it lays out `degree`
 ///    candidate tokens and keeps ceil(r) <= degree of them, so the write
@@ -222,10 +231,9 @@ struct randomized_block {
 template <std::int32_t StaticDegree, class Schedule, class Finish>
 [[gnu::always_inline]] inline void
 round_randomized_block(const graph& g, node_id block_begin, node_id block_end,
-                       const double* scheduled, std::int64_t* flows,
-                       std::uint64_t seed, std::int64_t round,
-                       randomized_block& block, Schedule& schedule,
-                       Finish& finish)
+                       std::int64_t* flows, std::uint64_t seed,
+                       std::int64_t round, randomized_block& block,
+                       Schedule& schedule, Finish& finish)
 {
     const auto nodes = static_cast<std::int32_t>(block_end - block_begin);
     const half_edge_id block_first = g.half_edge_begin(block_begin);
@@ -244,10 +252,11 @@ round_randomized_block(const graph& g, node_id block_begin, node_id block_end,
         const std::int32_t degree =
             StaticDegree != 0 ? StaticDegree
                               : static_cast<std::int32_t>(g.half_edge_end(v) - first);
-        schedule(std::integral_constant<std::int32_t, StaticDegree>{}, v, first,
-                 degree);
+        const double* scheduled =
+            schedule(std::integral_constant<std::int32_t, StaticDegree>{}, v,
+                     first, degree, block.scheduled + (first - block_first));
         const double excess = floor_owner_slots<StaticDegree>(
-            scheduled, flows, first, degree, block.prefix + (first - block_first));
+            scheduled, flows + first, degree, block.prefix + (first - block_first));
         block.excess[k] = excess;
         block.first[k] = first;
         block.degree[k] = degree;
@@ -302,20 +311,19 @@ round_randomized_block(const graph& g, node_id block_begin, node_id block_end,
 /// sign. An integral flow has fraction 0, which no coin is below.
 [[gnu::always_inline]] inline void
 round_node_bernoulli(const double* __restrict scheduled,
-                     std::int64_t* __restrict flows_out, half_edge_id begin,
-                     std::int32_t degree, std::uint64_t seed, std::uint64_t node,
-                     std::int64_t round)
+                     std::int64_t* __restrict flows_out, std::int32_t degree,
+                     std::uint64_t seed, std::uint64_t node, std::int64_t round)
 {
     const std::uint64_t base =
         stream_base(seed, node, static_cast<std::uint64_t>(round));
     for (std::int32_t j = 0; j < degree; ++j) {
-        const double yhat = scheduled[begin + j];
+        const double yhat = scheduled[j];
         const double magnitude = std::fabs(yhat);
         const auto floored = static_cast<std::int64_t>(magnitude);
         const double fraction = magnitude - static_cast<double>(floored);
         const double coin =
             to_unit_double(draw_at(base, static_cast<std::uint64_t>(j)));
-        flows_out[begin + j] =
+        flows_out[j] =
             (floored + (coin < fraction)) & -static_cast<std::int64_t>(yhat > 0.0);
     }
 }
@@ -330,68 +338,81 @@ round_node_bernoulli(const double* __restrict scheduled,
 template <rounding_kind Kind>
 [[gnu::always_inline]] inline void
 round_node_deterministic(const double* __restrict scheduled,
-                         std::int64_t* __restrict flows_out, half_edge_id begin,
-                         std::int32_t degree)
+                         std::int64_t* __restrict flows_out, std::int32_t degree)
 {
     static_assert(Kind == rounding_kind::floor || Kind == rounding_kind::nearest);
     for (std::int32_t j = 0; j < degree; ++j) {
-        const double yhat = scheduled[begin + j];
+        const double yhat = scheduled[j];
         const double magnitude = std::fabs(yhat);
         auto rounded = static_cast<std::int64_t>(magnitude);
         if constexpr (Kind == rounding_kind::nearest)
             rounded += magnitude - static_cast<double>(rounded) >= 0.5;
-        flows_out[begin + j] = rounded & -static_cast<std::int64_t>(yhat > 0.0);
+        flows_out[j] = rounded & -static_cast<std::int64_t>(yhat > 0.0);
     }
 }
 
 /// The owner pass of rounding `Kind` on nodes [chunk_begin, chunk_end).
-/// For each node in order it calls schedule(degree_tag, v, first, degree)
-/// before the node's slots of `scheduled` are read, and finish(v, first,
-/// degree) once its owner slots of `flows` are final; the tags are those
-/// of for_each_node_slice. Randomized rounds blocks of nodes: on the stack
-/// on a 4-regular graph, otherwise in buffers of max(kBlockHalfEdges,
-/// max_degree()) per call.
+/// For each node in order it calls schedule(degree_tag, v, first, degree,
+/// row) before the node's Yhat is read, and finish(v, first, degree) once
+/// its owner slots of `flows` are final; the tags are those of
+/// for_each_node_slice. schedule returns a pointer to the node's Yhat
+/// slots: `row`, a buffer of `degree` slots it may fill (local to the node,
+/// or to its randomized block), or any other array holding them. The
+/// buffers and the randomized blocks' scratch sit on the stack when
+/// max_degree() <= kBlockHalfEdges, otherwise in buffers of max_degree()
+/// per call.
 template <rounding_kind Kind, class Schedule, class Finish>
 [[gnu::always_inline]] inline void
 round_owner_nodes(const graph& g, node_id chunk_begin, node_id chunk_end,
-                  const double* scheduled, std::int64_t* flows,
-                  std::uint64_t seed, std::int64_t round, Schedule&& schedule,
-                  Finish&& finish)
+                  std::int64_t* flows, std::uint64_t seed, std::int64_t round,
+                  Schedule&& schedule, Finish&& finish)
 {
     if constexpr (Kind != rounding_kind::randomized) {
+        double stack_row[kBlockHalfEdges];
+        std::vector<double> heap_row;
+        double* row = stack_row;
+        if (g.max_degree() > kBlockHalfEdges) {
+            heap_row.resize(static_cast<std::size_t>(g.max_degree()));
+            row = heap_row.data();
+        }
         for_each_node_slice(
             g, chunk_begin, chunk_end,
             [&](auto degree_tag, node_id v, half_edge_id first,
                 std::int32_t degree) {
-                schedule(degree_tag, v, first, degree);
+                const double* scheduled =
+                    schedule(degree_tag, v, first, degree, row);
                 if constexpr (Kind == rounding_kind::bernoulli_edge)
-                    round_node_bernoulli(scheduled, flows, first, degree, seed,
+                    round_node_bernoulli(scheduled, flows + first, degree, seed,
                                          static_cast<std::uint64_t>(v), round);
                 else
-                    round_node_deterministic<Kind>(scheduled, flows, first,
+                    round_node_deterministic<Kind>(scheduled, flows + first,
                                                    degree);
                 finish(v, first, degree);
             });
     } else if (is_four_regular(g)) {
         randomized_block block{};
+        double scheduled[kBlockHalfEdges];
         double prefix[kBlockHalfEdges]{};
         block_token tokens[kBlockHalfEdges]{};
         sent_token sent[kBlockHalfEdges]{};
+        block.scheduled = scheduled;
         block.prefix = prefix;
         block.tokens = tokens;
         block.sent = sent;
         for (node_id begin = chunk_begin; begin < chunk_end; begin += kBlockNodes)
             round_randomized_block<4>(g, begin,
                                       std::min(begin + kBlockNodes, chunk_end),
-                                      scheduled, flows, seed, round, block,
-                                      schedule, finish);
+                                      flows, seed, round, block, schedule,
+                                      finish);
     } else {
         const auto capacity = static_cast<std::size_t>(
             std::max(kBlockHalfEdges, g.max_degree()));
+        std::vector<double> scheduled(capacity);
         std::vector<double> prefix(capacity);
         std::vector<block_token> tokens(capacity);
         std::vector<sent_token> sent(capacity);
         randomized_block block{};
+        block.scheduled = scheduled.data();
         block.prefix = prefix.data();
         block.tokens = tokens.data();
         block.sent = sent.data();
@@ -401,8 +422,8 @@ round_owner_nodes(const graph& g, node_id chunk_begin, node_id chunk_end,
                    g.half_edge_end(end) - g.half_edge_begin(begin) <=
                        kBlockHalfEdges)
                 ++end;
-            round_randomized_block<0>(g, begin, end, scheduled, flows, seed,
-                                      round, block, schedule, finish);
+            round_randomized_block<0>(g, begin, end, flows, seed, round, block,
+                                      schedule, finish);
             begin = end;
         }
     }

@@ -36,8 +36,8 @@ double scheme_beta_for_round(scheme_params scheme, std::int64_t rounds_in_scheme
 
 namespace {
 
-template <bool SecondOrder>
-void flows_sweep(const graph& g, const double* alpha, const double* previous,
+template <bool SecondOrder, class Alpha>
+void flows_sweep(const graph& g, Alpha alpha, const double* previous,
                  double beta, const double* x, double* out, node_id begin,
                  node_id end)
 {
@@ -45,13 +45,14 @@ void flows_sweep(const graph& g, const double* alpha, const double* previous,
                         [&](auto, node_id u, half_edge_id first,
                             std::int32_t degree) {
                             node_flows<SecondOrder>(g, x, alpha, previous, beta,
-                                                    u, first, degree, out);
+                                                    u, first, degree,
+                                                    out + first);
                         });
 }
 
 } // namespace
 
-void scheduled_flows(const graph& g, std::span<const double> alpha,
+void scheduled_flows(const graph& g, const alpha_weights& alpha,
                      scheme_params scheme, std::int64_t rounds_in_scheme,
                      double beta, std::span<const double> load_over_speed,
                      std::span<const double> previous_flows,
@@ -67,19 +68,21 @@ void scheduled_flows(const graph& g, std::span<const double> alpha,
         scheme.kind != scheme_kind::fos && rounds_in_scheme > 0;
     if (second_order && previous_flows.size() != alpha.size())
         throw std::invalid_argument("scheduled_flows: previous flows missing");
-    exec.parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
-        const auto b = static_cast<node_id>(begin);
-        const auto e = static_cast<node_id>(end);
-        if (second_order)
-            flows_sweep<true>(g, alpha.data(), previous_flows.data(), beta,
-                              load_over_speed.data(), flows_out.data(), b, e);
-        else
-            flows_sweep<false>(g, alpha.data(), previous_flows.data(), beta,
-                               load_over_speed.data(), flows_out.data(), b, e);
+    with_alpha_view(alpha, [&](auto view) {
+        exec.parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
+            const auto b = static_cast<node_id>(begin);
+            const auto e = static_cast<node_id>(end);
+            if (second_order)
+                flows_sweep<true>(g, view, previous_flows.data(), beta,
+                                  load_over_speed.data(), flows_out.data(), b, e);
+            else
+                flows_sweep<false>(g, view, previous_flows.data(), beta,
+                                   load_over_speed.data(), flows_out.data(), b, e);
+        });
     });
 }
 
-void scheduled_flows(const graph& g, std::span<const double> alpha,
+void scheduled_flows(const graph& g, const alpha_weights& alpha,
                      scheme_params scheme, std::int64_t rounds_in_scheme,
                      std::span<const double> load_over_speed,
                      std::span<const double> previous_flows,

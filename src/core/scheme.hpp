@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "core/alpha.hpp"
 #include "core/executor.hpp"
 #include "graph/graph.hpp"
 
@@ -142,25 +143,27 @@ inline double second_order_flow(double beta, double previous, double alpha,
 /// The flow rule on node u's own slice [first, first + degree): every
 /// half-edge h = u -> v gets first_order_flow(alpha[h], x_u - x_v), or with
 /// SecondOrder second_order_flow(beta, previous[h], alpha[h], x_u - x_v),
-/// x and previous read through a cast to double. Each half-edge evaluates
-/// its own expression; the twin's is its exact negation whenever the flow
-/// is nonzero, because alpha is symmetric, previous flows are
+/// x and previous read through a cast to double, and stores it to
+/// out[h - first]. `alpha` is a view of core/alpha.hpp (one value or one
+/// weight per half-edge; the same product either way). Each half-edge
+/// evaluates its own expression; the twin's is its exact negation whenever
+/// the flow is nonzero, because alpha is symmetric, previous flows are
 /// antisymmetric and the rule commutes with negating its inputs. The
 /// pointers carry no restrict: with it GCC 12 packs the degree-4 slots
 /// into SSE2 pairs, and the discrete round sweep then reads each 16-byte
 /// store back as 8-byte loads, which made its 2^20 torus rounding phase
 /// slower.
-template <bool SecondOrder, class X, class Previous>
+template <bool SecondOrder, class X, class Alpha, class Previous>
 [[gnu::always_inline]] inline void
-node_flows(const graph& g, const X* x, const double* alpha,
-           const Previous* previous, double beta, node_id u,
-           half_edge_id first, std::int32_t degree, double* out)
+node_flows(const graph& g, const X* x, Alpha alpha, const Previous* previous,
+           double beta, node_id u, half_edge_id first, std::int32_t degree,
+           double* out)
 {
     const double xu = static_cast<double>(x[u]);
     for (std::int32_t j = 0; j < degree; ++j) {
         const half_edge_id h = first + j;
         const double gradient = xu - static_cast<double>(x[g.head(h)]);
-        out[h] = SecondOrder ? second_order_flow(beta,
+        out[j] = SecondOrder ? second_order_flow(beta,
                                                  static_cast<double>(previous[h]),
                                                  alpha[h], gradient)
                              : first_order_flow(alpha[h], gradient);
@@ -176,10 +179,10 @@ node_flows(const graph& g, const X* x, const double* alpha,
 /// applied"). `previous_flows` may be empty for FOS.
 ///
 /// The kernel is a node sweep: each node evaluates node_flows on its own
-/// half-edges and writes only its own slice. The discrete engine runs the
-/// same helper inside its round sweep (core/process.cpp), so both give
-/// these bits.
-void scheduled_flows(const graph& g, std::span<const double> alpha,
+/// half-edges and writes only its own slice, through the alpha view chosen
+/// once per call. The discrete engine runs the same helper inside its
+/// round sweep (core/process.cpp), so both give these bits.
+void scheduled_flows(const graph& g, const alpha_weights& alpha,
                      scheme_params scheme, std::int64_t rounds_in_scheme,
                      std::span<const double> load_over_speed,
                      std::span<const double> previous_flows,
@@ -188,7 +191,7 @@ void scheduled_flows(const graph& g, std::span<const double> alpha,
 /// Overload with the relaxation factor supplied by the caller (engines pass
 /// the O(1) scheme_beta_state value instead of re-deriving it per round).
 /// `beta` must equal scheme_beta_for_round(scheme, rounds_in_scheme).
-void scheduled_flows(const graph& g, std::span<const double> alpha,
+void scheduled_flows(const graph& g, const alpha_weights& alpha,
                      scheme_params scheme, std::int64_t rounds_in_scheme,
                      double beta, std::span<const double> load_over_speed,
                      std::span<const double> previous_flows,

@@ -1,19 +1,24 @@
 // Pooled, cache-line-aligned engine scratch.
 //
 // Every engine run needs the same structure-of-arrays working set: per-node
-// loads and load/speed fractions, per-half-edge scheduled flows and integer
-// flow state. Constructing an engine per scenario (the campaign pattern)
-// pays allocator traffic and fresh page faults for each of those arrays; at
-// 10^4-10^5 scenarios per sweep that traffic dominates small-scenario setup.
+// loads (and load/speed fractions under non-uniform speeds) and
+// per-half-edge flow state, two arrays per engine (the cumulative engine
+// adds its two counters to its continuous twin's). Constructing an engine
+// per scenario (the campaign pattern) pays allocator traffic and fresh
+// page faults for each of those arrays; at 10^4-10^5 scenarios per sweep
+// that traffic dominates small-scenario setup.
 //
 // engine_scratch is a per-worker free-list of 64-byte-aligned buffers:
 // engines acquire their arrays on construction and return them on
 // destruction, so consecutive scenarios on one worker reuse warm,
-// already-faulted memory. Acquired buffers are zero-filled to the requested
-// size — exactly the state a freshly value-initialized vector would have —
-// so pooled runs are byte-identical to cold runs by construction. The pool
-// is single-owner (one worker), not thread-safe, and never shared across
-// concurrent engines except through acquire/release hand-offs.
+// already-faulted memory. An acquire takes the smallest free buffer that
+// fits, so a per-node array never takes a per-half-edge one that the next
+// per-half-edge acquire would then reallocate. Acquired buffers are
+// zero-filled to the requested size — exactly the state a freshly
+// value-initialized vector would have — so pooled runs are byte-identical
+// to cold runs by construction. The pool is single-owner (one worker), not
+// thread-safe, and never shared across concurrent engines except through
+// acquire/release hand-offs.
 //
 // 64-byte alignment puts every array on a cache-line (and AVX-512 vector)
 // boundary, which keeps the per-half-edge sweeps free of split loads.
@@ -95,9 +100,10 @@ public:
     }
 
 private:
-    // Hands out the largest-capacity free buffer so one big scenario's
-    // arrays keep serving smaller ones without reallocation, zero-filled to
-    // `size` to match fresh value-initialized semantics exactly.
+    // Hands out the smallest free buffer whose capacity fits `size`, or the
+    // largest one when none fits (its reallocation is then the smallest
+    // possible waste), zero-filled to `size` to match fresh
+    // value-initialized semantics exactly.
     template <class T>
     static aligned_vector<T> acquire(std::vector<aligned_vector<T>>& free_list,
                                      std::size_t size)
@@ -110,9 +116,16 @@ private:
         aligned_vector<T> buffer;
         if (!free_list.empty()) {
             pool_hits.add(1);
+            // A buffer that fits beats one that does not; among those that
+            // fit the smaller wins, among the others the larger.
+            const auto better = [size](std::size_t a, std::size_t b) {
+                if ((a >= size) != (b >= size)) return a >= size;
+                return a >= size ? a < b : a > b;
+            };
             std::size_t best = 0;
             for (std::size_t i = 1; i < free_list.size(); ++i)
-                if (free_list[i].capacity() > free_list[best].capacity()) best = i;
+                if (better(free_list[i].capacity(), free_list[best].capacity()))
+                    best = i;
             std::swap(free_list[best], free_list.back());
             buffer = std::move(free_list.back());
             free_list.pop_back();
@@ -139,6 +152,19 @@ inline aligned_vector<double> scratch_real(engine_scratch* scratch,
 {
     return scratch != nullptr ? scratch->acquire_real(size)
                               : aligned_vector<double>(size);
+}
+
+/// Records one engine.state_bytes sample: the bytes of the arrays an
+/// engine holds, at their sizes (a pooled buffer's spare capacity is the
+/// pool's, not the engine's).
+template <class... Buffers>
+void record_state_bytes(const Buffers&... buffers)
+{
+    static obs::histogram& state_bytes =
+        obs::registry_histogram("engine.state_bytes");
+    state_bytes.record(static_cast<std::int64_t>(
+        (std::size_t{0} + ... +
+         (buffers.size() * sizeof(typename Buffers::value_type)))));
 }
 
 } // namespace dlb

@@ -17,7 +17,7 @@ eigen_impact_analyzer eigen_impact_analyzer::for_torus(node_id width, node_id he
 }
 
 eigen_impact_analyzer eigen_impact_analyzer::for_graph(
-    const graph& g, const std::vector<double>& alpha)
+    const graph& g, const alpha_weights& alpha)
 {
     eigen_impact_analyzer analyzer;
     const auto m = make_dense_diffusion_matrix(

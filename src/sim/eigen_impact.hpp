@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "core/alpha.hpp"
 #include "graph/graph.hpp"
 #include "linalg/jacobi.hpp"
 #include "linalg/torus_basis.hpp"
@@ -36,9 +37,9 @@ public:
     static eigen_impact_analyzer for_torus(node_id width, node_id height);
 
     /// Jacobi backend for an arbitrary homogeneous graph with the given
-    /// per-half-edge alpha; n is limited by the dense eigensolver.
+    /// alpha weights; n is limited by the dense eigensolver.
     static eigen_impact_analyzer for_graph(const graph& g,
-                                           const std::vector<double>& alpha);
+                                           const alpha_weights& alpha);
 
     std::size_t dimension() const noexcept { return dimension_; }
 

@@ -85,6 +85,15 @@ void round_node_bernoulli_reference(const graph& g, node_id v,
 
 } // namespace
 
+std::vector<double> alpha_reference(const graph& g)
+{
+    std::vector<double> alpha(static_cast<std::size_t>(g.num_half_edges()));
+    for (node_id u = 0; u < g.num_nodes(); ++u)
+        for (half_edge_id h = g.half_edge_begin(u); h < g.half_edge_end(u); ++h)
+            alpha[h] = 1.0 / (std::max(g.degree(u), g.degree(g.head(h))) + 1.0);
+    return alpha;
+}
+
 void scheduled_flows_reference(const graph& g, std::span<const double> alpha,
                                scheme_params scheme,
                                std::int64_t rounds_in_scheme,

@@ -24,6 +24,11 @@
 
 namespace dlb {
 
+/// The paper-default alpha, 1/(max(d_u, d_v) + 1), as one weight per
+/// half-edge computed by a plain loop: a reference that never goes through
+/// the library's alpha_weights.
+std::vector<double> alpha_reference(const graph& g);
+
 /// The two-sided flow rule: evaluates every half-edge independently, with
 /// the relaxation factor recomputed from scratch.
 void scheduled_flows_reference(const graph& g, std::span<const double> alpha,

@@ -342,6 +342,31 @@ TEST(EngineScratch, ReusesReleasedCapacityZeroed)
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(reused.data()) % 64, 0u);
     auto real = scratch.acquire_real(33);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(real.data()) % 64, 0u);
+
+    // Best fit, as an engine's second scenario on a worker sees it: with a
+    // node-sized and a half-edge-sized buffer pooled, the node-sized
+    // request takes the node-sized one and leaves the half-edge-sized one
+    // to the half-edge-sized request, so neither reallocates.
+    engine_scratch pool;
+    auto per_node = pool.acquire_int(1024);
+    auto per_half_edge = pool.acquire_int(4096);
+    const auto* node_data = per_node.data();
+    const auto* half_edge_data = per_half_edge.data();
+    pool.release(std::move(per_half_edge));
+    pool.release(std::move(per_node));
+    auto load = pool.acquire_int(1024);
+    EXPECT_EQ(load.data(), node_data);
+    auto flows = pool.acquire_int(4096);
+    EXPECT_EQ(flows.data(), half_edge_data);
+    EXPECT_EQ(flows.size(), 4096u);
+
+    // None fits: the largest is handed out (and grows); the smaller stays.
+    pool.release(std::move(flows));
+    pool.release(std::move(load));
+    auto larger = pool.acquire_int(8192);
+    EXPECT_EQ(larger.size(), 8192u);
+    EXPECT_EQ(pool.pooled_count(), 1u);
+    EXPECT_EQ(pool.acquire_int(10).data(), node_data);
 }
 
 } // namespace

@@ -130,9 +130,13 @@ TEST(DiffusionMatrix, SizeValidation)
 {
     const graph g = make_cycle(4);
     const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
-    EXPECT_THROW(
-        make_diffusion_operator(g, std::vector<double>(3), speed_profile::uniform(4)),
-        std::invalid_argument);
+    EXPECT_THROW(make_diffusion_operator(
+                     g, alpha_weights::from_vector(std::vector<double>(3)),
+                     speed_profile::uniform(4)),
+                 std::invalid_argument);
+    EXPECT_THROW(make_diffusion_operator(g, alpha_weights::uniform(3, 0.25),
+                                         speed_profile::uniform(4)),
+                 std::invalid_argument);
     EXPECT_THROW(make_diffusion_operator(g, alpha, speed_profile::uniform(5)),
                  std::invalid_argument);
 }

@@ -121,23 +121,14 @@ std::vector<golden_case> golden_topologies()
                      speed_profile::uniform(200), point(200)});
     cases.push_back({"complete_600", make_complete(600), speed_profile::uniform(600),
                      point(600), 1.8});
-    // The one irregular graph: degrees 2, 3 and 4 give three alpha values,
-    // so its engines read alpha per half-edge. Under this load seed floor
-    // rounding clips too (3 tokens), as it does on the 67x67 torus.
+    // A grid: degrees 2, 3 and 4 give alpha 1/4 on the boundary and 1/5
+    // inside, so its engines read alpha per half-edge, as on the
+    // configuration-model graphs (whose erasure leaves some degrees below
+    // d). Under this load seed floor rounding clips too (3 tokens), as it
+    // does on the 67x67 torus.
     cases.push_back({"grid_37x23", make_grid_2d(37, 23), speed_profile::uniform(851),
                      random_load(851, 3 * 851, 23)});
     return cases;
-}
-
-/// The paper-default alpha, 1/(max(d_u, d_v) + 1) per half-edge, computed
-/// here so that no reference goes through the library's alpha type.
-std::vector<double> reference_alpha(const graph& g)
-{
-    std::vector<double> alpha(static_cast<std::size_t>(g.num_half_edges()));
-    for (node_id u = 0; u < g.num_nodes(); ++u)
-        for (half_edge_id h = g.half_edge_begin(u); h < g.half_edge_end(u); ++h)
-            alpha[h] = 1.0 / (std::max(g.degree(u), g.degree(g.head(h))) + 1.0);
-    return alpha;
 }
 
 /// One old-style engine round: the exact pre-refactor pipeline built from
@@ -166,7 +157,7 @@ struct reference_pipeline {
                        std::uint64_t seed_, std::vector<std::int64_t> initial,
                        negative_load_policy policy_ = negative_load_policy::allow)
         : g(graph_),
-          alpha(reference_alpha(g)),
+          alpha(alpha_reference(g)),
           speeds(std::move(speeds_)),
           scheme(scheme_),
           rounding(rounding_),
@@ -239,8 +230,8 @@ TEST(GoldenKernel, CanonicalMatchesTwoSidedKernelBitwise)
     // rounding scheme under both negative-load policies, on five topology
     // families (one heterogeneous). The tori take the degree-4 owner
     // kernel; the 6-cube, the random regular graphs, K_600 and the grid
-    // take the generic-degree one, and the grid the only alpha that is not
-    // one number.
+    // take the generic-degree one. The regular graphs' alpha is one value,
+    // the others' one weight per half-edge.
     for (auto& tc : golden_topologies()) {
         const double beta =
             tc.beta != 0.0
@@ -263,6 +254,9 @@ TEST(GoldenKernel, CanonicalMatchesTwoSidedKernelBitwise)
                     &tc.g, make_alpha(tc.g, alpha_policy::max_degree_plus_one),
                     tc.speeds, scheme};
                 discrete_process engine(config, initial, rounding, 42, policy);
+                std::vector<double> scheduled(
+                    static_cast<std::size_t>(tc.g.num_half_edges()));
+                engine.capture_scheduled_flows(scheduled);
                 reference_pipeline reference(tc.g, tc.speeds, scheme, rounding,
                                              42, initial, policy);
 
@@ -271,8 +265,7 @@ TEST(GoldenKernel, CanonicalMatchesTwoSidedKernelBitwise)
                     reference.step();
                     ASSERT_TRUE(bytes_equal(engine.load(), reference.load))
                         << label << " round " << t;
-                    ASSERT_TRUE(bytes_equal(engine.last_scheduled_flows(),
-                                            reference.scheduled))
+                    ASSERT_TRUE(bytes_equal(scheduled, reference.scheduled))
                         << label << " round " << t;
                     ASSERT_TRUE(
                         bytes_equal(engine.previous_flows(), reference.prev_int))
@@ -285,6 +278,58 @@ TEST(GoldenKernel, CanonicalMatchesTwoSidedKernelBitwise)
                 // prevent.
                 if (policy == negative_load_policy::prevent) {
                     EXPECT_GT(reference.clipped, 0) << label;
+                }
+            }
+        }
+    }
+}
+
+TEST(GoldenKernel, ScheduledFlowCaptureIsOutOfBand)
+{
+    // Two engines in lock-step, only one capturing its scheduled flows:
+    // loads, previous flows and clipped tokens stay equal on every round,
+    // for every rounding under both policies, on the 4-regular torus (one
+    // alpha value, stack blocks) and the grid (per-half-edge alpha, the
+    // generic-degree kernels).
+    const auto cases = golden_topologies();
+    for (const char* name : {"torus_67x67", "grid_37x23"}) {
+        const golden_case& tc = *std::find_if(
+            cases.begin(), cases.end(),
+            [&](const golden_case& c) { return c.name == name; });
+        const auto alpha = make_alpha(tc.g, alpha_policy::max_degree_plus_one);
+        const scheme_params scheme =
+            sos_scheme(beta_opt(compute_lambda(tc.g, alpha, tc.speeds)));
+        const diffusion_config config{&tc.g, alpha, tc.speeds, scheme};
+        for (const rounding_kind rounding :
+             {rounding_kind::randomized, rounding_kind::floor,
+              rounding_kind::nearest, rounding_kind::bernoulli_edge}) {
+            for (const negative_load_policy policy :
+                 {negative_load_policy::allow, negative_load_policy::prevent}) {
+                const std::string label =
+                    tc.name + " " + std::string(to_string(rounding)) +
+                    (policy == negative_load_policy::prevent ? " prevent"
+                                                             : " allow");
+                discrete_process plain(config, tc.initial, rounding, 42, policy);
+                discrete_process captured(config, tc.initial, rounding, 42,
+                                          policy);
+                std::vector<double> scheduled(
+                    static_cast<std::size_t>(tc.g.num_half_edges()));
+                captured.capture_scheduled_flows(scheduled);
+                for (int t = 0; t < 120; ++t) {
+                    plain.step();
+                    captured.step();
+                    ASSERT_TRUE(bytes_equal(captured.load(),
+                                            std::vector<std::int64_t>(
+                                                plain.load().begin(),
+                                                plain.load().end())))
+                        << label << " round " << t;
+                    ASSERT_TRUE(bytes_equal(captured.previous_flows(),
+                                            std::vector<std::int64_t>(
+                                                plain.previous_flows().begin(),
+                                                plain.previous_flows().end())))
+                        << label << " round " << t;
+                    ASSERT_EQ(captured.clipped_tokens(), plain.clipped_tokens())
+                        << label << " round " << t;
                 }
             }
         }
@@ -306,14 +351,15 @@ TEST(GoldenKernel, ChebyshevTrajectoryMatchesReferenceBitwise)
     diffusion_config config{&g, make_alpha(g, alpha_policy::max_degree_plus_one),
                             speeds, scheme};
     discrete_process engine(config, initial, rounding_kind::randomized, 9);
+    std::vector<double> scheduled(static_cast<std::size_t>(g.num_half_edges()));
+    engine.capture_scheduled_flows(scheduled);
     reference_pipeline reference(g, speeds, scheme, rounding_kind::randomized, 9,
                                  initial);
     for (int t = 0; t < 200; ++t) {
         engine.step();
         reference.step();
         ASSERT_TRUE(bytes_equal(engine.load(), reference.load)) << t;
-        ASSERT_TRUE(bytes_equal(engine.last_scheduled_flows(), reference.scheduled))
-            << t;
+        ASSERT_TRUE(bytes_equal(scheduled, reference.scheduled)) << t;
     }
 }
 
@@ -366,6 +412,7 @@ TEST(GoldenKernel, ContinuousScheduledFlowsMatchReferenceBitwise)
     // evolving state.
     const graph g = make_torus_2d(8, 8);
     const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
+    const auto reference_weights = alpha_reference(g);
     const auto speeds = speed_profile::uniform(g.num_nodes());
     const scheme_params scheme = sos_scheme(1.6);
 
@@ -382,8 +429,8 @@ TEST(GoldenKernel, ContinuousScheduledFlowsMatchReferenceBitwise)
         const auto prev = engine.previous_flows();
         scheduled_flows(g, alpha, scheme, t + 1, x, prev, swept,
                         default_executor());
-        scheduled_flows_reference(g, alpha, scheme, t + 1, x, prev, reference,
-                                  default_executor());
+        scheduled_flows_reference(g, reference_weights, scheme, t + 1, x, prev,
+                                  reference, default_executor());
         ASSERT_TRUE(bytes_equal(std::span<const double>(swept), reference))
             << "round " << t;
     }
@@ -454,7 +501,7 @@ TEST(GoldenKernel, ContinuousAndCumulativeEnginesMatchReferenceBitwise)
         const graph& g = tc.g;
         const node_id n = g.num_nodes();
         const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
-        const auto reference = reference_alpha(g);
+        const auto reference = alpha_reference(g);
         executor* pooled = n > executor::reduce_chunk ? &pool : nullptr;
         for (const speed_profile& speeds :
              {speed_profile::uniform(n), speed_profile::zipf(n, 1.0, 8.0, 23)}) {

@@ -79,10 +79,12 @@ TEST(Lanczos, UnconvergedLambdaThrowsNamingLambdaStepsAndResidual)
     // A NaN weight keeps every residual from meeting the bound, so the
     // solver runs to its step cap; compute_lambda must refuse the value.
     const graph g = make_cycle(8);
-    auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
-    alpha[0] = std::nan("");
+    std::vector<double> weights(static_cast<std::size_t>(g.num_half_edges()),
+                                1.0 / 3.0);
+    weights[0] = std::nan("");
     try {
-        compute_lambda(g, alpha, speed_profile::uniform(g.num_nodes()));
+        compute_lambda(g, alpha_weights::from_vector(std::move(weights)),
+                       speed_profile::uniform(g.num_nodes()));
         FAIL() << "an unconverged lambda was returned";
     } catch (const std::runtime_error& unconverged) {
         const std::string message = unconverged.what();

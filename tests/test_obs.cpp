@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign_executor.hpp"
@@ -18,12 +19,15 @@
 #include "campaign/report.hpp"
 #include "core/alpha.hpp"
 #include "core/checkpoint.hpp"
+#include "core/cumulative_baseline.hpp"
 #include "core/diffusion_matrix.hpp"
+#include "core/process.hpp"
 #include "core/speeds.hpp"
 #include "graph/generators.hpp"
 #include "obs/manifest.hpp"
 #include "obs/obs.hpp"
 #include "obs/progress.hpp"
+#include "sim/initial_load.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace dlb {
@@ -197,6 +201,52 @@ TEST_F(ObsSessionTest, LambdaSolveSpanCarriesSolverArgs)
     EXPECT_EQ(event_number(text, event, "residual"), solved.residual);
     EXPECT_LE(solved.residual, kLanczosTolerance);
     EXPECT_EQ(event_number(text, event, "converged"), 1.0);
+}
+
+TEST_F(ObsSessionTest, EngineStateBytesNameTheArraysEachEngineHolds)
+{
+    // engine.state_bytes takes one sample per engine constructed, valued at
+    // the bytes of its arrays. On the 64x64 torus a discrete or continuous
+    // engine holds 16 bytes per half-edge (flows, previous flows) and 8 per
+    // node (load), plus 8 per node of load/speed under zipf speeds; the
+    // cumulative engine adds 16 per half-edge and 8 per node to its
+    // continuous twin's sample. An array added back fails here.
+    const graph g = make_torus_2d(64, 64);
+    const std::int64_t n = g.num_nodes();
+    const std::int64_t half_edges = g.num_half_edges();
+    const auto state_bytes = [&](const speed_profile& speeds, auto make_engine) {
+        const diffusion_config config{
+            &g, make_alpha(g, alpha_policy::max_degree_plus_one), speeds,
+            sos_scheme(1.5)};
+        obs::session_options options;
+        options.collect_metrics = true;
+        const obs::session session(options);
+        make_engine(config);
+        const obs::histogram& h = obs::registry_histogram("engine.state_bytes");
+        return std::pair{h.count(), h.sum()};
+    };
+    const auto samples = [](std::int64_t count, std::int64_t sum) {
+        return std::pair{count, sum};
+    };
+    const auto load = point_load(static_cast<node_id>(n), 0, 1000);
+    const auto discrete = [&](const diffusion_config& config) {
+        const discrete_process engine(config, load, rounding_kind::randomized, 1);
+    };
+    const auto uniform = speed_profile::uniform(static_cast<node_id>(n));
+    const auto zipf = speed_profile::zipf(static_cast<node_id>(n), 1.0, 8.0, 5);
+    EXPECT_EQ(state_bytes(uniform, discrete), samples(1, 16 * half_edges + 8 * n));
+    EXPECT_EQ(state_bytes(zipf, discrete), samples(1, 16 * half_edges + 16 * n));
+    EXPECT_EQ(state_bytes(zipf,
+                          [&](const diffusion_config& config) {
+                              const continuous_process engine(
+                                  config, to_continuous(load));
+                          }),
+              samples(1, 16 * half_edges + 16 * n));
+    EXPECT_EQ(state_bytes(uniform,
+                          [&](const diffusion_config& config) {
+                              const cumulative_process engine(config, load);
+                          }),
+              samples(2, 32 * half_edges + 16 * n));
 }
 
 TEST_F(ObsSessionTest, GraphBuildSpanCarriesTheGraphSize)

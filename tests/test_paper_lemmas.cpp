@@ -37,13 +37,14 @@ void check_lemma2(const graph& g, scheme_params scheme, rounding_kind rounding,
 
     discrete_process discrete(config, initial, rounding, 99);
     continuous_process continuous(config, to_continuous(initial));
+    std::vector<double> scheduled(static_cast<std::size_t>(g.num_half_edges()));
+    discrete.capture_scheduled_flows(scheduled);
 
     // errors[s][h] = Yhat_h(s) - y^D_h(s) for canonical half-edges.
     std::vector<std::vector<double>> errors;
     for (int s = 0; s < rounds; ++s) {
         discrete.step();
         continuous.step();
-        const auto scheduled = discrete.last_scheduled_flows();
         const auto rounded = discrete.previous_flows();
         std::vector<double> e(static_cast<std::size_t>(g.num_half_edges()), 0.0);
         for (half_edge_id h = 0; h < g.num_half_edges(); ++h)

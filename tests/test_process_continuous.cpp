@@ -207,7 +207,10 @@ TEST(ContinuousProcess, RejectsAsymmetricAlpha)
     const graph g = make_cycle(5);
     auto config = make_config(g, fos_scheme());
     const half_edge_id h = 3;
-    config.alpha[h] *= 2.0;
+    std::vector<double> weights(static_cast<std::size_t>(g.num_half_edges()),
+                                config.alpha.value());
+    weights[h] *= 2.0;
+    config.alpha = alpha_weights::from_vector(std::move(weights));
     const half_edge_id first = std::min(h, g.twin(h));
     try {
         continuous_process proc(config, std::vector<double>(5, 1.0));

@@ -199,9 +199,10 @@ TEST(DiscreteProcess, ScheduledFlowIntrospection)
     discrete_process proc(make_config(g, fos_scheme()),
                           std::vector<std::int64_t>{9, 3, 0},
                           rounding_kind::floor, 1);
+    std::vector<double> scheduled(static_cast<std::size_t>(g.num_half_edges()));
+    proc.capture_scheduled_flows(scheduled);
     proc.step();
     // FOS flows: edge (0,1): 2.0, edge (1,2): 1.0 (alpha = 1/3).
-    const auto scheduled = proc.last_scheduled_flows();
     for (half_edge_id h = g.half_edge_begin(0); h < g.half_edge_end(0); ++h) {
         if (g.head(h) == 1) {
             EXPECT_NEAR(scheduled[h], 2.0, 1e-12);
@@ -211,6 +212,18 @@ TEST(DiscreteProcess, ScheduledFlowIntrospection)
     EXPECT_EQ(proc.load()[0], 7);
     EXPECT_EQ(proc.load()[1], 4);
     EXPECT_EQ(proc.load()[2], 1);
+
+    // An empty span stops the capture; any other wrong size is refused.
+    proc.capture_scheduled_flows({});
+    proc.step();
+    for (half_edge_id h = g.half_edge_begin(0); h < g.half_edge_end(0); ++h) {
+        if (g.head(h) == 1) {
+            EXPECT_NEAR(scheduled[h], 2.0, 1e-12);
+        }
+    }
+    std::vector<double> short_buffer(scheduled.size() - 1);
+    EXPECT_THROW(proc.capture_scheduled_flows(short_buffer),
+                 std::invalid_argument);
 }
 
 TEST(DiscreteProcess, RejectsAsymmetricAlpha)
@@ -218,7 +231,10 @@ TEST(DiscreteProcess, RejectsAsymmetricAlpha)
     const graph g = make_cycle(5);
     auto config = make_config(g, fos_scheme());
     const half_edge_id h = 3;
-    config.alpha[h] *= 2.0;
+    std::vector<double> weights(static_cast<std::size_t>(g.num_half_edges()),
+                                config.alpha.value());
+    weights[h] *= 2.0;
+    config.alpha = alpha_weights::from_vector(std::move(weights));
     const half_edge_id first = std::min(h, g.twin(h));
     try {
         discrete_process proc(config, balanced_load(5, 4),

@@ -93,7 +93,7 @@ protected:
     }
 
     graph graph_;
-    std::vector<double> alpha_;
+    alpha_weights alpha_;
     speed_profile speeds_;
     scheme_params scheme_;
     diffusion_config config_;
