@@ -103,7 +103,7 @@ template <rounding_kind Kind, bool SecondOrder, class X, class Alpha>
     round_owner_nodes<Kind>(
         g, begin, end, flows, seed, round,
         [&](auto degree_tag, node_id u, half_edge_id first,
-            std::int32_t dynamic_degree, double* row) -> const double* {
+            std::int32_t dynamic_degree, double* row) {
             constexpr std::int32_t static_degree = decltype(degree_tag)::value;
             const std::int32_t degree =
                 static_degree != 0 ? static_degree : dynamic_degree;

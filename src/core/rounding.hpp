@@ -357,10 +357,10 @@ round_node_deterministic(const double* __restrict scheduled,
 /// its owner slots of `flows` are final; the tags are those of
 /// for_each_node_slice. schedule returns a pointer to the node's Yhat
 /// slots: `row`, a buffer of `degree` slots it may fill (local to the node,
-/// or to its randomized block), or any other array holding them. The
-/// buffers and the randomized blocks' scratch sit on the stack when
-/// max_degree() <= kBlockHalfEdges, otherwise in buffers of max_degree()
-/// per call.
+/// or to its randomized block), or any other array holding them. A node's
+/// row sits on the stack unless max_degree() > kBlockHalfEdges. Randomized
+/// rounds blocks of nodes: on the stack on a 4-regular graph, otherwise in
+/// buffers of max(kBlockHalfEdges, max_degree()) per call.
 template <rounding_kind Kind, class Schedule, class Finish>
 [[gnu::always_inline]] inline void
 round_owner_nodes(const graph& g, node_id chunk_begin, node_id chunk_end,
@@ -368,7 +368,7 @@ round_owner_nodes(const graph& g, node_id chunk_begin, node_id chunk_end,
                   Schedule&& schedule, Finish&& finish)
 {
     if constexpr (Kind != rounding_kind::randomized) {
-        double stack_row[kBlockHalfEdges];
+        double stack_row[kBlockHalfEdges]{};
         std::vector<double> heap_row;
         double* row = stack_row;
         if (g.max_degree() > kBlockHalfEdges) {
@@ -391,7 +391,7 @@ round_owner_nodes(const graph& g, node_id chunk_begin, node_id chunk_end,
             });
     } else if (is_four_regular(g)) {
         randomized_block block{};
-        double scheduled[kBlockHalfEdges];
+        double scheduled[kBlockHalfEdges]{};
         double prefix[kBlockHalfEdges]{};
         block_token tokens[kBlockHalfEdges]{};
         sent_token sent[kBlockHalfEdges]{};
