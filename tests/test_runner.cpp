@@ -457,6 +457,59 @@ TEST(RunnerPin, RecordedRowsMatchHandSteppedReference)
         << "the allow cases must drive some load negative";
 }
 
+TEST(RunnerPin, FinalLoadRunRecordsTheSameSeries)
+{
+    // run_experiment records exactly what run_experiment_with_final_load
+    // does, and the latter hands back the load its last row measured.
+    const graph g = make_torus_2d(16, 16);
+    const node_id n = g.num_nodes();
+    const auto initial = point_load(n, 3, std::int64_t{40} * n);
+    for (const process_kind process :
+         {process_kind::discrete, process_kind::continuous,
+          process_kind::cumulative})
+        for (const bool bimodal : {false, true})
+            for (const bool dynamic : {false, true}) {
+                SCOPED_TRACE(std::string(to_string(process)) +
+                             (bimodal ? " bimodal" : " uniform") +
+                             (dynamic ? " poisson" : " static"));
+                experiment_config config =
+                    base_config(g, sos_scheme(beta_opt(torus_2d_lambda(16, 16))));
+                if (bimodal)
+                    config.diffusion.speeds =
+                        speed_profile::bimodal(n, 0.2, 3.0, 5);
+                config.process = process;
+                config.rounds = 30;
+                config.record_every = 7;
+                config.run_continuous_twin = process == process_kind::discrete;
+                const auto plain_workload = pinned_workload(dynamic, n);
+                config.workload = plain_workload.get();
+                const time_series plain = run_experiment(config, initial);
+
+                const auto final_workload = pinned_workload(dynamic, n);
+                config.workload = final_workload.get();
+                const experiment_outcome outcome =
+                    run_experiment_with_final_load(config, initial);
+                expect_same_series(plain, outcome.series);
+
+                const bool continuous = process == process_kind::continuous;
+                const auto expected_size = static_cast<std::size_t>(n);
+                ASSERT_EQ(outcome.final_load.size(), continuous ? 0 : expected_size);
+                ASSERT_EQ(outcome.final_load_continuous.size(),
+                          continuous ? expected_size : 0);
+                const double last_global = outcome.series.max_minus_average.back();
+                const double last_min = outcome.series.min_load.back();
+                if (continuous) {
+                    const std::span<const double> load(outcome.final_load_continuous);
+                    EXPECT_EQ(max_minus_average(load), last_global);
+                    EXPECT_EQ(min_load(load), last_min);
+                } else {
+                    const std::span<const std::int64_t> load(outcome.final_load);
+                    EXPECT_EQ(max_minus_average(load), last_global);
+                    EXPECT_EQ(min_load(load), last_min);
+                }
+            }
+}
+
 TEST(Recorder, CsvRoundTrip)
 {
     const graph g = make_torus_2d(4, 4);
