@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace dlb {
 
@@ -24,7 +26,8 @@ void graph::build(node_id num_nodes, std::span<const edge> edges, bool dedup)
     num_nodes_ = num_nodes;
 
     // Pass 1, in edge order: endpoint and self-loop errors, degree counts.
-    offsets_.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
+    // The counts are 64-bit, so no input can wrap one before the check.
+    std::vector<half_edge_id> cursor(static_cast<std::size_t>(num_nodes), 0);
     for (const auto& [u, v] : edges) {
         validate_endpoint(u, num_nodes);
         validate_endpoint(v, num_nodes);
@@ -32,14 +35,29 @@ void graph::build(node_id num_nodes, std::span<const edge> edges, bool dedup)
             if (dedup) continue;
             throw std::invalid_argument("graph: self-loop at node " + std::to_string(u));
         }
-        offsets_[u + 1]++;
-        offsets_[v + 1]++;
+        ++cursor[u];
+        ++cursor[v];
     }
-    for (node_id v = 0; v < num_nodes; ++v) offsets_[v + 1] += offsets_[v];
+
+    // Offsets: prefix sums in a 64-bit running total, checked against the
+    // 32-bit index limit before any index is stored. cursor[v] becomes
+    // v's first slot.
+    const half_edge_id half_edges =
+        std::accumulate(cursor.begin(), cursor.end(), half_edge_id{0});
+    if (half_edges > std::numeric_limits<std::uint32_t>::max())
+        throw std::length_error("graph: " + std::to_string(half_edges) +
+                                " half-edges exceed the 32-bit index limit " +
+                                std::to_string(std::numeric_limits<std::uint32_t>::max()));
+    offsets_.resize(static_cast<std::size_t>(num_nodes) + 1);
+    half_edge_id total = 0;
+    for (node_id v = 0; v < num_nodes; ++v) {
+        offsets_[v] = static_cast<std::uint32_t>(total);
+        total += std::exchange(cursor[v], total);
+    }
+    offsets_[num_nodes] = static_cast<std::uint32_t>(total);
 
     // Scatter each edge into both endpoints' slices.
-    std::vector<half_edge_id> cursor(offsets_.begin(), offsets_.end() - 1);
-    adjacency_.resize(static_cast<std::size_t>(offsets_.back()));
+    adjacency_.resize(static_cast<std::size_t>(half_edges));
     for (const auto& [u, v] : edges) {
         if (u == v) continue;
         adjacency_[cursor[u]++] = v;
@@ -57,14 +75,14 @@ void graph::build(node_id num_nodes, std::span<const edge> edges, bool dedup)
             last = std::unique(first, last);
             const auto target = adjacency_.begin() + kept;
             if (target != first) std::copy(first, last, target);
-            offsets_[v] = kept;
+            offsets_[v] = static_cast<std::uint32_t>(kept);
             kept += last - first;
         } else if (std::adjacent_find(first, last) != last) {
             throw std::invalid_argument("graph: duplicate edge in input");
         }
     }
     if (dedup) {
-        offsets_[num_nodes] = kept;
+        offsets_[num_nodes] = static_cast<std::uint32_t>(kept);
         adjacency_.resize(static_cast<std::size_t>(kept));
     }
 
@@ -78,8 +96,8 @@ void graph::build(node_id num_nodes, std::span<const edge> edges, bool dedup)
             const node_id v = adjacency_[h];
             if (v < u) continue;
             const half_edge_id reverse = cursor[v]++;
-            twins_[h] = reverse;
-            twins_[reverse] = h;
+            twins_[h] = static_cast<std::uint32_t>(reverse);
+            twins_[reverse] = static_cast<std::uint32_t>(h);
         }
     }
 

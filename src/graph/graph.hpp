@@ -11,6 +11,11 @@
 // the twins of the half-edges whose head is above the node, which no other
 // node writes). Slices are contiguous and ascending, so half-edge h is
 // u -> v with u < v exactly when h < twin(h).
+//
+// The arrays hold 8 B per half-edge (an int32 head and a uint32 twin) plus
+// 4 B per node (uint32 offsets), so a graph has at most 2^31 - 1 nodes and
+// 2^32 - 1 half-edges; the paper's largest, the 2^20-node hypercube, has
+// 20 * 2^20 half-edges. The accessors widen indices to half_edge_id.
 #ifndef DLB_GRAPH_GRAPH_HPP
 #define DLB_GRAPH_GRAPH_HPP
 
@@ -38,7 +43,9 @@ public:
     /// Self-loops and duplicate edges are rejected with
     /// std::invalid_argument, as are endpoints outside [0, num_nodes);
     /// endpoint and self-loop errors come in edge order, before any
-    /// duplicate error. Cost: O(n + m + sum_v d_v log d_v) (a counting-sort
+    /// duplicate error. Edges past 2^32 - 1 half-edges (self-loops
+    /// excluded, duplicates included) throw std::length_error, before any
+    /// index is stored. Cost: O(n + m + sum_v d_v log d_v) (a counting-sort
     /// scatter, then one sort per node slice), with one n-sized temporary.
     static graph from_edge_list(node_id num_nodes, std::span<const edge> edges);
 
@@ -106,9 +113,9 @@ private:
     node_id num_nodes_ = 0;
     std::int32_t max_degree_ = 0;
     std::int32_t min_degree_ = 0;
-    std::vector<half_edge_id> offsets_; // size n+1
-    std::vector<node_id> adjacency_;    // size 2|E|, per-node ascending
-    std::vector<half_edge_id> twins_;   // size 2|E|
+    std::vector<std::uint32_t> offsets_; // size n+1
+    std::vector<node_id> adjacency_;     // size 2|E|, per-node ascending
+    std::vector<std::uint32_t> twins_;   // size 2|E|
 
     /// The one builder behind both entry points; `dedup` drops self-loops
     /// and duplicates instead of rejecting them.
