@@ -122,7 +122,8 @@ std::shared_ptr<const graph> graph_cache::get(const std::string& family,
             build_topology(family, nodes, param, effective_seed));
         span.set_args(
             {{"nodes", static_cast<double>(slot->built->num_nodes())},
-             {"half_edges", static_cast<double>(slot->built->num_half_edges())}});
+             {"half_edges", static_cast<double>(slot->built->num_half_edges())},
+             {"bytes", static_cast<double>(slot->built->bytes())}});
         built_here = true;
     });
     if (built_here) {

@@ -101,6 +101,15 @@ public:
     /// All undirected edges in canonical (u < v) form, sorted.
     std::vector<edge> edge_list() const;
 
+    /// Bytes of the graph's arrays at their sizes: 8 per half-edge plus 4
+    /// per node, plus 4 (the offsets' end entry).
+    std::int64_t bytes() const noexcept
+    {
+        return static_cast<std::int64_t>(
+            (offsets_.size() + twins_.size()) * sizeof(std::uint32_t) +
+            adjacency_.size() * sizeof(node_id));
+    }
+
     /// 2|E| / n.
     double average_degree() const noexcept
     {

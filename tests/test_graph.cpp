@@ -155,6 +155,22 @@ TEST(Graph, HalfEdgeRangesPartitionAdjacency)
     EXPECT_EQ(expected_begin, g.num_half_edges());
 }
 
+TEST(Graph, BytesCountFourPerIndex)
+{
+    // Heads and twins are 4 B per half-edge, the offsets 4 B per node plus
+    // their end entry.
+    const graph torus = make_torus_2d(64, 64);
+    ASSERT_EQ(torus.num_half_edges(), 16384);
+    EXPECT_EQ(torus.bytes(), 8 * 16384 + 4 * 4097);
+    EXPECT_EQ(torus.bytes(), 147460);
+
+    const graph grid = make_grid_2d(37, 23);
+    ASSERT_EQ(grid.num_half_edges(), 2 * (36 * 23 + 37 * 22));
+    EXPECT_EQ(grid.bytes(), 8 * 3284 + 4 * 852);
+
+    EXPECT_EQ(graph::from_edge_list(0, {}).bytes(), 4);
+}
+
 // --- the build against the sort-based reference ---------------------------
 
 /// The torus with these sides in make_torus_kd's edge order (which is

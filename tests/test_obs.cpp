@@ -252,14 +252,15 @@ TEST_F(ObsSessionTest, EngineStateBytesNameTheArraysEachEngineHolds)
 TEST_F(ObsSessionTest, GraphBuildSpanCarriesTheGraphSize)
 {
     // A cache miss builds under a campaign/graph.build span whose args
-    // name what was built; the hit that follows emits no span.
+    // name what was built, its arrays' bytes included; the hit that
+    // follows emits no span.
     campaign::graph_cache cache;
     {
         obs::session_options options;
         options.trace_path = trace_path_;
         const obs::session session(options);
-        cache.get("torus", 100, 0.0, 1);
-        cache.get("torus", 100, 0.0, 2);
+        cache.get("torus", 4096, 0.0, 1);
+        cache.get("torus", 4096, 0.0, 2);
     }
     const std::string text = read_file(trace_path_);
     expect_balanced_json(text);
@@ -268,8 +269,9 @@ TEST_F(ObsSessionTest, GraphBuildSpanCarriesTheGraphSize)
     EXPECT_EQ(text.find("\"name\":\"graph.build\"", name_pos + 1), std::string::npos);
     const auto event = text.rfind('{', name_pos);
     EXPECT_LT(text.find("\"cat\":\"campaign\"", event), name_pos);
-    EXPECT_EQ(event_number(text, event, "nodes"), 100.0);
-    EXPECT_EQ(event_number(text, event, "half_edges"), 400.0);
+    EXPECT_EQ(event_number(text, event, "nodes"), 4096.0);
+    EXPECT_EQ(event_number(text, event, "half_edges"), 16384.0);
+    EXPECT_EQ(event_number(text, event, "bytes"), 8.0 * 16384 + 4.0 * 4097);
 }
 
 TEST_F(ObsSessionTest, WindowsTraceSpansTheRunAndItsResolution)
