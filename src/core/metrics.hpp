@@ -16,6 +16,7 @@
 #include <deque>
 #include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/executor.hpp"
@@ -183,46 +184,64 @@ struct round_measurement {
     double sum = 0.0;       // sum_v x_v
 };
 
+/// The ideal loads x_bar_v = m s_v / s a potential is summed against:
+/// under uniform speeds one value, m / n, that every node reads; otherwise
+/// one value per node.
+struct ideal_loads {
+    double uniform = 0.0;         // every x_bar_v while per_node is empty
+    std::vector<double> per_node; // x_bar_v; empty under uniform speeds
+};
+
+/// measure_round's view of uniform ideal_loads.
+struct uniform_ideal {
+    double value;
+    double operator[](std::size_t) const noexcept { return value; }
+};
+
 /// Every per-round metric of `load` in one serial pass in ascending node
 /// order: the sum, max and min always, the potential only against a
-/// non-empty `ideal`, and the local difference (max_local_difference on
-/// `exec`) only when `with_local` is set. Each sum runs in the order of the
-/// single-metric functions above, so every value is bit-identical to
-/// theirs. An empty load measures all zeros.
+/// non-null `ideal`, and the local difference (max_local_difference on
+/// `exec`) only when `with_local` is set. The pass reads the ideal through
+/// a view chosen once per call, so a uniform one costs no per-node array.
+/// Each sum runs in the order of the single-metric functions above, so
+/// every value is bit-identical to theirs. An empty load measures all
+/// zeros.
 template <class Load>
 round_measurement measure_round(const graph& g, std::span<const Load> load,
-                                std::span<const double> ideal, bool with_local,
+                                const ideal_loads* ideal, bool with_local,
                                 executor& exec)
 {
     round_measurement out;
     out.local = with_local ? max_local_difference(g, load, exec)
                            : std::numeric_limits<double>::quiet_NaN();
     if (load.empty()) return out;
-    double max_value = static_cast<double>(load.front());
-    double min_value = max_value;
-    double sum = 0.0;
-    if (ideal.empty()) {
-        for (const Load value : load) {
-            const double x = static_cast<double>(value);
-            sum += x;
-            max_value = std::max(max_value, x);
-            min_value = std::min(min_value, x);
-        }
-    } else {
+    // `ideal_at` indexes x_bar, or is nullptr when no potential is summed.
+    const auto pass = [&](auto ideal_at) {
+        double max_value = static_cast<double>(load.front());
+        double min_value = max_value;
+        double sum = 0.0;
         double acc = 0.0;
         for (std::size_t v = 0; v < load.size(); ++v) {
             const double x = static_cast<double>(load[v]);
             sum += x;
             max_value = std::max(max_value, x);
             min_value = std::min(min_value, x);
-            const double diff = x - ideal[v];
-            acc += diff * diff;
+            if constexpr (!std::is_null_pointer_v<decltype(ideal_at)>) {
+                const double diff = x - ideal_at[v];
+                acc += diff * diff;
+            }
         }
+        out.global = max_value - sum / static_cast<double>(load.size());
         out.potential = acc;
-    }
-    out.global = max_value - sum / static_cast<double>(load.size());
-    out.min = min_value;
-    out.sum = sum;
+        out.min = min_value;
+        out.sum = sum;
+    };
+    if (ideal == nullptr)
+        pass(nullptr);
+    else if (ideal->per_node.empty())
+        pass(uniform_ideal{ideal->uniform});
+    else
+        pass(ideal->per_node.data());
     return out;
 }
 

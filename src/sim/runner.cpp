@@ -65,6 +65,14 @@ void validate_resume(const experiment_config& config,
             " rounds");
 }
 
+/// The ideal loads for total `total`. Under uniform speeds that is one
+/// value, bit for bit each entry speed_profile::ideal_load returns there.
+ideal_loads make_ideal_loads(const speed_profile& speeds, double total)
+{
+    if (speeds.is_uniform()) return {total * 1.0 / speeds.total(), {}};
+    return {0.0, speeds.ideal_load(total)};
+}
+
 /// Shared run loop over the three engine types. `Engine` provides step(),
 /// load(), set_scheme(), negative_stats() and save/restore_checkpoint on
 /// the snapshot member `section`; `twin` (optional) is stepped in
@@ -84,10 +92,10 @@ time_series run_loop(Engine& engine, State engine_checkpoint::*section,
     const bool with_twin = twin != nullptr;
 
     // Dynamic-workload state: the conservation baseline follows the injected
-    // tokens, and the ideal vector is recomputed when the total changes.
-    // `ideal_basis` remembers which total the current ideal vector came
-    // from, so a resumed run rebuilds bitwise the same vector the
-    // uninterrupted run was carrying at the snapshot round.
+    // tokens, and the ideal is recomputed when the total changes.
+    // `ideal_basis` remembers which total the current ideal came from, so
+    // a resumed run rebuilds bitwise the same ideal the uninterrupted run
+    // was carrying at the snapshot round.
     const bool dynamic = config.workload != nullptr;
     std::int64_t start_round = 0;
     double baseline_total = 0.0;
@@ -113,7 +121,7 @@ time_series run_loop(Engine& engine, State engine_checkpoint::*section,
             [](double acc, auto v) { return acc + static_cast<double>(v); });
         ideal_basis = baseline_total;
     }
-    std::vector<double> ideal = config.diffusion.speeds.ideal_load(ideal_basis);
+    ideal_loads ideal = make_ideal_loads(config.diffusion.speeds, ideal_basis);
 
     std::vector<std::int64_t> delta;
     std::vector<double> load_view;
@@ -161,13 +169,11 @@ time_series run_loop(Engine& engine, State engine_checkpoint::*section,
             t % config.record_every == 0 || t == config.rounds;
         if (recorded && ideal_stale) {
             ideal_basis = baseline_total;
-            ideal = config.diffusion.speeds.ideal_load(ideal_basis);
+            ideal = make_ideal_loads(config.diffusion.speeds, ideal_basis);
             ideal_stale = false;
         }
         const round_measurement measured = measure_round(
-            g, load,
-            recorded ? std::span<const double>(ideal)
-                     : std::span<const double>(),
+            g, load, recorded ? &ideal : nullptr,
             recorded || hybrid.reads_local_difference(t), exec);
         tracker.observe(measured.global);
 
@@ -225,16 +231,11 @@ time_series run_loop(Engine& engine, State engine_checkpoint::*section,
     return out;
 }
 
-} // namespace
-
-time_series run_experiment(const experiment_config& config,
-                           const std::vector<std::int64_t>& initial_load)
-{
-    return run_experiment_with_final_load(config, initial_load).series;
-}
-
-experiment_outcome run_experiment_with_final_load(
-    const experiment_config& config, const std::vector<std::int64_t>& initial_load)
+/// The one entry behind both public ones: runs the experiment, and copies
+/// out the final load only when `with_final_load` is set.
+experiment_outcome run(const experiment_config& config,
+                       const std::vector<std::int64_t>& initial_load,
+                       bool with_final_load)
 {
     if (config.diffusion.network == nullptr)
         throw std::invalid_argument("run_experiment: null network");
@@ -261,7 +262,8 @@ experiment_outcome run_experiment_with_final_load(
                          config.exec, config.scratch);
         outcome.series = run_loop(engine, &engine_checkpoint::discrete, config,
                                   twin ? &*twin : nullptr);
-        outcome.final_load.assign(engine.load().begin(), engine.load().end());
+        if (with_final_load)
+            outcome.final_load.assign(engine.load().begin(), engine.load().end());
         break;
     }
     case process_kind::continuous: {
@@ -269,8 +271,9 @@ experiment_outcome run_experiment_with_final_load(
                                   config.exec, config.scratch);
         outcome.series =
             run_loop(engine, &engine_checkpoint::continuous, config, nullptr);
-        outcome.final_load_continuous.assign(engine.load().begin(),
-                                             engine.load().end());
+        if (with_final_load)
+            outcome.final_load_continuous.assign(engine.load().begin(),
+                                                 engine.load().end());
         break;
     }
     case process_kind::cumulative: {
@@ -278,11 +281,26 @@ experiment_outcome run_experiment_with_final_load(
                                   config.scratch);
         outcome.series =
             run_loop(engine, &engine_checkpoint::cumulative, config, nullptr);
-        outcome.final_load.assign(engine.load().begin(), engine.load().end());
+        if (with_final_load)
+            outcome.final_load.assign(engine.load().begin(), engine.load().end());
         break;
     }
     }
     return outcome;
+}
+
+} // namespace
+
+time_series run_experiment(const experiment_config& config,
+                           const std::vector<std::int64_t>& initial_load)
+{
+    return run(config, initial_load, false).series;
+}
+
+experiment_outcome run_experiment_with_final_load(
+    const experiment_config& config, const std::vector<std::int64_t>& initial_load)
+{
+    return run(config, initial_load, true);
 }
 
 } // namespace dlb
