@@ -102,7 +102,7 @@ struct runner_checkpoint_state {
     std::int64_t hybrid_switch_round = -1;
     imbalance_tracker_state tracker;
     double baseline_total = 0.0; // conservation target incl. injections
-    double ideal_basis = 0.0;    // total the current ideal vector came from
+    double ideal_basis = 0.0;    // total the current ideal loads came from
     bool ideal_stale = false;    // injections since the last ideal recompute
 };
 
