@@ -192,12 +192,6 @@ struct ideal_loads {
     std::vector<double> per_node; // x_bar_v; empty under uniform speeds
 };
 
-/// measure_round's view of uniform ideal_loads.
-struct uniform_ideal {
-    double value;
-    double operator[](std::size_t) const noexcept { return value; }
-};
-
 /// Every per-round metric of `load` in one serial pass in ascending node
 /// order: the sum, max and min always, the potential only against a
 /// non-null `ideal`, and the local difference (max_local_difference on
@@ -215,6 +209,10 @@ round_measurement measure_round(const graph& g, std::span<const Load> load,
     out.local = with_local ? max_local_difference(g, load, exec)
                            : std::numeric_limits<double>::quiet_NaN();
     if (load.empty()) return out;
+    struct uniform_view {
+        double value;
+        double operator[](std::size_t) const noexcept { return value; }
+    };
     // `ideal_at` indexes x_bar, or is nullptr when no potential is summed.
     const auto pass = [&](auto ideal_at) {
         double max_value = static_cast<double>(load.front());
@@ -239,7 +237,7 @@ round_measurement measure_round(const graph& g, std::span<const Load> load,
     if (ideal == nullptr)
         pass(nullptr);
     else if (ideal->per_node.empty())
-        pass(uniform_ideal{ideal->uniform});
+        pass(uniform_view{ideal->uniform});
     else
         pass(ideal->per_node.data());
     return out;
