@@ -30,6 +30,10 @@ namespace {
 
 class wire_writer {
 public:
+    /// Appends to `out`; with a null `out` it only counts the bytes it
+    /// would append, which sizes the file image before it is written.
+    explicit wire_writer(std::string* out) : out_(out) {}
+
     void field(std::uint64_t value, const char*) { put(value, 8); }
     void field(std::int64_t value, const char*)
     {
@@ -49,6 +53,11 @@ public:
     void field(const std::vector<T>& values, const char* name)
     {
         field(static_cast<std::uint64_t>(values.size()), name);
+        if (out_ == nullptr) {
+            // Each scalar field() above writes sizeof(T) bytes.
+            size_ += values.size() * sizeof(T);
+            return;
+        }
         for (const T value : values) field(value, name);
     }
 
@@ -72,16 +81,20 @@ public:
         field(values, name);
     }
 
-    std::string& bytes() noexcept { return out_; }
+    /// Bytes appended (or counted) so far.
+    std::size_t size() const noexcept { return size_; }
 
 private:
     void put(std::uint64_t bits, std::size_t size)
     {
+        size_ += size;
+        if (out_ == nullptr) return;
         for (std::size_t byte = 0; byte < size; ++byte)
-            out_.push_back(static_cast<char>((bits >> (8 * byte)) & 0xff));
+            out_->push_back(static_cast<char>((bits >> (8 * byte)) & 0xff));
     }
 
-    std::string out_;
+    std::string* out_;
+    std::size_t size_ = 0;
 };
 
 // Strict: every error names the field it was reading.
@@ -403,15 +416,22 @@ void require_current_rng_version(const engine_checkpoint& checkpoint,
 
 std::string serialize_checkpoint(const engine_checkpoint& checkpoint)
 {
-    wire_writer out;
-    out.bytes().append(kCheckpointHeader).push_back('\n');
-    const std::size_t payload_begin = out.bytes().size();
     // visit takes a mutable reference because the reader shares it; the
-    // writer only reads the fields.
-    visit(out, const_cast<engine_checkpoint&>(checkpoint));
-    out.field(fnv1a(std::string_view(out.bytes()).substr(payload_begin)),
-              "checksum");
-    return std::move(out.bytes());
+    // writers only read the fields.
+    auto& fields = const_cast<engine_checkpoint&>(checkpoint);
+    // A counting pass sizes the image, so it is written into one
+    // allocation: appending to a growing string held the old and the
+    // doubled buffer at once.
+    wire_writer counter(nullptr);
+    visit(counter, fields);
+    std::string bytes;
+    bytes.reserve(kCheckpointHeader.size() + 1 + counter.size() + 8);
+    bytes.append(kCheckpointHeader).push_back('\n');
+    const std::size_t payload_begin = bytes.size();
+    wire_writer out(&bytes);
+    visit(out, fields);
+    out.field(fnv1a(std::string_view(bytes).substr(payload_begin)), "checksum");
+    return bytes;
 }
 
 engine_checkpoint parse_checkpoint(std::string_view bytes)
@@ -505,7 +525,7 @@ engine_checkpoint read_checkpoint_file(const std::string& path)
 void continuous_process::save_checkpoint(continuous_engine_state& out) const
 {
     out.load.assign(load_.begin(), load_.end());
-    out.previous_flows.assign(previous_flows_.begin(), previous_flows_.end());
+    out.previous_flows.assign(flows_.begin(), flows_.end());
     out.round = round_;
     out.scheme = scheme_state(config_.scheme, rounds_in_scheme_, beta_state_);
     out.initial_total = initial_total_;
@@ -516,7 +536,7 @@ void continuous_process::save_checkpoint(continuous_engine_state& out) const
 void continuous_process::restore_checkpoint(const continuous_engine_state& state)
 {
     check_size(state.load.size(), load_.size(), "continuous load vector");
-    check_size(state.previous_flows.size(), previous_flows_.size(),
+    check_size(state.previous_flows.size(), flows_.size(),
                "continuous previous-flows vector");
     if (state.round < 0)
         throw std::invalid_argument("checkpoint: negative engine round");
@@ -525,7 +545,7 @@ void continuous_process::restore_checkpoint(const continuous_engine_state& state
     config_.scheme = scheme;
     std::copy(state.load.begin(), state.load.end(), load_.begin());
     std::copy(state.previous_flows.begin(), state.previous_flows.end(),
-              previous_flows_.begin());
+              flows_.begin());
     round_ = state.round;
     rounds_in_scheme_ = state.scheme.rounds_in_scheme;
     beta_state_.restore(scheme, state.scheme.rounds_in_scheme,
@@ -538,8 +558,7 @@ void continuous_process::restore_checkpoint(const continuous_engine_state& state
 void discrete_process::save_checkpoint(discrete_engine_state& out) const
 {
     out.load.assign(load_.begin(), load_.end());
-    out.previous_flows.assign(previous_flows_int_.begin(),
-                              previous_flows_int_.end());
+    out.previous_flows.assign(flows_.begin(), flows_.end());
     out.round = round_;
     out.scheme = scheme_state(config_.scheme, rounds_in_scheme_, beta_state_);
     out.initial_total = initial_total_;
@@ -551,7 +570,7 @@ void discrete_process::save_checkpoint(discrete_engine_state& out) const
 void discrete_process::restore_checkpoint(const discrete_engine_state& state)
 {
     check_size(state.load.size(), load_.size(), "discrete load vector");
-    check_size(state.previous_flows.size(), previous_flows_int_.size(),
+    check_size(state.previous_flows.size(), flows_.size(),
                "discrete previous-flows vector");
     if (state.round < 0)
         throw std::invalid_argument("checkpoint: negative engine round");
@@ -560,7 +579,7 @@ void discrete_process::restore_checkpoint(const discrete_engine_state& state)
     config_.scheme = scheme;
     std::copy(state.load.begin(), state.load.end(), load_.begin());
     std::copy(state.previous_flows.begin(), state.previous_flows.end(),
-              previous_flows_int_.begin());
+              flows_.begin());
     round_ = state.round;
     rounds_in_scheme_ = state.scheme.rounds_in_scheme;
     beta_state_.restore(scheme, state.scheme.rounds_in_scheme,

@@ -1,6 +1,7 @@
 #include "core/process.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -44,13 +45,12 @@ engine_obs& engine_metrics()
 /// every chunk.
 struct round_inputs {
     const graph& g;
-    const std::int64_t* previous; // y^D(t-1)
-    const std::int64_t* load;     // x^D(t)
+    const std::int64_t* load; // x^D(t)
     double beta;
     std::uint64_t seed;
     std::int64_t round;
     bool prevent; // negative_load_policy::prevent
-    std::int64_t* flows;
+    std::int64_t* flows; // y^D(t-1) in, the rounded owner flows out
     double* capture; // capture_scheduled_flows' array, or null
 };
 
@@ -83,7 +83,9 @@ clip_owner_slots(std::int64_t* flows, half_edge_id begin, std::int32_t degree,
 /// when captured. round_owner_nodes then rounds the node's owner slots
 /// (scheduled > 0) into `flows`, 0 on every other slot (randomized a block
 /// of nodes at a time), and under the prevent policy the node clips them.
-/// Returns the clipped tokens.
+/// `flows` holds y(t-1) on entry: a node reads only its own slots of it,
+/// and only before it writes them, so the two share one array. Returns the
+/// clipped tokens.
 template <rounding_kind Kind, bool SecondOrder, class X, class Alpha>
 [[gnu::noinline]] std::int64_t round_sweep(const round_inputs& in,
                                            const X* __restrict x, Alpha alpha,
@@ -92,12 +94,11 @@ template <rounding_kind Kind, bool SecondOrder, class X, class Alpha>
     // Locals, not `in` members: the scheduled stores could alias a double
     // member, which would reload beta on every half-edge.
     const graph& g = in.g;
-    const std::int64_t* __restrict previous = in.previous;
     const double beta = in.beta;
     const std::uint64_t seed = in.seed;
     const std::int64_t round = in.round;
     const bool prevent = in.prevent;
-    std::int64_t* __restrict flows = in.flows;
+    std::int64_t* const flows = in.flows;
     double* const capture = in.capture;
     std::int64_t clipped = 0;
     round_owner_nodes<Kind>(
@@ -107,7 +108,7 @@ template <rounding_kind Kind, bool SecondOrder, class X, class Alpha>
             constexpr std::int32_t static_degree = decltype(degree_tag)::value;
             const std::int32_t degree =
                 static_degree != 0 ? static_degree : dynamic_degree;
-            node_flows<SecondOrder>(g, x, alpha, previous, beta, u, first,
+            node_flows<SecondOrder>(g, x, alpha, flows, beta, u, first,
                                     degree, row);
             if (capture != nullptr) std::copy_n(row, degree, capture + first);
             return row;
@@ -116,6 +117,48 @@ template <rounding_kind Kind, bool SecondOrder, class X, class Alpha>
             if (prevent) clipped += clip_owner_slots(flows, first, degree, in.load[u]);
         });
     return clipped;
+}
+
+/// Sweep 2 of discrete_process::step over nodes [begin, end): applies the
+/// round in place and tracks the transient state x-breve (all sends out,
+/// nothing received yet). Node v's slot h holds its owner value out >= 0
+/// (0 off the owner side), which is its outgoing part, and v overwrites it
+/// with y(t)[h] = out - max(slots[twin(h)], 0). At most one side of an
+/// edge is nonzero, so max(slots[twin(h)], 0) is the twin's owner value b
+/// whether or not the twin's node has been applied: before, the slot holds
+/// b; after, it holds -out < 0 when out > 0, and b otherwise. The twin's
+/// node may be applied on another worker at the same time, so the twin
+/// reads, own reads and stores are relaxed atomics (plain moves on x86-64).
+/// Out of line and on raw pointers, so the inner loop keeps every pointer
+/// in a register: GCC reloads what it reaches through captures after each
+/// atomic, and inlined into parallel_reduce's chunk loop this loop spilled.
+[[gnu::noinline]] load_minima apply_sweep(const graph& g, std::int64_t* slots,
+                                          std::int64_t* load, node_id begin,
+                                          node_id end)
+{
+    const std::uint32_t* const offsets = g.offsets().data();
+    const std::uint32_t* const twins = g.twins().data();
+    load_minima local;
+    for (node_id v = begin; v < end; ++v) {
+        const half_edge_id last = offsets[v + 1];
+        std::int64_t net_out = 0;
+        std::int64_t positive_out = 0;
+        for (half_edge_id h = offsets[v]; h < last; ++h) {
+            const std::int64_t in = std::max<std::int64_t>(
+                std::atomic_ref(slots[twins[h]]).load(std::memory_order_relaxed),
+                0);
+            std::atomic_ref slot(slots[h]);
+            const std::int64_t out = slot.load(std::memory_order_relaxed);
+            slot.store(out - in, std::memory_order_relaxed);
+            net_out += out - in;
+            positive_out += out;
+        }
+        local.transient =
+            std::min(local.transient, static_cast<double>(load[v] - positive_out));
+        load[v] -= net_out;
+        local.end_of_round = std::min(local.end_of_round, static_cast<double>(load[v]));
+    }
+    return local;
 }
 
 void validate_config(const diffusion_config& config, std::size_t load_size)
@@ -158,8 +201,7 @@ continuous_process::continuous_process(diffusion_config config,
     if (!config_.speeds.is_uniform())
         load_over_speed_ = scratch_real(scratch_, load_.size());
     flows_ = scratch_real(scratch_, half_edges);
-    previous_flows_ = scratch_real(scratch_, half_edges);
-    record_state_bytes(load_, load_over_speed_, flows_, previous_flows_);
+    record_state_bytes(load_, load_over_speed_, flows_);
     beta_state_.reset(config_.scheme);
     initial_total_ = std::accumulate(load_.begin(), load_.end(), 0.0);
 }
@@ -170,7 +212,6 @@ continuous_process::~continuous_process()
     scratch_->release(std::move(load_));
     scratch_->release(std::move(load_over_speed_));
     scratch_->release(std::move(flows_));
-    scratch_->release(std::move(previous_flows_));
 }
 
 void continuous_process::set_scheme(scheme_params scheme)
@@ -216,9 +257,11 @@ void continuous_process::step()
             });
         }
 
+        // In place: each node reads its own slots of y(t-1) before it
+        // overwrites them with y(t).
         scheduled_flows(g, config_.alpha, config_.scheme, rounds_in_scheme_,
                         beta_state_.next(), uniform ? load_ : load_over_speed_,
-                        previous_flows_, flows_, *exec_);
+                        flows_, flows_, *exec_);
     }
 
     // Apply flows; the negative-load min-scan is fused into the same sweep,
@@ -247,7 +290,6 @@ void continuous_process::step()
     if (load_.empty()) minima = {0.0, 0.0}; // an empty network measures 0
     negative_.observe(minima.end_of_round, minima.transient);
 
-    std::swap(previous_flows_, flows_);
     ++round_;
     ++rounds_in_scheme_;
 }
@@ -277,8 +319,7 @@ discrete_process::discrete_process(diffusion_config config,
     if (!config_.speeds.is_uniform())
         load_over_speed_ = scratch_real(scratch_, load_.size());
     flows_ = scratch_int(scratch_, half_edges);
-    previous_flows_int_ = scratch_int(scratch_, half_edges);
-    record_state_bytes(load_, load_over_speed_, flows_, previous_flows_int_);
+    record_state_bytes(load_, load_over_speed_, flows_);
     beta_state_.reset(config_.scheme);
     initial_total_ = std::accumulate(load_.begin(), load_.end(), std::int64_t{0});
 }
@@ -289,7 +330,6 @@ discrete_process::~discrete_process()
     scratch_->release(std::move(load_));
     scratch_->release(std::move(load_over_speed_));
     scratch_->release(std::move(flows_));
-    scratch_->release(std::move(previous_flows_int_));
 }
 
 void discrete_process::set_scheme(scheme_params scheme)
@@ -346,7 +386,6 @@ void discrete_process::step()
     {
         obs::phase_scope phase("engine", "rounding", &em.rounding_ns);
         const round_inputs in{g,
-                              previous_flows_int_.data(),
                               load_.data(),
                               beta_state_.next(),
                               seed_,
@@ -383,35 +422,15 @@ void discrete_process::step()
         });
     }
 
-    // Sweep 2: apply, and track the transient state x-breve (all sends out,
-    // nothing received yet). At most one side of an edge holds a nonzero
-    // owner value, so flows_[h] - flows_[twin(h)] is every half-edge's
-    // final flow with no sign test, and flows_[h] (never negative) is its
-    // outgoing part. flows_ is read-only here, so the twin gathers race
-    // with nothing; the result lands directly in previous_flows_int_, and
-    // the negative-load min-scan is fused in as well.
+    // Sweep 2: apply in place (apply_sweep), with the negative-load
+    // min-scan fused in.
     obs::phase_scope apply_phase("engine", "apply", &em.apply_ns);
     load_minima minima = exec_->parallel_reduce(
         g.num_nodes(), load_minima{},
         [&](std::int64_t begin, std::int64_t end) {
-            load_minima local;
-            for (node_id v = static_cast<node_id>(begin); v < end; ++v) {
-                std::int64_t net_out = 0;
-                std::int64_t positive_out = 0;
-                for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v);
-                     ++h) {
-                    const std::int64_t f = flows_[h] - flows_[g.twin(h)];
-                    previous_flows_int_[h] = f;
-                    net_out += f;
-                    positive_out += flows_[h];
-                }
-                local.transient = std::min(
-                    local.transient, static_cast<double>(load_[v] - positive_out));
-                load_[v] -= net_out;
-                local.end_of_round = std::min(local.end_of_round,
-                                              static_cast<double>(load_[v]));
-            }
-            return local;
+            return apply_sweep(g, flows_.data(), load_.data(),
+                               static_cast<node_id>(begin),
+                               static_cast<node_id>(end));
         },
         load_minima::combine);
     if (load_.empty()) minima = {0.0, 0.0}; // an empty network measures 0

@@ -6,17 +6,21 @@
 // the continuous rule for the scheduled flows Yhat(t) = C(x^D(t), y^D(t-1))
 // and rounds them with the configured scheme (paper Definition 1).
 //
-// A discrete round is two node sweeps. The first evaluates every node's
-// flow rule on its own half-edges into a buffer local to the node (or to
-// its randomized block) and rounds the owner side (positive scheduled
-// flow) from there with the rounding kernels of core/rounding.hpp, writing
-// 0 on every other slot, and applies the prevent clip. The second applies
-// flows[h] - flows[twin(h)], which is each half-edge's final flow because
-// at most one side of an edge is nonzero. So the discrete engine holds 16
-// bytes per half-edge (flows and previous flows) and 8 per node (load),
-// plus 8 per node of load/speed under non-uniform speeds; the continuous
-// engine holds the same in doubles. Each engine constructed records those
-// bytes as one engine.state_bytes sample.
+// Each engine holds one flow array, y(t - 1) between rounds, which its
+// round overwrites in place. A discrete round is two node sweeps. The
+// first evaluates every node's flow rule on its own half-edges, reading
+// its own slots of y(t - 1), into a buffer local to the node (or to its
+// randomized block), rounds the owner side (positive scheduled flow) from
+// there with the rounding kernels of core/rounding.hpp into those same
+// slots, writing 0 on every other slot, and applies the prevent clip. The
+// second overwrites each slot with out - max(slot[twin(h)], 0), which is
+// each half-edge's final flow y(t) whether or not the twin's node has
+// been applied, because at most one side of an edge is nonzero and owner
+// values are never negative. So the discrete engine holds 8 bytes per
+// half-edge (flows) and 8 per node (load), plus 8 per node of load/speed
+// under non-uniform speeds; the continuous engine holds the same in
+// doubles, its flow rule reading and writing the one array. Each engine
+// constructed records those bytes as one engine.state_bytes sample.
 //
 // Both engines track the negative-load instrumentation of Section V: the
 // end-of-round minimum load and the *transient* minimum — the load after
@@ -125,7 +129,7 @@ public:
 
     std::int64_t round() const noexcept { return round_; }
     std::span<const double> load() const noexcept { return load_; }
-    std::span<const double> previous_flows() const noexcept { return previous_flows_; }
+    std::span<const double> previous_flows() const noexcept { return flows_; }
     const diffusion_config& config() const noexcept { return config_; }
 
     /// Total load right now; differs from initial_total() + external_total()
@@ -159,8 +163,7 @@ private:
     engine_scratch* scratch_;
     aligned_vector<double> load_;
     aligned_vector<double> load_over_speed_; // empty under uniform speeds
-    aligned_vector<double> flows_;
-    aligned_vector<double> previous_flows_;
+    aligned_vector<double> flows_; // y(t - 1); step() overwrites it with y(t)
     std::int64_t round_ = 0;
     std::int64_t rounds_in_scheme_ = 0;
     scheme_beta_state beta_state_; // O(1) per-round relaxation factor
@@ -189,10 +192,7 @@ public:
 
     std::int64_t round() const noexcept { return round_; }
     std::span<const std::int64_t> load() const noexcept { return load_; }
-    std::span<const std::int64_t> previous_flows() const noexcept
-    {
-        return previous_flows_int_;
-    }
+    std::span<const std::int64_t> previous_flows() const noexcept { return flows_; }
     const diffusion_config& config() const noexcept { return config_; }
     rounding_kind rounding() const noexcept { return rounding_; }
     std::uint64_t seed() const noexcept { return seed_; }
@@ -245,8 +245,9 @@ private:
     negative_load_policy policy_;
     aligned_vector<std::int64_t> load_;
     aligned_vector<double> load_over_speed_; // empty under uniform speeds
-    aligned_vector<std::int64_t> flows_;     // owner sides, 0 elsewhere
-    aligned_vector<std::int64_t> previous_flows_int_;
+    // y(t - 1) between rounds; between step()'s sweeps, this round's
+    // rounded owner sides and 0 elsewhere.
+    aligned_vector<std::int64_t> flows_;
     std::span<double> capture_; // capture_scheduled_flows; empty: off
     std::int64_t round_ = 0;
     std::int64_t rounds_in_scheme_ = 0;

@@ -4,8 +4,9 @@
 // Every scheme rounds only the positive direction of each edge: the node
 // with outgoing scheduled flow "owns" it, rounds it with its own kernel and
 // leaves 0 on every other slot. The negative side is then the owner's
-// negation (round_flows' node sweep mirrors it; the discrete engine
-// gathers it in its apply sweep), so antisymmetry holds exactly.
+// negation (round_flows' node sweep mirrors it; the discrete engine's
+// in-place apply reads it from the twin's slot), so antisymmetry holds
+// exactly.
 //
 //  * randomized    — the paper's framework R(C): floor every outgoing flow,
 //                    gather the fractional parts r, take ceil(r) excess

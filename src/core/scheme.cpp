@@ -1,5 +1,6 @@
 #include "core/scheme.hpp"
 
+#include <functional>
 #include <stdexcept>
 
 namespace dlb {
@@ -36,6 +37,14 @@ double scheme_beta_for_round(scheme_params scheme, std::int64_t rounds_in_scheme
 
 namespace {
 
+/// True when the two spans share an element.
+bool overlap(std::span<const double> a, std::span<const double> b)
+{
+    const std::less<const double*> before;
+    return !a.empty() && !b.empty() && before(a.data(), b.data() + b.size()) &&
+           before(b.data(), a.data() + a.size());
+}
+
 template <bool SecondOrder, class Alpha>
 void flows_sweep(const graph& g, Alpha alpha, const double* previous,
                  double beta, const double* x, double* out, node_id begin,
@@ -63,6 +72,15 @@ void scheduled_flows(const graph& g, const alpha_weights& alpha,
         throw std::invalid_argument("scheduled_flows: size mismatch");
     if (load_over_speed.size() != static_cast<std::size_t>(g.num_nodes()))
         throw std::invalid_argument("scheduled_flows: load size mismatch");
+    // In place is exact because a node reads only its own slots of y(t-1),
+    // before it writes them; any other overlap would read slots the sweep
+    // has already overwritten.
+    const bool in_place = previous_flows.data() == flows_out.data() &&
+                          previous_flows.size() == flows_out.size();
+    if (!in_place && overlap(previous_flows, flows_out))
+        throw std::invalid_argument(
+            "scheduled_flows: previous_flows overlaps flows_out without being "
+            "it");
 
     const bool second_order =
         scheme.kind != scheme_kind::fos && rounds_in_scheme > 0;

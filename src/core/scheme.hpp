@@ -6,7 +6,9 @@
 //
 // Homogeneous networks have s_i = 1, recovering eq. (1) and (3). The flows
 // are computed per half-edge; antisymmetry y[h] == -y[twin(h)] holds by
-// construction of the formula.
+// construction of the formula. A node reads y(t-1) only on its own
+// half-edges, so y(t) may overwrite y(t-1) in place: the engines keep one
+// flow array.
 #ifndef DLB_CORE_SCHEME_HPP
 #define DLB_CORE_SCHEME_HPP
 
@@ -176,7 +178,10 @@ node_flows(const graph& g, const X* x, Alpha alpha, const Previous* previous,
 /// `load_over_speed[i]` must hold x_i(t)/s_i. `rounds_in_scheme` counts
 /// rounds since this scheme became active: SOS uses the FOS rule when it is
 /// zero (paper: "The only exception is the very first round in which FOS is
-/// applied"). `previous_flows` may be empty for FOS.
+/// applied"). `previous_flows` may be empty for FOS. It may also be
+/// `flows_out` itself (same data, same size), which then goes from y(t-1)
+/// to y(t) in place with the two-array bits; any other overlap of the two
+/// spans throws std::invalid_argument naming it.
 ///
 /// The kernel is a node sweep: each node evaluates node_flows on its own
 /// half-edges and writes only its own slice, through the alpha view chosen

@@ -2,7 +2,7 @@
 //
 // Every engine run needs the same structure-of-arrays working set: per-node
 // loads (and load/speed fractions under non-uniform speeds) and
-// per-half-edge flow state, two arrays per engine (the cumulative engine
+// per-half-edge flow state, one array per engine (the cumulative engine
 // adds its two counters to its continuous twin's). Constructing an engine
 // per scenario (the campaign pattern) pays allocator traffic and fresh
 // page faults for each of those arrays; at 10^4-10^5 scenarios per sweep

@@ -95,6 +95,12 @@ public:
     /// The reverse half-edge of h.
     half_edge_id twin(half_edge_id h) const noexcept { return twins_[h]; }
 
+    /// The CSR arrays, for kernels that hold raw pointers in locals: n + 1
+    /// offsets (v's slice is [offsets[v], offsets[v + 1])) and one twin per
+    /// half-edge.
+    std::span<const std::uint32_t> offsets() const noexcept { return offsets_; }
+    std::span<const std::uint32_t> twins() const noexcept { return twins_; }
+
     /// True when {u, v} is an edge. O(log degree(u)).
     bool has_edge(node_id u, node_id v) const noexcept;
 

@@ -336,6 +336,65 @@ TEST(GoldenKernel, ScheduledFlowCaptureIsOutOfBand)
     }
 }
 
+TEST(GoldenKernel, PooledInPlaceRoundMatchesTwoArrayReference)
+{
+    // The discrete engine's one flow array on a 3-worker pool, in lock-step
+    // with the two-array reference pipeline: loads, previous flows and
+    // clipped tokens stay bit-for-bit equal on every round, for every
+    // rounding under both policies. Both graphs span two parallel_reduce
+    // chunks, so one worker's apply reads twin slots that another worker
+    // is overwriting: the 67x67 torus (degree-4 kernels) and the 2^13
+    // hypercube (generic degree, 13 half-edges per node). At the cube's
+    // beta_opt (1.32) floor rounding never clips this load; at 1.9 it
+    // clips 10 tokens.
+    thread_pool pool(3);
+    auto cases = golden_topologies();
+    std::vector<golden_case> pooled_cases;
+    pooled_cases.push_back(std::move(*std::find_if(
+        cases.begin(), cases.end(),
+        [](const golden_case& c) { return c.name == "torus_67x67"; })));
+    pooled_cases.push_back({"hypercube_2^13", make_hypercube(13),
+                            speed_profile::uniform(8192),
+                            random_load(8192, 3 * 8192, 1), 1.9});
+    ASSERT_EQ(pooled_cases.back().g.num_nodes(), 2 * executor::reduce_chunk);
+    for (const golden_case& tc : pooled_cases) {
+        const auto alpha = make_alpha(tc.g, alpha_policy::max_degree_plus_one);
+        const scheme_params scheme = sos_scheme(
+            tc.beta != 0.0 ? tc.beta
+                           : beta_opt(compute_lambda(tc.g, alpha, tc.speeds)));
+        const diffusion_config config{&tc.g, alpha, tc.speeds, scheme};
+        for (const rounding_kind rounding :
+             {rounding_kind::randomized, rounding_kind::floor,
+              rounding_kind::nearest, rounding_kind::bernoulli_edge}) {
+            for (const negative_load_policy policy :
+                 {negative_load_policy::allow, negative_load_policy::prevent}) {
+                const std::string label =
+                    tc.name + " " + std::string(to_string(rounding)) +
+                    (policy == negative_load_policy::prevent ? " prevent"
+                                                             : " allow");
+                discrete_process engine(config, tc.initial, rounding, 42, policy,
+                                        &pool);
+                reference_pipeline reference(tc.g, tc.speeds, scheme, rounding,
+                                             42, tc.initial, policy);
+                for (int t = 0; t < 100; ++t) {
+                    engine.step();
+                    reference.step();
+                    ASSERT_TRUE(bytes_equal(engine.load(), reference.load))
+                        << label << " round " << t;
+                    ASSERT_TRUE(
+                        bytes_equal(engine.previous_flows(), reference.prev_int))
+                        << label << " round " << t;
+                    ASSERT_EQ(engine.clipped_tokens(), reference.clipped)
+                        << label << " round " << t;
+                }
+                if (policy == negative_load_policy::prevent) {
+                    EXPECT_GT(reference.clipped, 0) << label;
+                }
+            }
+        }
+    }
+}
+
 TEST(GoldenKernel, ChebyshevTrajectoryMatchesReferenceBitwise)
 {
     // Same lock-step comparison under the Chebyshev per-round omega — this
@@ -433,6 +492,48 @@ TEST(GoldenKernel, ContinuousScheduledFlowsMatchReferenceBitwise)
                                   reference, default_executor());
         ASSERT_TRUE(bytes_equal(std::span<const double>(swept), reference))
             << "round " << t;
+    }
+}
+
+TEST(GoldenKernel, ScheduledFlowsInPlaceMatchTwoArraysBitwise)
+{
+    // scheduled_flows with previous_flows == flows_out, as the continuous
+    // engine calls it, gives the two-array bits under FOS, SOS and
+    // Chebyshev on every golden graph, serially and on a 3-worker pool,
+    // along a trajectory in which each round's flows are applied and feed
+    // the next round. The bits do not depend on beta or lambda being the
+    // graph's own, so every graph takes the same values.
+    thread_pool pool(3);
+    for (const golden_case& tc : golden_topologies()) {
+        const graph& g = tc.g;
+        const auto half_edges = static_cast<std::size_t>(g.num_half_edges());
+        const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
+        for (const scheme_params scheme :
+             {fos_scheme(), sos_scheme(1.7), chebyshev_scheme(0.95)}) {
+            const std::string label =
+                tc.name + " " + std::to_string(static_cast<int>(scheme.kind));
+            std::vector<double> load = to_continuous(tc.initial);
+            std::vector<double> x(load.size());
+            std::vector<double> two_array(half_edges);
+            std::vector<double> serial(half_edges);
+            std::vector<double> pooled(half_edges);
+            for (std::int64_t t = 0; t < 30; ++t) {
+                for (node_id v = 0; v < g.num_nodes(); ++v)
+                    x[v] = load[v] / tc.speeds.speed(v);
+                const std::vector<double> previous = two_array;
+                scheduled_flows(g, alpha, scheme, t, x, previous, two_array,
+                                default_executor());
+                scheduled_flows(g, alpha, scheme, t, x, serial, serial,
+                                default_executor());
+                scheduled_flows(g, alpha, scheme, t, x, pooled, pooled, pool);
+                ASSERT_TRUE(bytes_equal(serial, two_array)) << label << " round " << t;
+                ASSERT_TRUE(bytes_equal(pooled, two_array)) << label << " round " << t;
+                for (node_id v = 0; v < g.num_nodes(); ++v)
+                    for (half_edge_id h = g.half_edge_begin(v);
+                         h < g.half_edge_end(v); ++h)
+                        load[v] -= two_array[h];
+            }
+        }
     }
 }
 

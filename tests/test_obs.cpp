@@ -207,10 +207,11 @@ TEST_F(ObsSessionTest, EngineStateBytesNameTheArraysEachEngineHolds)
 {
     // engine.state_bytes takes one sample per engine constructed, valued at
     // the bytes of its arrays. On the 64x64 torus a discrete or continuous
-    // engine holds 16 bytes per half-edge (flows, previous flows) and 8 per
-    // node (load), plus 8 per node of load/speed under zipf speeds; the
-    // cumulative engine adds 16 per half-edge and 8 per node to its
-    // continuous twin's sample. An array added back fails here.
+    // engine holds 8 bytes per half-edge (one flow array, y(t-1) between
+    // rounds) and 8 per node (load), plus 8 per node of load/speed under
+    // zipf speeds; the cumulative engine adds 16 per half-edge (its two
+    // counters) and 8 per node to its continuous twin's sample. An array
+    // added back fails here.
     const graph g = make_torus_2d(64, 64);
     const std::int64_t n = g.num_nodes();
     const std::int64_t half_edges = g.num_half_edges();
@@ -234,19 +235,19 @@ TEST_F(ObsSessionTest, EngineStateBytesNameTheArraysEachEngineHolds)
     };
     const auto uniform = speed_profile::uniform(static_cast<node_id>(n));
     const auto zipf = speed_profile::zipf(static_cast<node_id>(n), 1.0, 8.0, 5);
-    EXPECT_EQ(state_bytes(uniform, discrete), samples(1, 16 * half_edges + 8 * n));
-    EXPECT_EQ(state_bytes(zipf, discrete), samples(1, 16 * half_edges + 16 * n));
+    EXPECT_EQ(state_bytes(uniform, discrete), samples(1, 8 * half_edges + 8 * n));
+    EXPECT_EQ(state_bytes(zipf, discrete), samples(1, 8 * half_edges + 16 * n));
     EXPECT_EQ(state_bytes(zipf,
                           [&](const diffusion_config& config) {
                               const continuous_process engine(
                                   config, to_continuous(load));
                           }),
-              samples(1, 16 * half_edges + 16 * n));
+              samples(1, 8 * half_edges + 16 * n));
     EXPECT_EQ(state_bytes(uniform,
                           [&](const diffusion_config& config) {
                               const cumulative_process engine(config, load);
                           }),
-              samples(2, 32 * half_edges + 16 * n));
+              samples(2, 24 * half_edges + 16 * n));
 }
 
 TEST_F(ObsSessionTest, GraphBuildSpanCarriesTheGraphSize)

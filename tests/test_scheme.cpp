@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <stdexcept>
+#include <string>
 
 #include "core/alpha.hpp"
 #include "core/scheme.hpp"
@@ -175,6 +178,36 @@ TEST(Scheme, SizeValidation)
                                  std::vector<double>(4), {}, flows,
                                  default_executor()),
                  std::invalid_argument);
+}
+
+TEST(Scheme, PreviousFlowsMayBeTheOutputButOverlapNoOtherWay)
+{
+    const graph g = make_cycle(4);
+    const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
+    const std::vector<double> load{4.0, 0.0, 1.0, 3.0};
+    const auto half_edges = static_cast<std::size_t>(g.num_half_edges());
+    std::vector<double> buffer(half_edges + 1);
+    const std::span<double> out(buffer.data(), half_edges);
+    const std::span<double> shifted(buffer.data() + 1, half_edges);
+    const std::span<double> prefix(buffer.data(), half_edges - 1);
+    EXPECT_NO_THROW(scheduled_flows(g, alpha, sos_scheme(1.5), 1, load, out, out,
+                                    default_executor()));
+    const auto expect_overlap_error = [&](std::span<const double> previous,
+                                          std::span<double> flows,
+                                          scheme_params scheme) {
+        try {
+            scheduled_flows(g, alpha, scheme, 1, load, previous, flows,
+                            default_executor());
+            ADD_FAILURE() << "an overlap that is not in place was accepted";
+        } catch (const std::invalid_argument& error) {
+            EXPECT_NE(std::string(error.what()).find("overlaps"), std::string::npos)
+                << error.what();
+        }
+    };
+    expect_overlap_error(shifted, out, sos_scheme(1.5));
+    expect_overlap_error(out, shifted, sos_scheme(1.5));
+    // FOS reads no previous flows, but the contract is the same.
+    expect_overlap_error(prefix, out, fos_scheme());
 }
 
 } // namespace
