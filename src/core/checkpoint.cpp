@@ -420,8 +420,8 @@ std::string serialize_checkpoint(const engine_checkpoint& checkpoint)
     // writers only read the fields.
     auto& fields = const_cast<engine_checkpoint&>(checkpoint);
     // A counting pass sizes the image, so it is written into one
-    // allocation: appending to a growing string held the old and the
-    // doubled buffer at once.
+    // allocation, not a growing string whose doublings hold the old and
+    // the new buffer at once.
     wire_writer counter(nullptr);
     visit(counter, fields);
     std::string bytes;

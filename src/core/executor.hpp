@@ -19,10 +19,12 @@
 // Thread-safety: this interface is data-parallel by construction and holds
 // no locks, so it carries no util/thread_annotations.hpp annotations. The
 // safety obligations live in the contract instead: `body`/`map` must only
-// touch state inside their [begin, end) range, and `partials` is safe
-// because each chunk index is written by exactly one task. The annotated
-// capabilities sit one layer down, in sim/thread_pool (the implementation
-// that actually shares state between workers).
+// write state inside their [begin, end) range and read state that another
+// chunk writes only through atomics (the discrete engine's in-place apply
+// reads its twins' slots with relaxed std::atomic_ref), and `partials` is
+// safe because each chunk index is written by exactly one task. The
+// annotated capabilities sit one layer down, in sim/thread_pool (the
+// implementation that actually shares state between workers).
 #ifndef DLB_CORE_EXECUTOR_HPP
 #define DLB_CORE_EXECUTOR_HPP
 
