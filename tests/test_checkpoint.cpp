@@ -16,9 +16,10 @@
 //  3. Strict rejection: a snapshot that does not match the run it is fed
 //     to (spec hash, seed, rounding, policy, record_every, engine kind,
 //     round range, load shape) or was taken under the retired v1 stream
-//     (rng_version 1) is refused with an error naming the field — and a
-//     corrupted snapshot file (eight shapes, mirroring the lambda-sidecar
-//     battery) never parses.
+//     (rng_version 1) is refused with an error naming the field; an engine
+//     restored from malformed state (short vectors, negative round, unknown
+//     scheme) refuses it and keeps its own; and a corrupted snapshot file
+//     (eight shapes, mirroring the lambda-sidecar battery) never parses.
 //
 //  4. Windowed sampling (measure_windows): window 0 with W = rounds -
 //     start_round reproduces the uninterrupted run's final discrepancy
@@ -742,6 +743,88 @@ TEST(CheckpointResumeValidation, MismatchesThrowNamingTheField)
         experiment_config bad = base;
         bad.resume = &forged;
         expect_contains(message_for(bad), "load");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Malformed engine state, refused by restore_checkpoint itself (engine level).
+// ---------------------------------------------------------------------------
+
+/// One malformed copy of an engine's saved state and the words its restore
+/// error must contain.
+template <class State>
+struct forged_state {
+    void (*forge)(State&);
+    std::vector<std::string> words;
+};
+
+/// Restores each forged copy of `engine`'s own state: each must throw
+/// std::invalid_argument with a message containing its words, and leave
+/// the engine exactly as it was.
+template <class Engine, class State>
+void expect_restore_refuses(Engine& engine,
+                            const std::vector<forged_state<State>>& cases)
+{
+    State saved;
+    engine.save_checkpoint(saved);
+    for (const forged_state<State>& bad : cases) {
+        State forged = saved;
+        bad.forge(forged);
+        std::string message;
+        try {
+            engine.restore_checkpoint(forged);
+            ADD_FAILURE() << "restore accepted a state that should name "
+                          << bad.words.back();
+        } catch (const std::invalid_argument& error) {
+            message = error.what();
+        }
+        for (const std::string& word : bad.words) expect_contains(message, word);
+
+        State after;
+        engine.save_checkpoint(after);
+        EXPECT_EQ(after.load, saved.load);
+        EXPECT_EQ(after.previous_flows, saved.previous_flows);
+        EXPECT_EQ(after.round, saved.round);
+        EXPECT_EQ(after.scheme.kind, saved.scheme.kind);
+    }
+}
+
+TEST(CheckpointResumeValidation, EngineRestoreRefusesMalformedStateNamingTheField)
+{
+    const graph g = make_torus_2d(6, 6);
+    const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
+    const auto speeds = speed_profile::uniform(g.num_nodes());
+    const diffusion_config diffusion{&g, alpha, speeds, sos_scheme(1.7)};
+    const auto initial = point_load(g.num_nodes(), 0, 3600);
+
+    {
+        SCOPED_TRACE("continuous");
+        const std::vector<double> real_initial(initial.begin(), initial.end());
+        continuous_process engine(diffusion, real_initial);
+        engine.run(5);
+        expect_restore_refuses<continuous_process, continuous_engine_state>(
+            engine,
+            {{[](continuous_engine_state& s) { s.load.pop_back(); },
+              {"continuous load vector"}},
+             {[](continuous_engine_state& s) { s.previous_flows.pop_back(); },
+              {"continuous previous-flows vector"}},
+             {[](continuous_engine_state& s) { s.round = -1; }, {"round"}},
+             {[](continuous_engine_state& s) { s.scheme.kind = 9; },
+              {"scheme kind 9"}}});
+    }
+    {
+        SCOPED_TRACE("discrete");
+        discrete_process engine(diffusion, initial, rounding_kind::randomized, 3);
+        engine.run(5);
+        expect_restore_refuses<discrete_process, discrete_engine_state>(
+            engine,
+            {{[](discrete_engine_state& s) { s.load.pop_back(); },
+              {"discrete load vector"}},
+             {[](discrete_engine_state& s) { s.previous_flows.pop_back(); },
+              {"discrete previous-flows vector"}},
+             {[](discrete_engine_state& s) { s.round = -1; }, {"round"}},
+             {[](discrete_engine_state& s) { s.scheme.kind = 9; },
+              {"scheme kind 9"}}});
     }
 }
 
