@@ -355,34 +355,10 @@ void visit(Archive& ar, engine_checkpoint& checkpoint)
     visit(ar, checkpoint.runner);
 }
 
-checkpoint_scheme_state scheme_state(const scheme_params& scheme,
-                                     std::int64_t rounds_in_scheme,
-                                     const scheme_beta_state& beta_state)
-{
-    return {static_cast<std::int32_t>(scheme.kind), scheme.beta, scheme.lambda,
-            rounds_in_scheme, beta_state.omega()};
-}
-
-// Shared by the engines' restore_checkpoint: turns the serialized scheme
-// back into validated scheme_params.
-scheme_params scheme_from_state(const checkpoint_scheme_state& state)
-{
-    if (state.kind < 0 || state.kind > 2)
-        throw std::invalid_argument("checkpoint: scheme kind " +
-                                    std::to_string(state.kind) +
-                                    " outside the known range 0..2");
-    if (state.rounds_in_scheme < 0)
-        throw std::invalid_argument("checkpoint: negative rounds_in_scheme");
-    const scheme_params scheme{static_cast<scheme_kind>(state.kind),
-                               state.beta, state.lambda};
-    validate_scheme(scheme);
-    return scheme;
-}
-
-void check_size(std::size_t have, std::size_t want, const char* what)
+void check_size(std::size_t have, std::size_t want, const std::string& what)
 {
     if (have == want) return;
-    throw std::invalid_argument(std::string("checkpoint: ") + what + " has " +
+    throw std::invalid_argument("checkpoint: " + what + " has " +
                                 std::to_string(have) +
                                 " entries but the engine expects " +
                                 std::to_string(want));
@@ -516,78 +492,84 @@ engine_checkpoint read_checkpoint_file(const std::string& path)
 //
 // The members live here rather than in the engine .cpps so every piece of
 // the snapshot contract — what is captured, what is validated — reads in
-// one place. Construction parameters (seed, rounding, policy, graph,
-// alpha, speeds) are deliberately NOT part of engine state: the caller
-// reconstructs the engine from its spec and restores only the evolving
-// state, which is what lets measure_windows legally re-seed a restored
-// engine.
+// one place. diffusion_engine saves and restores the fields the continuous
+// and discrete states share; the discrete engine adds its clipped tokens.
+// Construction parameters (seed, rounding, policy, graph, alpha, speeds)
+// are deliberately NOT part of engine state: the caller reconstructs the
+// engine from its spec and restores only the evolving state, which is what
+// lets measure_windows legally re-seed a restored engine.
 
-void continuous_process::save_checkpoint(continuous_engine_state& out) const
+template <class Load>
+template <class State>
+void diffusion_engine<Load>::save_state(State& out) const
 {
     out.load.assign(load_.begin(), load_.end());
     out.previous_flows.assign(flows_.begin(), flows_.end());
     out.round = round_;
-    out.scheme = scheme_state(config_.scheme, rounds_in_scheme_, beta_state_);
+    out.scheme = {static_cast<std::int32_t>(config_.scheme.kind),
+                  config_.scheme.beta, config_.scheme.lambda,
+                  rounds_in_scheme_, beta_state_.omega()};
     out.initial_total = initial_total_;
     out.external_total = external_total_;
     out.negative = negative_;
+}
+
+template <class Load>
+template <class State>
+void diffusion_engine<Load>::restore_state(const State& state,
+                                           const char* engine)
+{
+    const std::string name(engine);
+    check_size(state.load.size(), load_.size(), name + " load vector");
+    check_size(state.previous_flows.size(), flows_.size(),
+               name + " previous-flows vector");
+    const auto refuse = [&](const char* field, std::int64_t value,
+                            const char* why) {
+        throw std::invalid_argument("checkpoint: " + name + " " + field + " " +
+                                    std::to_string(value) + why);
+    };
+    const checkpoint_scheme_state& saved = state.scheme;
+    if (state.round < 0) refuse("round", state.round, " is negative");
+    if (saved.kind < 0 || saved.kind > 2)
+        refuse("scheme kind", saved.kind, " outside the known range 0..2");
+    if (saved.rounds_in_scheme < 0)
+        refuse("rounds_in_scheme", saved.rounds_in_scheme, " is negative");
+    const scheme_params scheme{static_cast<scheme_kind>(saved.kind),
+                               saved.beta, saved.lambda};
+    validate_scheme(scheme);
+
+    config_.scheme = scheme;
+    std::copy(state.load.begin(), state.load.end(), load_.begin());
+    std::copy(state.previous_flows.begin(), state.previous_flows.end(),
+              flows_.begin());
+    round_ = state.round;
+    rounds_in_scheme_ = saved.rounds_in_scheme;
+    beta_state_.restore(scheme, saved.rounds_in_scheme, saved.omega);
+    initial_total_ = state.initial_total;
+    external_total_ = state.external_total;
+    negative_ = state.negative;
+}
+
+void continuous_process::save_checkpoint(continuous_engine_state& out) const
+{
+    save_state(out);
 }
 
 void continuous_process::restore_checkpoint(const continuous_engine_state& state)
 {
-    check_size(state.load.size(), load_.size(), "continuous load vector");
-    check_size(state.previous_flows.size(), flows_.size(),
-               "continuous previous-flows vector");
-    if (state.round < 0)
-        throw std::invalid_argument("checkpoint: negative engine round");
-    const scheme_params scheme = scheme_from_state(state.scheme);
-
-    config_.scheme = scheme;
-    std::copy(state.load.begin(), state.load.end(), load_.begin());
-    std::copy(state.previous_flows.begin(), state.previous_flows.end(),
-              flows_.begin());
-    round_ = state.round;
-    rounds_in_scheme_ = state.scheme.rounds_in_scheme;
-    beta_state_.restore(scheme, state.scheme.rounds_in_scheme,
-                        state.scheme.omega);
-    initial_total_ = state.initial_total;
-    external_total_ = state.external_total;
-    negative_ = state.negative;
+    restore_state(state, "continuous");
 }
 
 void discrete_process::save_checkpoint(discrete_engine_state& out) const
 {
-    out.load.assign(load_.begin(), load_.end());
-    out.previous_flows.assign(flows_.begin(), flows_.end());
-    out.round = round_;
-    out.scheme = scheme_state(config_.scheme, rounds_in_scheme_, beta_state_);
-    out.initial_total = initial_total_;
-    out.external_total = external_total_;
+    save_state(out);
     out.clipped_tokens = clipped_tokens_;
-    out.negative = negative_;
 }
 
 void discrete_process::restore_checkpoint(const discrete_engine_state& state)
 {
-    check_size(state.load.size(), load_.size(), "discrete load vector");
-    check_size(state.previous_flows.size(), flows_.size(),
-               "discrete previous-flows vector");
-    if (state.round < 0)
-        throw std::invalid_argument("checkpoint: negative engine round");
-    const scheme_params scheme = scheme_from_state(state.scheme);
-
-    config_.scheme = scheme;
-    std::copy(state.load.begin(), state.load.end(), load_.begin());
-    std::copy(state.previous_flows.begin(), state.previous_flows.end(),
-              flows_.begin());
-    round_ = state.round;
-    rounds_in_scheme_ = state.scheme.rounds_in_scheme;
-    beta_state_.restore(scheme, state.scheme.rounds_in_scheme,
-                        state.scheme.omega);
-    initial_total_ = state.initial_total;
-    external_total_ = state.external_total;
+    restore_state(state, "discrete");
     clipped_tokens_ = state.clipped_tokens;
-    negative_ = state.negative;
 }
 
 void cumulative_process::save_checkpoint(cumulative_engine_state& out) const

@@ -25,10 +25,10 @@ cumulative_process::cumulative_process(diffusion_config config,
       scratch_(scratch)
 {
     const auto half_edges = static_cast<std::size_t>(network_->num_half_edges());
-    load_ = scratch_int(scratch_, initial_load.size());
+    load_ = scratch_array<std::int64_t>(scratch_, initial_load.size());
     std::copy(initial_load.begin(), initial_load.end(), load_.begin());
-    cumulative_continuous_ = scratch_real(scratch_, half_edges);
-    cumulative_discrete_ = scratch_int(scratch_, half_edges);
+    cumulative_continuous_ = scratch_array<double>(scratch_, half_edges);
+    cumulative_discrete_ = scratch_array<std::int64_t>(scratch_, half_edges);
     record_state_bytes(load_, cumulative_continuous_, cumulative_discrete_);
     initial_total_ = std::accumulate(load_.begin(), load_.end(), std::int64_t{0});
 }

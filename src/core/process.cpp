@@ -186,9 +186,10 @@ void validate_config(const diffusion_config& config, std::size_t load_size)
 
 } // namespace
 
-continuous_process::continuous_process(diffusion_config config,
-                                       std::span<const double> initial_load,
-                                       executor* exec, engine_scratch* scratch)
+template <class Load>
+diffusion_engine<Load>::diffusion_engine(diffusion_config config,
+                                         std::span<const Load> initial_load,
+                                         executor* exec, engine_scratch* scratch)
     : config_(std::move(config)),
       exec_(exec != nullptr ? exec : &default_executor()),
       scratch_(scratch)
@@ -196,17 +197,18 @@ continuous_process::continuous_process(diffusion_config config,
     validate_config(config_, initial_load.size());
     const auto half_edges =
         static_cast<std::size_t>(config_.network->num_half_edges());
-    load_ = scratch_real(scratch_, initial_load.size());
+    load_ = scratch_array<Load>(scratch_, initial_load.size());
     std::copy(initial_load.begin(), initial_load.end(), load_.begin());
     if (!config_.speeds.is_uniform())
-        load_over_speed_ = scratch_real(scratch_, load_.size());
-    flows_ = scratch_real(scratch_, half_edges);
+        load_over_speed_ = scratch_array<double>(scratch_, load_.size());
+    flows_ = scratch_array<Load>(scratch_, half_edges);
     record_state_bytes(load_, load_over_speed_, flows_);
     beta_state_.reset(config_.scheme);
-    initial_total_ = std::accumulate(load_.begin(), load_.end(), 0.0);
+    initial_total_ = std::accumulate(load_.begin(), load_.end(), Load{0});
 }
 
-continuous_process::~continuous_process()
+template <class Load>
+diffusion_engine<Load>::~diffusion_engine()
 {
     if (scratch_ == nullptr) return;
     scratch_->release(std::move(load_));
@@ -214,7 +216,8 @@ continuous_process::~continuous_process()
     scratch_->release(std::move(flows_));
 }
 
-void continuous_process::set_scheme(scheme_params scheme)
+template <class Load>
+void diffusion_engine<Load>::set_scheme(scheme_params scheme)
 {
     validate_scheme(scheme);
     config_.scheme = scheme;
@@ -222,19 +225,51 @@ void continuous_process::set_scheme(scheme_params scheme)
     beta_state_.reset(scheme);
 }
 
-double continuous_process::total_load() const
+template <class Load>
+Load diffusion_engine<Load>::total_load() const
 {
-    return std::accumulate(load_.begin(), load_.end(), 0.0);
+    return std::accumulate(load_.begin(), load_.end(), Load{0});
 }
 
-void continuous_process::inject(std::span<const std::int64_t> delta)
+template <class Load>
+void diffusion_engine<Load>::inject(std::span<const std::int64_t> delta)
 {
     if (delta.size() != load_.size())
         throw std::invalid_argument("inject: delta size mismatch");
     for (std::size_t v = 0; v < delta.size(); ++v) {
-        load_[v] += static_cast<double>(delta[v]);
-        external_total_ += static_cast<double>(delta[v]);
+        load_[v] += static_cast<Load>(delta[v]);
+        external_total_ += static_cast<Load>(delta[v]);
     }
+}
+
+template <class Load>
+void diffusion_engine<Load>::divide_load_by_speeds()
+{
+    exec_->parallel_for(config_.network->num_nodes(),
+                        [&](std::int64_t begin, std::int64_t end) {
+        for (node_id v = static_cast<node_id>(begin); v < end; ++v)
+            load_over_speed_[v] =
+                static_cast<double>(load_[v]) / config_.speeds.speed(v);
+    });
+}
+
+template <class Load>
+void diffusion_engine<Load>::finish_round(load_minima minima)
+{
+    if (load_.empty()) minima = {0.0, 0.0}; // an empty network measures 0
+    negative_.observe(minima.end_of_round, minima.transient);
+    ++round_;
+    ++rounds_in_scheme_;
+}
+
+template class diffusion_engine<double>;
+template class diffusion_engine<std::int64_t>;
+
+continuous_process::continuous_process(diffusion_config config,
+                                       std::span<const double> initial_load,
+                                       executor* exec, engine_scratch* scratch)
+    : diffusion_engine(std::move(config), initial_load, exec, scratch)
+{
 }
 
 void continuous_process::step()
@@ -250,12 +285,7 @@ void continuous_process::step()
         // x/s == x exactly for uniform speeds: the flow sweep then reads
         // the load itself.
         const bool uniform = config_.speeds.is_uniform();
-        if (!uniform) {
-            exec_->parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
-                for (node_id v = static_cast<node_id>(begin); v < end; ++v)
-                    load_over_speed_[v] = load_[v] / config_.speeds.speed(v);
-            });
-        }
+        if (!uniform) divide_load_by_speeds();
 
         // In place: each node reads its own slots of y(t-1) before it
         // overwrites them with y(t).
@@ -267,7 +297,7 @@ void continuous_process::step()
     // Apply flows; the negative-load min-scan is fused into the same sweep,
     // with per-chunk minima combined deterministically in chunk order.
     obs::phase_scope apply_phase("engine", "apply", &em.apply_ns);
-    load_minima minima = exec_->parallel_reduce(
+    const load_minima minima = exec_->parallel_reduce(
         g.num_nodes(), load_minima{},
         [&](std::int64_t begin, std::int64_t end) {
             load_minima local;
@@ -287,11 +317,7 @@ void continuous_process::step()
             return local;
         },
         load_minima::combine);
-    if (load_.empty()) minima = {0.0, 0.0}; // an empty network measures 0
-    negative_.observe(minima.end_of_round, minima.transient);
-
-    ++round_;
-    ++rounds_in_scheme_;
+    finish_round(minima);
 }
 
 void continuous_process::run(std::int64_t count)
@@ -304,40 +330,11 @@ discrete_process::discrete_process(diffusion_config config,
                                    rounding_kind rounding, std::uint64_t seed,
                                    negative_load_policy policy, executor* exec,
                                    engine_scratch* scratch)
-    : config_(std::move(config)),
-      exec_(exec != nullptr ? exec : &default_executor()),
-      scratch_(scratch),
+    : diffusion_engine(std::move(config), initial_load, exec, scratch),
       rounding_(rounding),
       seed_(seed),
       policy_(policy)
 {
-    validate_config(config_, initial_load.size());
-    const auto half_edges =
-        static_cast<std::size_t>(config_.network->num_half_edges());
-    load_ = scratch_int(scratch_, initial_load.size());
-    std::copy(initial_load.begin(), initial_load.end(), load_.begin());
-    if (!config_.speeds.is_uniform())
-        load_over_speed_ = scratch_real(scratch_, load_.size());
-    flows_ = scratch_int(scratch_, half_edges);
-    record_state_bytes(load_, load_over_speed_, flows_);
-    beta_state_.reset(config_.scheme);
-    initial_total_ = std::accumulate(load_.begin(), load_.end(), std::int64_t{0});
-}
-
-discrete_process::~discrete_process()
-{
-    if (scratch_ == nullptr) return;
-    scratch_->release(std::move(load_));
-    scratch_->release(std::move(load_over_speed_));
-    scratch_->release(std::move(flows_));
-}
-
-void discrete_process::set_scheme(scheme_params scheme)
-{
-    validate_scheme(scheme);
-    config_.scheme = scheme;
-    rounds_in_scheme_ = 0;
-    beta_state_.reset(scheme);
 }
 
 void discrete_process::capture_scheduled_flows(std::span<double> out)
@@ -346,21 +343,6 @@ void discrete_process::capture_scheduled_flows(std::span<double> out)
         out.size() != static_cast<std::size_t>(config_.network->num_half_edges()))
         throw std::invalid_argument("capture_scheduled_flows: size mismatch");
     capture_ = out;
-}
-
-std::int64_t discrete_process::total_load() const
-{
-    return std::accumulate(load_.begin(), load_.end(), std::int64_t{0});
-}
-
-void discrete_process::inject(std::span<const std::int64_t> delta)
-{
-    if (delta.size() != load_.size())
-        throw std::invalid_argument("inject: delta size mismatch");
-    for (std::size_t v = 0; v < delta.size(); ++v) {
-        load_[v] += delta[v];
-        external_total_ += delta[v];
-    }
 }
 
 void discrete_process::step()
@@ -376,11 +358,7 @@ void discrete_process::step()
     const bool uniform = config_.speeds.is_uniform();
     if (!uniform) {
         obs::phase_scope phase("engine", "flows", &em.flows_ns);
-        exec_->parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
-            for (node_id v = static_cast<node_id>(begin); v < end; ++v)
-                load_over_speed_[v] =
-                    static_cast<double>(load_[v]) / config_.speeds.speed(v);
-        });
+        divide_load_by_speeds();
     }
 
     {
@@ -425,7 +403,7 @@ void discrete_process::step()
     // Sweep 2: apply in place (apply_sweep), with the negative-load
     // min-scan fused in.
     obs::phase_scope apply_phase("engine", "apply", &em.apply_ns);
-    load_minima minima = exec_->parallel_reduce(
+    const load_minima minima = exec_->parallel_reduce(
         g.num_nodes(), load_minima{},
         [&](std::int64_t begin, std::int64_t end) {
             return apply_sweep(g, flows_.data(), load_.data(),
@@ -433,11 +411,7 @@ void discrete_process::step()
                                static_cast<node_id>(end));
         },
         load_minima::combine);
-    if (load_.empty()) minima = {0.0, 0.0}; // an empty network measures 0
-    negative_.observe(minima.end_of_round, minima.transient);
-
-    ++round_;
-    ++rounds_in_scheme_;
+    finish_round(minima);
 }
 
 void discrete_process::run(std::int64_t count)

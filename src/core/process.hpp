@@ -6,21 +6,27 @@
 // the continuous rule for the scheduled flows Yhat(t) = C(x^D(t), y^D(t-1))
 // and rounds them with the configured scheme (paper Definition 1).
 //
-// Each engine holds one flow array, y(t - 1) between rounds, which its
-// round overwrites in place. A discrete round is two node sweeps. The
-// first evaluates every node's flow rule on its own half-edges, reading
-// its own slots of y(t - 1), into a buffer local to the node (or to its
-// randomized block), rounds the owner side (positive scheduled flow) from
-// there with the rounding kernels of core/rounding.hpp into those same
-// slots, writing 0 on every other slot, and applies the prevent clip. The
-// second overwrites each slot with out - max(slot[twin(h)], 0), which is
-// each half-edge's final flow y(t) whether or not the twin's node has
-// been applied, because at most one side of an edge is nonzero and owner
-// values are never negative. So the discrete engine holds 8 bytes per
-// half-edge (flows) and 8 per node (load), plus 8 per node of load/speed
-// under non-uniform speeds; the continuous engine holds the same in
-// doubles, its flow rule reading and writing the one array. Each engine
-// constructed records those bytes as one engine.state_bytes sample.
+// D evaluates C's rule on the same state x(t), y(t - 1), so both engines
+// derive from one core, `diffusion_engine<Load>`. It holds that state (the
+// config, executor and scratch pool, the load, load/speed under non-uniform
+// speeds, one flow array holding y(t - 1) between rounds, the round and
+// scheme counters, the totals and the negative-load stats) and does all
+// that happens to it outside a round. Each engine adds its constructor
+// parameters and its round. continuous_process evaluates scheduled_flows
+// over the flow array in place and applies it. discrete_process adds the
+// rounding kind, seed, negative-load policy, clipped tokens and an opt-in
+// capture of Yhat; its round is two node sweeps. The first evaluates every
+// node's flow rule on its own half-edges, reading its own slots of
+// y(t - 1), into a buffer local to the node (or to its randomized block),
+// rounds the owner side (positive scheduled flow) from there with the
+// rounding kernels of core/rounding.hpp into those same slots, writing 0 on
+// every other slot, and applies the prevent clip. The second overwrites
+// each slot with out - max(slot[twin(h)], 0), which is each half-edge's
+// final flow y(t) whether or not the twin's node has been applied, because
+// at most one side of an edge is nonzero and owner values are never
+// negative. Either engine holds 8 bytes per half-edge (flows) and 8 per
+// node (load), plus 8 per node of load/speed under non-uniform speeds, and
+// records those bytes as one engine.state_bytes sample.
 //
 // Both engines track the negative-load instrumentation of Section V: the
 // end-of-round minimum load and the *transient* minimum — the load after
@@ -106,43 +112,34 @@ enum class negative_load_policy {
     prevent, // practical extension: clip outgoing tokens to available load
 };
 
-class continuous_process {
+/// The state the continuous process C and its discrete version D = R(C)
+/// share, with `Load` = double (C) or std::int64_t (D), and everything done
+/// with it outside a round. Instantiated for those two types only
+/// (process.cpp); continuous_process and discrete_process add their
+/// rounds.
+template <class Load>
+class diffusion_engine {
 public:
-    /// `initial_load` has one entry per node. Throws std::invalid_argument
-    /// on config/shape errors. A non-null `scratch` lends the engine its
-    /// working arrays (returned on destruction); results are byte-identical
-    /// with or without it.
-    continuous_process(diffusion_config config,
-                       std::span<const double> initial_load,
-                       executor* exec = nullptr,
-                       engine_scratch* scratch = nullptr);
-    ~continuous_process();
-
-    continuous_process(const continuous_process&) = delete;
-    continuous_process& operator=(const continuous_process&) = delete;
-
-    /// Advances one synchronous round.
-    void step();
-
-    /// Runs `count` rounds.
-    void run(std::int64_t count);
+    diffusion_engine(const diffusion_engine&) = delete;
+    diffusion_engine& operator=(const diffusion_engine&) = delete;
 
     std::int64_t round() const noexcept { return round_; }
-    std::span<const double> load() const noexcept { return load_; }
-    std::span<const double> previous_flows() const noexcept { return flows_; }
+    std::span<const Load> load() const noexcept { return load_; }
+    std::span<const Load> previous_flows() const noexcept { return flows_; }
     const diffusion_config& config() const noexcept { return config_; }
 
-    /// Total load right now; differs from initial_total() + external_total()
-    /// only by accumulated floating-point drift (paper Figure 6, right).
-    double total_load() const;
-    double initial_total() const noexcept { return initial_total_; }
+    /// Total load right now. In tokens it always equals initial_total() +
+    /// external_total(); in doubles it differs from that only by
+    /// accumulated floating-point drift (paper Figure 6, right).
+    Load total_load() const;
+    Load initial_total() const noexcept { return initial_total_; }
 
     /// Applies an external per-node load change (dynamic workloads: token
     /// arrivals > 0, departures < 0). `delta` must have one entry per node.
     void inject(std::span<const std::int64_t> delta);
 
     /// Net externally injected load since construction.
-    double external_total() const noexcept { return external_total_; }
+    Load external_total() const noexcept { return external_total_; }
 
     const negative_load_stats& negative_stats() const noexcept { return negative_; }
 
@@ -150,76 +147,88 @@ public:
     /// next round on. Switching to SOS restarts its FOS warm-up round.
     void set_scheme(scheme_params scheme);
 
-    /// Checkpoint support (core/checkpoint.hpp): capture / reinstate the
-    /// evolving engine state. restore validates shapes and scheme and
-    /// throws std::invalid_argument on mismatch; construction parameters
-    /// (graph, alpha, speeds) are not part of the snapshot.
-    void save_checkpoint(continuous_engine_state& out) const;
-    void restore_checkpoint(const continuous_engine_state& state);
+protected:
+    /// `initial_load` has one entry per node. Throws std::invalid_argument
+    /// on config/shape errors. A non-null `scratch` lends the engine its
+    /// working arrays (returned on destruction); results are byte-identical
+    /// with or without it.
+    diffusion_engine(diffusion_config config, std::span<const Load> initial_load,
+                     executor* exec, engine_scratch* scratch);
+    ~diffusion_engine();
 
-private:
+    /// Writes load/speed into load_over_speed_ (non-uniform speeds only).
+    void divide_load_by_speeds();
+
+    /// Closes a round whose apply sweep found `minima`: folds them into the
+    /// negative-load stats (an empty network measures 0) and advances both
+    /// round counters.
+    void finish_round(load_minima minima);
+
+    /// Checkpoint support (defined in checkpoint.cpp): the snapshot fields
+    /// both engines' states share, the evolving state. restore_state
+    /// validates them all, throwing std::invalid_argument naming `engine`
+    /// and the field, before it changes anything. Construction parameters
+    /// (graph, alpha, speeds) are not part of the snapshot.
+    template <class State>
+    void save_state(State& out) const;
+    template <class State>
+    void restore_state(const State& state, const char* engine);
+
     diffusion_config config_;
     executor* exec_;
     engine_scratch* scratch_;
-    aligned_vector<double> load_;
+    aligned_vector<Load> load_;
     aligned_vector<double> load_over_speed_; // empty under uniform speeds
-    aligned_vector<double> flows_; // y(t - 1); step() overwrites it with y(t)
+    aligned_vector<Load> flows_; // y(t - 1); step() overwrites it with y(t)
     std::int64_t round_ = 0;
     std::int64_t rounds_in_scheme_ = 0;
     scheme_beta_state beta_state_; // O(1) per-round relaxation factor
-    double initial_total_ = 0.0;
-    double external_total_ = 0.0;
+    Load initial_total_ = 0;
+    Load external_total_ = 0;
     negative_load_stats negative_;
 };
 
-class discrete_process {
+class continuous_process : public diffusion_engine<double> {
 public:
-    /// A non-null `scratch` lends the engine its working arrays (returned
-    /// on destruction); results are byte-identical with or without it.
+    continuous_process(diffusion_config config,
+                       std::span<const double> initial_load,
+                       executor* exec = nullptr,
+                       engine_scratch* scratch = nullptr);
+
+    /// Advances one synchronous round.
+    void step();
+
+    /// Runs `count` rounds.
+    void run(std::int64_t count);
+
+    /// Checkpoint support (core/checkpoint.hpp): save_state/restore_state.
+    void save_checkpoint(continuous_engine_state& out) const;
+    void restore_checkpoint(const continuous_engine_state& state);
+};
+
+class discrete_process : public diffusion_engine<std::int64_t> {
+public:
     discrete_process(diffusion_config config,
                      std::span<const std::int64_t> initial_load,
                      rounding_kind rounding, std::uint64_t seed,
                      negative_load_policy policy = negative_load_policy::allow,
                      executor* exec = nullptr,
                      engine_scratch* scratch = nullptr);
-    ~discrete_process();
-
-    discrete_process(const discrete_process&) = delete;
-    discrete_process& operator=(const discrete_process&) = delete;
 
     void step();
     void run(std::int64_t count);
 
-    std::int64_t round() const noexcept { return round_; }
-    std::span<const std::int64_t> load() const noexcept { return load_; }
-    std::span<const std::int64_t> previous_flows() const noexcept { return flows_; }
-    const diffusion_config& config() const noexcept { return config_; }
     rounding_kind rounding() const noexcept { return rounding_; }
     std::uint64_t seed() const noexcept { return seed_; }
 
-    /// Exact token conservation modulo external injection:
-    /// total_load() == initial_total() + external_total() always
-    /// (verified by verify_conservation()).
-    std::int64_t total_load() const;
-    std::int64_t initial_total() const noexcept { return initial_total_; }
+    /// Exact token conservation modulo external injection.
     bool verify_conservation() const
     {
         return total_load() == initial_total_ + external_total_;
     }
 
-    /// Applies an external per-node load change (dynamic workloads: token
-    /// arrivals > 0, departures < 0). `delta` must have one entry per node.
-    void inject(std::span<const std::int64_t> delta);
-
-    /// Net externally injected tokens since construction.
-    std::int64_t external_total() const noexcept { return external_total_; }
-
-    const negative_load_stats& negative_stats() const noexcept { return negative_; }
-
     /// Tokens the prevent-policy refused to send (0 under allow).
     std::int64_t clipped_tokens() const noexcept { return clipped_tokens_; }
-
-    void set_scheme(scheme_params scheme);
 
     /// From the next step on, copies each round's scheduled (continuous)
     /// flows Yhat, one per half-edge, into `out` with the round's bits;
@@ -229,33 +238,20 @@ public:
     /// any other size. The round itself neither reads nor depends on it.
     void capture_scheduled_flows(std::span<double> out);
 
-    /// Checkpoint support (core/checkpoint.hpp): capture / reinstate the
-    /// evolving engine state. restore validates shapes and scheme and
-    /// throws std::invalid_argument on mismatch; seed, rounding and policy
-    /// are construction parameters, not snapshot state.
+    /// Checkpoint support (core/checkpoint.hpp): save_state/restore_state
+    /// plus the clipped tokens; seed, rounding and policy are construction
+    /// parameters, not snapshot state.
     void save_checkpoint(discrete_engine_state& out) const;
     void restore_checkpoint(const discrete_engine_state& state);
 
 private:
-    diffusion_config config_;
-    executor* exec_;
-    engine_scratch* scratch_;
+    // flows_ holds y(t - 1) between rounds; between step()'s sweeps, this
+    // round's rounded owner sides and 0 elsewhere.
     rounding_kind rounding_;
     std::uint64_t seed_;
     negative_load_policy policy_;
-    aligned_vector<std::int64_t> load_;
-    aligned_vector<double> load_over_speed_; // empty under uniform speeds
-    // y(t - 1) between rounds; between step()'s sweeps, this round's
-    // rounded owner sides and 0 elsewhere.
-    aligned_vector<std::int64_t> flows_;
     std::span<double> capture_; // capture_scheduled_flows; empty: off
-    std::int64_t round_ = 0;
-    std::int64_t rounds_in_scheme_ = 0;
-    scheme_beta_state beta_state_; // O(1) per-round relaxation factor
-    std::int64_t initial_total_ = 0;
-    std::int64_t external_total_ = 0;
     std::int64_t clipped_tokens_ = 0;
-    negative_load_stats negative_;
 };
 
 } // namespace dlb

@@ -28,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -139,19 +140,17 @@ private:
 };
 
 /// Acquire-or-allocate: a zeroed buffer from the pool when one is given,
-/// a fresh value-initialized aligned vector otherwise.
-inline aligned_vector<std::int64_t> scratch_int(engine_scratch* scratch,
-                                                std::size_t size)
+/// a fresh value-initialized aligned vector otherwise. `T` is one of the
+/// pool's element types, std::int64_t or double.
+template <class T>
+aligned_vector<T> scratch_array(engine_scratch* scratch, std::size_t size)
 {
-    return scratch != nullptr ? scratch->acquire_int(size)
-                              : aligned_vector<std::int64_t>(size);
-}
-
-inline aligned_vector<double> scratch_real(engine_scratch* scratch,
-                                           std::size_t size)
-{
-    return scratch != nullptr ? scratch->acquire_real(size)
-                              : aligned_vector<double>(size);
+    static_assert(std::is_same_v<T, std::int64_t> || std::is_same_v<T, double>);
+    if (scratch == nullptr) return aligned_vector<T>(size);
+    if constexpr (std::is_same_v<T, double>)
+        return scratch->acquire_real(size);
+    else
+        return scratch->acquire_int(size);
 }
 
 /// Records one engine.state_bytes sample: the bytes of the arrays an

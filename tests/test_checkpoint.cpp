@@ -808,9 +808,10 @@ TEST(CheckpointResumeValidation, EngineRestoreRefusesMalformedStateNamingTheFiel
               {"continuous load vector"}},
              {[](continuous_engine_state& s) { s.previous_flows.pop_back(); },
               {"continuous previous-flows vector"}},
-             {[](continuous_engine_state& s) { s.round = -1; }, {"round"}},
+             {[](continuous_engine_state& s) { s.round = -1; },
+              {"continuous round -1"}},
              {[](continuous_engine_state& s) { s.scheme.kind = 9; },
-              {"scheme kind 9"}}});
+              {"continuous scheme kind 9"}}});
     }
     {
         SCOPED_TRACE("discrete");
@@ -822,9 +823,10 @@ TEST(CheckpointResumeValidation, EngineRestoreRefusesMalformedStateNamingTheFiel
               {"discrete load vector"}},
              {[](discrete_engine_state& s) { s.previous_flows.pop_back(); },
               {"discrete previous-flows vector"}},
-             {[](discrete_engine_state& s) { s.round = -1; }, {"round"}},
+             {[](discrete_engine_state& s) { s.round = -1; },
+              {"discrete round -1"}},
              {[](discrete_engine_state& s) { s.scheme.kind = 9; },
-              {"scheme kind 9"}}});
+              {"discrete scheme kind 9"}}});
     }
 }
 
