@@ -25,6 +25,7 @@
 // --shard + --merge; add --timing to include (nondeterministic) wall-clock
 // fields.
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -491,10 +492,10 @@ int main(int argc, char** argv)
             windows_options.window_rounds = args.get_int("window-rounds", 0);
             windows_options.lambda_cache_path =
                 args.get_string("lambda-cache", "");
-            const engine_checkpoint snapshot =
-                read_checkpoint_file(args.get_string("resume", ""));
             const campaign::measure_windows_result windows =
-                campaign::measure_windows(spec, snapshot, windows_options);
+                campaign::measure_windows(
+                    spec, read_checkpoint_file(args.get_string("resume", "")),
+                    windows_options);
             if (!windows.lambda_sidecar_error.empty())
                 std::cerr << "dlb_campaign: warning: lambda sidecar not saved: "
                           << windows.lambda_sidecar_error << "\n";
@@ -504,8 +505,11 @@ int main(int argc, char** argv)
                       << windows.window_rounds << " rounds from round "
                       << windows.start_round << "\n"
                       << "  discrepancy mean=" << windows.mean
-                      << " stddev=" << windows.stddev << " ci95=+/-"
-                      << windows.ci95_half_width << "\n";
+                      << " stddev=" << windows.stddev;
+            if (std::isnan(windows.ci95_half_width))
+                std::cout << " ci95=none (one window)\n";
+            else
+                std::cout << " ci95=+/-" << windows.ci95_half_width << "\n";
             write_reports(
                 args, false,
                 [&](std::ostream& out) {

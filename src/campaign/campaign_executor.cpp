@@ -41,7 +41,8 @@ constexpr std::uint64_t kLoadStream = 0x6c6f6164;
 constexpr std::uint64_t kSpeedStream = 0x73706473;
 constexpr std::uint64_t kWorkloadStream = 0x776b6c64;
 // Per-window reseeding for measure_windows ("wndw"): window k > 0 runs
-// under mix64(seed, kWindowStream, k), giving independent tail replicas.
+// under mix64(seed, kWindowStream, k), a re-seeded replica of the W rounds
+// after the snapshot.
 constexpr std::uint64_t kWindowStream = 0x776e6477;
 
 // The value `name` maps to in a registry name table. set_field admits only
@@ -586,8 +587,32 @@ std::int64_t resolved_record_every(const campaign_spec& spec,
     return std::max<std::int64_t>(1, spec.base.rounds / 256);
 }
 
+double student_t_975(std::int64_t df)
+{
+    if (df < 1)
+        throw std::invalid_argument("student_t_975: df must be >= 1, got " +
+                                    std::to_string(df));
+    // t_0.975(df) to six decimals for df = 1..30, then at df = 40, 60, 120
+    // and infinity, the knots between which t is linear in 1/df.
+    static constexpr double t[34] = {
+        12.706205, 4.302653, 3.182446, 2.776445, 2.570582, 2.446912, 2.364624,
+        2.306004,  2.262157, 2.228139, 2.200985, 2.178813, 2.160369, 2.144787,
+        2.131450,  2.119905, 2.109816, 2.100922, 2.093024, 2.085963, 2.079614,
+        2.073873,  2.068658, 2.063899, 2.059539, 2.055529, 2.051831, 2.048407,
+        2.045230,  2.042272, 2.021075, 2.000298, 1.979930, 1.959964};
+    if (df <= 30) return t[df - 1];
+    static constexpr double inverse_df[5] = {1.0 / 30, 1.0 / 40, 1.0 / 60,
+                                             1.0 / 120, 0.0};
+    const double* const knot_t = t + 29;
+    const double x = 1.0 / static_cast<double>(df);
+    std::size_t i = 1;
+    while (x < inverse_df[i]) ++i;
+    return knot_t[i] + (knot_t[i - 1] - knot_t[i]) * (x - inverse_df[i]) /
+                           (inverse_df[i - 1] - inverse_df[i]);
+}
+
 measure_windows_result measure_windows(const campaign_spec& spec,
-                                       const engine_checkpoint& snapshot,
+                                       engine_checkpoint snapshot,
                                        const measure_windows_options& options)
 {
     if (options.windows < 1)
@@ -637,8 +662,8 @@ measure_windows_result measure_windows(const campaign_spec& spec,
 
     // Each window resumes the scenario's own run from the snapshot. The
     // seed is a construction parameter, not engine state, so re-seeding a
-    // window means resuming from a copy whose seed is the window's.
-    engine_checkpoint reseeded = snapshot;
+    // window means resuming from the snapshot with the window's seed in
+    // it; measure_windows owns its copy, so it reseeds that.
     for (std::int64_t k = 0; k < options.windows; ++k) {
         // Window 0 keeps the original seed: with window_rounds reaching the
         // scenario's horizon it replays the uninterrupted tail bit for bit.
@@ -646,12 +671,12 @@ measure_windows_result measure_windows(const campaign_spec& spec,
             k == 0 ? target.seed
                    : mix64(target.seed, kWindowStream,
                            static_cast<std::uint64_t>(k));
-        reseeded.seed = window_seed;
+        snapshot.seed = window_seed;
         scenario_run run = make_run(target, instance.diffusion, window_seed,
                                     snapshot.record_every);
         run.config.rounds = snapshot.round + options.window_rounds;
         run.config.checkpoint_spec_hash = campaign_hash;
-        run.config.resume = &reseeded;
+        run.config.resume = &snapshot;
         const time_series series = run_experiment(run.config, zeros);
 
         window_sample sample;
@@ -673,8 +698,9 @@ measure_windows_result measure_windows(const campaign_spec& spec,
             squares += diff * diff;
         }
         result.stddev = std::sqrt(squares / (k - 1.0));
+        result.ci95_half_width =
+            student_t_975(options.windows - 1) * result.stddev / std::sqrt(k);
     }
-    result.ci95_half_width = 1.96 * result.stddev / std::sqrt(k);
 
     if (!options.lambda_cache_path.empty()) {
         try {

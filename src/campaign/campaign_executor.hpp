@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -224,7 +225,8 @@ std::int64_t resolved_record_every(const campaign_spec& spec,
 
 /// Checkpointed windowed sampling (SMARTS-style): instead of paying for a
 /// long run's tail, run K short measured windows from one snapshot, each
-/// re-seeded, and report mean / CI of the sampled discrepancy.
+/// re-seeded, and report the mean and a Student-t interval of the sampled
+/// discrepancy.
 struct measure_windows_options {
     std::int64_t windows = 8;       // K, >= 1
     std::int64_t window_rounds = 0; // W, >= 1 (required)
@@ -249,22 +251,32 @@ struct measure_windows_result {
     std::int64_t window_rounds = 0; // W
     std::vector<window_sample> samples;
     double mean = 0.0;
-    double stddev = 0.0;          // sample standard deviation (0 for K = 1)
-    double ci95_half_width = 0.0; // 1.96 * stddev / sqrt(K)
+    double stddev = 0.0; // sample standard deviation (0 for K = 1)
+    /// t_0.975(K - 1) * stddev / sqrt(K): the 95 % interval of the mean
+    /// discrepancy W rounds after the snapshot, over re-seeded replicas of
+    /// those W rounds. NaN for K = 1: one window has no interval.
+    double ci95_half_width = std::numeric_limits<double>::quiet_NaN();
     /// Non-empty when the sidecar save failed, as
     /// campaign_result::lambda_sidecar_error.
     std::string lambda_sidecar_error;
 };
+
+/// The two-sided 95 % Student-t quantile t_0.975(df): exact to six
+/// decimals up to df 30, then linear in 1/df through df = 30, 40, 60, 120
+/// and infinity (within 6e-5 up to df 10 000). Throws for df < 1.
+double student_t_975(std::int64_t df);
 
 /// Runs K measured windows of W rounds from `snapshot`, which must hold
 /// discrete-engine state for scenario snapshot.scenario_index of `spec`
 /// (spec_hash validated). Window 0 keeps the original seed — with
 /// W = rounds - start_round it reproduces the uninterrupted run's final
 /// discrepancy exactly — and window k derives seed_k = mix64(seed,
-/// kWindowStream, k), so samples are independent replicas of the tail.
-/// Throws std::invalid_argument on any mismatch, naming the field.
+/// kWindowStream, k), so the samples are re-seeded replicas of the W rounds
+/// after that one snapshot. Reseeds its own copy of the snapshot: a caller
+/// done with it moves it in. Throws std::invalid_argument on any mismatch,
+/// naming the field.
 measure_windows_result measure_windows(const campaign_spec& spec,
-                                       const engine_checkpoint& snapshot,
+                                       engine_checkpoint snapshot,
                                        const measure_windows_options& options);
 
 } // namespace dlb::campaign

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
@@ -568,7 +569,11 @@ void write_windows_csv(std::ostream& out, const measure_windows_result& result)
             << "," << result.window_rounds << ","
             << format_double(sample.discrepancy) << ","
             << format_double(result.mean) << "," << format_double(result.stddev)
-            << "," << format_double(result.ci95_half_width) << "\n";
+            << ",";
+        // One window has no interval: an empty cell (JSON writes null).
+        if (!std::isnan(result.ci95_half_width))
+            out << format_double(result.ci95_half_width);
+        out << "\n";
     }
 }
 
@@ -605,7 +610,7 @@ void write_windows_json(std::ostream& out, const measure_windows_result& result)
     json.member("samples", static_cast<std::int64_t>(result.samples.size()));
     json.member("mean", result.mean);
     json.member("stddev", result.stddev);
-    json.member("ci95_half_width", result.ci95_half_width);
+    json.member("ci95_half_width", result.ci95_half_width); // null at K = 1
     json.end_object();
 
     json.end_object();

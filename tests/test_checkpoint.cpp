@@ -23,8 +23,9 @@
 //
 //  4. Windowed sampling (measure_windows): window 0 with W = rounds -
 //     start_round reproduces the uninterrupted run's final discrepancy
-//     exactly; aggregates are consistent; non-discrete snapshots and
-//     degenerate options are rejected.
+//     exactly; aggregates are consistent; the interval is Student-t for
+//     K - 1 degrees of freedom, and K = 1 has none; non-discrete snapshots
+//     and degenerate options are rejected.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1051,7 +1052,8 @@ TEST_F(CheckpointTest, WindowZeroReproducesTheFullRunExactly)
         << "window 0 with W = rounds - start_round must replay the tail";
     EXPECT_EQ(result.mean, result.samples[0].discrepancy);
     EXPECT_EQ(result.stddev, 0.0);
-    EXPECT_EQ(result.ci95_half_width, 0.0);
+    EXPECT_TRUE(std::isnan(result.ci95_half_width))
+        << "one window has no interval";
     EXPECT_EQ(result.start_round, snapshot.round);
 }
 
@@ -1129,8 +1131,9 @@ TEST_F(CheckpointTest, WindowAggregatesAreConsistent)
     for (const auto& sample : result.samples) sum += sample.discrepancy;
     EXPECT_DOUBLE_EQ(result.mean, sum / 5.0);
     EXPECT_GE(result.stddev, 0.0);
+    // Student-t with K - 1 = 4 degrees of freedom.
     EXPECT_DOUBLE_EQ(result.ci95_half_width,
-                     1.96 * result.stddev / std::sqrt(5.0));
+                     2.776445 * result.stddev / std::sqrt(5.0));
 
     // Determinism: the same snapshot and options reproduce the samples.
     const auto again = measure_windows(spec, snapshot, options);
@@ -1139,6 +1142,66 @@ TEST_F(CheckpointTest, WindowAggregatesAreConsistent)
         EXPECT_EQ(again.samples[i].seed, result.samples[i].seed);
         EXPECT_EQ(again.samples[i].discrepancy, result.samples[i].discrepancy);
     }
+}
+
+TEST(WindowInterval, StudentTQuantileIsPinned)
+{
+    // Exact quantiles to six decimals up to df 30.
+    EXPECT_EQ(student_t_975(1), 12.706205);
+    EXPECT_EQ(student_t_975(4), 2.776445);
+    EXPECT_EQ(student_t_975(7), 2.364624);
+    EXPECT_EQ(student_t_975(30), 2.042272);
+    // Linear in 1/df between the knots above 30; exact t_0.975(31) is
+    // 2.039513.
+    EXPECT_NEAR(student_t_975(31), 2.0395369, 1e-7);
+    EXPECT_EQ(student_t_975(40), 2.021075);
+    EXPECT_EQ(student_t_975(120), 1.979930);
+    EXPECT_NEAR(student_t_975(1000000), 1.959964, 1e-5); // the normal's
+    EXPECT_THROW(student_t_975(0), std::invalid_argument);
+}
+
+TEST_F(CheckpointTest, WindowIntervalIsStudentTForKMinusOneDegrees)
+{
+    const campaign_spec spec = windows_spec();
+    campaign_options with_snapshots;
+    with_snapshots.checkpoint_every = 40;
+    with_snapshots.checkpoint_dir = dir_;
+    run_campaign(spec, with_snapshots);
+    const engine_checkpoint snapshot =
+        read_checkpoint_file(snapshot_path(spec));
+
+    struct pinned_t {
+        std::int64_t windows;
+        double t; // t_0.975(windows - 1)
+    };
+    for (const pinned_t pinned : {pinned_t{2, 12.706205}, pinned_t{5, 2.776445},
+                                  pinned_t{8, 2.364624},
+                                  pinned_t{32, 2.0395369}}) {
+        SCOPED_TRACE("K = " + std::to_string(pinned.windows));
+        measure_windows_options options;
+        options.windows = pinned.windows;
+        options.window_rounds = 5;
+        const auto result = measure_windows(spec, snapshot, options);
+        ASSERT_EQ(result.samples.size(),
+                  static_cast<std::size_t>(pinned.windows));
+        EXPECT_GT(result.stddev, 0.0);
+        EXPECT_NEAR(result.ci95_half_width / result.stddev *
+                        std::sqrt(static_cast<double>(pinned.windows)),
+                    pinned.t, 1e-7);
+    }
+
+    // K = 1: no interval, an empty CSV cell and a JSON null.
+    measure_windows_options one;
+    one.windows = 1;
+    one.window_rounds = 5;
+    const auto single = measure_windows(spec, snapshot, one);
+    std::ostringstream csv;
+    write_windows_csv(csv, single);
+    const std::string row = csv.str().substr(csv.str().find('\n') + 1);
+    EXPECT_EQ(row.substr(row.size() - 2), ",\n") << row;
+    std::ostringstream json;
+    write_windows_json(json, single);
+    expect_contains(json.str(), "\"ci95_half_width\": null");
 }
 
 TEST_F(CheckpointTest, WindowedSamplingRejectsNonDiscreteAndBadOptions)
