@@ -5,7 +5,6 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
@@ -210,6 +209,14 @@ struct scenario_run {
     std::unique_ptr<workload_hook> workload;
 };
 
+/// The initial load of `spec` on its graph of `n` nodes, which each engine
+/// of its run writes in place from the spec's pattern.
+load_fill scenario_load(const scenario_spec& spec, node_id n)
+{
+    return initial_load_fill(spec.load_pattern, n, spec.tokens_per_node,
+                             mix64(spec.seed, kLoadStream));
+}
+
 /// The run of `spec` on its resolved `diffusion` with engine seed `seed`
 /// (the spec's own, or a window's), recording every `record_every` rounds.
 scenario_run make_run(const scenario_spec& spec, diffusion_config diffusion,
@@ -265,11 +272,9 @@ scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
         result.lambda = instance.lambda;
         result.beta = instance.beta;
 
-        const auto initial = build_initial_load(
-            spec.load_pattern, g.num_nodes(), spec.tokens_per_node,
-            mix64(spec.seed, kLoadStream));
-        result.initial_total =
-            std::accumulate(initial.begin(), initial.end(), std::int64_t{0});
+        const load_fill initial = scenario_load(spec, g.num_nodes());
+        // Every pattern places exactly tokens_per_node * n tokens.
+        result.initial_total = spec.tokens_per_node * g.num_nodes();
 
         scenario_run run = make_run(spec, std::move(instance.diffusion),
                                     spec.seed, record_every);
@@ -649,8 +654,9 @@ measure_windows_result measure_windows(const campaign_spec& spec,
     if (!options.lambda_cache_path.empty())
         cache.load_lambda_sidecar(options.lambda_cache_path);
     const scenario_instance instance = resolve_instance(target, cache);
-    const std::vector<std::int64_t> zeros(
-        static_cast<std::size_t>(instance.network->num_nodes()), 0);
+    // Each window's engine writes the scenario's initial load in place, and
+    // restoring the snapshot overwrites it.
+    const load_fill initial = scenario_load(target, instance.network->num_nodes());
 
     measure_windows_result result;
     result.campaign = spec;
@@ -677,7 +683,7 @@ measure_windows_result measure_windows(const campaign_spec& spec,
         run.config.rounds = snapshot.round + options.window_rounds;
         run.config.checkpoint_spec_hash = campaign_hash;
         run.config.resume = &snapshot;
-        const time_series series = run_experiment(run.config, zeros);
+        const time_series series = run_experiment(run.config, initial);
 
         window_sample sample;
         sample.window = k;

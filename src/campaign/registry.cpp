@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <numeric>
 #include <stdexcept>
 
 #include "campaign/workload.hpp"
 #include "graph/generators.hpp"
 #include "linalg/spectra.hpp"
-#include "sim/initial_load.hpp"
 #include "util/rng.hpp"
 
 namespace dlb::campaign {
@@ -202,89 +200,137 @@ const std::vector<std::string>& load_pattern_names()
     return names;
 }
 
+namespace {
+
+void check_load_inputs(const std::string& pattern, std::int64_t n,
+                       std::int64_t tokens_per_node)
+{
+    if (n <= 0) throw std::invalid_argument("initial load: empty graph");
+    if (tokens_per_node < 0)
+        throw std::invalid_argument("initial load: negative tokens_per_node");
+    const auto& names = load_pattern_names();
+    if (std::find(names.begin(), names.end(), pattern) == names.end())
+        throw std::invalid_argument("unknown load pattern '" + pattern + "'");
+}
+
+} // namespace
+
+template <class Load>
+void fill_initial_load(const std::string& pattern, std::span<Load> out,
+                       std::int64_t tokens_per_node, std::uint64_t seed)
+{
+    check_load_inputs(pattern, static_cast<std::int64_t>(out.size()),
+                      tokens_per_node);
+    const auto n = static_cast<node_id>(out.size());
+    const std::int64_t total = tokens_per_node * static_cast<std::int64_t>(n);
+    // Every count is computed in int64 and cast as it is stored.
+    const auto store = [&](node_id v, std::int64_t count) {
+        out[static_cast<std::size_t>(v)] = static_cast<Load>(count);
+    };
+
+    if (pattern == "point") {
+        std::fill(out.begin(), out.end(), Load{0});
+        store(0, total);
+    } else if (pattern == "balanced") {
+        std::fill(out.begin(), out.end(), static_cast<Load>(tokens_per_node));
+    } else if (pattern == "random") {
+        // Independent per-node loads in [0, 2*tokens_per_node], drawn from
+        // the (seed, node=0x4a11, round=0) counter substream, then an exact
+        // total correction (multinomial random_load is O(total) and therefore
+        // unusable at campaign scale): node 0 takes a shortfall, and an
+        // excess comes off the lowest-index nodes, whose draws are drawn
+        // again from the substream's start.
+        const auto width = static_cast<std::uint64_t>(2 * tokens_per_node + 1);
+        counter_rng rng(seed, 0x4a11u, 0);
+        std::int64_t first = 0;
+        std::int64_t sum = 0;
+        for (node_id v = 0; v < n; ++v) {
+            const auto draw = static_cast<std::int64_t>(rng.next_below(width));
+            if (v == 0) first = draw;
+            sum += draw;
+            store(v, draw);
+        }
+        std::int64_t residual = total - sum;
+        if (residual >= 0) {
+            store(0, first + residual);
+        } else {
+            counter_rng again(seed, 0x4a11u, 0);
+            for (node_id v = 0; v < n && residual < 0; ++v) {
+                const auto draw =
+                    static_cast<std::int64_t>(again.next_below(width));
+                const std::int64_t take = std::min(draw, -residual);
+                store(v, draw - take);
+                residual += take;
+            }
+        }
+    } else if (pattern == "wavefront") {
+        // Linear ramp: node 0 carries ~2*tokens_per_node, the last node 0.
+        if (n == 1) {
+            store(0, total);
+            return;
+        }
+        std::int64_t assigned = 0;
+        for (node_id v = 0; v < n; ++v) {
+            const std::int64_t count = 2 * tokens_per_node * (n - 1 - v) / (n - 1);
+            store(v, count);
+            assigned += count;
+        }
+        // Node 0's ramp value is 2 * tokens_per_node; it takes the rest too.
+        store(0, 2 * tokens_per_node + (total - assigned));
+    } else if (pattern == "bimodal") {
+        // A seed-chosen half of the nodes shares all load evenly. The
+        // membership coin is draw 0 of the node's (seed, node, 0) substream;
+        // the first pass marks the members 1, the second gives them `per`.
+        std::int64_t members = 0;
+        node_id first = 0;
+        for (node_id v = 0; v < n; ++v) {
+            const bool member = to_unit_double(draw_u64(
+                                    seed, static_cast<std::uint64_t>(v), 0, 0)) < 0.5;
+            if (member && members++ == 0) first = v;
+            store(v, member ? 1 : 0);
+        }
+        if (members == 0) members = 1; // node 0 (first) holds it all
+        const std::int64_t per = total / members;
+        for (node_id v = 0; v < n; ++v)
+            store(v, out[static_cast<std::size_t>(v)] != Load{0} ? per : 0);
+        store(first, per + (total - per * members));
+    } else if (pattern == "adversarial_corner") {
+        // All load on the ~sqrt(n) lowest-index nodes: a corner patch in the
+        // row-major torus/grid layouts, the slowest spot diffusion can face.
+        const auto corner = static_cast<node_id>(std::min<std::int64_t>(
+            n, static_cast<std::int64_t>(
+                   std::ceil(std::sqrt(static_cast<double>(n))))));
+        const std::int64_t per = total / corner;
+        for (node_id v = 0; v < n; ++v) store(v, v < corner ? per : 0);
+        store(0, per + (total - per * corner));
+    }
+}
+
+template void fill_initial_load(const std::string&, std::span<std::int64_t>,
+                                std::int64_t, std::uint64_t);
+template void fill_initial_load(const std::string&, std::span<double>,
+                                std::int64_t, std::uint64_t);
+
 std::vector<std::int64_t> build_initial_load(const std::string& pattern,
                                              node_id n,
                                              std::int64_t tokens_per_node,
                                              std::uint64_t seed)
 {
-    if (n <= 0) throw std::invalid_argument("initial load: empty graph");
-    if (tokens_per_node < 0)
-        throw std::invalid_argument("initial load: negative tokens_per_node");
-    const std::int64_t total = tokens_per_node * static_cast<std::int64_t>(n);
+    check_load_inputs(pattern, n, tokens_per_node);
+    std::vector<std::int64_t> load(static_cast<std::size_t>(n));
+    fill_initial_load(pattern, std::span<std::int64_t>(load), tokens_per_node,
+                      seed);
+    return load;
+}
 
-    if (pattern == "point") return point_load(n, 0, total);
-    if (pattern == "balanced") return balanced_load(n, tokens_per_node);
-
-    if (pattern == "random") {
-        // Independent per-node loads in [0, 2*tokens_per_node], drawn from
-        // the (seed, node=0x4a11, round=0) counter substream, then an exact
-        // total correction (multinomial random_load is O(total) and therefore
-        // unusable at campaign scale).
-        counter_rng rng(seed, 0x4a11u, 0);
-        std::vector<std::int64_t> load =
-            uniform_range_load(n, 0, 2 * tokens_per_node, rng);
-        std::int64_t residual =
-            total - std::accumulate(load.begin(), load.end(), std::int64_t{0});
-        if (residual >= 0) {
-            load[0] += residual;
-        } else {
-            for (node_id v = 0; v < n && residual < 0; ++v) {
-                const std::int64_t take = std::min(load[v], -residual);
-                load[v] -= take;
-                residual += take;
-            }
-        }
-        return load;
-    }
-
-    if (pattern == "wavefront") {
-        // Linear ramp: node 0 carries ~2*tokens_per_node, the last node 0.
-        std::vector<std::int64_t> load(static_cast<std::size_t>(n), 0);
-        if (n == 1) {
-            load[0] = total;
-            return load;
-        }
-        std::int64_t assigned = 0;
-        for (node_id v = 0; v < n; ++v) {
-            load[v] = 2 * tokens_per_node * (n - 1 - v) / (n - 1);
-            assigned += load[v];
-        }
-        load[0] += total - assigned;
-        return load;
-    }
-
-    if (pattern == "bimodal") {
-        // A seed-chosen half of the nodes shares all load evenly. The
-        // membership coin is draw 0 of the node's (seed, node, 0) substream.
-        std::vector<std::int64_t> load(static_cast<std::size_t>(n), 0);
-        std::vector<node_id> high;
-        for (node_id v = 0; v < n; ++v)
-            if (to_unit_double(draw_u64(seed, static_cast<std::uint64_t>(v), 0,
-                                        0)) < 0.5)
-                high.push_back(v);
-        if (high.empty()) high.push_back(0);
-        const std::int64_t per =
-            total / static_cast<std::int64_t>(high.size());
-        for (const node_id v : high) load[v] = per;
-        load[high.front()] +=
-            total - per * static_cast<std::int64_t>(high.size());
-        return load;
-    }
-
-    if (pattern == "adversarial_corner") {
-        // All load on the ~sqrt(n) lowest-index nodes: a corner patch in the
-        // row-major torus/grid layouts, the slowest spot diffusion can face.
-        std::vector<std::int64_t> load(static_cast<std::size_t>(n), 0);
-        const auto corner = static_cast<node_id>(std::min<std::int64_t>(
-            n, static_cast<std::int64_t>(
-                   std::ceil(std::sqrt(static_cast<double>(n))))));
-        const std::int64_t per = total / corner;
-        for (node_id v = 0; v < corner; ++v) load[v] = per;
-        load[0] += total - per * corner;
-        return load;
-    }
-
-    throw std::invalid_argument("unknown load pattern '" + pattern + "'");
+load_fill initial_load_fill(const std::string& pattern, node_id n,
+                            std::int64_t tokens_per_node, std::uint64_t seed)
+{
+    check_load_inputs(pattern, n, tokens_per_node);
+    return {static_cast<std::size_t>(n),
+            [pattern, tokens_per_node, seed](auto out) {
+                fill_initial_load(pattern, out, tokens_per_node, seed);
+            }};
 }
 
 namespace {

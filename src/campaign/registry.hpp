@@ -10,13 +10,14 @@
 // Load Balancing on Arbitrary Network Topologies").
 //
 // All builders are deterministic in (spec, seed); load patterns always
-// return exactly tokens_per_node * n tokens so conservation bookkeeping
+// place exactly tokens_per_node * n tokens so conservation bookkeeping
 // stays exact.
 #ifndef DLB_CAMPAIGN_REGISTRY_HPP
 #define DLB_CAMPAIGN_REGISTRY_HPP
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,8 +66,8 @@ std::optional<double> closed_form_lambda(const std::string& family,
 /// Registered initial-load pattern names.
 const std::vector<std::string>& load_pattern_names();
 
-/// Builds the named pattern over n nodes with exactly tokens_per_node * n
-/// total tokens. Patterns:
+/// Writes the named pattern over n = out.size() nodes into `out`, exactly
+/// tokens_per_node * n tokens in all. Patterns:
 ///   point              — everything on node 0 (the paper's default)
 ///   balanced           — tokens_per_node everywhere
 ///   random             — independent uniform loads, total corrected exactly
@@ -75,11 +76,26 @@ const std::vector<std::string>& load_pattern_names();
 ///   adversarial_corner — all load on the ~sqrt(n) lowest-index nodes (a
 ///                        corner patch in row-major grid/torus layouts)
 /// The randomized patterns (random, bimodal) draw from `seed`'s counter
-/// substreams; the others ignore it.
+/// substreams; the others ignore it. Each count is computed in int64 and
+/// cast as it is stored, so a double `out` (Load = double; instantiated
+/// for that and std::int64_t) holds what to_continuous makes of the int64
+/// one. Throws std::invalid_argument on an empty `out`, a negative
+/// tokens_per_node or an unknown pattern.
+template <class Load>
+void fill_initial_load(const std::string& pattern, std::span<Load> out,
+                       std::int64_t tokens_per_node, std::uint64_t seed);
+
+/// The pattern over n nodes as a vector (tests, tools).
 std::vector<std::int64_t> build_initial_load(const std::string& pattern,
                                              node_id n,
                                              std::int64_t tokens_per_node,
                                              std::uint64_t seed);
+
+/// The pattern over n nodes as a load_fill (core/process.hpp): each engine
+/// of a run writes it in place into its own load array. Checks the inputs
+/// now, as build_initial_load does.
+load_fill initial_load_fill(const std::string& pattern, node_id n,
+                            std::int64_t tokens_per_node, std::uint64_t seed);
 
 /// One accepted value of an enumerated scenario field and what the executor
 /// resolves it to.

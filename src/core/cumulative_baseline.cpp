@@ -7,26 +7,25 @@
 
 namespace dlb {
 
-namespace {
-
-std::vector<double> to_double(std::span<const std::int64_t> values)
-{
-    return {values.begin(), values.end()};
-}
-
-} // namespace
-
 cumulative_process::cumulative_process(diffusion_config config,
                                        std::span<const std::int64_t> initial_load,
                                        executor* exec, engine_scratch* scratch)
-    : continuous_(std::move(config), to_double(initial_load), exec, scratch),
+    : cumulative_process(std::move(config), load_fill::copy_of(initial_load),
+                         exec, scratch)
+{
+}
+
+cumulative_process::cumulative_process(diffusion_config config,
+                                       const load_fill& initial_load,
+                                       executor* exec, engine_scratch* scratch)
+    : continuous_(std::move(config), initial_load, exec, scratch),
       network_(continuous_.config().network),
       exec_(exec != nullptr ? exec : &default_executor()),
       scratch_(scratch)
 {
     const auto half_edges = static_cast<std::size_t>(network_->num_half_edges());
-    load_ = scratch_array<std::int64_t>(scratch_, initial_load.size());
-    std::copy(initial_load.begin(), initial_load.end(), load_.begin());
+    load_ = scratch_array<std::int64_t>(scratch_, initial_load.nodes);
+    initial_load.tokens(load_);
     cumulative_continuous_ = scratch_array<double>(scratch_, half_edges);
     cumulative_discrete_ = scratch_array<std::int64_t>(scratch_, half_edges);
     record_state_bytes(load_, cumulative_continuous_, cumulative_discrete_);

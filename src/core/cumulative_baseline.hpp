@@ -35,6 +35,10 @@ public:
                        std::span<const std::int64_t> initial_load,
                        executor* exec = nullptr,
                        engine_scratch* scratch = nullptr);
+    /// Writes `initial_load` into both its own load array and its twin's.
+    cumulative_process(diffusion_config config, const load_fill& initial_load,
+                       executor* exec = nullptr,
+                       engine_scratch* scratch = nullptr);
     ~cumulative_process();
 
     cumulative_process(const cumulative_process&) = delete;

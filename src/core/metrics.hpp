@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/executor.hpp"
+#include "core/speeds.hpp"
 #include "graph/graph.hpp"
 
 namespace dlb {
@@ -184,22 +185,22 @@ struct round_measurement {
     double sum = 0.0;       // sum_v x_v
 };
 
-/// The ideal loads x_bar_v = m s_v / s a potential is summed against:
-/// under uniform speeds one value, m / n, that every node reads; otherwise
-/// one value per node.
+/// The ideal loads x_bar_v = m s_v / s a potential is summed against, held
+/// as the total m and the speed profile that gives s_v and s.
 struct ideal_loads {
-    double uniform = 0.0;         // every x_bar_v while per_node is empty
-    std::vector<double> per_node; // x_bar_v; empty under uniform speeds
+    double total = 0.0;                    // m
+    const speed_profile* speeds = nullptr; // must outlive the measurement
 };
 
 /// Every per-round metric of `load` in one serial pass in ascending node
 /// order: the sum, max and min always, the potential only against a
 /// non-null `ideal`, and the local difference (max_local_difference on
-/// `exec`) only when `with_local` is set. The pass reads the ideal through
-/// a view chosen once per call, so a uniform one costs no per-node array.
+/// `exec`) only when `with_local` is set. The pass computes each x_bar_v as
+/// it reads it, m * s_v / s as speed_profile::ideal_load does, through a
+/// view chosen once per call: under uniform speeds that is one value, m / n.
 /// Each sum runs in the order of the single-metric functions above, so
-/// every value is bit-identical to theirs. An empty load measures all
-/// zeros.
+/// every value is bit-identical to theirs against ideal_load's vector. An
+/// empty load measures all zeros.
 template <class Load>
 round_measurement measure_round(const graph& g, std::span<const Load> load,
                                 const ideal_loads* ideal, bool with_local,
@@ -212,6 +213,14 @@ round_measurement measure_round(const graph& g, std::span<const Load> load,
     struct uniform_view {
         double value;
         double operator[](std::size_t) const noexcept { return value; }
+    };
+    struct speed_view {
+        double total;
+        const speed_profile& speeds;
+        double operator[](std::size_t v) const noexcept
+        {
+            return total * speeds.speed(static_cast<node_id>(v)) / speeds.total();
+        }
     };
     // `ideal_at` indexes x_bar, or is nullptr when no potential is summed.
     const auto pass = [&](auto ideal_at) {
@@ -236,10 +245,10 @@ round_measurement measure_round(const graph& g, std::span<const Load> load,
     };
     if (ideal == nullptr)
         pass(nullptr);
-    else if (ideal->per_node.empty())
-        pass(uniform_view{ideal->uniform});
+    else if (ideal->speeds->is_uniform())
+        pass(uniform_view{ideal->total * 1.0 / ideal->speeds->total()});
     else
-        pass(ideal->per_node.data());
+        pass(speed_view{ideal->total, *ideal->speeds});
     return out;
 }
 

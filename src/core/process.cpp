@@ -187,18 +187,19 @@ void validate_config(const diffusion_config& config, std::size_t load_size)
 } // namespace
 
 template <class Load>
-diffusion_engine<Load>::diffusion_engine(diffusion_config config,
-                                         std::span<const Load> initial_load,
-                                         executor* exec, engine_scratch* scratch)
+diffusion_engine<Load>::diffusion_engine(
+    diffusion_config config, std::size_t nodes,
+    const std::function<void(std::span<Load>)>& fill, executor* exec,
+    engine_scratch* scratch)
     : config_(std::move(config)),
       exec_(exec != nullptr ? exec : &default_executor()),
       scratch_(scratch)
 {
-    validate_config(config_, initial_load.size());
+    validate_config(config_, nodes);
     const auto half_edges =
         static_cast<std::size_t>(config_.network->num_half_edges());
-    load_ = scratch_array<Load>(scratch_, initial_load.size());
-    std::copy(initial_load.begin(), initial_load.end(), load_.begin());
+    load_ = scratch_array<Load>(scratch_, nodes);
+    fill(load_);
     if (!config_.speeds.is_uniform())
         load_over_speed_ = scratch_array<double>(scratch_, load_.size());
     flows_ = scratch_array<Load>(scratch_, half_edges);
@@ -268,7 +269,20 @@ template class diffusion_engine<std::int64_t>;
 continuous_process::continuous_process(diffusion_config config,
                                        std::span<const double> initial_load,
                                        executor* exec, engine_scratch* scratch)
-    : diffusion_engine(std::move(config), initial_load, exec, scratch)
+    : diffusion_engine(
+          std::move(config), initial_load.size(),
+          [initial_load](std::span<double> out) {
+              std::copy(initial_load.begin(), initial_load.end(), out.begin());
+          },
+          exec, scratch)
+{
+}
+
+continuous_process::continuous_process(diffusion_config config,
+                                       const load_fill& initial_load,
+                                       executor* exec, engine_scratch* scratch)
+    : diffusion_engine(std::move(config), initial_load.nodes, initial_load.reals,
+                       exec, scratch)
 {
 }
 
@@ -330,7 +344,18 @@ discrete_process::discrete_process(diffusion_config config,
                                    rounding_kind rounding, std::uint64_t seed,
                                    negative_load_policy policy, executor* exec,
                                    engine_scratch* scratch)
-    : diffusion_engine(std::move(config), initial_load, exec, scratch),
+    : discrete_process(std::move(config), load_fill::copy_of(initial_load),
+                       rounding, seed, policy, exec, scratch)
+{
+}
+
+discrete_process::discrete_process(diffusion_config config,
+                                   const load_fill& initial_load,
+                                   rounding_kind rounding, std::uint64_t seed,
+                                   negative_load_policy policy, executor* exec,
+                                   engine_scratch* scratch)
+    : diffusion_engine(std::move(config), initial_load.nodes,
+                       initial_load.tokens, exec, scratch),
       rounding_(rounding),
       seed_(seed),
       policy_(policy)

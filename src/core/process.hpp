@@ -28,6 +28,11 @@
 // node (load), plus 8 per node of load/speed under non-uniform speeds, and
 // records those bytes as one engine.state_bytes sample.
 //
+// An engine writes its initial load into the load array it has just
+// acquired: a copy of a caller's span, or a `load_fill` that generates the
+// counts in place (a campaign load pattern, campaign/registry.hpp), so a
+// run holds no per-node load besides its engines'.
+//
 // Both engines track the negative-load instrumentation of Section V: the
 // end-of-round minimum load and the *transient* minimum — the load after
 // all outgoing flow has left a node but before any incoming flow arrives
@@ -36,7 +41,9 @@
 #define DLB_CORE_PROCESS_HPP
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <span>
 #include <string_view>
@@ -72,6 +79,32 @@ struct diffusion_config {
     alpha_weights alpha; // one value or shared per-half-edge, symmetric
     speed_profile speeds;
     scheme_params scheme;
+};
+
+/// A run's initial load as the engines take it: `nodes` token counts, which
+/// each engine writes into the load array it has just acquired. `tokens`
+/// writes them into an int64 array; `reals` writes the same counts cast to
+/// double (the continuous engine's array, a continuous twin's), the bits
+/// to_continuous gives. Both come from one writer callable with either
+/// span, which must write every entry.
+struct load_fill {
+    template <class Write>
+    load_fill(std::size_t nodes, const Write& write)
+        : nodes(nodes), tokens(write), reals(write)
+    {
+    }
+
+    /// Copies `values`, which must outlive every engine built from it.
+    static load_fill copy_of(std::span<const std::int64_t> values)
+    {
+        return {values.size(), [values](auto out) {
+                    std::copy(values.begin(), values.end(), out.begin());
+                }};
+    }
+
+    std::size_t nodes;
+    std::function<void(std::span<std::int64_t>)> tokens;
+    std::function<void(std::span<double>)> reals;
 };
 
 /// Negative-load instrumentation (paper Section V).
@@ -148,11 +181,13 @@ public:
     void set_scheme(scheme_params scheme);
 
 protected:
-    /// `initial_load` has one entry per node. Throws std::invalid_argument
-    /// on config/shape errors. A non-null `scratch` lends the engine its
-    /// working arrays (returned on destruction); results are byte-identical
-    /// with or without it.
-    diffusion_engine(diffusion_config config, std::span<const Load> initial_load,
+    /// Acquires the engine's arrays and has `fill` write the `nodes` entries
+    /// of its load array, which must be one per node. Throws
+    /// std::invalid_argument on config/shape errors. A non-null `scratch`
+    /// lends the engine its working arrays (returned on destruction);
+    /// results are byte-identical with or without it.
+    diffusion_engine(diffusion_config config, std::size_t nodes,
+                     const std::function<void(std::span<Load>)>& fill,
                      executor* exec, engine_scratch* scratch);
     ~diffusion_engine();
 
@@ -194,6 +229,9 @@ public:
                        std::span<const double> initial_load,
                        executor* exec = nullptr,
                        engine_scratch* scratch = nullptr);
+    continuous_process(diffusion_config config, const load_fill& initial_load,
+                       executor* exec = nullptr,
+                       engine_scratch* scratch = nullptr);
 
     /// Advances one synchronous round.
     void step();
@@ -210,6 +248,11 @@ class discrete_process : public diffusion_engine<std::int64_t> {
 public:
     discrete_process(diffusion_config config,
                      std::span<const std::int64_t> initial_load,
+                     rounding_kind rounding, std::uint64_t seed,
+                     negative_load_policy policy = negative_load_policy::allow,
+                     executor* exec = nullptr,
+                     engine_scratch* scratch = nullptr);
+    discrete_process(diffusion_config config, const load_fill& initial_load,
                      rounding_kind rounding, std::uint64_t seed,
                      negative_load_policy policy = negative_load_policy::allow,
                      executor* exec = nullptr,

@@ -8,7 +8,6 @@
 
 #include "core/checkpoint.hpp"
 #include "obs/obs.hpp"
-#include "sim/initial_load.hpp"
 
 namespace dlb {
 
@@ -65,14 +64,6 @@ void validate_resume(const experiment_config& config,
             " rounds");
 }
 
-/// The ideal loads for total `total`. Under uniform speeds that is one
-/// value, bit for bit each entry speed_profile::ideal_load returns there.
-ideal_loads make_ideal_loads(const speed_profile& speeds, double total)
-{
-    if (speeds.is_uniform()) return {total * 1.0 / speeds.total(), {}};
-    return {0.0, speeds.ideal_load(total)};
-}
-
 /// Shared run loop over the three engine types. `Engine` provides step(),
 /// load(), set_scheme(), negative_stats() and save/restore_checkpoint on
 /// the snapshot member `section`; `twin` (optional) is stepped in
@@ -92,16 +83,16 @@ time_series run_loop(Engine& engine, State engine_checkpoint::*section,
     const bool with_twin = twin != nullptr;
 
     // Dynamic-workload state: the conservation baseline follows the injected
-    // tokens, and the ideal is recomputed when the total changes.
-    // `ideal_basis` remembers which total the current ideal came from, so
-    // a resumed run rebuilds bitwise the same ideal the uninterrupted run
-    // was carrying at the snapshot round.
+    // tokens, and the ideal follows the total. `ideal_basis` is the total the
+    // ideal loads are computed from (measure_round derives each node's from
+    // it and the speeds), so a resumed run measures bitwise against the same
+    // ideal the uninterrupted run was carrying at the snapshot round.
     const bool dynamic = config.workload != nullptr;
     std::int64_t start_round = 0;
     double baseline_total = 0.0;
     double ideal_basis = 0.0;
-    bool ideal_stale = false; // injected rounds invalidate `ideal`; recompute
-                              // lazily, only when a recorded round reads it
+    bool ideal_stale = false; // injected rounds invalidate `ideal_basis`;
+                              // refreshed only when a recorded round reads it
 
     if (config.resume != nullptr) {
         const engine_checkpoint& checkpoint = *config.resume;
@@ -121,7 +112,6 @@ time_series run_loop(Engine& engine, State engine_checkpoint::*section,
             [](double acc, auto v) { return acc + static_cast<double>(v); });
         ideal_basis = baseline_total;
     }
-    ideal_loads ideal = make_ideal_loads(config.diffusion.speeds, ideal_basis);
 
     std::vector<std::int64_t> delta;
     std::vector<double> load_view;
@@ -169,9 +159,9 @@ time_series run_loop(Engine& engine, State engine_checkpoint::*section,
             t % config.record_every == 0 || t == config.rounds;
         if (recorded && ideal_stale) {
             ideal_basis = baseline_total;
-            ideal = make_ideal_loads(config.diffusion.speeds, ideal_basis);
             ideal_stale = false;
         }
+        const ideal_loads ideal{ideal_basis, &config.diffusion.speeds};
         const round_measurement measured = measure_round(
             g, load, recorded ? &ideal : nullptr,
             recorded || hybrid.reads_local_difference(t), exec);
@@ -231,11 +221,10 @@ time_series run_loop(Engine& engine, State engine_checkpoint::*section,
     return out;
 }
 
-/// The one entry behind both public ones: runs the experiment, and copies
+/// The one entry behind the public ones: runs the experiment, and copies
 /// out the final load only when `with_final_load` is set.
 experiment_outcome run(const experiment_config& config,
-                       const std::vector<std::int64_t>& initial_load,
-                       bool with_final_load)
+                       const load_fill& initial_load, bool with_final_load)
 {
     if (config.diffusion.network == nullptr)
         throw std::invalid_argument("run_experiment: null network");
@@ -258,8 +247,8 @@ experiment_outcome run(const experiment_config& config,
                                 config.scratch);
         std::optional<continuous_process> twin;
         if (config.run_continuous_twin)
-            twin.emplace(config.diffusion, to_continuous(initial_load),
-                         config.exec, config.scratch);
+            twin.emplace(config.diffusion, initial_load, config.exec,
+                         config.scratch);
         outcome.series = run_loop(engine, &engine_checkpoint::discrete, config,
                                   twin ? &*twin : nullptr);
         if (with_final_load)
@@ -267,8 +256,8 @@ experiment_outcome run(const experiment_config& config,
         break;
     }
     case process_kind::continuous: {
-        continuous_process engine(config.diffusion, to_continuous(initial_load),
-                                  config.exec, config.scratch);
+        continuous_process engine(config.diffusion, initial_load, config.exec,
+                                  config.scratch);
         outcome.series =
             run_loop(engine, &engine_checkpoint::continuous, config, nullptr);
         if (with_final_load)
@@ -294,13 +283,19 @@ experiment_outcome run(const experiment_config& config,
 time_series run_experiment(const experiment_config& config,
                            const std::vector<std::int64_t>& initial_load)
 {
+    return run(config, load_fill::copy_of(initial_load), false).series;
+}
+
+time_series run_experiment(const experiment_config& config,
+                           const load_fill& initial_load)
+{
     return run(config, initial_load, false).series;
 }
 
 experiment_outcome run_experiment_with_final_load(
     const experiment_config& config, const std::vector<std::int64_t>& initial_load)
 {
-    return run(config, initial_load, true);
+    return run(config, load_fill::copy_of(initial_load), true);
 }
 
 } // namespace dlb

@@ -93,10 +93,17 @@ struct experiment_config {
     engine_scratch* scratch = nullptr;
 };
 
-/// Runs the experiment from `initial_load`. The graph referenced by
-/// `config.diffusion.network` must stay alive for the duration.
+/// Runs the experiment from `initial_load`, which each engine copies into
+/// its own load array. The graph referenced by `config.diffusion.network`
+/// must stay alive for the duration.
 time_series run_experiment(const experiment_config& config,
                            const std::vector<std::int64_t>& initial_load);
+
+/// Runs the experiment from a load that each engine writes in place into
+/// its own load array (a campaign load pattern, for one), so the run holds
+/// no per-node load besides its engines'.
+time_series run_experiment(const experiment_config& config,
+                           const load_fill& initial_load);
 
 /// Convenience: runs and also returns the final load vector.
 struct experiment_outcome {

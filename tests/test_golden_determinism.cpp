@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/registry.hpp"
 #include "campaign/workload.hpp"
 #include "core/alpha.hpp"
 #include "obs/obs.hpp"
@@ -672,6 +673,101 @@ TEST(GoldenKernel, ContinuousAndCumulativeEnginesMatchReferenceBitwise)
                     cumulative_pooled.save_checkpoint(cumulative_state);
                     ASSERT_TRUE(same_state(cumulative_state, cumulative_ref))
                         << label << " cumulative pooled round " << t;
+                }
+            }
+        }
+    }
+}
+
+template <class T>
+bool bytes_equal(std::span<const T> a, std::span<const T> b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+TEST(GoldenKernel, PatternFilledEnginesMatchSpanBuiltEnginesBitwise)
+{
+    // The campaign path: each engine writes a load pattern in place into
+    // the load array it acquires (campaign::initial_load_fill). Those
+    // engines step in lock-step, bit for bit, with engines built from a
+    // span of build_initial_load's vector (its to_continuous copy for the
+    // continuous engine): every pattern, the discrete engine under every
+    // rounding and both policies, the continuous and the cumulative
+    // engine, on every golden graph with its speeds, serially and on a
+    // 3-worker pool. The initial loads compare too, before any round.
+    thread_pool pool(3);
+    for (const golden_case& tc : golden_topologies()) {
+        const graph& g = tc.g;
+        const node_id n = g.num_nodes();
+        const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
+        const scheme_params scheme = sos_scheme(
+            tc.beta != 0.0 ? tc.beta
+                           : beta_opt(compute_lambda(g, alpha, tc.speeds)));
+        const diffusion_config config{&g, alpha, tc.speeds, scheme};
+        for (const std::string& pattern : campaign::load_pattern_names()) {
+            const std::vector<std::int64_t> values =
+                campaign::build_initial_load(pattern, n, 5, 7);
+            const std::vector<double> real_values = to_continuous(values);
+            const load_fill fill = campaign::initial_load_fill(pattern, n, 5, 7);
+            for (executor* exec : {static_cast<executor*>(nullptr),
+                                   static_cast<executor*>(&pool)}) {
+                const std::string where = tc.name + " " + pattern +
+                                          (exec == nullptr ? " serial" : " pool3");
+                for (const rounding_kind rounding :
+                     {rounding_kind::randomized, rounding_kind::floor,
+                      rounding_kind::nearest, rounding_kind::bernoulli_edge})
+                    for (const negative_load_policy policy :
+                         {negative_load_policy::allow,
+                          negative_load_policy::prevent}) {
+                        const std::string label =
+                            where + " " + std::string(to_string(rounding)) +
+                            (policy == negative_load_policy::prevent ? " prevent"
+                                                                     : " allow");
+                        discrete_process filled(config, fill, rounding, 42,
+                                                policy, exec);
+                        discrete_process copied(config, values, rounding, 42,
+                                                policy, exec);
+                        ASSERT_TRUE(bytes_equal(filled.load(), values)) << label;
+                        for (int t = 0; t < 4; ++t) {
+                            filled.step();
+                            copied.step();
+                            ASSERT_TRUE(bytes_equal(filled.load(), copied.load()))
+                                << label << " round " << t;
+                            ASSERT_TRUE(bytes_equal(filled.previous_flows(),
+                                                    copied.previous_flows()))
+                                << label << " round " << t;
+                            ASSERT_EQ(filled.clipped_tokens(),
+                                      copied.clipped_tokens())
+                                << label << " round " << t;
+                        }
+                    }
+
+                continuous_process continuous_filled(config, fill, exec);
+                continuous_process continuous_copied(config, real_values, exec);
+                cumulative_process cumulative_filled(config, fill, exec);
+                cumulative_process cumulative_copied(config, values, exec);
+                ASSERT_TRUE(bytes_equal(continuous_filled.load(), real_values))
+                    << where;
+                ASSERT_TRUE(bytes_equal(cumulative_filled.load(), values)) << where;
+                continuous_engine_state continuous_a;
+                continuous_engine_state continuous_b;
+                cumulative_engine_state cumulative_a;
+                cumulative_engine_state cumulative_b;
+                for (int t = 0; t < 4; ++t) {
+                    continuous_filled.step();
+                    continuous_copied.step();
+                    cumulative_filled.step();
+                    cumulative_copied.step();
+                    continuous_filled.save_checkpoint(continuous_a);
+                    continuous_copied.save_checkpoint(continuous_b);
+                    ASSERT_TRUE(same_state(continuous_a, continuous_b))
+                        << where << " continuous round " << t;
+                    cumulative_filled.save_checkpoint(cumulative_a);
+                    cumulative_copied.save_checkpoint(cumulative_b);
+                    ASSERT_TRUE(same_state(cumulative_a, cumulative_b))
+                        << where << " cumulative round " << t;
                 }
             }
         }

@@ -189,6 +189,43 @@ TEST(ImbalanceTracker, Validation)
     EXPECT_THROW(imbalance_tracker(10, -1.0), std::invalid_argument);
 }
 
+TEST(Metrics, RoundMeasurementDerivesTheZipfIdealBitwise)
+{
+    // measure_round computes each zipf ideal load from the total and the
+    // speeds as it reads it. Its potential and global metric keep the bits
+    // of the per-node view the runner once stored, speed_profile's
+    // ideal_load vector: for int64 and double loads, against the load's own
+    // total and against other bases (a dynamic run measures against the
+    // total its injections left, which the load need not hold).
+    const graph g = make_torus_2d(24, 24);
+    const node_id n = g.num_nodes();
+    const auto speeds = speed_profile::zipf(n, 1.0, 8.0, 3);
+    std::vector<std::int64_t> tokens(static_cast<std::size_t>(n));
+    counter_rng rng(5, 0, 0);
+    double sum = 0.0;
+    for (auto& value : tokens) {
+        value = static_cast<std::int64_t>(rng.next_below(2001)) - 400;
+        sum += static_cast<double>(value);
+    }
+    std::vector<double> reals(tokens.begin(), tokens.end());
+    for (double& value : reals) value += 0.3;
+    const auto bits = [](double value) { return std::bit_cast<std::uint64_t>(value); };
+    const auto check = [&](auto load, double basis) {
+        const ideal_loads ideal{basis, &speeds};
+        const round_measurement measured =
+            measure_round(g, load, &ideal, false, default_executor());
+        const std::vector<double> per_node = speeds.ideal_load(basis);
+        EXPECT_EQ(bits(measured.potential),
+                  bits(potential(load, std::span<const double>(per_node))))
+            << basis;
+        EXPECT_EQ(bits(measured.global), bits(max_minus_average(load))) << basis;
+    };
+    for (const double basis : {sum, sum + 37.0, sum - 1e6, 0.0}) {
+        check(std::span<const std::int64_t>(tokens), basis);
+        check(std::span<const double>(reals), basis);
+    }
+}
+
 TEST(Metrics, EmptyInputs)
 {
     EXPECT_DOUBLE_EQ(max_minus_average(std::span<const double>{}), 0.0);

@@ -16,6 +16,7 @@
 
 #include "campaign/campaign_executor.hpp"
 #include "campaign/graph_cache.hpp"
+#include "campaign/registry.hpp"
 #include "campaign/report.hpp"
 #include "core/alpha.hpp"
 #include "core/checkpoint.hpp"
@@ -248,6 +249,73 @@ TEST_F(ObsSessionTest, EngineStateBytesNameTheArraysEachEngineHolds)
                               const cumulative_process engine(config, load);
                           }),
               samples(2, 24 * half_edges + 16 * n));
+}
+
+TEST_F(ObsSessionTest, PatternFilledEnginesHoldAndAcquireWhatSpanBuiltOnesDo)
+{
+    // Writing the initial load in place adds and moves no array: an engine
+    // that writes a campaign load pattern into its own load array records
+    // the engine.state_bytes samples, scratch.acquires and
+    // scratch.pool_hits of one copying a span of the pattern's vector. Each
+    // reading is two engines on one pool, the second served by what the
+    // first returned: 2 acquires per discrete or continuous engine (load,
+    // flows), 3 under zipf speeds (load/speed), and the cumulative engine's
+    // 3 on top of its twin's.
+    const graph g = make_torus_2d(64, 64);
+    const node_id n = g.num_nodes();
+    const auto values = campaign::build_initial_load("random", n, 100, 9);
+    const load_fill fill = campaign::initial_load_fill("random", n, 100, 9);
+    const auto build = [&](process_kind kind, const diffusion_config& config,
+                           engine_scratch& scratch, bool filled) {
+        const auto policy = negative_load_policy::allow;
+        const auto randomized = rounding_kind::randomized;
+        if (kind == process_kind::discrete && filled) {
+            const discrete_process e(config, fill, randomized, 1, policy, nullptr,
+                                     &scratch);
+        } else if (kind == process_kind::discrete) {
+            const discrete_process e(config, values, randomized, 1, policy,
+                                     nullptr, &scratch);
+        } else if (kind == process_kind::continuous && filled) {
+            const continuous_process e(config, fill, nullptr, &scratch);
+        } else if (kind == process_kind::continuous) {
+            const continuous_process e(config, to_continuous(values), nullptr,
+                                       &scratch);
+        } else if (filled) {
+            const cumulative_process e(config, fill, nullptr, &scratch);
+        } else {
+            const cumulative_process e(config, values, nullptr, &scratch);
+        }
+    };
+    for (const bool zipf : {false, true})
+        for (const process_kind kind :
+             {process_kind::discrete, process_kind::continuous,
+              process_kind::cumulative}) {
+            const diffusion_config config{
+                &g, make_alpha(g, alpha_policy::max_degree_plus_one),
+                zipf ? speed_profile::zipf(n, 1.0, 8.0, 5) : speed_profile::uniform(n),
+                sos_scheme(1.5)};
+            const auto reading = [&](bool filled) {
+                obs::session_options options;
+                options.collect_metrics = true;
+                const obs::session session(options);
+                engine_scratch scratch;
+                build(kind, config, scratch, filled);
+                build(kind, config, scratch, filled);
+                const obs::histogram& bytes =
+                    obs::registry_histogram("engine.state_bytes");
+                return std::vector<std::int64_t>{
+                    bytes.count(), bytes.sum(),
+                    obs::registry_counter("scratch.acquires").value(),
+                    obs::registry_counter("scratch.pool_hits").value()};
+            };
+            const std::int64_t per_engine =
+                (zipf ? 3 : 2) + (kind == process_kind::cumulative ? 3 : 0);
+            const auto filled = reading(true);
+            EXPECT_EQ(filled, reading(false))
+                << to_string(kind) << (zipf ? " zipf" : " uniform");
+            EXPECT_EQ(filled[2], 2 * per_engine) << to_string(kind);
+            EXPECT_EQ(filled[3], per_engine) << to_string(kind);
+        }
 }
 
 TEST_F(ObsSessionTest, GraphBuildSpanCarriesTheGraphSize)

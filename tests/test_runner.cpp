@@ -13,6 +13,7 @@
 #include "campaign/workload.hpp"
 #include "core/alpha.hpp"
 #include "core/beta.hpp"
+#include "core/checkpoint.hpp"
 #include "graph/generators.hpp"
 #include "linalg/spectra.hpp"
 #include "sim/initial_load.hpp"
@@ -455,6 +456,63 @@ TEST(RunnerPin, RecordedRowsMatchHandSteppedReference)
     }
     EXPECT_TRUE(saw_negative_load)
         << "the allow cases must drive some load negative";
+}
+
+TEST(RunnerPin, ZipfDynamicRunMeasuresAgainstThePerNodeIdeal)
+{
+    // Under zipf speeds the runner keeps only the ideal's basis total, and
+    // measure_round derives each node's ideal load from it. A poisson run
+    // recording every 7 rounds leaves the ideal stale between recorded
+    // rounds: every engine's series equals the hand-stepped reference,
+    // whose rows sum against speed_profile::ideal_load's vector. A run
+    // resumed from the round-40 snapshot, taken while the ideal was stale,
+    // finishes with the same series.
+    const graph g = make_torus_2d(16, 16);
+    const node_id n = g.num_nodes();
+    const auto initial = point_load(n, 0, std::int64_t{60} * n);
+    for (const process_kind process :
+         {process_kind::discrete, process_kind::continuous,
+          process_kind::cumulative}) {
+        SCOPED_TRACE(std::string(to_string(process)));
+        experiment_config config =
+            base_config(g, sos_scheme(beta_opt(torus_2d_lambda(16, 16))));
+        config.diffusion.speeds = speed_profile::zipf(n, 1.0, 8.0, 13);
+        config.process = process;
+        config.seed = 17;
+        config.rounds = 45;
+        config.record_every = 7;
+        config.imbalance_window = 8;
+        config.run_continuous_twin = process == process_kind::discrete;
+        const auto workload = pinned_workload(true, n);
+        config.workload = workload.get();
+        expect_same_series(run_experiment(config, initial),
+                           reference_series(config, initial));
+
+        // Resuming runs no twin.
+        config.run_continuous_twin = false;
+        const auto full_workload = pinned_workload(true, n);
+        config.workload = full_workload.get();
+        const time_series full = run_experiment(config, initial);
+        const std::string path = ::testing::TempDir() + "dlb_runner_zipf_" +
+                                 std::string(to_string(process)) + ".ckpt";
+        const auto checkpointing_workload = pinned_workload(true, n);
+        config.workload = checkpointing_workload.get();
+        config.checkpoint_every = 10;
+        config.checkpoint_path = path;
+        run_experiment(config, initial);
+        const engine_checkpoint snapshot = read_checkpoint_file(path);
+        std::remove(path.c_str());
+        ASSERT_EQ(snapshot.round, 40);
+        EXPECT_TRUE(snapshot.runner.ideal_stale);
+        EXPECT_NE(snapshot.runner.ideal_basis, snapshot.runner.baseline_total);
+
+        const auto resumed_workload = pinned_workload(true, n);
+        config.workload = resumed_workload.get();
+        config.checkpoint_every = 0;
+        config.checkpoint_path.clear();
+        config.resume = &snapshot;
+        expect_same_series(run_experiment(config, initial), full);
+    }
 }
 
 TEST(RunnerPin, FinalLoadRunRecordsTheSameSeries)
