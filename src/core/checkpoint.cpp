@@ -17,10 +17,10 @@ namespace {
 //
 // Each snapshot struct has one visit(archive&, T&) below that names its
 // fields once, in wire order: run with a wire_writer it serializes, run with
-// a wire_reader it parses. Fields travel little-endian byte by byte, so the
-// format is identical on any host. Doubles travel as their IEEE-754 bit
-// patterns (exact round-trip; NaN/inf payloads preserved — the
-// negative-load minima start at +inf).
+// a wire_reader it parses. Fields travel little-endian, so the format is
+// identical on any host. Doubles travel as their IEEE-754 bit patterns
+// (exact round-trip; NaN/inf payloads preserved — the negative-load minima
+// start at +inf).
 //
 // Besides field(), visit uses three checked forms — bounded (enum wire
 // values), at_least (counts) and column (a series column, as long as the
@@ -85,12 +85,16 @@ public:
     std::size_t size() const noexcept { return size_; }
 
 private:
+    /// Appends the low `size` bytes of `bits`, least significant first, in
+    /// one append: the shifts give the same bytes on any host.
     void put(std::uint64_t bits, std::size_t size)
     {
         size_ += size;
         if (out_ == nullptr) return;
-        for (std::size_t byte = 0; byte < size; ++byte)
-            out_->push_back(static_cast<char>((bits >> (8 * byte)) & 0xff));
+        char bytes[8];
+        for (std::size_t byte = 0; byte < 8; ++byte)
+            bytes[byte] = static_cast<char>((bits >> (8 * byte)) & 0xff);
+        out_->append(bytes, size);
     }
 
     std::string* out_;
