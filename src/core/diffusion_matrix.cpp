@@ -117,10 +117,18 @@ double compute_lambda(const graph& g, const alpha_weights& alpha,
     {
         obs::trace_span span("linalg", "lanczos");
         result = lanczos_extreme_eigenvalues(sym, deflate);
+        // The solve's bytes at its peak: the operator's weights and
+        // diagonal, the deflated vector and the solver's own n-vectors.
+        const auto vectors = deflate.size() + static_cast<std::size_t>(
+                                                  lanczos_peak_vectors(result));
+        const std::size_t doubles = sym.weights().size() +
+                                    sym.diagonal().size() +
+                                    vectors * sym.dimension();
         span.set_args({{"steps", static_cast<double>(result.iterations)},
                        {"applies", static_cast<double>(result.applies)},
                        {"residual", result.residual},
-                       {"converged", result.converged ? 1.0 : 0.0}});
+                       {"converged", result.converged ? 1.0 : 0.0},
+                       {"bytes", static_cast<double>(doubles * sizeof(double))}});
     }
     const double lambda =
         std::max(std::abs(result.largest), std::abs(result.smallest));

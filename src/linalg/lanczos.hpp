@@ -64,6 +64,15 @@ struct lanczos_result {
     bool converged = false;  // the true residual met kLanczosTolerance
 };
 
+/// The n-vectors a solve that returned `result` held at its peak, besides
+/// the caller's deflated vectors: the start vector and the three Lanczos
+/// vectors, and during a true-residual check (one ran iff applies >
+/// iterations) the Ritz vector and the three vectors it regenerates.
+inline int lanczos_peak_vectors(const lanczos_result& result) noexcept
+{
+    return result.applies > result.iterations ? 8 : 4;
+}
+
 /// Extreme eigenvalues of the symmetric operator `op` on the complement of
 /// span(deflate) — pass the known top eigenvector(s), normalized, in
 /// `deflate`. Stops converged or after `max_steps` steps; callers must

@@ -202,6 +202,12 @@ TEST_F(ObsSessionTest, LambdaSolveSpanCarriesSolverArgs)
     EXPECT_EQ(event_number(text, event, "residual"), solved.residual);
     EXPECT_LE(solved.residual, kLanczosTolerance);
     EXPECT_EQ(event_number(text, event, "converged"), 1.0);
+    // Its bytes at the peak, during the true-residual check: the operator's
+    // weights (8 B per half-edge) and diagonal (8 B per node), and nine
+    // n-vectors: the deflated top eigenvector, the start vector, the three
+    // Lanczos vectors, the Ritz vector and the three it regenerates.
+    EXPECT_EQ(event_number(text, event, "bytes"),
+              8.0 * g.num_half_edges() + 8.0 * 400 + 9 * 8.0 * 400);
 }
 
 TEST_F(ObsSessionTest, EngineStateBytesNameTheArraysEachEngineHolds)
