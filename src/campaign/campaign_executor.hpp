@@ -197,7 +197,9 @@ struct scenario_checkpointing {
 /// shares resolved topologies/lambdas across calls (nullptr: a cache of
 /// this call's own); `scratch` lends the engines pooled buffers (nullptr:
 /// fresh arrays); `checkpointing` (optional) snapshots and/or resumes the
-/// run. Results are byte-identical for every combination.
+/// run. Results are byte-identical for every combination. The engines
+/// write the spec's load pattern in place into their own load arrays, so
+/// the scenario holds no other per-node load.
 scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
                              std::int64_t record_every,
                              const std::string& series_dir = {},
@@ -273,8 +275,10 @@ double student_t_975(std::int64_t df);
 /// discrepancy exactly — and window k derives seed_k = mix64(seed,
 /// kWindowStream, k), so the samples are re-seeded replicas of the W rounds
 /// after that one snapshot. Reseeds its own copy of the snapshot: a caller
-/// done with it moves it in. Throws std::invalid_argument on any mismatch,
-/// naming the field.
+/// done with it moves it in. Each window's engine writes the scenario's
+/// load pattern in place before the snapshot overwrites it, so the windows
+/// hold no other per-node load. Throws std::invalid_argument on any
+/// mismatch, naming the field.
 measure_windows_result measure_windows(const campaign_spec& spec,
                                        engine_checkpoint snapshot,
                                        const measure_windows_options& options);
