@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <stdexcept>
 
@@ -208,19 +209,24 @@ void check_load_inputs(const std::string& pattern, std::int64_t n,
     if (n <= 0) throw std::invalid_argument("initial load: empty graph");
     if (tokens_per_node < 0)
         throw std::invalid_argument("initial load: negative tokens_per_node");
+    // The patterns count up to 2 * tokens_per_node * n tokens in int64 (the
+    // random draws, the wavefront ramp).
+    if (tokens_per_node > std::numeric_limits<std::int64_t>::max() / (2 * n))
+        throw std::invalid_argument(
+            "initial load: tokens_per_node " + std::to_string(tokens_per_node) +
+            " is too large for " + std::to_string(n) +
+            " nodes (2 * tokens_per_node * nodes must fit in 64 bits)");
     const auto& names = load_pattern_names();
     if (std::find(names.begin(), names.end(), pattern) == names.end())
         throw std::invalid_argument("unknown load pattern '" + pattern + "'");
 }
 
-} // namespace
-
+/// Writes the named pattern over out.size() nodes into `out`, whose inputs
+/// check_load_inputs has accepted.
 template <class Load>
 void fill_initial_load(const std::string& pattern, std::span<Load> out,
                        std::int64_t tokens_per_node, std::uint64_t seed)
 {
-    check_load_inputs(pattern, static_cast<std::int64_t>(out.size()),
-                      tokens_per_node);
     const auto n = static_cast<node_id>(out.size());
     const std::int64_t total = tokens_per_node * static_cast<std::int64_t>(n);
     // Every count is computed in int64 and cast as it is stored.
@@ -306,10 +312,7 @@ void fill_initial_load(const std::string& pattern, std::span<Load> out,
     }
 }
 
-template void fill_initial_load(const std::string&, std::span<std::int64_t>,
-                                std::int64_t, std::uint64_t);
-template void fill_initial_load(const std::string&, std::span<double>,
-                                std::int64_t, std::uint64_t);
+} // namespace
 
 std::vector<std::int64_t> build_initial_load(const std::string& pattern,
                                              node_id n,

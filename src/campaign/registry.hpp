@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -66,8 +65,8 @@ std::optional<double> closed_form_lambda(const std::string& family,
 /// Registered initial-load pattern names.
 const std::vector<std::string>& load_pattern_names();
 
-/// Writes the named pattern over n = out.size() nodes into `out`, exactly
-/// tokens_per_node * n tokens in all. Patterns:
+/// Builds the named pattern over n nodes with exactly tokens_per_node * n
+/// total tokens. Patterns:
 ///   point              — everything on node 0 (the paper's default)
 ///   balanced           — tokens_per_node everywhere
 ///   random             — independent uniform loads, total corrected exactly
@@ -76,23 +75,18 @@ const std::vector<std::string>& load_pattern_names();
 ///   adversarial_corner — all load on the ~sqrt(n) lowest-index nodes (a
 ///                        corner patch in row-major grid/torus layouts)
 /// The randomized patterns (random, bimodal) draw from `seed`'s counter
-/// substreams; the others ignore it. Each count is computed in int64 and
-/// cast as it is stored, so a double `out` (Load = double; instantiated
-/// for that and std::int64_t) holds what to_continuous makes of the int64
-/// one. Throws std::invalid_argument on an empty `out`, a negative
-/// tokens_per_node or an unknown pattern.
-template <class Load>
-void fill_initial_load(const std::string& pattern, std::span<Load> out,
-                       std::int64_t tokens_per_node, std::uint64_t seed);
-
-/// The pattern over n nodes as a vector (tests, tools).
+/// substreams; the others ignore it. Throws std::invalid_argument on
+/// n < 1, a negative tokens_per_node, one with 2 * tokens_per_node * n
+/// beyond int64, or an unknown pattern.
 std::vector<std::int64_t> build_initial_load(const std::string& pattern,
                                              node_id n,
                                              std::int64_t tokens_per_node,
                                              std::uint64_t seed);
 
-/// The pattern over n nodes as a load_fill (core/process.hpp): each engine
-/// of a run writes it in place into its own load array. Checks the inputs
+/// The same pattern as a load_fill (core/process.hpp): each engine of a
+/// run writes it in place into its own load array, each count computed in
+/// int64 and cast as it is stored (a double array holds what
+/// to_continuous makes of build_initial_load's vector). Checks the inputs
 /// now, as build_initial_load does.
 load_fill initial_load_fill(const std::string& pattern, node_id n,
                             std::int64_t tokens_per_node, std::uint64_t seed);

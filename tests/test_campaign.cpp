@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -480,6 +481,22 @@ TEST(CampaignRegistry, EveryLoadPatternConservesTotal)
     }
     EXPECT_THROW(build_initial_load("no_such_pattern", n, per_node, 1),
                  std::invalid_argument);
+    // The patterns count up to 2 * tokens_per_node * n in int64: the
+    // largest tokens_per_node that fits is placed exactly, one more is
+    // refused before any count overflows.
+    const std::int64_t largest = std::numeric_limits<std::int64_t>::max() / (2 * n);
+    for (const auto& pattern : load_pattern_names()) {
+        const auto load = build_initial_load(pattern, n, largest, 123);
+        EXPECT_EQ(std::accumulate(load.begin(), load.end(), std::int64_t{0}),
+                  largest * n)
+            << pattern;
+        EXPECT_THROW(build_initial_load(pattern, n, largest + 1, 123),
+                     std::invalid_argument)
+            << pattern;
+        EXPECT_THROW(initial_load_fill(pattern, n, largest + 1, 123),
+                     std::invalid_argument)
+            << pattern;
+    }
 }
 
 TEST(CampaignRegistry, PatternShapes)
