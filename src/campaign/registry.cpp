@@ -244,30 +244,23 @@ void fill_initial_load(const std::string& pattern, std::span<Load> out,
         // the (seed, node=0x4a11, round=0) counter substream, then an exact
         // total correction (multinomial random_load is O(total) and therefore
         // unusable at campaign scale): node 0 takes a shortfall, and an
-        // excess comes off the lowest-index nodes, whose draws are drawn
-        // again from the substream's start.
+        // excess comes off the lowest-index nodes. The correction draws
+        // those nodes' loads again from the substream's start.
         const auto width = static_cast<std::uint64_t>(2 * tokens_per_node + 1);
+        std::int64_t residual = total;
         counter_rng rng(seed, 0x4a11u, 0);
-        std::int64_t first = 0;
-        std::int64_t sum = 0;
         for (node_id v = 0; v < n; ++v) {
             const auto draw = static_cast<std::int64_t>(rng.next_below(width));
-            if (v == 0) first = draw;
-            sum += draw;
+            residual -= draw;
             store(v, draw);
         }
-        std::int64_t residual = total - sum;
-        if (residual >= 0) {
-            store(0, first + residual);
-        } else {
-            counter_rng again(seed, 0x4a11u, 0);
-            for (node_id v = 0; v < n && residual < 0; ++v) {
-                const auto draw =
-                    static_cast<std::int64_t>(again.next_below(width));
-                const std::int64_t take = std::min(draw, -residual);
-                store(v, draw - take);
-                residual += take;
-            }
+        counter_rng again(seed, 0x4a11u, 0);
+        for (node_id v = 0; v < n && residual != 0; ++v) {
+            const auto draw = static_cast<std::int64_t>(again.next_below(width));
+            // Negative at node 0 when it takes a shortfall.
+            const std::int64_t take = std::min(draw, -residual);
+            store(v, draw - take);
+            residual += take;
         }
     } else if (pattern == "wavefront") {
         // Linear ramp: node 0 carries ~2*tokens_per_node, the last node 0.
